@@ -720,9 +720,11 @@ def power_correction(ode: CfOde, branch: AsymptoticBranch) -> Fraction:
 
     k1, _ = branch.ring["edge"]
     e_bal = Fraction(ode.coeffs[k1].valuation()) - k1 * (1 + gamma)
-    assert not by_level.get(e_bal), "dominant balance level failed to cancel"
+    if by_level.get(e_bal):
+        raise CorrectionNotLinear("dominant balance level failed to cancel")
     for e in by_level:
-        assert e > e_bal, f"terms below the balance level at t^{e}"
+        if e < e_bal:
+            raise CorrectionNotLinear(f"terms below the balance level at t^{e}")
         if e_bal < e < e_bal + gamma and by_level[e]:
             raise CorrectionNotLinear(
                 f"nonzero terms at intermediate level t^{e} "

@@ -220,7 +220,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
     else:
         try:
             reports = mc_stein_residual(op, target, n=args.n, seed=args.seed)
-        except NotImplementedError as exc:
+        except (NotImplementedError, ValueError) as exc:
             raise UsageError(str(exc)) from None
     passed = all(r.passed for r in reports)
     result = {
@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact moment recurrences or Monte-Carlo residuals (default mc)",
     )
     p.add_argument(
-        "--n", type=int, default=100_000, help="Monte-Carlo sample size"
+        "--n", type=int, default=100_000, help="Monte-Carlo sample size (>= 2)"
     )
     p.add_argument(
         "--orders",

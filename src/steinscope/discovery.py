@@ -11,23 +11,32 @@ with ff the falling factorial (zero for j > k, so no negative moment is
 ever requested) and mu the exact moment oracle.  Truncating to k < K
 gives a K x (m+1)(T+1) rational matrix whose nullspace contains every
 operator of this shape that annihilates the law; whether K constraints
-already pin that nullspace down is checked by stabilisation: the system
-is re-solved with eight extra rows, and K is raised until the dimension
-stops moving.  The trail of (K, dimension) pairs is kept on the problem
-object so any K-sensitivity is surfaced, never hidden.
+already pin that nullspace down is checked by stabilisation: the basis is
+tested against eight extra rows, and K is raised until it satisfies them.
+The trail of (K, dimension) pairs is kept on the problem object so any
+K-sensitivity is surfaced, never hidden.
 
-The elimination is fraction-free (Bareiss): each row is first cleared to
-a common integer denominator, and every update divides exactly by the
-previous pivot, so all intermediate entries are integers (minors of the
-original matrix).  Moment matrices for sixth-order Hermite targets have
-entries with hundreds of digits; floating point is unusable there, and
-plain Fraction elimination wastes most of its time normalising gcd's.
-Back-substitution for the nullspace vectors is then done over Fractions,
-where the numbers are small.
+The nullspace is computed multi-modularly.  Each row is cleared to
+integers.  Moment matrices for high-order Hermite targets have entries of
+hundreds of digits (about 1800 bits for H5 at K = 94), while their
+nullspace vectors are far smaller: two primes recover the H5 basis.
+Modulo a deterministic sequence of primes just below 2^62, the reduced
+row echelon form gives a rank, pivot columns and, at each free column,
+the entries of one basis vector; these are combined by the Chinese
+remainder theorem and recovered as rationals by Wang's rational
+reconstruction.  The candidate basis is then certified exactly: A v = 0
+over the integers on every row.  That check alone makes the answer exact.
+The vectors are independent (each is nonzero at its own free column and
+zero at the other free columns), and each shows its free column to be a
+combination of earlier columns over Q, so the free columns mod p are free
+over Q and the rank mod p is the rank over Q.  A prime whose rank or
+pivot list disagrees with Q divides a nonzero minor, so there are
+finitely many of them; the Hadamard bound of the matrix caps the number
+of primes ever needed.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .algebra import _as_fraction, falling_factorial
 from .operators import SteinOperator
@@ -99,72 +108,166 @@ class DiscoveryProblem:
         return [(i, j) for i in range(self.m + 1) for j in range(self.T + 1)]
 
 
-def _constraint_matrix(prob: DiscoveryProblem, K: int) -> list[list[Fraction]]:
+def _constraint_rows(prob: DiscoveryProblem, start: int, stop: int) -> list[list[int]]:
+    """Constraint rows k = start .. stop - 1, each scaled to integers."""
     cols = prob.columns()
     rows = []
-    for k in range(K):
+    for k in range(start, stop):
         row = []
         for i, j in cols:
             ff = falling_factorial(k, j)
             row.append(ff * prob.moment(k + i - j) if ff else Fraction(0))
-        rows.append(row)
+        scale = lcm(*(v.denominator for v in row))
+        rows.append([int(v * scale) for v in row])
     return rows
 
 
-def _integer_rows(rows: list[list[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        scale = lcm(*(v.denominator for v in row)) if row else 1
-        out.append([int(v * scale) for v in row])
-    return out
+# --- multi-modular nullspace --------------------------------------------------
+
+_PRIMES: list[int] = []  # primes below 2^62, largest first; extended by _prime
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _bareiss_echelon(rows: list[list[int]], ncols: int):
-    """Fraction-free row echelon form; returns (echelon rows, pivot cols)."""
-    rows = [row[:] for row in rows]
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, exact for n < 3.3e24."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(index: int) -> int:
+    """The index-th prime below 2^62, counting down from the largest."""
+    while len(_PRIMES) <= index:
+        p = _PRIMES[-1] - 2 if _PRIMES else (1 << 62) - 1
+        while not _is_prime(p):
+            p -= 2
+        _PRIMES.append(p)
+    return _PRIMES[index]
+
+
+def _prime_cap(rows: list[list[int]], ncols: int) -> int:
+    """Primes enough to certify any nullspace of ``rows``.
+
+    Every minor is at most H, the product of the largest min(K, ncols) row
+    norms (Hadamard).  A prime with the wrong rank profile divides a
+    nonzero minor, so at most log H / 61 primes (each above 2^61) are
+    unlucky; the reconstructed entries are ratios of minors, recovered once
+    the lucky primes multiply to more than 2 H^2.
+    """
+    norms = sorted((sum(v * v for v in row).bit_length() for row in rows),
+                   reverse=True)
+    h_bits = sum(norms[:ncols]) // 2 + 1
+    return h_bits // 61 + (2 * h_bits + 1) // 61 + 2
+
+
+def _rref_mod(rows: list[list[int]], ncols: int, p: int):
+    """Pivot columns and reduced row echelon form of ``rows`` modulo ``p``."""
+    rows = [row for row in ([v % p for v in row] for row in rows) if any(row)]
     pivots = []
-    r = 0
-    prev = 1
     for c in range(ncols):
-        pivot_row = next(
-            (p for p in range(r, len(rows)) if rows[p][c]), None)
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot_row = next((q for q in range(r, len(rows)) if rows[q][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        for q in range(r + 1, len(rows)):
-            if not any(rows[q][c:]):
-                continue
-            factor = rows[q][c]
-            for cc in range(ncols):
-                rows[q][cc] = (rows[q][cc] * pivot - factor * rows[r][cc]) // prev
+        # the pivot row is zero left of c, so only columns c.. change
+        inv = pow(rows[r][c], -1, p)
+        rows[r][c:] = pivot = [v * inv % p for v in rows[r][c:]]
+        for q, row in enumerate(rows):
+            f = row[c]
+            if f and q != r:
+                row[c:] = [(a - f * b) % p for a, b in zip(row[c:], pivot)]
         pivots.append(c)
-        prev = pivot
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    return pivots, rows[:len(pivots)]
 
 
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Exact nullspace basis, one vector per free column."""
-    echelon, pivots = _bareiss_echelon(_integer_rows(rows), ncols)
-    pivot_set = set(pivots)
+def _rational(u: int, modulus: int, bound: int) -> Fraction | None:
+    """The a/b = u (mod modulus) with |a|, |b| <= bound, if any (Wang 1981)."""
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _annihilates(rows: list[list[int]], vector: list[int]) -> bool:
+    return all(sum(a * v for a, v in zip(row, vector) if v) == 0 for row in rows)
+
+
+def _reconstruct(residues, modulus, pivots, free, ncols):
+    """Integer basis vectors from their residues, or None if one fails."""
+    bound = isqrt((modulus - 1) // 2)
+    rank = len(pivots)
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for r in reversed(range(len(echelon))):
-            c = pivots[r]
-            s = sum(
-                (echelon[r][cc] * v[cc] for cc in range(c + 1, ncols) if v[cc]),
-                Fraction(0),
-            )
-            v[c] = -s / echelon[r][c]
+    for n, f in enumerate(free):
+        entries = []
+        for u in residues[n * rank:(n + 1) * rank]:
+            q = _rational(u, modulus, bound)
+            if q is None:
+                return None
+            entries.append(q)
+        scale = lcm(*(q.denominator for q in entries))
+        v = [0] * ncols
+        v[f] = scale
+        for c, q in zip(pivots, entries):
+            v[c] = q.numerator * (scale // q.denominator)
         basis.append(v)
     return basis
+
+
+def _nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Certified basis of the rational nullspace of an integer matrix.
+
+    One integer vector per free column f of the row echelon form over Q:
+    the back-substitution vector with v[f] = 1 and 0 at the other free
+    columns, scaled by the common denominator of its entries.  A prime is
+    discarded when another has a higher rank, or the same rank and a
+    lexicographically earlier pivot list; the survivors' images of the
+    vectors are combined until the reconstruction passes A v = 0 exactly.
+    """
+    best = None
+    for index in range(_prime_cap(rows, ncols)):
+        p = _prime(index)
+        pivots, echelon = _rref_mod(rows, ncols, p)
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            continue
+        pivot_set = set(pivots)
+        free = [c for c in range(ncols) if c not in pivot_set]
+        image = [(-row[f]) % p for f in free for row in echelon]
+        if key != best:
+            best, modulus, residues = key, p, image
+        else:
+            inv = pow(modulus, -1, p)
+            residues = [x + modulus * ((y - x) * inv % p)
+                        for x, y in zip(residues, image)]
+            modulus *= p
+        basis = _reconstruct(residues, modulus, pivots, free, ncols)
+        if basis is not None and all(_annihilates(rows, v) for v in basis):
+            return basis
+    raise ArithmeticError(
+        "multi-modular nullspace not certified within the Hadamard bound")
 
 
 def _primitive(row: list[Fraction]) -> list[Fraction]:
@@ -228,26 +331,30 @@ def canonicalise(basis: list[SteinOperator]) -> list[SteinOperator]:
 def find_stein_operators(prob: DiscoveryProblem) -> list[SteinOperator]:
     """All operators of shape (T, m) annihilating the target's moments.
 
-    Solves the K-row constraint system exactly, then re-solves with eight
-    extra rows; since constraints only accumulate, the nullspace can only
-    shrink, so equal dimensions mean equal spans.  If the dimension drops,
-    K is raised and the check repeats until it holds.  Returns the
-    canonicalised basis (possibly empty); the visited (K, dimension)
-    pairs are recorded on ``prob.dimension_trail`` and the stabilised K
-    on ``prob.effective_K``.
+    Solves the K-row constraint system exactly, then builds the eight
+    next rows and tests the basis against them.  Constraints only
+    accumulate, so the nullspace can only shrink: if every basis vector
+    satisfies the new rows, the K + 8 nullspace equals the K one and the
+    search stops.  Otherwise the K + 8 system is solved anew, K is raised
+    and the check repeats.  Returns the canonicalised basis (possibly
+    empty); the visited (K, dimension) pairs are recorded on
+    ``prob.dimension_trail`` and the stabilised K on ``prob.effective_K``.
     """
     ncols = (prob.T + 1) * (prob.m + 1)
     K = prob.K
     prob.dimension_trail = []
-    vectors = _nullspace(_constraint_matrix(prob, K), ncols)
+    rows = _constraint_rows(prob, 0, K)
+    vectors = _nullspace(rows, ncols)
     prob.dimension_trail.append((K, len(vectors)))
     while True:
-        check = _nullspace(_constraint_matrix(prob, K + 8), ncols)
-        prob.dimension_trail.append((K + 8, len(check)))
-        if len(check) == len(vectors):
+        new_rows = _constraint_rows(prob, K, K + 8)
+        rows += new_rows
+        if all(_annihilates(new_rows, v) for v in vectors):
+            prob.dimension_trail.append((K + 8, len(vectors)))
             break
+        vectors = _nullspace(rows, ncols)
+        prob.dimension_trail.append((K + 8, len(vectors)))
         K += 8
-        vectors = check
     prob.effective_K = K
     cols = prob.columns()
     ops = [

@@ -21,9 +21,9 @@ keeps high-order operators stable.
 
 Monte-Carlo estimation is chunked; chunk i draws from a generator seeded
 with seed + i, so results are reproducible and independent of the number of
-worker threads (capped by the STEIN_SCOPE_THREADS environment variable).
-Chunk statistics are merged by exact pairwise Welford combination in chunk
-order.
+worker threads (set by the STEIN_SCOPE_THREADS environment variable, at
+most the CPU count).  Chunk statistics are merged by exact pairwise Welford
+combination in chunk order.
 """
 
 from __future__ import annotations
@@ -194,11 +194,13 @@ def _operator_coefficient_arrays(op: SteinOperator) -> dict[int, np.ndarray]:
 
 
 def _threads() -> int:
+    """Worker threads from STEIN_SCOPE_THREADS, between 1 and the CPU count."""
     raw = os.environ.get("STEIN_SCOPE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        wanted = int(raw)
     except ValueError:
         return 1
+    return max(1, min(wanted, os.cpu_count() or 1))
 
 
 def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
@@ -209,8 +211,11 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
     Returns one report per family member with residual = sample mean,
     stderr, and threshold = sigma_mult * stderr.  Chunk i draws
     ``dist.sample(chunk_size, seed + i)``; estimates are identical for any
-    thread count.
+    thread count.  A standard error needs two samples, so n < 2 raises
+    ValueError rather than passing on a zero threshold.
     """
+    if n < 2:
+        raise ValueError(f"Monte-Carlo sample size n = {n}; need n >= 2")
     if family is None:
         family = default_test_family()
     family = list(family)

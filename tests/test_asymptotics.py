@@ -329,6 +329,15 @@ class TestPowerCorrection:
             (branch,) = exp_branches(ode)
             assert power_correction(ode, branch) == 1 - r - s
 
+    def test_perturbed_magnitude_raises_correction_not_linear(self):
+        # Doubling A_S breaks the leading balance; that must surface as
+        # CorrectionNotLinear, which verdicts record in correction_failures.
+        ode = ode_of("H4_T2m3")
+        (branch,) = exp_branches(ode)
+        branch.ring["scale"] *= 2
+        with pytest.raises(CorrectionNotLinear, match="failed to cancel"):
+            power_correction(ode, branch)
+
     def test_needs_exponential_branch(self):
         ode = ode_of("H3_T4m3")
         bounded = [b for b in dominant_balance(ode) if b.kind == "bounded"][0]

@@ -283,6 +283,16 @@ class TestVerify:
         failing = [t["test_id"] for t in report["result"]["tests"] if not t["passed"]]
         assert failing == ["sin(1/2*y)", "sin(1*y)", "exp(-y^2/2)*y^1"]
 
+    @pytest.mark.parametrize("n", ["0", "-5", "1"])
+    def test_mc_mode_fewer_than_two_samples_exits_2(self, n):
+        code, out, err = run_cli(
+            "verify", "--op", "H3_T4m3", "--target", "H3", "--mode", "mc",
+            "--n", n,
+        )
+        assert code == 2
+        assert out == ""
+        assert "n >= 2" in err
+
     def test_mc_mode_without_sampler_exits_2(self):
         code, out, err = run_cli(
             "verify", "--op", "PRR:s=2", "--target", "PRR:s=2", "--n", "1000"

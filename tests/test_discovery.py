@@ -9,7 +9,9 @@ they are frozen here as regression oracles.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from steinscope import discovery
 from steinscope.discovery import (
     DiscoveryProblem,
     OracleTooShort,
@@ -136,7 +138,6 @@ class TestReproduction:
         assert len(basis) == 1
         assert basis == canonicalise([catalog_get(name)])
 
-    @pytest.mark.slow
     def test_h5_thirteenth_order(self):
         prob = DiscoveryProblem(get_target("H5"), 13, 4)
         basis = find_stein_operators(prob)
@@ -185,6 +186,18 @@ class TestStability:
         with pytest.raises(OracleTooShort):
             find_stein_operators(DiscoveryProblem(mus, 1, 1, K=8))
 
+    def test_dimension_drop_is_re_solved(self):
+        # E[Y^10] off by one breaks the classical operator only at row
+        # k = 9, so the K = 8 basis fails the first eight new rows, the
+        # K = 16 system is solved anew (nothing survives), and the empty
+        # basis then passes the next check trivially.
+        mus = [get_target("gaussian").moment(k) for k in range(25)]
+        mus[10] += 1
+        prob = DiscoveryProblem(mus, 1, 1, K=8)
+        assert find_stein_operators(prob) == []
+        assert prob.dimension_trail == [(8, 1), (16, 0), (24, 0)]
+        assert prob.effective_K == 16
+
     def test_sequence_oracle_long_enough_succeeds(self):
         mus = [get_target("gaussian").moment(k) for k in range(17)]
         prob = DiscoveryProblem(mus, 1, 1, K=8)
@@ -206,3 +219,119 @@ class TestNecessityOnlyCaveat:
             assert in_span(basis, shared), target
             dims[target] = len(basis)
         assert dims == {"gaussian": 15, "semicircle": 10}
+
+
+def fraction_nullspace(rows, ncols):
+    """Back-substitution nullspace from a plain Fraction RREF."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot_row = next((q for q in range(r, len(rows)) if rows[q][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for q in range(len(rows)):
+            if q != r and rows[q][c]:
+                f = rows[q][c]
+                rows[q] = [a - f * b for a, b in zip(rows[q], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][free]
+        basis.append(v)
+    return basis
+
+
+def free_column_scaled(vectors):
+    """Each vector divided by its last nonzero entry, its free column."""
+    out = []
+    for v in vectors:
+        last = next(x for x in reversed(v) if x)
+        out.append([Fraction(x) / last for x in v])
+    return out
+
+
+entries = st.one_of(st.integers(-4, 4), st.integers(-(2**310), 2**310))
+
+
+@st.composite
+def integer_matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, min_size=1, max_size=5))
+    # extra rows that are integer combinations of the base rows make the
+    # matrix rank-deficient
+    weights = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+    combos = [
+        [sum(w * r[c] for w, r in zip(ws, base)) for c in range(ncols)]
+        for ws in draw(st.lists(weights, max_size=3))
+    ]
+    rows = draw(st.permutations(base + combos))
+    return rows, ncols
+
+
+class TestMultiModularNullspace:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_matrices())
+    def test_matches_fraction_rref(self, matrix):
+        rows, ncols = matrix
+        got = discovery._nullspace(rows, ncols)
+        assert free_column_scaled(got) == fraction_nullspace(rows, ncols)
+        assert all(isinstance(x, int) for v in got for x in v)
+
+    def test_large_entries_need_more_than_two_primes(self, monkeypatch):
+        rows = [[3**200, 5**190, 7**170], [11**130 + 1, 13**135, 2**301 - 1]]
+        used = []
+        rref_mod = discovery._rref_mod
+
+        def counting(rows, ncols, p):
+            used.append(p)
+            return rref_mod(rows, ncols, p)
+
+        monkeypatch.setattr(discovery, "_rref_mod", counting)
+        got = discovery._nullspace(rows, 3)
+        assert free_column_scaled(got) == fraction_nullspace(rows, 3)
+        assert len(used) > 2
+
+    def test_unlucky_rank_is_discarded(self):
+        # rank 2 over Q, rank 1 modulo the first prime
+        p1 = discovery._prime(0)
+        rows = [[1, 1], [1, 1 + p1]]
+        assert discovery._rref_mod(rows, 2, p1)[0] == [0]
+        assert discovery._nullspace(rows, 2) == []
+
+    def test_unlucky_pivots_are_discarded(self):
+        # same rank 2, but pivots [0, 2] modulo the first prime, not [0, 1]
+        p1 = discovery._prime(0)
+        rows = [[1, 1, 0], [p1, 0, 1]]
+        assert discovery._rref_mod(rows, 3, p1)[0] == [0, 2]
+        got = discovery._nullspace(rows, 3)
+        assert free_column_scaled(got) == [[F(-1, p1), F(1, p1), F(1)]]
+
+    def test_prime_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(discovery, "_prime_cap", lambda rows, ncols: 1)
+        p1 = discovery._prime(0)
+        with pytest.raises(ArithmeticError):
+            discovery._nullspace([[1, 1], [1, 1 + p1]], 2)
+
+    def test_primes_are_consecutive_below_2_to_the_62(self):
+        primes = [2**62] + [discovery._prime(i) for i in range(4)]
+        assert primes[-1] > 2**61
+        for above, below in zip(primes, primes[1:]):
+            assert discovery._is_prime(below)
+            assert not any(discovery._is_prime(n) for n in range(below + 1, above))
+
+    def test_is_prime_agrees_with_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(3000) if discovery._is_prime(n)] == \
+            [n for n in range(3000) if trial(n)]
+        # strong pseudoprimes to several small bases
+        assert not discovery._is_prime(3215031751)
+        assert not discovery._is_prime(3825123056546413051)

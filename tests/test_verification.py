@@ -6,6 +6,7 @@ and flags residuals beyond sigma_mult standard errors.  All Monte-Carlo
 outcomes asserted here were recorded at fixed seeds and are deterministic.
 """
 
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from steinscope.verification import (
     GaussianPolyTest,
     ResidualReport,
     TrigTest,
+    _threads,
     check_moment_recurrence,
     default_ode_grid,
     default_test_family,
@@ -294,6 +296,22 @@ class TestMcMechanics:
         par = mc_stein_residual(op, g, n=5 * 10**4, seed=11, chunk=2**14)
         assert [r.residual for r in seq] == [r.residual for r in par]
         assert [r.stderr for r in seq] == [r.stderr for r in par]
+
+    @pytest.mark.parametrize("n", [0, -5, 1])
+    def test_fewer_than_two_samples_is_an_error(self, n):
+        # with n < 2 there is no standard error, and a zero threshold
+        # would let an empty sample pass
+        with pytest.raises(ValueError, match="n >= 2"):
+            mc_stein_residual(catalog_get("gauss_classical"),
+                              get_target("gaussian"), n=n)
+
+    def test_thread_count_is_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("STEIN_SCOPE_THREADS", str(10**9))
+        assert _threads() == (os.cpu_count() or 1)
+        monkeypatch.setenv("STEIN_SCOPE_THREADS", "0")
+        assert _threads() == 1
+        monkeypatch.setenv("STEIN_SCOPE_THREADS", "many")
+        assert _threads() == 1
 
     def test_sigma_mult_sets_threshold(self):
         reports = mc_stein_residual(
