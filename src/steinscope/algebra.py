@@ -312,10 +312,6 @@ class GaussianRationalPoly(_SparsePoly):
 
     def eval_complex(self, t: float) -> complex:
         """Evaluate at a float point as a complex number."""
-        acc = 0j
-        for d in sorted(self.c, reverse=True):
-            acc = acc * t if acc else acc
-            # Horner over possibly sparse gaps
         # plain (non-Horner) evaluation is fine for the modest degrees here
         acc = 0j
         for d, v in self.c.items():

@@ -28,16 +28,18 @@ import json
 import os
 import platform
 import sys
+from importlib.metadata import version
 from pathlib import Path
-
-import numpy
-import scipy
 
 from . import __version__
 from .asymptotics import characterisation_verdict
-from .discovery import DiscoveryProblem, OracleTooShort, find_stein_operators
+from .discovery import (
+    MAX_CONSTRAINTS,
+    MAX_UNKNOWNS,
+    DiscoveryProblem,
+    find_stein_operators,
+)
 from .distributions import (
-    NoExactOracle,
     TargetDistribution,
     UnknownTarget,
     get_target,
@@ -143,11 +145,13 @@ def _ode_json(ode: CfOde) -> dict:
 
 
 def _versions() -> dict:
+    # Read from the installed metadata so that exact commands never import
+    # the numeric stack; only Monte-Carlo and closed-form cf code needs it.
     return {
         "steinscope": __version__,
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "numpy": version("numpy"),
+        "scipy": version("scipy"),
     }
 
 
@@ -212,16 +216,14 @@ def _cmd_analyze(args) -> tuple[dict, int]:
 def _cmd_verify(args) -> tuple[dict, int]:
     op = _resolve_operator(args.op)
     target = _resolve_target(args.target)
-    if args.mode == "exact":
-        try:
+    try:
+        if args.mode == "exact":
             reports = check_moment_recurrence(op, target, K=args.orders)
-        except NoExactOracle as exc:
-            raise UsageError(str(exc)) from None
-    else:
-        try:
+        else:
             reports = mc_stein_residual(op, target, n=args.n, seed=args.seed)
-        except (NotImplementedError, ValueError) as exc:
-            raise UsageError(str(exc)) from None
+    except (NotImplementedError, ValueError) as exc:
+        # no oracle or sampler, --orders < 0, --n < 2
+        raise UsageError(str(exc)) from None
     passed = all(r.passed for r in reports)
     result = {
         "operator": op.name or "operator-file",
@@ -240,9 +242,7 @@ def _cmd_discover(args) -> tuple[dict, int]:
     try:
         prob = DiscoveryProblem(target, args.order, args.degree, K=args.constraints)
         ops = find_stein_operators(prob)
-    except (NoExactOracle, OracleTooShort) as exc:
-        raise UsageError(str(exc)) from None
-    except ValueError as exc:
+    except ValueError as exc:  # NoExactOracle, OracleTooShort, bad shape or budget
         raise UsageError(str(exc)) from None
     result = {
         "target": target.name,
@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--orders",
         type=int,
         default=12,
-        help="exact mode: check recurrence rows k=0..orders",
+        help="exact mode: check recurrence rows k=0..orders (>= 0)",
     )
 
     p = sub.add_parser(
@@ -461,13 +461,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="find all operators of a given shape annihilating a target",
     )
     p.add_argument("--target", required=True, help="target law spec, e.g. H4")
-    p.add_argument("--order", type=int, required=True, help="max derivative order T")
+    p.add_argument(
+        "--order",
+        type=int,
+        required=True,
+        help=f"max derivative order T; (T+1)(m+1) <= {MAX_UNKNOWNS}",
+    )
     p.add_argument("--degree", type=int, required=True, help="max polynomial degree m")
     p.add_argument(
         "--constraints",
         type=int,
         default=None,
-        help="initial number of moment constraints (default: matrix width + 16)",
+        help="initial number of moment constraints "
+        f"(default: matrix width + 16; at most {MAX_CONSTRAINTS})",
     )
 
     p = sub.add_parser(

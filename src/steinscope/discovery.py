@@ -53,6 +53,14 @@ class OracleTooShort(ValueError):
     """The moment oracle cannot supply a required order."""
 
 
+# Work budget.  Row k of the constraint matrix needs moments up to order
+# k + m, and exact Hermite moments grow with the order, so both the width
+# and the height are capped.  H8 at both caps, (T, m) = (15, 7) with
+# K = 256, took 17 s on a 2-core VM; H5 (13, 4) needs 70 unknowns, K = 86.
+MAX_UNKNOWNS = 128
+MAX_CONSTRAINTS = 256
+
+
 class DiscoveryProblem:
     """Search space for operators annihilating a target's moments.
 
@@ -61,7 +69,10 @@ class DiscoveryProblem:
     raises OracleTooShort when the search needs more than it holds).
     ``T`` bounds the derivative order, ``m`` the coefficient degree in y,
     and ``K`` the number of moment constraints; the default gives 16 rows
-    of slack over the (T+1)(m+1) unknowns.
+    of slack over the (T+1)(m+1) unknowns.  More than MAX_UNKNOWNS unknowns
+    or MAX_CONSTRAINTS constraints raises ValueError.  Stabilisation adds
+    eight rows per round; each re-solve drops the dimension, so there are
+    at most (T+1)(m+1) of them.
 
     After ``find_stein_operators`` runs, ``effective_K`` holds the
     constraint count at which the nullspace stabilised and
@@ -77,10 +88,18 @@ class DiscoveryProblem:
         if self.T < 0 or self.m < 0:
             raise ValueError("derivative order and degree must be >= 0")
         unknowns = (self.T + 1) * (self.m + 1)
+        if unknowns > MAX_UNKNOWNS:
+            raise ValueError(
+                f"(T+1)(m+1) = {unknowns} unknowns exceeds the discovery "
+                f"budget of {MAX_UNKNOWNS} unknowns")
         self.K = unknowns + 16 if K is None else int(K)
         if self.K < unknowns:
             raise ValueError(
                 f"K = {self.K} constraints cannot pin {unknowns} unknowns")
+        if self.K > MAX_CONSTRAINTS:
+            raise ValueError(
+                f"K = {self.K} constraints exceeds the discovery budget of "
+                f"{MAX_CONSTRAINTS} constraints")
         self.oracle = oracle
         self.effective_K = None
         self.dimension_trail = []

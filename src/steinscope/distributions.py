@@ -26,6 +26,9 @@ closed under d/dt (Gaussian weight times polynomials; Bessel functions over
 powers of t; rational powers of 1 + sigma2 t^2 times monomials), so the j-th
 derivative is obtained by exact recursion on basis coefficients followed by
 a single floating-point evaluation.
+
+numpy and scipy are imported inside the sampling and characteristic-function
+code that computes with them, so the exact moment oracles load neither.
 """
 
 from __future__ import annotations
@@ -34,9 +37,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-
-import numpy as np
-from scipy import special as _special
+from typing import TYPE_CHECKING
 
 from .algebra import (
     HermiteExpansion,
@@ -45,6 +46,9 @@ from .algebra import (
     hermite_to_monomial,
 )
 from .operators import BadParameter, _parse_params, _take
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NoExactOracle(ValueError):
@@ -125,6 +129,8 @@ class GaussianCf:
         self._sigma = float(self.sigma2) ** 0.5
 
     def __call__(self, t: float, j: int = 0) -> float:
+        import numpy as np
+
         s = self._sigma
         u = s * t
         value = 0.0
@@ -180,7 +186,9 @@ class BesselRatioCf:
             return total
         if t == 0:
             raise ValueError("Y_1(t)/t is singular at t = 0")
-        bessel = _special.jv if self.kind == "J" else _special.yv
+        from scipy import special
+
+        bessel = special.jv if self.kind == "J" else special.yv
         return sum(
             float(c) * bessel(nu, t) / t**k for (nu, k), c in self._rep(j).items()
         )
@@ -302,6 +310,8 @@ class TargetDistribution:
             raise NotImplementedError(
                 f"{self.name} has no sampler; it is an analysis-only target"
             )
+        import numpy as np
+
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         return self._sampler(rng, int(n))
 
@@ -364,10 +374,13 @@ def _semicircle_target() -> TargetDistribution:
 
 
 def _hermite_target(p: int) -> TargetDistribution:
-    poly = hermite_to_monomial(p)
-    coef = np.zeros(p + 1)
-    for d, c in poly.c.items():
-        coef[d] = float(c)
+    def sampler(rng, n):
+        import numpy as np
+
+        coef = np.zeros(p + 1)
+        for d, c in hermite_to_monomial(p).c.items():
+            coef[d] = float(c)
+        return np.polynomial.polynomial.polyval(rng.standard_normal(n), coef)
 
     return TargetDistribution(
         f"H{p}",
@@ -377,9 +390,7 @@ def _hermite_target(p: int) -> TargetDistribution:
         zero_mean=True,
         moment_determinate=(p in (1, 2, 4)),
         moment=lambda k: hermite_poly_moment(p, k),
-        sampler=lambda rng, n: np.polynomial.polynomial.polyval(
-            rng.standard_normal(n), coef
-        ),
+        sampler=sampler,
         cf=GaussianCf(1) if p == 1 else None,
     )
 

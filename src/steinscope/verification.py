@@ -24,6 +24,9 @@ with seed + i, so results are reproducible and independent of the number of
 worker threads (set by the STEIN_SCOPE_THREADS environment variable, at
 most the CPU count).  Chunk statistics are merged by exact pairwise Welford
 combination in chunk order.
+
+numpy is imported inside the Monte-Carlo and ODE-grid code, so exact mode
+runs without it.
 """
 
 from __future__ import annotations
@@ -31,11 +34,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import RationalPoly
 from .operators import CfOde, SteinOperator, moment_recurrence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _DEFAULT_N = 10**6
 _CHUNK = 1 << 17
@@ -101,7 +106,10 @@ def check_moment_recurrence(op: SteinOperator, dist, K: int = 12) -> list[Residu
     ``dist`` must expose an exact ``moment(order) -> Fraction`` oracle
     (NoExactOracle propagates otherwise).  Each report's residual is the
     exact value of sum_s c_s(k) E[W^{k+s}]; pass means exactly zero.
+    K < 0 checks nothing and raises ValueError rather than passing vacuously.
     """
+    if K < 0:
+        raise ValueError(f"moment orders K = {K}; need K >= 0")
     rec = moment_recurrence(op)
     out = []
     for k in range(K + 1):
@@ -125,6 +133,8 @@ class TrigTest:
         self.label = f"{kind}({t}*y)"
 
     def derivative(self, y: np.ndarray, j: int) -> np.ndarray:
+        import numpy as np
+
         phase = self.t * y + j * (np.pi / 2)
         wave = np.cos(phase) if self.kind == "cos" else np.sin(phase)
         return self.t**j * wave
@@ -140,6 +150,8 @@ class GaussianPolyTest:
         self.label = label if label is not None else f"exp(-y^2/2)*({poly})"
 
     def _poly(self, j: int) -> np.ndarray:
+        import numpy as np
+
         while len(self._polys) <= j:
             p = self._polys[-1]
             self._polys.append(p.derivative() - RationalPoly({1: 1}) * p)
@@ -150,6 +162,8 @@ class GaussianPolyTest:
         return dense
 
     def derivative(self, y: np.ndarray, j: int) -> np.ndarray:
+        import numpy as np
+
         vals = np.polynomial.polynomial.polyval(y, self._poly(j))
         return vals * np.exp(-0.5 * y * y)
 
@@ -181,6 +195,8 @@ def _welford_merge(a, b):
 
 
 def _operator_coefficient_arrays(op: SteinOperator) -> dict[int, np.ndarray]:
+    import numpy as np
+
     arrays = {}
     for j in range(op.T + 1):
         poly = op.coefficient_poly(j)
@@ -216,6 +232,8 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
     """
     if n < 2:
         raise ValueError(f"Monte-Carlo sample size n = {n}; need n >= 2")
+    import numpy as np
+
     if family is None:
         family = default_test_family()
     family = list(family)
@@ -261,6 +279,8 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
 
 def default_ode_grid() -> np.ndarray:
     """64 log-spaced points in [0.1, 10]; avoids the singular point t = 0."""
+    import numpy as np
+
     return np.geomspace(0.1, 10.0, 64)
 
 

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -9,8 +12,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import steinscope
 from steinscope.cli import (
     UsageError,
+    _versions,
     load_operator_file,
     main,
     report_json,
@@ -256,6 +261,16 @@ class TestVerify:
         assert by_id["moment-k=0"]["passed"] is True
         assert by_id["moment-k=1"]["passed"] is False
 
+    def test_exact_mode_negative_orders_exits_2(self):
+        # a wrong pair: with no row checked it used to report "pass": true
+        code, out, err = run_cli(
+            "verify", "--op", "H3_T4m3", "--target", "H4",
+            "--mode", "exact", "--orders", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "K >= 0" in err
+
     def test_exact_mode_without_oracle_exits_2(self):
         code, out, err = run_cli(
             "verify", "--op", "PRR:s=2", "--target", "PRR:s=2", "--mode", "exact"
@@ -352,6 +367,17 @@ class TestDiscover:
         assert code == 2
         assert "no exact moment oracle" in err
 
+    @pytest.mark.parametrize("extra,budget", [
+        (("--order", "1", "--degree", "1", "--constraints", "20000"),
+         "256 constraints"),
+        (("--order", "1000", "--degree", "1000"), "128 unknowns"),
+    ])
+    def test_over_budget_exits_2(self, extra, budget):
+        code, out, err = run_cli("discover", "--target", "gaussian", *extra)
+        assert code == 2
+        assert out == ""
+        assert f"budget of {budget}" in err
+
 
 class TestGamma:
     def test_holding_identities_exit_0(self):
@@ -417,3 +443,60 @@ class TestPretty:
         code, out, _ = run_cli("gamma", "--target", "H3", "--check", "4.2", "--pretty")
         assert code == 1
         assert "(-243)*H7" in out
+
+
+# Runs main() in a fresh interpreter and prints the exit code and which
+# parts of the numeric stack the command loaded.
+_IMPORT_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from steinscope.cli import main
+with redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "scipy": "scipy" in sys.modules,
+                  "scipy.special": "scipy.special" in sys.modules}))
+"""
+
+
+def probe_imports(*argv):
+    src = str(Path(steinscope.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+class TestNumericStackImports:
+    @pytest.mark.parametrize("argv", [
+        ("catalog",),
+        ("analyze", "--op", "PN:p=4"),
+        ("transform", "--op", "H5_T13m4"),
+        ("verify", "--op", "H4_T2m3", "--target", "H4", "--mode", "exact"),
+        ("gamma", "--target", "H3", "--check", "4.1"),
+        ("discover", "--target", "gaussian", "--order", "1", "--degree", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_exact_commands_load_neither_numpy_nor_scipy(self, argv):
+        assert probe_imports(*argv) == {
+            "code": 0, "numpy": False, "scipy": False, "scipy.special": False,
+        }
+
+    def test_monte_carlo_loads_numpy_but_not_scipy_special(self):
+        loaded = probe_imports(
+            "verify", "--op", "gauss_classical", "--target", "gaussian",
+            "--mode", "mc", "--n", "1000",
+        )
+        assert loaded["code"] == 0
+        assert loaded["numpy"] is True
+        assert loaded["scipy.special"] is False
+
+    def test_versions_match_the_imported_packages(self):
+        import numpy
+        import scipy
+
+        versions = _versions()
+        assert versions["numpy"] == numpy.__version__
+        assert versions["scipy"] == scipy.__version__

@@ -56,6 +56,18 @@ class TestDiscoveryProblem:
         with pytest.raises(ValueError):
             DiscoveryProblem(get_target("gaussian"), 1, -1)
 
+    def test_work_budget(self):
+        g = get_target("gaussian")
+        # the caps themselves are accepted; H5 (13, 4) has 70 unknowns
+        assert DiscoveryProblem(g, 15, 7).K == 128 + 16
+        assert DiscoveryProblem(g, 1, 1, K=256).K == 256
+        with pytest.raises(ValueError, match="budget of 128 unknowns"):
+            DiscoveryProblem(g, 128, 0)
+        with pytest.raises(ValueError, match="budget of 128 unknowns"):
+            DiscoveryProblem(g, 10**30, 10**30)
+        with pytest.raises(ValueError, match="budget of 256 constraints"):
+            DiscoveryProblem(g, 1, 1, K=257)
+
     def test_columns_are_i_j_lexicographic(self):
         prob = DiscoveryProblem(get_target("gaussian"), 1, 1, K=4)
         assert prob.columns() == [(0, 0), (0, 1), (1, 0), (1, 1)]

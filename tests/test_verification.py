@@ -118,6 +118,12 @@ class TestExactMode:
             check_moment_recurrence(
                 catalog_get("PRR:s=2"), get_target("PRR:s=2"), K=4)
 
+    @pytest.mark.parametrize("K", [-1, -5])
+    def test_negative_order_is_an_error(self, K):
+        # K < 0 checks no row, which would pass even a wrong pair
+        with pytest.raises(ValueError, match="K >= 0"):
+            check_moment_recurrence(catalog_get("H3_T4m3"), get_target("H4"), K=K)
+
 
 class TestTestFunctions:
     def test_trig_derivatives_closed_form(self):
