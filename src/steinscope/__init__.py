@@ -26,7 +26,6 @@ from .operators import (
     NotInImage,
     SteinOperator,
     UnknownOperator,
-    apply_operator,
     catalog_get,
     catalog_names,
     moment_recurrence,
@@ -98,7 +97,6 @@ __all__ = [
     "psi_transform",
     "psi_inverse",
     "moment_recurrence",
-    "apply_operator",
     "catalog_get",
     "catalog_names",
     "stirling2",

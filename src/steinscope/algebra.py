@@ -124,8 +124,13 @@ def unit_ipow(k: int) -> QI:
     return (QI(1), QI(0, 1), QI(-1), QI(0, -1))[k % 4]
 
 
-class _SparsePoly:
-    """Shared sparse-dict machinery; subclasses fix the coefficient domain."""
+class _SparseDict:
+    """Sparse ``{degree: coefficient}`` arithmetic shared by every basis here.
+
+    Subclasses fix the coefficient domain (``_zero``, ``_coerce``) and the
+    product of two elements (``_product``); this class supplies the rest of
+    the ring: pruning construction, equality, +, -, and scalar *.
+    """
 
     __slots__ = ("c",)
 
@@ -142,24 +147,78 @@ class _SparsePoly:
                     c[int(d)] = v
         self.c = c
 
-    @classmethod
-    def from_list(cls, seq):
-        """Build from ``[c0, c1, c2, ...]`` indexed by degree."""
-        return cls({d: v for d, v in enumerate(seq)})
+    def _new(self, c: dict):
+        """An element of this type with the already-pruned coefficients ``c``."""
+        r = type(self).__new__(type(self))
+        r.c = c
+        return r
+
+    def _same_ring(self, other) -> bool:
+        return isinstance(other, type(self))
 
     def is_zero(self) -> bool:
         return not self.c
 
     def degree(self) -> int:
-        """Degree, with the zero polynomial given degree -1."""
+        """Degree, with the zero element given degree -1."""
         return max(self.c) if self.c else -1
+
+    def coeff(self, d: int):
+        return self.c.get(d, self._zero)
+
+    def __eq__(self, other):
+        if self._same_ring(other):
+            return self.c == other.c
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self.c.items()))
+
+    def __add__(self, other):
+        if not self._same_ring(other):
+            return NotImplemented
+        out = dict(self.c)
+        for d, v in other.c.items():
+            s = out.get(d, self._zero) + v
+            if s:
+                out[d] = s
+            else:
+                out.pop(d, None)
+        return self._new(out)
+
+    def __neg__(self):
+        return self._new({d: -v for d, v in self.c.items()})
+
+    def __sub__(self, other):
+        if not self._same_ring(other):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if self._same_ring(other):
+            return self._new(self._product(other))
+        try:
+            scalar = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self._new({d: v * scalar for d, v in self.c.items()} if scalar else {})
+
+    __rmul__ = __mul__
+
+
+class _SparsePoly(_SparseDict):
+    """Sparse polynomials in the monomial basis; subclasses fix the domain."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_list(cls, seq):
+        """Build from ``[c0, c1, c2, ...]`` indexed by degree."""
+        return cls({d: v for d, v in enumerate(seq)})
 
     def valuation(self) -> int | None:
         """Order of vanishing at 0; None for the zero polynomial."""
         return min(self.c) if self.c else None
-
-    def coeff(self, d: int):
-        return self.c.get(d, self._zero)
 
     def leading(self):
         if not self.c:
@@ -172,74 +231,26 @@ class _SparsePoly:
             return self._zero
         return self.c[min(self.c)]
 
-    def __eq__(self, other):
-        if isinstance(other, type(self)):
-            return self.c == other.c
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def __add__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        out = dict(self.c)
-        for d, v in other.c.items():
-            s = out.get(d, self._zero) + v
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        r = type(self).__new__(type(self))
-        r.c = out
-        return r
-
-    def __neg__(self):
-        r = type(self).__new__(type(self))
-        r.c = {d: -v for d, v in self.c.items()}
-        return r
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, type(self)):
-            out = {}
-            for d1, v1 in self.c.items():
-                for d2, v2 in other.c.items():
-                    d = d1 + d2
-                    s = out.get(d, self._zero) + v1 * v2
-                    if s:
-                        out[d] = s
-                    else:
-                        out.pop(d, None)
-            r = type(self).__new__(type(self))
-            r.c = out
-            return r
-        try:
-            scalar = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        r = type(self).__new__(type(self))
-        r.c = {d: v * scalar for d, v in self.c.items()} if scalar else {}
-        return r
-
-    __rmul__ = __mul__
+    def _product(self, other) -> dict:
+        out = {}
+        for d1, v1 in self.c.items():
+            for d2, v2 in other.c.items():
+                d = d1 + d2
+                s = out.get(d, self._zero) + v1 * v2
+                if s:
+                    out[d] = s
+                else:
+                    out.pop(d, None)
+        return out
 
     def derivative(self):
-        r = type(self).__new__(type(self))
-        r.c = {d - 1: d * v for d, v in self.c.items() if d >= 1}
-        return r
+        return self._new({d - 1: d * v for d, v in self.c.items() if d >= 1})
 
     def shift(self, k: int):
         """Multiply by x**k (k may be negative if no term drops below 0)."""
         if any(d + k < 0 for d in self.c):
             raise ValueError("shift would create negative degrees")
-        r = type(self).__new__(type(self))
-        r.c = {d + k: v for d, v in self.c.items()}
-        return r
+        return self._new({d + k: v for d, v in self.c.items()})
 
     def __call__(self, x):
         """Evaluate by Horner; exact when x is exact, float/complex otherwise."""
@@ -297,9 +308,7 @@ class GaussianRationalPoly(_SparsePoly):
         return cls({d: coeff})
 
     def conjugate(self):
-        r = GaussianRationalPoly.__new__(GaussianRationalPoly)
-        r.c = {d: v.conjugate() for d, v in self.c.items()}
-        return r
+        return self._new({d: v.conjugate() for d, v in self.c.items()})
 
     def real_part(self) -> RationalPoly:
         return RationalPoly({d: v.re for d, v in self.c.items()})
@@ -319,37 +328,32 @@ class GaussianRationalPoly(_SparsePoly):
         return acc
 
 
-class HermiteExpansion:
+class HermiteExpansion(_SparseDict):
     """Finite expansion sum_q c_q H_q(x) with exact rational c_q.
 
-    Probabilists' (monic) convention; see the module docstring.
+    Probabilists' (monic) convention; see the module docstring.  Sums,
+    differences and scalar multiples come from the shared sparse-dict ring;
+    the product is linearised back into the Hermite basis.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ()
+
+    _zero = Fraction(0)
+    _coerce = staticmethod(_as_fraction)
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for q, v in coeffs.items():
-                v = _as_fraction(v)
-                if v:
-                    if q < 0:
-                        raise ValueError("Hermite degree must be >= 0")
-                    c[int(q)] = v
-        self.c = c
+        super().__init__(coeffs)
+        if any(q < 0 for q in self.c):
+            raise ValueError("Hermite degree must be >= 0")
+
+    def _same_ring(self, other) -> bool:
+        # a ChaosElement and a plain expansion combine; the result keeps
+        # the type of the left operand
+        return isinstance(other, HermiteExpansion)
 
     @classmethod
     def basis(cls, q: int, coeff=1):
         return cls({q: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def degree(self) -> int:
-        return max(self.c) if self.c else -1
-
-    def coeff(self, q: int) -> Fraction:
-        return self.c.get(q, Fraction(0))
 
     def expectation(self) -> Fraction:
         """E[F(X)] for X ~ N(0,1): the H_0 coefficient, by orthogonality."""
@@ -359,63 +363,18 @@ class HermiteExpansion:
         """E[F(X)^2] = sum_q c_q^2 q!, by orthogonality."""
         return sum((v * v * factorial(q) for q, v in self.c.items()), Fraction(0))
 
-    def __eq__(self, other):
-        if isinstance(other, HermiteExpansion):
-            return self.c == other.c
-        return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, HermiteExpansion):
-            return NotImplemented
-        out = dict(self.c)
-        for q, v in other.c.items():
-            s = out.get(q, Fraction(0)) + v
-            if s:
-                out[q] = s
-            else:
-                out.pop(q, None)
-        r = HermiteExpansion.__new__(type(self))
-        r.c = out
-        return r
-
-    def __neg__(self):
-        r = HermiteExpansion.__new__(type(self))
-        r.c = {q: -v for q, v in self.c.items()}
-        return r
-
-    def __sub__(self, other):
-        if not isinstance(other, HermiteExpansion):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Product, linearised back into the Hermite basis.
-
-        Accepts another expansion or an exact scalar.
-        """
-        if isinstance(other, HermiteExpansion):
-            out = {}
-            for qa, ca in self.c.items():
-                for qb, cb in other.c.items():
-                    scale = ca * cb
-                    for q, v in hermite_product(qa, qb).c.items():
-                        s = out.get(q, Fraction(0)) + scale * v
-                        if s:
-                            out[q] = s
-                        else:
-                            out.pop(q, None)
-            r = HermiteExpansion.__new__(type(self))
-            r.c = out
-            return r
-        try:
-            scalar = _as_fraction(other)
-        except TypeError:
-            return NotImplemented
-        r = HermiteExpansion.__new__(type(self))
-        r.c = {q: v * scalar for q, v in self.c.items()} if scalar else {}
-        return r
-
-    __rmul__ = __mul__
+    def _product(self, other) -> dict:
+        out = {}
+        for qa, ca in self.c.items():
+            for qb, cb in other.c.items():
+                scale = ca * cb
+                for q, v in hermite_product(qa, qb).c.items():
+                    s = out.get(q, Fraction(0)) + scale * v
+                    if s:
+                        out[q] = s
+                    else:
+                        out.pop(q, None)
+        return out
 
     def to_poly(self) -> RationalPoly:
         out = RationalPoly()

@@ -53,8 +53,7 @@ The analysis is exact throughout:
 The module also ships the leading-order ODE coefficients for the degree-7
 and degree-8 Hermite targets (``H7_LEADING_ODE``, ``H8_LEADING_ODE``); their
 full minimal operators are too large to bundle, but the leading coefficients
-determine the branch structure.  ``invert_variable`` (t = 1/w) is provided
-for analyses at infinity; no verdict rule uses it.
+determine the branch structure.
 """
 
 from __future__ import annotations
@@ -1183,42 +1182,6 @@ def characterisation_verdict(op: SteinOperator, target_meta=None) -> Verdict:
         zero_mean=zero_mean,
         op=op,
     )
-
-
-# --- change of variables t = 1/w ----------------------------------------------
-
-
-def invert_variable(ode: CfOde) -> CfOde:
-    """The ODE satisfied by psi(w) = phi(1/w): maps t = 0 to w = infinity.
-
-    Substitutes d/dt = -w^2 d/dw and t = 1/w, then clears all negative
-    powers of w.  Provided for analyses at infinity; no verdict rule uses it.
-    """
-    n = ode.order
-    # phi^{(k)}(1/w) = sum_j q_{k,j}(w) psi^{(j)}(w) with polynomial q
-    chain: list[dict[int, GaussianRationalPoly]] = [
-        {0: GaussianRationalPoly({0: 1})}
-    ]
-    for _ in range(n):
-        prev = chain[-1]
-        nxt: dict[int, GaussianRationalPoly] = {}
-        for j, p in prev.items():
-            for jj, q in (
-                (j, p.derivative() * GaussianRationalPoly({2: -1})),
-                (j + 1, p * GaussianRationalPoly({2: -1})),
-            ):
-                if not q.is_zero():
-                    nxt[jj] = nxt.get(jj, GaussianRationalPoly()) + q
-        chain.append({j: p for j, p in nxt.items() if not p.is_zero()})
-    max_deg = max(c.degree() for c in ode.coeffs)
-    out: dict[int, GaussianRationalPoly] = {}
-    for k, c in enumerate(ode.coeffs):
-        # c(1/w) * w^max_deg is a polynomial in w
-        flipped = GaussianRationalPoly({max_deg - d: v for d, v in c.c.items()})
-        for j, p in chain[k].items():
-            out[j] = out.get(j, GaussianRationalPoly()) + flipped * p
-    top = max(j for j, p in out.items() if not p.is_zero())
-    return CfOde([out.get(j, GaussianRationalPoly()) for j in range(top + 1)])
 
 
 # --- leading-order fixtures for the degree-7/8 Hermite targets -----------------

@@ -46,6 +46,7 @@ from .distributions import (
     target_names,
 )
 from .operators import (
+    FAMILIES,
     BadParameter,
     CfOde,
     SteinOperator,
@@ -157,26 +158,24 @@ def _versions() -> dict:
 
 # --- subcommands ---------------------------------------------------------------
 
-_FAMILY_PARAMS = {
-    "PN": ["p", "sigma2=1"],
-    "PRR": ["s"],
-    "G1X": ["r", "lam", "sigma2=1"],
-    "BG1": ["a", "b", "r"],
-    "G1G2": ["r", "s", "lam"],
-}
-
-
 def _cmd_catalog(args) -> tuple[dict, int]:
     operators = []
-    families = []
     for name in catalog_names():
-        if name in _FAMILY_PARAMS:
-            families.append({"family": name, "parameters": _FAMILY_PARAMS[name]})
-        else:
+        if name not in FAMILIES:
             op = catalog_get(name)
             operators.append(
                 {"name": name, "T": op.T, "m": op.m, "target_hint": op.target_hint}
             )
+    families = [
+        {
+            "family": name,
+            "parameters": [
+                p.name if p.default is None else f"{p.name}={p.default}"
+                for p in family.params
+            ],
+        }
+        for name, family in FAMILIES.items()
+    ]
     return {
         "operators": operators,
         "families": families,

@@ -20,6 +20,13 @@ Kummer-type law annihilated by the PRR operator ships metadata only: the
 sufficiency pipeline works from the operator alone, so it needs neither a
 sampler nor an oracle.
 
+The parameters of the operator families (PN, PRR, G1X, BG1, G1G2) are those
+declared in ``operators.FAMILIES``, and ``get_target`` parses specs with the
+same ``operators.parse_spec`` as the catalog, so a family's target is named
+by the operator's canonical spec.  This module keeps only each family's law
+(``TARGET_BUILDERS``) and the laws outside the families: H_p, the Gaussian
+and the semicircle.
+
 Characteristic-function derivatives are never computed by numerical
 differencing.  Each closed form lives in a finite function basis that is
 closed under d/dt (Gaussian weight times polynomials; Bessel functions over
@@ -45,7 +52,7 @@ from .algebra import (
     gaussian_moment,
     hermite_to_monomial,
 )
-from .operators import BadParameter, _parse_params, _take
+from .operators import FAMILIES, POSITIVE, BadParameter, Param, parse_spec
 
 if TYPE_CHECKING:
     import numpy as np
@@ -237,9 +244,7 @@ class TargetDistribution:
     has no exact oracle, ``cf`` raises NoClosedForm when no closed form
     exists, and ``sample`` raises NotImplementedError for analysis-only
     targets.  ``meta`` is the side-condition dictionary consumed by the
-    sufficiency pipeline; ``moment_determinate`` records whether the law is
-    determined by its moments (None when not recorded) and nothing branches
-    on it.
+    sufficiency pipeline.
     """
 
     __slots__ = (
@@ -248,7 +253,6 @@ class TargetDistribution:
         "params",
         "symmetric",
         "zero_mean",
-        "moment_determinate",
         "_moment",
         "_sampler",
         "_cf",
@@ -262,7 +266,6 @@ class TargetDistribution:
         *,
         symmetric: bool,
         zero_mean: bool,
-        moment_determinate: bool | None = None,
         moment=None,
         sampler=None,
         cf=None,
@@ -272,7 +275,6 @@ class TargetDistribution:
         self.params = {k: _as_fraction(v) for k, v in (params or {}).items()}
         self.symmetric = bool(symmetric)
         self.zero_mean = bool(zero_mean)
-        self.moment_determinate = moment_determinate
         self._moment = moment
         self._sampler = sampler
         self._cf = cf
@@ -336,17 +338,14 @@ class TargetDistribution:
 
 # --- registry -----------------------------------------------------------------
 
-def _gaussian_target(sigma2) -> TargetDistribution:
-    sigma2 = _as_fraction(sigma2)
-    name = "gaussian" if sigma2 == 1 else f"gaussian:sigma2={sigma2}"
+def _gaussian_target(sigma2: Fraction) -> TargetDistribution:
     sigma = float(sigma2) ** 0.5
     return TargetDistribution(
-        name,
+        "gaussian" if sigma2 == 1 else f"gaussian:sigma2={sigma2}",
         "gaussian",
         {"sigma2": sigma2},
         symmetric=True,
         zero_mean=True,
-        moment_determinate=True,
         moment=lambda k: gaussian_moment(k) * sigma2 ** (k // 2),
         sampler=lambda rng, n: sigma * rng.standard_normal(n),
         cf=GaussianCf(sigma2),
@@ -366,7 +365,6 @@ def _semicircle_target() -> TargetDistribution:
         {},
         symmetric=True,
         zero_mean=True,
-        moment_determinate=True,
         moment=moment,
         sampler=lambda rng, n: 2.0 * rng.beta(1.5, 1.5, n) - 1.0,
         cf=BesselRatioCf("J"),
@@ -388,70 +386,46 @@ def _hermite_target(p: int) -> TargetDistribution:
         {"p": p},
         symmetric=(p % 2 == 1),
         zero_mean=True,
-        moment_determinate=(p in (1, 2, 4)),
         moment=lambda k: hermite_poly_moment(p, k),
         sampler=sampler,
         cf=GaussianCf(1) if p == 1 else None,
     )
 
 
-def _pn_target(p: int, sigma2) -> TargetDistribution:
-    sigma2 = _as_fraction(sigma2)
-    sigma = float(sigma2) ** 0.5
-    if p == 1:
-        cf = GaussianCf(sigma2)
-    elif p == 2:
-        cf = ReciprocalSqrtCf(sigma2)
-    else:
-        cf = None
+# The laws of the operator families.  Each builder takes the values parsed
+# against ``FAMILIES[family].params`` and returns the law's capabilities;
+# ``get_target`` adds the canonical spec as name, the family and the values.
 
-    return TargetDistribution(
-        f"PN:p={p},sigma2={sigma2}",
-        "PN",
-        {"p": p, "sigma2": sigma2},
+
+def _pn_law(p, sigma2) -> dict:
+    p, sigma = int(p), float(sigma2) ** 0.5
+    cf = {1: GaussianCf, 2: ReciprocalSqrtCf}.get(p)
+    return dict(
         symmetric=True,
         zero_mean=True,
         moment=lambda k: gaussian_moment(k) ** p * sigma2 ** (k // 2),
         sampler=lambda rng, n: sigma * rng.standard_normal((p, n)).prod(axis=0),
-        cf=cf,
+        cf=None if cf is None else cf(sigma2),
     )
 
 
-def _prr_target(s) -> TargetDistribution:
-    s = _as_fraction(s)
-    return TargetDistribution(
-        f"PRR:s={s}",
-        "PRR",
-        {"s": s},
-        symmetric=True,
-        zero_mean=True,
-    )
+def _prr_law(s) -> dict:
+    return dict(symmetric=True, zero_mean=True)
 
 
-def _g1x_target(r, lam, sigma2) -> TargetDistribution:
-    r, lam, sigma2 = _as_fraction(r), _as_fraction(lam), _as_fraction(sigma2)
-    sigma = float(sigma2) ** 0.5
-    rate = float(lam) ** 0.5
-    return TargetDistribution(
-        f"G1X:r={r},lam={lam},sigma2={sigma2}",
-        "G1X",
-        {"r": r, "lam": lam, "sigma2": sigma2},
+def _g1x_law(r, lam, sigma2) -> dict:
+    sigma, rate = float(sigma2) ** 0.5, float(lam) ** 0.5
+    return dict(
         symmetric=True,
         zero_mean=True,
         sampler=lambda rng, n: (
-            sigma
-            * rng.standard_normal(n)
-            * rng.gamma(float(r), 1.0 / rate, n)
+            sigma * rng.standard_normal(n) * rng.gamma(float(r), 1.0 / rate, n)
         ),
     )
 
 
-def _bg1_target(a, b, r) -> TargetDistribution:
-    a, b, r = _as_fraction(a), _as_fraction(b), _as_fraction(r)
-    return TargetDistribution(
-        f"BG1:a={a},b={b},r={r}",
-        "BG1",
-        {"a": a, "b": b, "r": r},
+def _bg1_law(a, b, r) -> dict:
+    return dict(
         symmetric=False,
         zero_mean=False,
         sampler=lambda rng, n: (
@@ -460,13 +434,9 @@ def _bg1_target(a, b, r) -> TargetDistribution:
     )
 
 
-def _g1g2_target(r, s, lam) -> TargetDistribution:
-    r, s, lam = _as_fraction(r), _as_fraction(s), _as_fraction(lam)
+def _g1g2_law(r, s, lam) -> dict:
     scale = 1.0 / float(lam)
-    return TargetDistribution(
-        f"G1G2:r={r},s={s},lam={lam}",
-        "G1G2",
-        {"r": r, "s": s, "lam": lam},
+    return dict(
         symmetric=False,
         zero_mean=False,
         sampler=lambda rng, n: (
@@ -475,16 +445,34 @@ def _g1g2_target(r, s, lam) -> TargetDistribution:
     )
 
 
-_ALIASES = {"N01": "gaussian"}
+TARGET_BUILDERS = {
+    "PN": _pn_law,
+    "PRR": _prr_law,
+    "G1X": _g1x_law,
+    "BG1": _bg1_law,
+    "G1G2": _g1g2_law,
+}
+
+_GAUSSIAN_NAMES = ("gaussian", "N01")
+_GAUSSIAN_PARAMS = (Param("sigma2", 1, POSITIVE),)
 
 _HERMITE_NAME = re.compile(r"^H(\d+)$")
+
+
+def _target_params(name: str) -> tuple[Param, ...]:
+    if name in FAMILIES:
+        return FAMILIES[name].params
+    if name in _GAUSSIAN_NAMES:
+        return _GAUSSIAN_PARAMS
+    if name == "semicircle" or _HERMITE_NAME.match(name):
+        return ()
+    raise UnknownTarget(name)
 
 
 def target_names() -> list[str]:
     """Accepted target names; parameterised families by family name."""
     return sorted(
-        [f"H{p}" for p in range(1, 9)]
-        + ["gaussian", "semicircle", "PN", "PRR", "G1X", "BG1", "G1G2"]
+        [f"H{p}" for p in range(1, 9)] + ["gaussian", "semicircle", *FAMILIES]
     )
 
 
@@ -495,54 +483,15 @@ def get_target(spec: str, **params) -> TargetDistribution:
     win on conflict).  Raises UnknownTarget for unknown names and
     BadParameter for invalid parameters.
     """
-    base, _, inline = spec.partition(":")
-    base = base.strip()
-    base = _ALIASES.get(base, base)
-    if inline:
-        merged = _parse_params(inline)
-        merged.update(params)
-        params = merged
-    params = {("lam" if k == "lambda" else k): v for k, v in params.items()}
-
-    hermite = _HERMITE_NAME.match(base)
-    if hermite:
-        p = int(hermite.group(1))
-        if p < 1:
-            raise BadParameter(f"Hermite target requires p >= 1, got {p}")
-        out = _hermite_target(p)
-    elif base == "gaussian":
-        out = _gaussian_target(_take(params, base, "sigma2", default=1, positive=True))
-    elif base == "semicircle":
-        out = _semicircle_target()
-    elif base == "PN":
-        p = _take(params, base, "p")
-        sigma2 = _take(params, base, "sigma2", default=1, positive=True)
-        if p.denominator != 1 or p < 1:
-            raise BadParameter(f"PN requires integer p >= 1, got {p}")
-        out = _pn_target(int(p), sigma2)
-    elif base == "PRR":
-        s = _take(params, base, "s")
-        if s <= Fraction(1, 2):
-            raise BadParameter(f"PRR requires s > 1/2, got {s}")
-        out = _prr_target(s)
-    elif base == "G1X":
-        r = _take(params, base, "r", positive=True)
-        lam = _take(params, base, "lam", positive=True)
-        sigma2 = _take(params, base, "sigma2", default=1, positive=True)
-        out = _g1x_target(r, lam, sigma2)
-    elif base == "BG1":
-        a = _take(params, base, "a", positive=True)
-        b = _take(params, base, "b", positive=True)
-        r = _take(params, base, "r", positive=True)
-        out = _bg1_target(a, b, r)
-    elif base == "G1G2":
-        r = _take(params, base, "r", positive=True)
-        s = _take(params, base, "s", positive=True)
-        lam = _take(params, base, "lam", positive=True)
-        out = _g1g2_target(r, s, lam)
-    else:
-        raise UnknownTarget(spec)
-
-    if params:
-        raise BadParameter(f"unknown parameters for {base}: {sorted(params)}")
-    return out
+    family, values, name = parse_spec(spec, params, _target_params)
+    if family in TARGET_BUILDERS:
+        law = TARGET_BUILDERS[family](**values)
+        return TargetDistribution(name, family, values, **law)
+    if family in _GAUSSIAN_NAMES:
+        return _gaussian_target(values["sigma2"])
+    if family == "semicircle":
+        return _semicircle_target()
+    p = int(family[1:])  # H<p>, admitted by _target_params
+    if p < 1:
+        raise BadParameter(f"Hermite target requires p >= 1, got {p}")
+    return _hermite_target(p)

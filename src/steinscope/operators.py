@@ -25,6 +25,12 @@ gauss_semicircle_T5 annihilating both N(0,1) and the centered semicircle law,
 the classical Gaussian operator, and the parameterised families PN(p, sigma2)
 (product of p centered Gaussians), PRR(s) (Kummer-type law on (0, infinity)),
 and the product laws G1X(r, lam, sigma2), BG1(a, b, r), G1G2(r, s, lam).
+
+Each family is declared once, in ``FAMILIES``: its ordered parameters with
+defaults and domain rules, and its operator builder.  ``parse_spec`` binds a
+spec such as "PN:p=4" plus keyword overrides to those parameters and renders
+the canonical spec "PN:p=4,sigma2=1"; the catalog, the target registry in
+``distributions`` and the CLI listing all go through it.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from .algebra import (
     QI,
@@ -377,26 +384,20 @@ def moment_recurrence(op: SteinOperator) -> MomentRecurrence:
     return MomentRecurrence(op)
 
 
-def apply_operator(op: SteinOperator, f, y: float) -> float:
-    """Evaluate (Sf)(y) in floating point.
-
-    ``f`` is a derivative oracle: ``f(y, j)`` returns the j-th derivative of
-    the test function at y, for j = 0..T.
-    """
-    total = 0.0
-    for (i, j), v in op.a.items():
-        total += float(v) * y**i * f(y, j)
-    return total
-
-
-@lru_cache(maxsize=None)
 def stirling2(p: int, k: int) -> int:
     """Stirling number of the second kind {p, k}, for 1 <= k <= p."""
     if not (1 <= k <= p):
         raise ValueError(f"stirling2 requires 1 <= k <= p, got ({p}, {k})")
-    if k == 1 or k == p:
-        return 1
-    return k * stirling2(p - 1, k) + stirling2(p - 1, k - 1)
+    return _stirling_row(p)[k]
+
+
+@lru_cache(maxsize=None)
+def _stirling_row(p: int) -> tuple[int, ...]:
+    """({p, 0}, ..., {p, p}), built row by row: {q, k} = k{q-1, k} + {q-1, k-1}."""
+    row = [1]
+    for q in range(1, p + 1):
+        row = [0] + [k * row[k] + row[k - 1] for k in range(1, q)] + [1]
+    return tuple(row)
 
 
 # --- catalog ---------------------------------------------------------------
@@ -493,16 +494,96 @@ _STATIC_HINTS = {
     "gauss_semicircle_T5": "N01",  # also annihilates the semicircle law
 }
 
-_PARAM_FAMILIES = ("PN", "PRR", "G1X", "BG1", "G1G2")
-
 
 def catalog_names() -> list[str]:
     """All catalog entries; parameterised families are listed by family name."""
-    return sorted(_STATIC_CATALOG) + list(_PARAM_FAMILIES)
+    return sorted(_STATIC_CATALOG) + list(FAMILIES)
 
 
-def _parse_params(text: str) -> dict[str, Fraction]:
+# --- parameterised families ---------------------------------------------------
+
+
+class Param(NamedTuple):
+    """One family parameter: its name, its default (None: required), its rule.
+
+    The rule is ``(requirement, holds)``: a value v with ``not holds(v)``
+    raises BadParameter "<family> requires <requirement>, got v", with the
+    parameter name filled in for ``{}``.
+    """
+
+    name: str
+    default: int | None
+    rule: tuple[str, Callable[[Fraction], bool]]
+
+
+class Family(NamedTuple):
+    """A parameterised operator family: its ordered parameters and builder.
+
+    ``operator`` maps the parsed values, by parameter name, to the sparse
+    coefficients ``{(i, j): a_ij}``.
+    """
+
+    params: tuple[Param, ...]
+    operator: Callable[..., dict]
+
+
+POSITIVE = ("{} > 0", lambda v: v > 0)
+
+
+def _pn_operator(p, sigma2) -> dict:
+    p = int(p)
+    coeffs = {(k - 1, k): sigma2 * stirling2(p, k) for k in range(1, p + 1)}
+    coeffs[(1, 0)] = coeffs.get((1, 0), Fraction(0)) - 1
+    return coeffs
+
+
+#: The parameterised families, in catalog order.  The catalog, the target
+#: registry in ``distributions`` and the CLI listing all read this table.
+FAMILIES = {
+    "PN": Family(
+        (Param("p", None, ("integer {} >= 1", lambda v: v.denominator == 1 and v >= 1)),
+         Param("sigma2", 1, POSITIVE)),
+        _pn_operator,
+    ),
+    "PRR": Family(
+        (Param("s", None, ("{} > 1/2", lambda v: v > Fraction(1, 2))),),
+        lambda s: {(1, 2): s, (0, 1): 2 * s, (2, 1): -1, (1, 0): 1 - 2 * s},
+    ),
+    "G1X": Family(
+        (Param("r", None, POSITIVE), Param("lam", None, POSITIVE),
+         Param("sigma2", 1, POSITIVE)),
+        lambda r, lam, sigma2: {(2, 3): 1, (1, 2): 2 * (r + 1), (0, 1): r * (r + 1),
+                                (1, 0): -lam / sigma2},
+    ),
+    "BG1": Family(
+        (Param("a", None, POSITIVE), Param("b", None, POSITIVE),
+         Param("r", None, POSITIVE)),
+        lambda a, b, r: {(2, 2): 1, (1, 1): a + r - 1, (2, 1): -1, (0, 0): a * r,
+                         (1, 0): -(a + b)},
+    ),
+    "G1G2": Family(
+        (Param("r", None, POSITIVE), Param("s", None, POSITIVE),
+         Param("lam", None, POSITIVE)),
+        lambda r, s, lam: {(2, 2): 1, (1, 1): 1 + r + s, (0, 0): r * s,
+                           (1, 0): -lam * lam},
+    ),
+}
+
+_KEY_ALIASES = {"lambda": "lam"}
+
+
+def _given(pairs, family: str) -> dict:
+    """Parameter assignments under their canonical keys; a repeat is an error."""
     out = {}
+    for key, value in pairs:
+        key = _KEY_ALIASES.get(key, key)
+        if key in out:
+            raise BadParameter(f"{family} got parameter {key!r} more than once")
+        out[key] = value
+    return out
+
+
+def _inline_pairs(text: str):
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -511,24 +592,53 @@ def _parse_params(text: str) -> dict[str, Fraction]:
         if not eq:
             raise BadParameter(f"expected key=value, got {item!r}")
         try:
-            out[key.strip()] = Fraction(val.strip())
+            value = Fraction(val.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise BadParameter(f"bad value for {key.strip()!r}: {exc}") from exc
-    return out
+        yield key.strip(), value
 
 
-def _take(params: dict, family: str, key: str, default=None,
-          positive: bool = False) -> Fraction:
-    if key in params:
-        v = params.pop(key)
-    elif default is not None:
-        v = Fraction(default)
-    else:
-        raise BadParameter(f"{family} requires parameter {key!r}")
-    v = _as_fraction(v)
-    if positive and v <= 0:
-        raise BadParameter(f"{family} requires {key} > 0, got {v}")
-    return v
+def parse_spec(spec: str, keywords: dict, params_of) -> tuple[str, dict, str]:
+    """Bind "NAME:key=value,..." and keyword overrides to NAME's parameters.
+
+    ``params_of(NAME)`` gives NAME's ordered ``Param`` tuple and raises for
+    unknown names.  Keywords win over the spec; ``lambda`` is read as
+    ``lam``; a key given twice on one side, a missing required parameter, a
+    value outside its rule and an unknown key raise BadParameter.  Returns
+    ``(NAME, values, canonical spec)`` where the canonical spec lists every
+    value in parameter order, e.g. "PN:p=4,sigma2=1" (just NAME when it
+    takes no parameters).
+    """
+    family, _, inline = spec.partition(":")
+    family = family.strip()
+    params = params_of(family)
+    given = _given(_inline_pairs(inline), family)
+    given.update(_given(keywords.items(), family))
+    values = {}
+    for name, default, (requirement, holds) in params:
+        if name in given:
+            v = _as_fraction(given.pop(name))
+        elif default is not None:
+            v = Fraction(default)
+        else:
+            raise BadParameter(f"{family} requires parameter {name!r}")
+        if not holds(v):
+            raise BadParameter(f"{family} requires {requirement.format(name)}, got {v}")
+        values[name] = v
+    if given:
+        raise BadParameter(f"unknown parameters for {family}: {sorted(given)}")
+    if not values:
+        return family, values, family
+    rendered = ",".join(f"{k}={v}" for k, v in values.items())
+    return family, values, f"{family}:{rendered}"
+
+
+def _catalog_params(name: str) -> tuple[Param, ...]:
+    if name in FAMILIES:
+        return FAMILIES[name].params
+    if name in _STATIC_CATALOG:
+        return ()
+    raise UnknownOperator(name)
 
 
 def catalog_get(name: str, **params) -> SteinOperator:
@@ -538,71 +648,10 @@ def catalog_get(name: str, **params) -> SteinOperator:
     keyword arguments (keywords win on conflict).  Raises UnknownOperator
     for unknown names and BadParameter for invalid parameters.
     """
-    base, _, inline = name.partition(":")
-    base = base.strip()
-    if inline:
-        merged = _parse_params(inline)
-        merged.update(params)
-        params = merged
-    params = {("lam" if k == "lambda" else k): v for k, v in params.items()}
-
-    if base in _STATIC_CATALOG:
-        if params:
-            raise BadParameter(f"{base} takes no parameters")
+    family, values, spec = parse_spec(name, params, _catalog_params)
+    if family in _STATIC_CATALOG:
         return SteinOperator(
-            _STATIC_CATALOG[base], name=base, target_hint=_STATIC_HINTS[base]
+            _STATIC_CATALOG[family], name=family, target_hint=_STATIC_HINTS[family]
         )
-
-    if base == "PN":
-        p = _take(params, base, "p")
-        sigma2 = _take(params, base, "sigma2", default=1, positive=True)
-        if p.denominator != 1 or p < 1:
-            raise BadParameter(f"PN requires integer p >= 1, got {p}")
-        p = int(p)
-        coeffs = {(k - 1, k): sigma2 * stirling2(p, k) for k in range(1, p + 1)}
-        coeffs[(1, 0)] = coeffs.get((1, 0), Fraction(0)) - 1
-        spec = f"PN:p={p},sigma2={sigma2}"
-        op = SteinOperator(coeffs, name=spec, target_hint=spec)
-    elif base == "PRR":
-        s = _take(params, base, "s")
-        if s <= Fraction(1, 2):
-            raise BadParameter(f"PRR requires s > 1/2, got {s}")
-        op = SteinOperator(
-            {(1, 2): s, (0, 1): 2 * s, (2, 1): -1, (1, 0): 1 - 2 * s},
-            name=f"PRR:s={s}", target_hint=f"PRR:s={s}",
-        )
-    elif base == "G1X":
-        r = _take(params, base, "r", positive=True)
-        lam = _take(params, base, "lam", positive=True)
-        sigma2 = _take(params, base, "sigma2", default=1, positive=True)
-        spec = f"G1X:r={r},lam={lam},sigma2={sigma2}"
-        op = SteinOperator(
-            {(2, 3): 1, (1, 2): 2 * (r + 1), (0, 1): r * (r + 1),
-             (1, 0): -lam / sigma2},
-            name=spec, target_hint=spec,
-        )
-    elif base == "BG1":
-        a = _take(params, base, "a", positive=True)
-        b = _take(params, base, "b", positive=True)
-        r = _take(params, base, "r", positive=True)
-        spec = f"BG1:a={a},b={b},r={r}"
-        op = SteinOperator(
-            {(2, 2): 1, (1, 1): a + r - 1, (2, 1): -1,
-             (0, 0): a * r, (1, 0): -(a + b)},
-            name=spec, target_hint=spec,
-        )
-    elif base == "G1G2":
-        r = _take(params, base, "r", positive=True)
-        s = _take(params, base, "s", positive=True)
-        lam = _take(params, base, "lam", positive=True)
-        spec = f"G1G2:r={r},s={s},lam={lam}"
-        op = SteinOperator(
-            {(2, 2): 1, (1, 1): 1 + r + s, (0, 0): r * s, (1, 0): -lam * lam},
-            name=spec, target_hint=spec,
-        )
-    else:
-        raise UnknownOperator(name)
-
-    if params:
-        raise BadParameter(f"unknown parameters for {base}: {sorted(params)}")
-    return op
+    coeffs = FAMILIES[family].operator(**values)
+    return SteinOperator(coeffs, name=spec, target_hint=spec)

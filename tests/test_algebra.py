@@ -186,6 +186,22 @@ class TestHermite:
         assert f * f == HermiteExpansion({6: 1, 4: 9, 2: 18, 0: 6})
         assert 2 * f == HermiteExpansion({3: 2})
 
+    def test_expansion_ring_keeps_the_subclass(self):
+        from steinscope.malliavin import ChaosElement
+
+        f, g = ChaosElement({3: 1}), HermiteExpansion({1: 2})
+        for result in (f + g, f - g, -f, f * g, 2 * f, f * Fraction(1, 2)):
+            assert type(result) is ChaosElement
+        assert type(g + f) is HermiteExpansion
+        assert f - f == HermiteExpansion() and (f - f).is_zero()
+
+    def test_expansion_has_no_monomial_operations(self):
+        with pytest.raises(ValueError, match="Hermite degree"):
+            HermiteExpansion({-1: 1})
+        f = HermiteExpansion({2: 1})
+        assert not hasattr(f, "shift")
+        assert not callable(f)
+
 
 class TestGaussianMoment:
     def test_values(self):

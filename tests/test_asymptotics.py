@@ -17,7 +17,6 @@ from steinscope.asymptotics import (
     characterisation_verdict,
     dominant_balance,
     indicial_roots,
-    invert_variable,
     power_correction,
     verdict_for_ode,
 )
@@ -540,27 +539,3 @@ class TestNumericalCrossCheck:
             )
             grew = sol.t_events[0].size > 0 or abs(sol.y[0, -1]) > 1e3
             assert grew, f"{spec}: no growth detected ({abs(sol.y[0, -1]):.2e})"
-
-
-class TestInvertVariable:
-    def test_first_order_example(self):
-        ode = CfOde([{1: 1}, {0: 1}])  # phi' + t phi
-        w = invert_variable(ode)
-        # psi - w^3 psi' = 0
-        assert w.order == 1
-        assert w.coeffs[0].c == {0: QI(1)}
-        assert w.coeffs[1].c == {3: QI(-1)}
-
-    def test_round_trip_on_solutions(self):
-        # phi(t) = e^{-t^2/2} solves phi' + t phi = 0; psi(w) = e^{-1/(2w^2)}
-        # must solve the inverted ODE: check numerically at a few points
-        import math
-
-        ode = invert_variable(CfOde([{1: 1}, {0: 1}]))
-        for w in (0.5, 1.0, 2.0):
-            psi = math.exp(-1 / (2 * w * w))
-            dpsi = psi / w**3
-            val = ode.coeffs[0].eval_complex(w) * psi + ode.coeffs[1].eval_complex(
-                w
-            ) * dpsi
-            assert abs(val) < 1e-12

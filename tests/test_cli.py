@@ -192,6 +192,28 @@ class TestOperatorFiles:
         assert out == ""
         assert "unknown operator" in err and "gauss_classical" in err
 
+    @pytest.mark.parametrize("spec", ["PN:p=4,p=5", "G1X:r=1,lam=2,lambda=3"])
+    def test_repeated_parameter_exits_2(self, spec):
+        for argv in (("transform", "--op", spec),
+                     ("verify", "--op", "gauss_classical", "--target", spec)):
+            code, out, err = run_cli(*argv)
+            assert code == 2
+            assert out == ""
+            assert "more than once" in err
+
+    def test_transform_large_product_normal(self):
+        # the PN(p) operator carries {p, k} at (y^(k-1), D^k); read the rows
+        # for p = 599 and 600 from the reports and check the Stirling
+        # recurrence {p+1, k} = k {p, k} + {p, k-1} between them
+        rows = {}
+        for p in (599, 600):
+            code, out, err = run_cli("transform", "--op", f"PN:p={p}")
+            assert code == 0 and err == ""
+            coeff = json.loads(out)["result"]["operator"]["coeff"]
+            rows[p] = [0] + [int(coeff[k - 1][k]) for k in range(1, p + 1)] + [0]
+        for k in range(1, 601):
+            assert rows[600][k] == k * rows[599][k] + rows[599][k - 1]
+
     def test_report_json_round_trips(self):
         op = catalog_get("G1G2:r=1,s=2,lam=2")
         text = report_json(op.to_json_dict())

@@ -350,13 +350,6 @@ class TestRegistry:
         }
         assert get_target("PN:p=6").meta == {"symmetric": True, "zero_mean": True}
 
-    def test_moment_determinacy_metadata(self):
-        assert get_target("H4").moment_determinate is True
-        assert get_target("H3").moment_determinate is False
-        assert get_target("H5").moment_determinate is False
-        assert get_target("gaussian").moment_determinate is True
-        assert get_target("G1X:r=1,lam=1").moment_determinate is None
-
     def test_custom_target_construction(self):
         # The type is open: a user can wire an ad-hoc law for verification.
         law = TargetDistribution(

@@ -2,24 +2,27 @@
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinscope.algebra import QI, RationalPoly, gaussian_moment
+from steinscope.distributions import TARGET_BUILDERS, get_target
 from steinscope.operators import (
+    FAMILIES,
     BadParameter,
     CfOde,
     NotInImage,
     SteinOperator,
     UnknownOperator,
-    apply_operator,
     catalog_get,
     catalog_names,
     moment_recurrence,
     psi_inverse,
     psi_transform,
     stirling2,
+    _stirling_row,
 )
 
 fractions_st = st.fractions(min_value=-8, max_value=8, max_denominator=10)
@@ -46,15 +49,6 @@ class TestSteinOperator:
         # H3 = y^3 - 3y: S H3 = (3y^2 - 3) - y(y^3 - 3y) = -y^4 + 6y^2 - 3
         h3 = RationalPoly({3: 1, 1: -3})
         assert op.apply_poly(h3) == RationalPoly({4: -1, 2: 6, 0: -3})
-
-    def test_apply_operator_oracle(self):
-        op = SteinOperator({(1, 0): -1, (0, 2): 1})
-
-        def f(y, j):  # derivatives of y^3
-            return {0: y**3, 1: 3 * y**2, 2: 6 * y}.get(j, 0.0)
-
-        y = 1.7
-        assert apply_operator(op, f, y) == pytest.approx(6 * y - y * y**3)
 
     def test_zero_operator_rejected(self):
         with pytest.raises(ValueError):
@@ -342,6 +336,57 @@ class TestCatalog:
         assert catalog_get("gauss_classical") == SteinOperator({(0, 1): 1, (1, 0): -1})
 
 
+class TestFamilyRegistry:
+    """Every family in FAMILIES, through both the catalog and the targets."""
+
+    def test_target_builders_cover_the_families(self):
+        assert TARGET_BUILDERS.keys() == FAMILIES.keys()
+        assert set(_PARAM_EXAMPLES) == set(FAMILIES)
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_canonical_spec_round_trips(self, family):
+        op = catalog_get(_PARAM_EXAMPLES[family])
+        assert op.name == op.target_hint
+        assert catalog_get(op.name) == op
+        assert get_target(op.target_hint).name == op.target_hint
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_missing_required_parameter(self, family):
+        items = catalog_get(_PARAM_EXAMPLES[family]).name.partition(":")[2].split(",")
+        required = [p.name for p in FAMILIES[family].params if p.default is None]
+        assert required
+        for name in required:
+            spec = family + ":" + ",".join(
+                item for item in items if not item.startswith(name + "=")
+            )
+            for lookup in (catalog_get, get_target):
+                with pytest.raises(BadParameter, match=f"requires parameter '{name}'"):
+                    lookup(spec)
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_unknown_parameter(self, family):
+        spec = _PARAM_EXAMPLES[family] + ",zz=1"
+        for lookup in (catalog_get, get_target):
+            with pytest.raises(BadParameter, match="unknown parameters"):
+                lookup(spec)
+
+    @pytest.mark.parametrize("spec", ["PN:p=4,p=5", "G1X:r=1,lam=2,lambda=3"])
+    def test_repeated_parameter(self, spec):
+        for lookup in (catalog_get, get_target):
+            with pytest.raises(BadParameter, match="more than once"):
+                lookup(spec)
+
+    def test_repeated_keyword_through_the_alias(self):
+        with pytest.raises(BadParameter, match="more than once"):
+            catalog_get("G1X", r=1, lam=2, **{"lambda": 3})
+
+    def test_keywords_win_over_the_spec(self):
+        assert catalog_get("PN:p=4", p=5) == catalog_get("PN:p=5")
+        assert catalog_get("G1X:r=1,lambda=2", lam=3).name == (
+            "G1X:r=1,lam=3,sigma2=1"
+        )
+
+
 def test_stirling2_values():
     assert stirling2(4, 2) == 7
     assert stirling2(8, 2) == 127
@@ -359,3 +404,11 @@ def test_stirling2_recurrence_property():
         p = rng.randint(2, 12)
         k = rng.randint(1, p - 1) + 1
         assert stirling2(p + 1, k) == k * stirling2(p, k) + stirling2(p, k - 1)
+
+
+def test_stirling2_large_p_on_a_cleared_cache():
+    # the explicit sum {p, k} = (1/k!) sum_j (-1)^j C(k, j) (k - j)^p
+    _stirling_row.cache_clear()
+    p, k = 600, 300
+    explicit = sum((-1) ** j * comb(k, j) * (k - j) ** p for j in range(k + 1))
+    assert stirling2(p, k) == explicit // factorial(k)
