@@ -12,12 +12,9 @@ discovery of operators from moment sequences.
 from .algebra import (
     QI,
     GaussianRationalPoly,
-    HermiteExpansion,
     RationalPoly,
     gaussian_moment,
-    hermite_product,
     hermite_to_monomial,
-    monomial_to_hermite,
 )
 from .operators import (
     BadParameter,
@@ -70,6 +67,7 @@ from .malliavin import (
     check_gamma_characterisation,
     check_linverse_square,
     gamma_r,
+    hermite_product,
     L_inverse,
     malliavin_D,
 )
@@ -86,9 +84,7 @@ __all__ = [
     "QI",
     "RationalPoly",
     "GaussianRationalPoly",
-    "HermiteExpansion",
     "hermite_to_monomial",
-    "monomial_to_hermite",
     "hermite_product",
     "gaussian_moment",
     "SteinOperator",

@@ -1,26 +1,30 @@
 """Exact univariate polynomial arithmetic over the rationals and the
-Gaussian rationals, plus Hermite-basis utilities.
+Gaussian rationals, plus the monomial form of the Hermite polynomials and
+the Gaussian moments of polynomials.
 
 Coefficients are :class:`fractions.Fraction` throughout; nothing in this
 module touches floating point.  Polynomials are stored sparsely as
 ``{degree: coefficient}`` dictionaries with zero coefficients pruned, so the
-zero polynomial is the empty dict.  Three coefficient domains appear:
+zero polynomial is the empty dict.  Two coefficient domains appear:
 
 * :class:`RationalPoly` -- polynomials over Q,
 * :class:`GaussianRationalPoly` -- polynomials over Q(i), with each
-  coefficient a :class:`QI` pair (real, imaginary),
-* :class:`HermiteExpansion` -- finite expansions sum_q c_q H_q(x) in the
-  probabilists' (monic) Hermite basis, H_{q+1} = x H_q - q H_{q-1}.
+  coefficient a :class:`QI` pair (real, imaginary).
 
-The Hermite convention is the probabilists' one: H_0 = 1, H_1 = x,
-H_3 = x^3 - 3x, and E[H_a(X) H_b(X)] = a! delta_{ab} for X ~ N(0,1).
+The sparse-dict ring they share (``_SparseDict``) also carries the Hermite
+chaos expansions of ``malliavin.ChaosElement``.  ``hermite_to_monomial``
+gives the probabilists' (monic) Hermite polynomial H_q in monomials: H_0 = 1,
+H_1 = x, H_3 = x^3 - 3x, and E[H_a(X) H_b(X)] = a! delta_{ab} for
+X ~ N(0,1).  ``gaussian_power_moments`` is the one engine for E[f(X)^k].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import count
+from math import lcm
+from operator import mul
 
 
 def _as_fraction(x) -> Fraction:
@@ -125,7 +129,7 @@ def unit_ipow(k: int) -> QI:
 
 
 class _SparseDict:
-    """Sparse ``{degree: coefficient}`` arithmetic shared by every basis here.
+    """Sparse ``{degree: coefficient}`` arithmetic shared by every basis.
 
     Subclasses fix the coefficient domain (``_zero``, ``_coerce``) and the
     product of two elements (``_product``); this class supplies the rest of
@@ -153,9 +157,6 @@ class _SparseDict:
         r.c = c
         return r
 
-    def _same_ring(self, other) -> bool:
-        return isinstance(other, type(self))
-
     def is_zero(self) -> bool:
         return not self.c
 
@@ -167,7 +168,7 @@ class _SparseDict:
         return self.c.get(d, self._zero)
 
     def __eq__(self, other):
-        if self._same_ring(other):
+        if isinstance(other, type(self)):
             return self.c == other.c
         return NotImplemented
 
@@ -175,7 +176,7 @@ class _SparseDict:
         return hash(frozenset(self.c.items()))
 
     def __add__(self, other):
-        if not self._same_ring(other):
+        if not isinstance(other, type(self)):
             return NotImplemented
         out = dict(self.c)
         for d, v in other.c.items():
@@ -190,12 +191,12 @@ class _SparseDict:
         return self._new({d: -v for d, v in self.c.items()})
 
     def __sub__(self, other):
-        if not self._same_ring(other):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
-        if self._same_ring(other):
+        if isinstance(other, type(self)):
             return self._new(self._product(other))
         try:
             scalar = self._coerce(other)
@@ -211,11 +212,6 @@ class _SparsePoly(_SparseDict):
 
     __slots__ = ()
 
-    @classmethod
-    def from_list(cls, seq):
-        """Build from ``[c0, c1, c2, ...]`` indexed by degree."""
-        return cls({d: v for d, v in enumerate(seq)})
-
     def valuation(self) -> int | None:
         """Order of vanishing at 0; None for the zero polynomial."""
         return min(self.c) if self.c else None
@@ -224,12 +220,6 @@ class _SparsePoly(_SparseDict):
         if not self.c:
             return self._zero
         return self.c[max(self.c)]
-
-    def trailing(self):
-        """Coefficient of the lowest-degree term (zero for the zero poly)."""
-        if not self.c:
-            return self._zero
-        return self.c[min(self.c)]
 
     def _product(self, other) -> dict:
         out = {}
@@ -328,104 +318,22 @@ class GaussianRationalPoly(_SparsePoly):
         return acc
 
 
-class HermiteExpansion(_SparseDict):
-    """Finite expansion sum_q c_q H_q(x) with exact rational c_q.
-
-    Probabilists' (monic) convention; see the module docstring.  Sums,
-    differences and scalar multiples come from the shared sparse-dict ring;
-    the product is linearised back into the Hermite basis.
-    """
-
-    __slots__ = ()
-
-    _zero = Fraction(0)
-    _coerce = staticmethod(_as_fraction)
-
-    def __init__(self, coeffs=None):
-        super().__init__(coeffs)
-        if any(q < 0 for q in self.c):
-            raise ValueError("Hermite degree must be >= 0")
-
-    def _same_ring(self, other) -> bool:
-        # a ChaosElement and a plain expansion combine; the result keeps
-        # the type of the left operand
-        return isinstance(other, HermiteExpansion)
-
-    @classmethod
-    def basis(cls, q: int, coeff=1):
-        return cls({q: coeff})
-
-    def expectation(self) -> Fraction:
-        """E[F(X)] for X ~ N(0,1): the H_0 coefficient, by orthogonality."""
-        return self.c.get(0, Fraction(0))
-
-    def second_moment(self) -> Fraction:
-        """E[F(X)^2] = sum_q c_q^2 q!, by orthogonality."""
-        return sum((v * v * factorial(q) for q, v in self.c.items()), Fraction(0))
-
-    def _product(self, other) -> dict:
-        out = {}
-        for qa, ca in self.c.items():
-            for qb, cb in other.c.items():
-                scale = ca * cb
-                for q, v in hermite_product(qa, qb).c.items():
-                    s = out.get(q, Fraction(0)) + scale * v
-                    if s:
-                        out[q] = s
-                    else:
-                        out.pop(q, None)
-        return out
-
-    def to_poly(self) -> RationalPoly:
-        out = RationalPoly()
-        for q, v in self.c.items():
-            out = out + v * hermite_to_monomial(q)
-        return out
-
-    def __repr__(self):
-        if not self.c:
-            return "0"
-        return " + ".join(f"({v})*H{q}" for q, v in sorted(self.c.items()))
-
-
 @lru_cache(maxsize=None)
 def hermite_to_monomial(q: int) -> RationalPoly:
     """The degree-q monic Hermite polynomial H_q as a RationalPoly.
 
-    H_0 = 1, H_1 = x, and H_{q+1} = x H_q - q H_{q-1}.
+    Built bottom-up on integer lists from H_0 = 1 by
+    H_{n+1} = x H_n - n H_{n-1}, so any q works without deep recursion.
     """
     if q < 0:
         raise ValueError("Hermite degree must be >= 0")
-    if q == 0:
-        return RationalPoly({0: 1})
-    if q == 1:
-        return RationalPoly({1: 1})
-    return hermite_to_monomial(q - 1).shift(1) - (q - 1) * hermite_to_monomial(q - 2)
-
-
-def monomial_to_hermite(p: RationalPoly) -> HermiteExpansion:
-    """Rewrite a polynomial in the Hermite basis (exact, by top-down elimination)."""
-    rem = p
-    out = {}
-    while not rem.is_zero():
-        d = rem.degree()
-        lead = rem.leading()
-        out[d] = lead
-        rem = rem - lead * hermite_to_monomial(d)
-        if not rem.is_zero() and rem.degree() >= d:
-            raise AssertionError("degree failed to drop in Hermite conversion")
-    return HermiteExpansion(out)
-
-
-@lru_cache(maxsize=None)
-def hermite_product(a: int, b: int) -> HermiteExpansion:
-    """Linearisation H_a H_b = sum_r C(a,r) C(b,r) r! H_{a+b-2r}."""
-    if a < 0 or b < 0:
-        raise ValueError("Hermite degrees must be >= 0")
-    return HermiteExpansion({
-        a + b - 2 * r: comb(a, r) * comb(b, r) * factorial(r)
-        for r in range(min(a, b) + 1)
-    })
+    prev, cur = [], [1]
+    for n in range(q):
+        nxt = [0] + cur
+        for d, v in enumerate(prev):
+            nxt[d] -= n * v
+        prev, cur = cur, nxt
+    return RationalPoly(dict(enumerate(cur)))
 
 
 def gaussian_moment(n: int) -> Fraction:
@@ -440,9 +348,26 @@ def gaussian_moment(n: int) -> Fraction:
     return Fraction(out)
 
 
-def poly_gaussian_expectation(p: RationalPoly) -> Fraction:
-    """E[p(X)] for X ~ N(0,1), exactly."""
-    return sum((v * gaussian_moment(d) for d, v in p.c.items()), Fraction(0))
+def gaussian_power_moments(f: RationalPoly):
+    """Yield E[f(X)^k] for X ~ N(0,1) and k = 0, 1, 2, ..., exactly.
+
+    f is cleared to integers once (f = g / L); the generator keeps only the
+    current power g^k as a dense integer list and sums it against
+    E[X^d] = (d-1)!! for even d, so E[f^k] = sum_d g^k_d (d-1)!! / L^k.
+    """
+    scale = lcm(*(v.denominator for v in f.c.values()))
+    g = [(i, int(v * scale)) for i, v in f.c.items()]
+    power, double_factorials = [1], [1]  # g^k; (2j-1)!! for j = 0, 1, ...
+    for k in count():
+        while 2 * len(double_factorials) < len(power):
+            j = len(double_factorials)
+            double_factorials.append(double_factorials[-1] * (2 * j - 1))
+        yield Fraction(sum(map(mul, power[::2], double_factorials)), scale**k)
+        nxt = [0] * (len(power) + f.degree())
+        for i, gi in g:
+            for d, pd in enumerate(power, i):
+                nxt[d] += gi * pd
+        power = nxt
 
 
 def falling_factorial(x, j: int):

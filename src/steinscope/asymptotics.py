@@ -471,11 +471,6 @@ class AsymptoticBranch:
             return None
         return (self.mag_pow, self.mag_root)
 
-    def magnitude_float(self) -> float | None:
-        if self.mag_pow is None:
-            return None
-        return float(self.mag_pow) ** (1.0 / self.mag_root)
-
     def describe(self) -> str:
         if self.kind == "bounded":
             return f"bounded x{self.multiplicity}"

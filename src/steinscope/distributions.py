@@ -5,7 +5,9 @@ A TargetDistribution bundles up to three capabilities behind one name:
 * an exact moment oracle ``moment(k)`` returning a Fraction.  The laws that
   carry one are the Hermite targets H_p(X) with X ~ N(0,1), the product
   normal laws PN(p, sigma2), the centred Gaussian, and the centred
-  semicircle; their moments are rational and computed exactly.
+  semicircle; their moments are rational and computed exactly.  The H_p
+  moments come from ``algebra.gaussian_power_moments`` (integer powers of
+  H_p in monomials), extended on demand and kept per p.
 * a seeded sampler ``sample(n, seed)`` drawing i.i.d. replicates with numpy.
   Samplers are stateless: concurrent use derives per-task seeds as
   ``seed + task_index``.
@@ -42,14 +44,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from typing import TYPE_CHECKING
 
 from .algebra import (
-    HermiteExpansion,
     _as_fraction,
     gaussian_moment,
+    gaussian_power_moments,
     hermite_to_monomial,
 )
 from .operators import FAMILIES, POSITIVE, BadParameter, Param, parse_spec
@@ -72,24 +73,26 @@ class UnknownTarget(KeyError):
 
 # --- exact moment helpers ----------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _hermite_power(p: int, k: int) -> HermiteExpansion:
-    if k == 0:
-        return HermiteExpansion({0: 1})
-    return _hermite_power(p, k - 1) * HermiteExpansion.basis(p)
+# p -> (E[H_p^k] for k = 0, 1, ... so far, the engine that continues them)
+_HERMITE_MOMENTS: dict = {}
 
 
 def hermite_poly_moment(p: int, k: int) -> Fraction:
     """E[H_p(X)^k] for X ~ N(0,1), exactly.
 
-    The k-th power is expanded in the Hermite basis (where products
-    linearise exactly), and the expectation is its degree-0 coefficient.
+    H_p has integer monomial coefficients; its moments come from
+    ``gaussian_power_moments``, and each p keeps the list computed so far.
     """
     if p < 1:
         raise ValueError("Hermite index p must be >= 1")
     if k < 0:
         raise ValueError("moment order k must be >= 0")
-    return _hermite_power(p, k).expectation()
+    if p not in _HERMITE_MOMENTS:
+        _HERMITE_MOMENTS[p] = ([], gaussian_power_moments(hermite_to_monomial(p)))
+    known, engine = _HERMITE_MOMENTS[p]
+    while len(known) <= k:
+        known.append(next(engine))
+    return known[k]
 
 
 def cumulants_from_moments(moment_oracle, r: int) -> Fraction:
@@ -377,7 +380,12 @@ def _hermite_target(p: int) -> TargetDistribution:
 
         coef = np.zeros(p + 1)
         for d, c in hermite_to_monomial(p).c.items():
-            coef[d] = float(c)
+            try:
+                coef[d] = float(c)
+            except OverflowError:
+                raise ValueError(
+                    f"H{p}: the x^{d} coefficient of H_{p} does not fit in a float"
+                ) from None
         return np.polynomial.polynomial.polyval(rng.standard_normal(n), coef)
 
     return TargetDistribution(

@@ -17,16 +17,28 @@ decomposition, and every operator of the calculus acts coefficientwise:
     Gamma_r(F) = Gamma[F, -L^{-1} Gamma_{r-1}(F)], which in one dimension
     reduces to the ordinary product DF * (-D L^{-1} Gamma_{r-1}(F)).
 
+This module owns the Hermite basis: ChaosElement is the one class that
+holds Hermite coefficients, and ``hermite_product`` linearises H_a H_b.
 Products are linearised back into the Hermite basis, so every quantity
 (expectations, variances, moments, cumulants, residuals) is an exact
-Fraction.  The cumulant representation r! E[Gamma_r(F)] = kappa_{r+1}(F)
-is checked literally against cumulants computed from exact moments.
+Fraction.  Higher moments E[F^k] come from ``algebra.gaussian_power_moments``
+on F's monomial form.  The cumulant representation
+r! E[Gamma_r(F)] = kappa_{r+1}(F) is checked literally against cumulants
+computed from those moments.
 """
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from itertools import islice
+from math import comb, factorial
 
-from .algebra import HermiteExpansion
+from .algebra import (
+    RationalPoly,
+    _as_fraction,
+    _SparseDict,
+    gaussian_power_moments,
+    hermite_to_monomial,
+)
 from .distributions import cumulants_from_moments
 
 __all__ = [
@@ -37,6 +49,7 @@ __all__ = [
     "check_gamma_characterisation",
     "check_linverse_square",
     "gamma_r",
+    "hermite_product",
     "identity_catalog",
     "L_inverse",
     "malliavin_D",
@@ -48,37 +61,82 @@ class NotPureChaos(ValueError):
     """The argument must live in a single chaos level q >= 1."""
 
 
-class ChaosElement(HermiteExpansion):
-    """A polynomial functional of one standard Gaussian, by chaos level.
+class ChaosElement(_SparseDict):
+    """A polynomial functional sum_q c_q H_q(X) of one standard Gaussian.
 
-    Inherits the exact Hermite-expansion algebra: + - * with linearisation,
-    ``expectation`` (the level-0 coefficient) and ``second_moment``
-    (sum_q c_q^2 q!).  Adds the moment/variance conveniences the Gamma
-    calculus needs.
+    Exact rational coefficients, keyed by chaos level q >= 0.  Sums,
+    differences and scalar multiples come from the shared sparse-dict ring;
+    the product is linearised back into the Hermite basis.
     """
 
     __slots__ = ()
+
+    _zero = Fraction(0)
+    _coerce = staticmethod(_as_fraction)
+
+    def __init__(self, coeffs=None):
+        super().__init__(coeffs)
+        if any(q < 0 for q in self.c):
+            raise ValueError("Hermite degree must be >= 0")
+
+    def _product(self, other) -> dict:
+        out = {}
+        for qa, ca in self.c.items():
+            for qb, cb in other.c.items():
+                scale = ca * cb
+                for q, v in hermite_product(qa, qb).c.items():
+                    s = out.get(q, Fraction(0)) + scale * v
+                    if s:
+                        out[q] = s
+                    else:
+                        out.pop(q, None)
+        return out
+
+    def expectation(self) -> Fraction:
+        """E[F]: the level-0 coefficient, by orthogonality."""
+        return self.c.get(0, Fraction(0))
+
+    def second_moment(self) -> Fraction:
+        """E[F^2] = sum_q c_q^2 q!, by orthogonality."""
+        return sum((v * v * factorial(q) for q, v in self.c.items()), Fraction(0))
 
     def variance(self) -> Fraction:
         m = self.expectation()
         return self.second_moment() - m * m
 
     def moment(self, k: int) -> Fraction:
-        """E[F^k], exact, by repeated linearised multiplication."""
+        """E[F^k], exact, from the moment engine on the monomial form."""
         if k < 0:
             raise ValueError("moment order must be >= 0")
-        power = ChaosElement({0: 1})
-        for _ in range(k):
-            power = power * self
-        return power.expectation()
+        return next(islice(gaussian_power_moments(self.to_poly()), k, None))
+
+    def to_poly(self) -> RationalPoly:
+        out = RationalPoly()
+        for q, v in self.c.items():
+            out = out + v * hermite_to_monomial(q)
+        return out
+
+    def __repr__(self):
+        if not self.c:
+            return "0"
+        return " + ".join(f"({v})*H{q}" for q, v in sorted(self.c.items()))
+
+
+@lru_cache(maxsize=None)
+def hermite_product(a: int, b: int) -> ChaosElement:
+    """Linearisation H_a H_b = sum_r C(a,r) C(b,r) r! H_{a+b-2r}."""
+    if a < 0 or b < 0:
+        raise ValueError("Hermite degrees must be >= 0")
+    return ChaosElement({
+        a + b - 2 * r: comb(a, r) * comb(b, r) * factorial(r)
+        for r in range(min(a, b) + 1)
+    })
 
 
 def _as_chaos(F) -> ChaosElement:
-    if isinstance(F, ChaosElement):
-        return F
-    if isinstance(F, HermiteExpansion):
-        return ChaosElement(F.c)
-    raise TypeError("expected a ChaosElement / HermiteExpansion")
+    if not isinstance(F, ChaosElement):
+        raise TypeError(f"expected a ChaosElement, got {type(F).__name__}")
+    return F
 
 
 def malliavin_D(F) -> ChaosElement:
@@ -129,7 +187,7 @@ def gamma_r(F, r: int) -> ChaosElement:
     out = _as_chaos(F)
     for _ in range(r):
         out = carre_du_champ(F, -L_inverse(out))
-    return _as_chaos(out)
+    return out
 
 
 def check_cumulant_formula(F, r: int) -> tuple[Fraction, Fraction]:
@@ -169,7 +227,7 @@ def check_linverse_square(F) -> ChaosElement:
     lhs = L_inverse(F2)
     centred = F2 - ChaosElement({0: F2.expectation()})
     rhs = L_inverse(gamma_r(F, 1)) - centred * Fraction(1, 2 * p)
-    return _as_chaos(lhs - rhs)
+    return lhs - rhs
 
 
 def _h(q: int) -> ChaosElement:
@@ -241,4 +299,4 @@ def check_gamma_characterisation(check_id: str) -> ChaosElement:
         raise KeyError(
             f"unknown identity {check_id!r}; known: "
             + ", ".join(sorted(_IDENTITIES))) from None
-    return _as_chaos(builder())
+    return builder()

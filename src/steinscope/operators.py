@@ -129,17 +129,6 @@ class SteinOperator:
         scalar = _as_fraction(scalar)
         return SteinOperator({k: scalar * v for k, v in self.a.items()})
 
-    def apply_poly(self, p: RationalPoly) -> RationalPoly:
-        """Apply the operator to a polynomial test function, exactly."""
-        out = RationalPoly()
-        derivs = {0: p}
-        for (i, j), v in sorted(self.a.items()):
-            while j not in derivs:
-                top = max(derivs)
-                derivs[top + 1] = derivs[top].derivative()
-            out = out + (v * derivs[j]).shift(i)
-        return out
-
     def coefficient_poly(self, j: int) -> RationalPoly:
         """The y-polynomial multiplying D^j."""
         return RationalPoly({i: v for (i, jj), v in self.a.items() if jj == j})
@@ -229,9 +218,6 @@ class CfOde:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def max_t_degree(self) -> int:
-        return max(c.degree() for c in self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, CfOde):

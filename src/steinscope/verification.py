@@ -25,14 +25,15 @@ worker threads (set by the STEIN_SCOPE_THREADS environment variable, at
 most the CPU count).  Chunk statistics are merged by exact pairwise Welford
 combination in chunk order.
 
-numpy is imported inside the Monte-Carlo and ODE-grid code, so exact mode
-runs without it.
+numpy is imported inside the Monte-Carlo and ODE-grid code, and
+concurrent.futures only where Monte-Carlo chunks run on threads, so exact
+mode loads neither.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -228,7 +229,9 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
     stderr, and threshold = sigma_mult * stderr.  Chunk i draws
     ``dist.sample(chunk_size, seed + i)``; estimates are identical for any
     thread count.  A standard error needs two samples, so n < 2 raises
-    ValueError rather than passing on a zero threshold.
+    ValueError rather than passing on a zero threshold.  A mean or standard
+    error that is not finite (the samples overflowed) also raises
+    ValueError, since NaN or infinity is neither a pass nor a fail.
     """
     if n < 2:
         raise ValueError(f"Monte-Carlo sample size n = {n}; need n >= 2")
@@ -256,6 +259,8 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
 
     workers = min(_threads(), len(sizes))
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             per_chunk = list(pool.map(run_chunk, range(len(sizes))))
     else:
@@ -268,6 +273,10 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
             acc = _welford_merge(acc, stats[idx])
         cnt, mean, m2 = acc
         stderr = (m2 / (cnt - 1)) ** 0.5 / cnt**0.5 if cnt > 1 else 0.0
+        if not (math.isfinite(mean) and math.isfinite(stderr)):
+            raise ValueError(
+                f"{dist.name}: the Monte-Carlo estimate for {fn.label} is not "
+                f"finite (mean {mean}, stderr {stderr})")
         out.append(ResidualReport(
             fn.label, "mc", mean, sigma_mult * stderr,
             stderr=stderr, n=cnt, seed=seed,

@@ -1,6 +1,7 @@
-"""Tests for the exact polynomial and Hermite-basis layer."""
+"""Tests for the exact polynomial layer, H_q in monomials and the moment engine."""
 
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -9,16 +10,14 @@ from hypothesis import given, strategies as st
 from steinscope.algebra import (
     QI,
     GaussianRationalPoly,
-    HermiteExpansion,
     RationalPoly,
     falling_factorial,
     gaussian_moment,
-    hermite_product,
+    gaussian_power_moments,
     hermite_to_monomial,
-    monomial_to_hermite,
-    poly_gaussian_expectation,
     unit_ipow,
 )
+from steinscope.malliavin import hermite_product
 
 fractions_st = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -132,6 +131,19 @@ class TestGaussianRationalPoly:
         assert p.real_part().to_gaussian().is_real()
 
 
+def gaussian_expectation(p):
+    """E[p(X)] for X ~ N(0,1): the k = 1 term of the moment engine."""
+    return next(islice(gaussian_power_moments(p), 1, None))
+
+
+def hermite_coefficients(p):
+    """The Hermite coefficients of p, read back as c_r = E[p H_r] / r!."""
+    return {
+        r: gaussian_expectation(p * hermite_to_monomial(r)) / factorial(r)
+        for r in range(p.degree() + 1)
+    }
+
+
 class TestHermite:
     def test_small_cases(self):
         assert hermite_to_monomial(0) == RationalPoly({0: 1})
@@ -139,24 +151,29 @@ class TestHermite:
         assert hermite_to_monomial(2) == RationalPoly({2: 1, 0: -1})
         assert hermite_to_monomial(3) == RationalPoly({3: 1, 1: -3})
         assert hermite_to_monomial(4) == RationalPoly({4: 1, 2: -6, 0: 3})
+        with pytest.raises(ValueError, match="Hermite degree"):
+            hermite_to_monomial(-1)
+
+    @pytest.mark.parametrize("q", [*range(1, 41), 300, 700])
+    def test_derivative_lowers_the_degree(self, q):
+        # H_q' = q H_{q-1}, an identity the three-term recurrence never uses
+        assert hermite_to_monomial(q).derivative() == q * hermite_to_monomial(q - 1)
 
     @pytest.mark.parametrize("q", range(31))
     def test_round_trip(self, q):
-        e = monomial_to_hermite(hermite_to_monomial(q))
-        assert e == HermiteExpansion({q: 1})
+        assert hermite_coefficients(hermite_to_monomial(q)) == {
+            r: int(r == q) for r in range(q + 1)
+        }
 
     @given(poly_st)
     def test_round_trip_random(self, p):
-        assert monomial_to_hermite(p).to_poly() == p
+        back = RationalPoly()
+        for r, c in hermite_coefficients(p).items():
+            back = back + c * hermite_to_monomial(r)
+        assert back == p
 
-    def test_product_h3_h3(self):
-        assert hermite_product(3, 3) == HermiteExpansion(
-            {6: 1, 4: 9, 2: 18, 0: 6}
-        )
-
-    def test_product_h3_h1(self):
-        assert hermite_product(3, 1) == HermiteExpansion({4: 1, 2: 3})
-
+    # hermite_product lives in malliavin; this is its check against the
+    # monomial basis built here
     @pytest.mark.parametrize("a", range(9))
     @pytest.mark.parametrize("b", range(9))
     def test_product_matches_monomial_multiplication(self, a, b):
@@ -168,39 +185,8 @@ class TestHermite:
     @pytest.mark.parametrize("b", range(13))
     def test_orthogonality(self, a, b):
         # E[H_a H_b] = a! delta_{ab}
-        e = poly_gaussian_expectation(
-            hermite_to_monomial(a) * hermite_to_monomial(b)
-        )
+        e = gaussian_expectation(hermite_to_monomial(a) * hermite_to_monomial(b))
         assert e == (factorial(a) if a == b else 0)
-
-    def test_expansion_moments(self):
-        f = HermiteExpansion({3: 1})
-        assert f.expectation() == 0
-        assert f.second_moment() == 6
-        g = HermiteExpansion({0: 2, 2: 1})
-        assert g.expectation() == 2
-        assert g.second_moment() == 4 + 2
-
-    def test_expansion_product(self):
-        f = HermiteExpansion({3: 1})
-        assert f * f == HermiteExpansion({6: 1, 4: 9, 2: 18, 0: 6})
-        assert 2 * f == HermiteExpansion({3: 2})
-
-    def test_expansion_ring_keeps_the_subclass(self):
-        from steinscope.malliavin import ChaosElement
-
-        f, g = ChaosElement({3: 1}), HermiteExpansion({1: 2})
-        for result in (f + g, f - g, -f, f * g, 2 * f, f * Fraction(1, 2)):
-            assert type(result) is ChaosElement
-        assert type(g + f) is HermiteExpansion
-        assert f - f == HermiteExpansion() and (f - f).is_zero()
-
-    def test_expansion_has_no_monomial_operations(self):
-        with pytest.raises(ValueError, match="Hermite degree"):
-            HermiteExpansion({-1: 1})
-        f = HermiteExpansion({2: 1})
-        assert not hasattr(f, "shift")
-        assert not callable(f)
 
 
 class TestGaussianMoment:
@@ -216,6 +202,23 @@ class TestGaussianMoment:
     @pytest.mark.parametrize("n", range(0, 16, 2))
     def test_recurrence(self, n):
         assert gaussian_moment(n + 2) == (n + 1) * gaussian_moment(n)
+
+    def test_power_moments_of_x_and_of_zero(self):
+        x = RationalPoly({1: 1})
+        assert list(islice(gaussian_power_moments(x), 20)) == [
+            gaussian_moment(k) for k in range(20)
+        ]
+        assert list(islice(gaussian_power_moments(RationalPoly()), 3)) == [1, 0, 0]
+
+    def test_power_moments_clear_denominators(self):
+        # (X/2 + 1/3)^2 has mean 1/4 + 1/9; its square has mean
+        # E[X^4]/16 + 6 E[X^2]/36 + 1/81
+        f = RationalPoly({1: Fraction(1, 2), 0: Fraction(1, 3)})
+        moments = list(islice(gaussian_power_moments(f), 5))
+        assert moments[:3] == [1, Fraction(1, 3), Fraction(1, 4) + Fraction(1, 9)]
+        assert moments[4] == (
+            Fraction(3, 16) + 6 * Fraction(1, 4) * Fraction(1, 9) + Fraction(1, 81)
+        )
 
 
 def test_falling_factorial():

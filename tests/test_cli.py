@@ -330,6 +330,18 @@ class TestVerify:
         assert out == ""
         assert "n >= 2" in err
 
+    @pytest.mark.parametrize("target", ["H150", "H700"])
+    def test_mc_mode_overflowing_hermite_target_exits_2(self, target):
+        # H150 samples overflow to a NaN estimate; the coefficients of H700
+        # do not fit in a float
+        code, out, err = run_cli(
+            "verify", "--op", "gauss_classical", "--target", target,
+            "--mode", "mc", "--n", "100",
+        )
+        assert code == 2
+        assert out == ""
+        assert target in err
+
     def test_mc_mode_without_sampler_exits_2(self):
         code, out, err = run_cli(
             "verify", "--op", "PRR:s=2", "--target", "PRR:s=2", "--n", "1000"
@@ -468,7 +480,7 @@ class TestPretty:
 
 
 # Runs main() in a fresh interpreter and prints the exit code and which
-# parts of the numeric stack the command loaded.
+# parts of the numeric stack and of the thread pool the command loaded.
 _IMPORT_PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -477,7 +489,8 @@ with redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "scipy": "scipy" in sys.modules,
-                  "scipy.special": "scipy.special" in sys.modules}))
+                  "scipy.special": "scipy.special" in sys.modules,
+                  "concurrent.futures": "concurrent.futures" in sys.modules}))
 """
 
 
@@ -504,6 +517,7 @@ class TestNumericStackImports:
     def test_exact_commands_load_neither_numpy_nor_scipy(self, argv):
         assert probe_imports(*argv) == {
             "code": 0, "numpy": False, "scipy": False, "scipy.special": False,
+            "concurrent.futures": False,
         }
 
     def test_monte_carlo_loads_numpy_but_not_scipy_special(self):

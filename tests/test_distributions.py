@@ -23,6 +23,7 @@ from steinscope.distributions import (
     hermite_poly_moment,
     target_names,
 )
+from steinscope.malliavin import ChaosElement
 from steinscope.operators import BadParameter, catalog_get, moment_recurrence
 
 F = Fraction
@@ -56,6 +57,15 @@ class TestHermitePolyMoment:
     def test_odd_hermite_odd_moments_vanish(self, p, m):
         if p % 2 == 1:
             assert hermite_poly_moment(p, 2 * m + 1) == 0
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_matches_linearised_powers(self, p):
+        # second witness: powers of H_p linearised in the Hermite basis
+        # share no code with the monomial-basis moment engine
+        h_p, power = ChaosElement({p: 1}), ChaosElement({0: 1})
+        for k in range(21):
+            assert hermite_poly_moment(p, k) == power.expectation()
+            power = power * h_p
 
 
 class TestCumulant:

@@ -20,6 +20,7 @@ from steinscope.malliavin import (
     check_gamma_characterisation,
     check_linverse_square,
     gamma_r,
+    hermite_product,
     identity_catalog,
     malliavin_D,
     ou_generator,
@@ -60,6 +61,18 @@ class TestChaosElement:
         with pytest.raises(ValueError):
             H(2).moment(-1)
 
+    def test_zero_element_moments(self):
+        zero = ChaosElement()
+        assert zero.moment(0) == 1
+        assert zero.moment(3) == 0
+
+    def test_has_no_monomial_operations(self):
+        with pytest.raises(ValueError, match="Hermite degree"):
+            ChaosElement({-1: 1})
+        f = H(2)
+        assert not hasattr(f, "shift")
+        assert not callable(f)
+
     def test_arithmetic_preserves_type(self):
         a, b = H(2), ChaosElement({1: F(1, 3)})
         assert type(a + b) is ChaosElement
@@ -67,6 +80,21 @@ class TestChaosElement:
         assert type(a * b) is ChaosElement
         assert type(3 * a) is ChaosElement
         assert type(-a) is ChaosElement
+
+
+class TestHermiteProduct:
+    def test_product_h3_h3(self):
+        assert hermite_product(3, 3) == ChaosElement(
+            {6: 1, 4: 9, 2: 18, 0: 6}
+        )
+
+    def test_product_h3_h1(self):
+        assert hermite_product(3, 1) == ChaosElement({4: 1, 2: 3})
+
+    @settings(max_examples=100, deadline=None)
+    @given(chaos_st, chaos_st)
+    def test_linearised_product_matches_monomials(self, a, b):
+        assert (a * b).to_poly() == a.to_poly() * b.to_poly()
 
 
 class TestBasicOperators:
