@@ -236,12 +236,6 @@ class _SparsePoly(_SparseDict):
     def derivative(self):
         return self._new({d - 1: d * v for d, v in self.c.items() if d >= 1})
 
-    def shift(self, k: int):
-        """Multiply by x**k (k may be negative if no term drops below 0)."""
-        if any(d + k < 0 for d in self.c):
-            raise ValueError("shift would create negative degrees")
-        return self._new({d + k: v for d, v in self.c.items()})
-
     def __call__(self, x):
         """Evaluate by Horner; exact when x is exact, float/complex otherwise."""
         acc = None
@@ -271,10 +265,6 @@ class RationalPoly(_SparsePoly):
     _zero = Fraction(0)
     _coerce = staticmethod(_as_fraction)
 
-    @classmethod
-    def monomial(cls, d: int, coeff=1):
-        return cls({d: coeff})
-
     def to_gaussian(self) -> "GaussianRationalPoly":
         return GaussianRationalPoly({d: QI(v) for d, v in self.c.items()})
 
@@ -292,22 +282,6 @@ class GaussianRationalPoly(_SparsePoly):
 
     _zero = QI()
     _coerce = staticmethod(_as_qi)
-
-    @classmethod
-    def monomial(cls, d: int, coeff=1):
-        return cls({d: coeff})
-
-    def conjugate(self):
-        return self._new({d: v.conjugate() for d, v in self.c.items()})
-
-    def real_part(self) -> RationalPoly:
-        return RationalPoly({d: v.re for d, v in self.c.items()})
-
-    def imag_part(self) -> RationalPoly:
-        return RationalPoly({d: v.im for d, v in self.c.items()})
-
-    def is_real(self) -> bool:
-        return all(v.is_real() for v in self.c.values())
 
     def eval_complex(self, t: float) -> complex:
         """Evaluate at a float point as a complex number."""

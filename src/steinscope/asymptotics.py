@@ -30,10 +30,14 @@ The analysis is exact throughout:
   exact rational multiples of pi, using the principal root
   (-1)^(1/d) = e^{i pi/d}.
 * ``power_correction`` refines an exponential branch with the two-term
-  ansatz S = A_S t^{-gamma} + a log t, expanding the full ODE residual in
-  the quotient ring Q(i)[A]/(A^d - rho) and solving the linear balance one
-  level above the leading cancellation.  Anything nonlinear, inconsistent,
-  or unconstrained raises ``CorrectionNotLinear``.
+  ansatz S = A_S t^{-gamma} + a log t.  By the closed form
+  phi^{(k)}/phi = X^k t^{-k(1+gamma)}
+  + X^{k-1} (k a - (1+gamma) k(k-1)/2) t^{-k(1+gamma)+gamma} + ...
+  (X = -gamma A_S), each ODE monomial feeds at most the balance level and
+  the level gamma above it; the first must cancel in Q(i)[A]/(A^d - rho)
+  and the second, linear in a, fixes a.  Anything below the balance,
+  between the two levels, inconsistent, or unconstrained raises
+  ``CorrectionNotLinear``.
 * ``classify_branch`` turns a branch into an exclusion: real-part signs of
   A_S t^{-gamma} on each side of 0 (principal continuation on t < 0, so the
   left-side phase is theta - gamma) detect blow-up; oscillatory branches
@@ -60,14 +64,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb, factorial
 
-from .algebra import (
-    QI,
-    GaussianRationalPoly,
-    RationalPoly,
-    falling_factorial,
-)
+from .algebra import QI, GaussianRationalPoly, RationalPoly
 from .operators import CfOde, SteinOperator, moment_recurrence, psi_transform
 
 
@@ -218,10 +216,10 @@ def _factor_common_unit(values: list[QI]) -> tuple[QI, list[Fraction]] | None:
     return None
 
 
-def _falling_poly(k: int) -> GaussianRationalPoly:
-    """(beta)_k = beta (beta-1) ... (beta-k+1) as a polynomial in beta."""
+def _falling_poly(k: int, start: int = 0) -> GaussianRationalPoly:
+    """(beta)_k / (beta)_start = (beta-start) ... (beta-k+1) as a polynomial in beta."""
     out = GaussianRationalPoly({0: 1})
-    for l in range(k):
+    for l in range(start, k):
         out = out * GaussianRationalPoly({1: 1, 0: -l})
     return out
 
@@ -420,8 +418,9 @@ class AsymptoticBranch:
     by ``ring["index"]``.  ``power_exponent`` is the refinement exponent a in
     phi ~ t^a e^{S} once ``power_correction`` has run.
     kind "logarithmic": S ~ alpha log t, i.e. phi ~ t^alpha, with
-    alpha = ``log_coeff`` = ``power_exponent``; ``log_exponent`` marks a
-    t^e log t term when the series carries one (regular singular roots).
+    alpha = ``power_exponent`` (reported again as ``log_coeff``);
+    ``log_exponent`` marks a t^e log t term when the series carries one
+    (regular singular roots).
     """
 
     __slots__ = (
@@ -432,7 +431,6 @@ class AsymptoticBranch:
         "mag_root",
         "phase",
         "power_exponent",
-        "log_coeff",
         "log_exponent",
         "ring",
     )
@@ -446,7 +444,6 @@ class AsymptoticBranch:
         mag_root=None,
         phase=None,
         power_exponent=None,
-        log_coeff=None,
         log_exponent=None,
         ring=None,
     ):
@@ -461,7 +458,6 @@ class AsymptoticBranch:
         self.power_exponent = (
             None if power_exponent is None else Fraction(power_exponent)
         )
-        self.log_coeff = None if log_coeff is None else Fraction(log_coeff)
         self.log_exponent = None if log_exponent is None else Fraction(log_exponent)
         self.ring = ring
 
@@ -495,7 +491,9 @@ class AsymptoticBranch:
             else {"power": str(self.mag_pow), "root": self.mag_root},
             "phase_over_pi": _frac_str(self.phase),
             "power_exponent": _frac_str(self.power_exponent),
-            "log_coeff": _frac_str(self.log_coeff),
+            "log_coeff": _frac_str(self.power_exponent)
+            if self.kind == "logarithmic"
+            else None,
             "log_exponent": _frac_str(self.log_exponent),
         }
 
@@ -545,27 +543,19 @@ def dominant_balance(ode: CfOde) -> list[AsymptoticBranch]:
             bounded += k2 - k1
             continue
         if slope == 1:
-            # power balance: phi ~ t^alpha with P(alpha) = sum l_k (alpha)_k = 0
+            # power balance: phi ~ t^alpha with sum l_k (alpha)_k = 0; the
+            # factor (alpha)_{k1} common to every term is an artifact of
+            # lower-order terms, so the edge polynomial starts at k1
             lead = GaussianRationalPoly()
             for k in on_edge:
                 l_k = ode.coeffs[k].coeff(v1 + (k - k1))
-                lead = lead + _falling_poly(k) * GaussianRationalPoly({0: l_k})
+                lead = lead + _falling_poly(k, k1) * GaussianRationalPoly({0: l_k})
             factored = _factor_common_unit(
                 [lead.coeff(d) for d in range(lead.degree() + 1)]
             )
             if factored is None:
                 raise NoBalance("slope-1 edge with mixed-unit coefficients")
             poly = RationalPoly(dict(enumerate(factored[1])))
-            # the factor (alpha)_{k1} is an artifact of lower-order terms
-            for l in range(k1):
-                quot = {}
-                carry = Fraction(0)
-                for d in range(poly.degree(), 0, -1):
-                    carry = poly.coeff(d) + carry * l
-                    quot[d - 1] = carry
-                if poly.coeff(0) + carry * l != 0:
-                    raise NoBalance("slope-1 edge polynomial not divisible by its artifact roots")
-                poly = RationalPoly(quot)
             roots, residual = _rational_roots(poly)
             if residual.degree() > 0:
                 raise NoBalance(
@@ -578,7 +568,6 @@ def dominant_balance(ode: CfOde) -> list[AsymptoticBranch]:
                             "logarithmic",
                             gamma=Fraction(0),
                             power_exponent=alpha,
-                            log_coeff=alpha,
                         )
                     )
             continue
@@ -628,112 +617,64 @@ def dominant_balance(ode: CfOde) -> list[AsymptoticBranch]:
 # --- power/log correction -----------------------------------------------------
 
 
-def _ring_mul(t1, t2, modulus: int, rho: QI):
-    """Multiply ring monomials (u, v, e) -> coeff in Q(i)[A]/(A^modulus - rho).
-
-    u is the A-power, v the power of the unknown log-coefficient (capped at
-    2: quadratic and higher terms are only ever inspected for nonzero-ness),
-    e the t-exponent.
-    """
-    (u1, v1, e1), c1 = t1
-    (u2, v2, e2), c2 = t2
-    q, u = divmod(u1 + u2, modulus)
-    coeff = c1 * c2
-    for _ in range(q):
-        coeff = coeff * rho
-    return (u, min(v1 + v2, 2), e1 + e2), coeff
-
-
 def power_correction(ode: CfOde, branch: AsymptoticBranch) -> Fraction:
     """Log-correction coefficient a in S = A_S t^{-gamma} + a log t.
 
-    The full residual sum_k c_k B_k(s_1..s_k) (B_k the complete Bell
-    polynomials realising phi^{(k)}/phi for phi = e^S) is expanded exactly in
-    Q(i)[A]/(A^d - rho).  The leading level must cancel identically (that is
-    the dominant balance); the next level, gamma above, must be linear in a
-    and consistent across all ring components.  The refined solution is
-    phi ~ t^a e^{A_S t^{-gamma}}.
+    With S' = X t^{-1-gamma} + a/t, X = kappa A and kappa = -gamma * scale,
+    the recursion B_{k+1} = B_k' + S' B_k for phi^{(k)}/phi = B_k gives
+
+        B_k = X^k t^{-k(1+gamma)}
+              + X^{k-1} (k a - (1+gamma) k(k-1)/2) t^{-k(1+gamma)+gamma}
+              + O(t^{-k(1+gamma)+2 gamma}),
+
+    so a monomial c t^d D^k of the ODE, with lead e = d - k(1+gamma), feeds
+    the levels e and e + gamma of the residual and nothing below e + 2 gamma.
+    Powers of A are reduced in Q(i)[A]/(A^d - rho).  The balance level
+    e_bal must cancel identically (that is the dominant balance), no level
+    may lie below it or strictly between it and e_bal + gamma, and the level
+    e_bal + gamma, linear in a, must fix a consistently across all ring
+    components.  The refined solution is phi ~ t^a e^{A_S t^{-gamma}}.
     """
     if branch.kind != "exponential" or branch.ring is None:
         raise ValueError("power_correction needs an exponential branch")
     gamma = branch.gamma
     modulus = branch.ring["modulus"]
     rho = branch.ring["rho"]
-    scale = branch.ring["scale"]  # A_S = scale * A
-    n = ode.order
-
-    # s_j = d^j/dt^j S as ring elements
-    s: dict[int, dict] = {}
-    for j in range(1, n + 1):
-        sj = {
-            (1 % modulus, 0, -gamma - j): QI(scale * falling_factorial(-gamma, j)),
-            (0, 1, Fraction(-j)): QI((-1) ** (j - 1) * factorial(j - 1)),
-        }
-        if modulus == 1:  # A collapses to its value rho
-            sj = {
-                (0, 0, -gamma - j): QI(scale * falling_factorial(-gamma, j)) * rho,
-                (0, 1, Fraction(-j)): QI((-1) ** (j - 1) * factorial(j - 1)),
-            }
-        s[j] = sj
-
-    def add_into(acc, key, coeff):
-        cur = acc.get(key)
-        tot = coeff if cur is None else cur + coeff
-        if tot:
-            acc[key] = tot
-        else:
-            acc.pop(key, None)
-
-    def mul(e1, e2):
-        out: dict = {}
-        for t1 in e1.items():
-            for t2 in e2.items():
-                key, coeff = _ring_mul(t1, t2, modulus, rho)
-                add_into(out, key, coeff)
-        return out
-
-    bell = {0: {(0, 0, Fraction(0)): QI(1)}}
-    for k in range(n):
-        nxt: dict = {}
-        for l in range(k + 1):
-            c = comb(k, l)
-            for key, coeff in mul(bell[k - l], s[l + 1]).items():
-                add_into(nxt, key, coeff * c)
-        bell[k + 1] = nxt
-
-    residual: dict = {}
-    for k, c in enumerate(ode.coeffs):
-        for d_exp, v in c.c.items():
-            piece = {(0, 0, Fraction(d_exp)): v}
-            for key, coeff in mul(bell[k], piece).items():
-                add_into(residual, key, coeff)
-
-    by_level: dict[Fraction, dict] = {}
-    for (u, v, e), coeff in residual.items():
-        by_level.setdefault(e, {})[(u, v)] = coeff
-
+    kappa = -gamma * branch.ring["scale"]  # A_S = scale * A
+    mu = 1 + gamma
     k1, _ = branch.ring["edge"]
-    e_bal = Fraction(ode.coeffs[k1].valuation()) - k1 * (1 + gamma)
-    if by_level.get(e_bal):
+    e_bal = Fraction(ode.coeffs[k1].valuation()) - k1 * mu
+    top = e_bal + gamma
+
+    def add(vec: dict, k: int, coeff) -> None:
+        """vec += coeff * (kappa A)^k, reduced by A^modulus = rho."""
+        q, u = divmod(k, modulus)
+        for _ in range(q):
+            coeff = coeff * rho
+        vec[u] = vec.get(u, QI(0)) + coeff * kappa**k
+
+    const: dict[Fraction, dict[int, QI]] = {}  # level -> A-power -> coefficient
+    alpha_vec: dict[int, QI] = {}  # coefficient of a at level top
+    for k, c in enumerate(ode.coeffs):
+        for d, v in c.c.items():
+            lead = d - k * mu
+            if lead < e_bal:
+                raise CorrectionNotLinear(f"terms below the balance level at t^{lead}")
+            if lead <= top:
+                add(const.setdefault(lead, {}), k, v)
+            if lead == e_bal and k:
+                add(alpha_vec, k - 1, v * k)
+                add(const.setdefault(top, {}), k - 1, v * (-mu * k * (k - 1) / 2))
+
+    if any(const.get(e_bal, {}).values()):
         raise CorrectionNotLinear("dominant balance level failed to cancel")
-    for e in by_level:
-        if e < e_bal:
-            raise CorrectionNotLinear(f"terms below the balance level at t^{e}")
-        if e_bal < e < e_bal + gamma and by_level[e]:
+    for e in const:
+        if e_bal < e < top and any(const[e].values()):
             raise CorrectionNotLinear(
                 f"nonzero terms at intermediate level t^{e} "
-                f"between balance t^{e_bal} and correction t^{e_bal + gamma}"
+                f"between balance t^{e_bal} and correction t^{top}"
             )
-
-    level = by_level.get(e_bal + gamma, {})
-    alpha_vec: dict[int, QI] = {}
-    beta_vec: dict[int, QI] = {}
-    for (u, v), coeff in level.items():
-        if v >= 2:
-            raise CorrectionNotLinear(
-                "correction balance is quadratic in the log coefficient"
-            )
-        (alpha_vec if v == 1 else beta_vec)[u] = coeff
+    beta_vec = const.get(top, {})
     pivot = next((u for u, c in alpha_vec.items() if c), None)
     if pivot is None:
         raise CorrectionNotLinear(
@@ -982,7 +923,6 @@ def _branches_for_regular(ind: IndicialRoots) -> list[AsymptoticBranch]:
                 "logarithmic",
                 gamma=Fraction(0),
                 power_exponent=root.alpha,
-                log_coeff=root.alpha,
                 log_exponent=root.log_exponent,
             )
         )
@@ -992,7 +932,6 @@ def _branches_for_regular(ind: IndicialRoots) -> list[AsymptoticBranch]:
                     "logarithmic",
                     gamma=Fraction(0),
                     power_exponent=root.alpha,
-                    log_coeff=root.alpha,
                     log_exponent=root.alpha,
                 )
             )

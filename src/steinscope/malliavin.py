@@ -200,7 +200,8 @@ def check_cumulant_formula(F, r: int) -> tuple[Fraction, Fraction]:
     """
     F = _as_chaos(F)
     lhs = factorial(r) * gamma_r(F, r).expectation()
-    rhs = cumulants_from_moments(F.moment, r + 1)
+    moments = list(islice(gaussian_power_moments(F.to_poly()), r + 2))
+    rhs = cumulants_from_moments(moments.__getitem__, r + 1)
     return lhs, rhs
 
 

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from steinscope.algebra import (
     QI,
-    GaussianRationalPoly,
     RationalPoly,
     falling_factorial,
     gaussian_moment,
@@ -28,10 +27,6 @@ poly_st = st.dictionaries(
 ).map(RationalPoly)
 
 qi_st = st.builds(QI, fractions_st, fractions_st)
-
-gpoly_st = st.dictionaries(
-    st.integers(min_value=0, max_value=8), qi_st, max_size=6
-).map(GaussianRationalPoly)
 
 
 class TestQI:
@@ -80,12 +75,6 @@ class TestRationalPoly:
         assert p.derivative() == RationalPoly({2: 6, 0: 5})
         assert RationalPoly({0: 7}).derivative().is_zero()
 
-    def test_shift(self):
-        p = RationalPoly({1: 1})
-        assert p.shift(2) == RationalPoly({3: 1})
-        with pytest.raises(ValueError):
-            p.shift(-2)
-
     @given(poly_st, poly_st, poly_st)
     def test_ring_axioms(self, a, b, c):
         assert a + b == b + a
@@ -116,19 +105,6 @@ class TestRationalPoly:
     @given(poly_st, fractions_st)
     def test_evaluation_is_ring_hom(self, a, x):
         assert (a * a)(x) == a(x) * a(x)
-
-
-class TestGaussianRationalPoly:
-    @given(gpoly_st, gpoly_st)
-    def test_conjugate_distributes(self, a, b):
-        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-
-    def test_real_imag_split(self):
-        p = GaussianRationalPoly({0: QI(1, 2), 3: QI(0, -5)})
-        assert p.real_part() == RationalPoly({0: 1})
-        assert p.imag_part() == RationalPoly({0: 2, 3: -5})
-        assert not p.is_real()
-        assert p.real_part().to_gaussian().is_real()
 
 
 def gaussian_expectation(p):

@@ -337,6 +337,38 @@ class TestPowerCorrection:
         with pytest.raises(CorrectionNotLinear, match="failed to cancel"):
             power_correction(ode, branch)
 
+    def test_intermediate_level_raises(self):
+        # gamma = 3: the i t phi' term sits at t^-3, between the balance
+        # level t^-4 and the correction level t^-1
+        ode = CfOde([{}, {0: -3, 1: QI(0, -1)}, {4: -3}])
+        (branch,) = exp_branches(ode)
+        with pytest.raises(
+            CorrectionNotLinear,
+            match=r"intermediate level t\^-3 between balance t\^-4 and correction t\^-1",
+        ):
+            power_correction(ode, branch)
+
+    def test_complex_log_coefficient_raises(self):
+        ode = CfOde([{}, {0: 1}, {2: 2, 3: QI(2, -2)}])
+        (branch,) = exp_branches(ode)
+        with pytest.raises(CorrectionNotLinear, match=r"not real \(\(5/2-1/2\*i\)\)"):
+            power_correction(ode, branch)
+
+    def test_inconsistent_ring_components_raise(self):
+        # d = 2: the t^5 phi''' term lands in the A^1 component, which the
+        # log coefficient (fixed by the A^0 component) cannot balance
+        ode = CfOde([{}, {0: 2}, {}, {4: -2, 5: -1}])
+        branches = exp_branches(ode)
+        assert len(branches) == 2
+        for branch in branches:
+            with pytest.raises(CorrectionNotLinear, match="inconsistent across ring"):
+                power_correction(ode, branch)
+
+    def test_branch_of_another_ode_below_balance_raises(self):
+        (branch,) = exp_branches(ode_of("H4_T2m3"))
+        with pytest.raises(CorrectionNotLinear, match=r"below the balance level at t\^-2"):
+            power_correction(ode_of("PN:p=4"), branch)
+
     def test_needs_exponential_branch(self):
         ode = ode_of("H3_T4m3")
         bounded = [b for b in dominant_balance(ode) if b.kind == "bounded"][0]

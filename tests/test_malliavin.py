@@ -11,6 +11,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from steinscope import malliavin
+from steinscope.algebra import gaussian_power_moments
 from steinscope.malliavin import (
     ChaosElement,
     L_inverse,
@@ -202,6 +204,17 @@ class TestCumulantFormula:
         assert check_cumulant_formula(H(4), 3)[1] == 366336
         assert check_cumulant_formula(H(4), 4)[1] == 123752448
         assert check_cumulant_formula(H(4), 5)[1] == 61557719040
+
+    def test_moments_come_from_one_engine_run(self, monkeypatch):
+        runs = []
+
+        def counting(f):
+            runs.append(f)
+            return gaussian_power_moments(f)
+
+        monkeypatch.setattr(malliavin, "gaussian_power_moments", counting)
+        assert check_cumulant_formula(H(3), 5) == (11314080, 11314080)
+        assert len(runs) == 1
 
     def test_second_cumulant_is_factorial(self):
         for p in range(1, 7):
