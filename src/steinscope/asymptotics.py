@@ -14,10 +14,13 @@ The analysis is exact throughout:
 
 * ``classify_singularity`` applies the valuation test to the c_i.
 * ``indicial_roots`` computes the Frobenius indicial polynomial at a regular
-  singular point, extracts its rational roots with multiplicity, and decides
-  the log cases (repeated roots, and integer-gap roots via the exact series
-  recurrence: a log term enters iff the accumulated forcing at the gap index
-  is nonzero).
+  singular point, extracts its rational roots with multiplicity (Sturm
+  isolation on integers, no trial division), and decides the log cases:
+  repeated roots, and integer-gap roots, where a log term enters iff the
+  forcing at the gap index is nonzero.  With one level above the indicial
+  one that is read off the rational roots of the two level polynomials;
+  with more, the exact series recurrence is walked within LOG_WALK_TERMS
+  terms, and a longer gap leaves the verdict inconclusive.
 * ``dominant_balance`` substitutes the ansatz phi = e^{S(t)},
   S'(t) = A t^{-1-gamma}, and reads the balances off the lower Newton
   polygon of the points (derivative order k, valuation of c_k).  Edges of
@@ -143,16 +146,67 @@ def _canonical_magnitude(mag_pow: Fraction, root: int) -> tuple[Fraction, int]:
     return (mag_pow, root)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _primitive(coeffs) -> list[int]:
+    """Rational coefficients scaled by a positive number to coprime integers."""
+    scale = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder over Q of dense coefficient lists, constant first."""
+    num = [Fraction(c) for c in num]
+    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for shift in reversed(range(len(quot))):
+        q = quot[shift] = num[shift + len(den) - 1] / den[-1]
+        for i, c in enumerate(den):
+            num[shift + i] -= q * c
+    rem = num[: len(den) - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _horner(coeffs: list[int], y: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * y + c
+    return acc
+
+
+def _integer_roots(g: list[int]) -> list[int]:
+    """Integer roots of a monic square-free integer polynomial, constant first.
+
+    Every root lies in (-M-1, M] with M the largest |g_i| below the leading
+    term (Cauchy's bound).  With V(y) the sign changes of the Sturm chain at
+    y, the interval (a, b] holds V(a) - V(b) distinct roots; an interval
+    that holds a root is halved until a single integer b is left, which is
+    tested.
+    """
+    chain = [g, _primitive([i * c for i, c in enumerate(g)][1:])]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _primitive(_divmod(chain[-2], chain[-1])[1])])
+
+    def changes(y: int) -> int:
+        signs = [v > 0 for v in (_horner(p, y) for p in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = max(abs(c) for c in g[:-1])
+    stack = [(-bound - 1, bound, changes(-bound - 1), changes(bound))]
+    roots = []
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if not _horner(g, hi):
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = changes(mid)
+        stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+    return roots
 
 
 def _rational_roots(poly: RationalPoly) -> tuple[dict[Fraction, int], RationalPoly]:
@@ -160,6 +214,15 @@ def _rational_roots(poly: RationalPoly) -> tuple[dict[Fraction, int], RationalPo
 
     The residual is the polynomial left after deflating every rational root;
     it is a (nonzero) constant exactly when the polynomial splits over Q.
+    With f the primitive integer form of the polynomial (zero roots
+    removed), the roots are those of its square-free part f / gcd(f, f'):
+    made monic by y = a_n x, its rational roots are the integer roots y, which
+    ``_integer_roots`` isolates without factoring any coefficient.  Each root
+    p/q is then divided out of f as often as q x - p divides it.  The
+    residual keeps the scaling of one-root-at-a-time deflation: the
+    polynomial itself when no nonzero root exists, otherwise the integer
+    quotient times the denominator q of the last root in the order
+    (|p|, q, p < 0).
     """
     if poly.is_zero():
         raise ValueError("cannot extract roots of the zero polynomial")
@@ -168,42 +231,26 @@ def _rational_roots(poly: RationalPoly) -> tuple[dict[Fraction, int], RationalPo
     if v:
         roots[Fraction(0)] = v
         poly = RationalPoly({d - v: c for d, c in poly.c.items()})
-    dense = [poly.coeff(d) for d in range(poly.degree() + 1)]
-    while len(dense) > 1:
-        lcm = 1
-        for c in dense:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in dense]
-        g = 0
-        for c in ints:
-            g = math.gcd(g, c)
-        ints = [c // g for c in ints]
-        found = None
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    acc = Fraction(0)
-                    for c in reversed(ints):
-                        acc = acc * cand + c
-                    if acc == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots[found] = roots.get(found, 0) + 1
-        # synthetic division by (x - found)
-        out = []
-        acc = Fraction(0)
-        for c in reversed(ints):
-            acc = acc * found + c
-            out.append(acc)
-        dense = [Fraction(c) for c in reversed(out[:-1])]
-    residual = RationalPoly({d: c for d, c in enumerate(dense)})
-    return roots, residual
+    f = _primitive([poly.coeff(d) for d in range(poly.degree() + 1)])
+    if len(f) == 1:
+        return roots, poly
+    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    while b:  # Euclid: a ends as gcd(f, f')
+        rem = _divmod(a, b)[1]
+        a, b = b, _primitive(rem) if rem else []
+    square_free = _primitive(_divmod(f, a)[0])
+    lead, n = square_free[-1], len(square_free) - 1
+    monic = [c * lead ** (n - 1 - i) for i, c in enumerate(square_free[:-1])] + [1]
+    found = [Fraction(y, lead) for y in _integer_roots(monic)]
+    if not found:
+        return roots, poly
+    for x in found:
+        linear = [-x.numerator, x.denominator]
+        while not (division := _divmod(f, linear))[1]:
+            f = division[0]
+            roots[x] = roots.get(x, 0) + 1
+    last = max(found, key=lambda x: (abs(x.numerator), x.denominator, x < 0))
+    return roots, RationalPoly({d: last.denominator * c for d, c in enumerate(f)})
 
 
 def _factor_common_unit(values: list[QI]) -> tuple[QI, list[Fraction]] | None:
@@ -270,6 +317,10 @@ def classify_singularity(ode: CfOde) -> SingularityClass:
 
 # --- Frobenius indicial analysis ---------------------------------------------
 
+# Work budget of the term-by-term log test, used only when two or more levels
+# lie above the indicial one: the largest integer gap it walks.
+LOG_WALK_TERMS = 1000
+
 
 class IndicialRoot:
     """One indicial root: exponent, multiplicity, and log obstruction.
@@ -305,14 +356,16 @@ class IndicialRoots:
     ``residual`` is the part of the indicial polynomial that has no rational
     roots (a nonzero constant when everything factored); it is surfaced so a
     partial factorisation is never silently treated as complete.
+    ``undecided`` names each root whose log test ran past LOG_WALK_TERMS.
     """
 
-    __slots__ = ("roots", "polynomial", "residual")
+    __slots__ = ("roots", "polynomial", "residual", "undecided")
 
-    def __init__(self, roots, polynomial: RationalPoly, residual: RationalPoly):
+    def __init__(self, roots, polynomial: RationalPoly, residual: RationalPoly, undecided=()):
         self.roots = tuple(roots)
         self.polynomial = polynomial
         self.residual = residual
+        self.undecided = tuple(undecided)
 
     def __iter__(self):
         return iter(sorted({r.alpha for r in self.roots}))
@@ -353,8 +406,65 @@ def _level_polynomials(ode: CfOde) -> dict[int, GaussianRationalPoly]:
     return {r: p for r, p in levels.items() if not p.is_zero()}
 
 
+def _qi_rational_roots(poly: GaussianRationalPoly) -> list[Fraction]:
+    """Distinct rational roots of a nonzero polynomial over Q(i).
+
+    A rational beta is a root exactly when both the real and the imaginary
+    part vanish there.
+    """
+    re = RationalPoly({d: v.re for d, v in poly.c.items()})
+    im = RationalPoly({d: v.im for d, v in poly.c.items()})
+    first, other = (re, im) if not re.is_zero() else (im, re)
+    return [beta for beta in _rational_roots(first)[0] if not other(beta)]
+
+
+def _chain_log(alpha: Fraction, alphas: list, step: int, p_step) -> Fraction | None:
+    """Log exponent of the simple root alpha when P_step is the only level above P_0.
+
+    The recurrence P_0(alpha + m) u_m = -P_step(alpha + m - step) u_{m-step}
+    leaves u_m nonzero only on the chain m = step, 2 step, ... .  The chain
+    dies at the first exponent alpha + m = beta + step with beta a root of
+    P_step (the forcing there is zero, so no log enters at it), and a log
+    enters at the first other indicial root the live chain reaches.
+    """
+
+    def on_chain(e: Fraction) -> bool:
+        m = e - alpha
+        return m > 0 and m.denominator == 1 and m % step == 0
+
+    ends = [beta + step for beta in _qi_rational_roots(p_step)]
+    dies = min(filter(on_chain, ends), default=None)
+    return min((e for e in alphas if on_chain(e) and (dies is None or e < dies)), default=None)
+
+
+def _walk_log(alpha: Fraction, gap: int, p0, higher: list) -> Fraction | None:
+    """Log exponent of the simple root alpha from the series terms u_1 .. u_gap."""
+    u = [QI(1)]
+    for m in range(1, gap + 1):
+        forcing = QI(0)
+        for r, pr in higher:
+            if r > m:
+                break
+            forcing = forcing + pr(alpha + m - r) * u[m - r]
+        head = p0(alpha + m)
+        if head:
+            u.append(-forcing / head)
+        elif forcing:
+            return alpha + m
+        else:
+            u.append(QI(0))  # free coefficient; fix the log-free choice
+    return None
+
+
 def indicial_roots(ode: CfOde) -> IndicialRoots:
-    """Frobenius indicial roots at t = 0, with multiplicities and log flags."""
+    """Frobenius indicial roots at t = 0, with multiplicities and log flags.
+
+    A simple root alpha with a larger root at an integer gap may carry a log
+    term.  With no level above P_0 it never does; with one level it is read
+    off the root sets by ``_chain_log``; with more, the series is walked term
+    by term, up to LOG_WALK_TERMS terms.  A root whose gap exceeds that
+    budget is listed in ``undecided``.
+    """
     sing = classify_singularity(ode)
     if sing.kind != "regular_singular":
         raise NotRegularSingular(
@@ -370,39 +480,26 @@ def indicial_roots(ode: CfOde) -> IndicialRoots:
     _, reals = factored
     poly = RationalPoly(dict(enumerate(reals)))
     roots, residual = _rational_roots(poly)
+    higher = sorted((r, p) for r, p in levels.items() if r > 0)
 
-    def p0_at(x: Fraction) -> QI:
-        return p0(x)
-
-    entries = []
+    entries, undecided = [], []
     alphas = sorted(roots)
     for alpha in alphas:
-        mult = roots[alpha]
+        gaps = [int(e - alpha) for e in alphas if e > alpha and (e - alpha).denominator == 1]
+        gap = max(gaps, default=0)
         log_exp = None
-        if mult == 1:
-            gaps = sorted(
-                int(other - alpha)
-                for other in alphas
-                if other > alpha and (other - alpha).denominator == 1
-            )
-            if gaps:
-                u = {0: QI(1)}
-                for m in range(1, gaps[-1] + 1):
-                    forcing = QI(0)
-                    for r in range(1, m + 1):
-                        pr = levels.get(r)
-                        if pr is not None:
-                            forcing = forcing + pr(alpha + m - r) * u[m - r]
-                    head = p0_at(alpha + m)
-                    if head:
-                        u[m] = -forcing / head
-                    elif forcing:
-                        log_exp = alpha + m
-                        break
-                    else:
-                        u[m] = QI(0)  # free coefficient; fix the log-free choice
-        entries.append(IndicialRoot(alpha, mult, log_exp))
-    return IndicialRoots(entries, poly, residual)
+        if roots[alpha] == 1 and gap and higher:
+            if len(higher) == 1:
+                log_exp = _chain_log(alpha, alphas, *higher[0])
+            elif gap <= LOG_WALK_TERMS:
+                log_exp = _walk_log(alpha, gap, p0, higher)
+            else:
+                undecided.append(
+                    f"log test for root {alpha} undecided: its integer gap {gap} "
+                    f"exceeds the series budget LOG_WALK_TERMS = {LOG_WALK_TERMS}"
+                )
+        entries.append(IndicialRoot(alpha, roots[alpha], log_exp))
+    return IndicialRoots(entries, poly, residual, undecided)
 
 
 # --- Newton polygon and dominant balance -------------------------------------
@@ -643,6 +740,10 @@ def power_correction(ode: CfOde, branch: AsymptoticBranch) -> Fraction:
     kappa = -gamma * branch.ring["scale"]  # A_S = scale * A
     mu = 1 + gamma
     k1, _ = branch.ring["edge"]
+    if ode.coeffs[k1].is_zero():
+        raise CorrectionNotLinear(
+            f"the ODE has no edge term in D^{k1}: the branch is not one of its balances"
+        )
     e_bal = Fraction(ode.coeffs[k1].valuation()) - k1 * mu
     top = e_bal + gamma
 
@@ -1005,6 +1106,9 @@ def verdict_for_ode(
             diagnostics["notes"] = [
                 f"indicial polynomial has non-rational factor {indicial.residual}"
             ]
+            return Verdict("inconclusive", (), (), sing, indicial, diagnostics)
+        if indicial.undecided:
+            diagnostics["notes"] = list(indicial.undecided)
             return Verdict("inconclusive", (), (), sing, indicial, diagnostics)
         table = [
             (b, classify_branch(b, moment_order, symmetric))

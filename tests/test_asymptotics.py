@@ -369,6 +369,12 @@ class TestPowerCorrection:
         with pytest.raises(CorrectionNotLinear, match=r"below the balance level at t\^-2"):
             power_correction(ode_of("PN:p=4"), branch)
 
+    def test_branch_of_another_ode_without_its_edge_term_raises(self):
+        (branch,) = exp_branches(ode_of("H4_T2m3"))  # edge (2, 3)
+        ode = CfOde([{}, {0: 2}, {}, {4: -2, 5: -1}])  # no D^2 term
+        with pytest.raises(CorrectionNotLinear, match=r"no edge term in D\^2"):
+            power_correction(ode, branch)
+
     def test_needs_exponential_branch(self):
         ode = ode_of("H3_T4m3")
         bounded = [b for b in dominant_balance(ode) if b.kind == "bounded"][0]

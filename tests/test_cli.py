@@ -5,7 +5,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import jsonschema
 import pytest
 
 import steinscope
+from steinscope.asymptotics import LOG_WALK_TERMS, _level_polynomials
 from steinscope.cli import (
     UsageError,
     _versions,
@@ -21,7 +24,7 @@ from steinscope.cli import (
     report_json,
     save_report,
 )
-from steinscope.operators import SteinOperator, catalog_get
+from steinscope.operators import SteinOperator, catalog_get, psi_transform
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -258,6 +261,62 @@ class TestAnalyze:
         code_sym, report_sym = run_report("analyze", "--op", str(path), "--symmetric")
         assert code_sym == 0
         assert report_sym["result"]["verdict"]["conditions"] == ["symmetry"]
+
+
+class TestAnalyzeBoundedWork:
+    """Regular singular inputs whose work used to grow with their numbers."""
+
+    @staticmethod
+    def euler_file(path, a, b, c, extra=()):
+        """y^3 D^3 + c2 y^2 D^2 + c1 y D + c0 + y D^2 with indicial roots -a, -b, -c.
+
+        ``extra`` adds (i, j) entries y^i D^j of coefficient 1; y D^2 and
+        D^2 put Frobenius levels 1 and 2 above the indicial one.
+        """
+        entries = {
+            (0, 0): a * b * c,
+            (1, 1): a * b + b * c + c * a + a + b + c + 1,
+            (2, 2): a + b + c + 3,
+            (3, 3): 1,
+            (1, 2): 1,
+        }
+        entries.update({key: 1 for key in extra})
+        coeff = [[str(Fraction(entries.get((i, j), 0))) for j in range(4)] for i in range(4)]
+        path.write_text(json.dumps({"name": path.stem, "T": 3, "m": 3, "coeff": coeff}))
+        return path
+
+    def test_sixteen_digit_indicial_constant(self, tmp_path):
+        roots = (Fraction(1000003, 3), Fraction(1000033, 7), Fraction(1000037, 11))
+        path = self.euler_file(tmp_path / "euler.json", *roots)
+        start = time.perf_counter()
+        code, report = run_report("analyze", "--op", path)
+        elapsed = time.perf_counter() - start
+        indicial = report["result"]["verdict"]["indicial_roots"]
+        assert roots[0] * roots[1] * roots[2] > 10**15  # the constant term c0
+        assert {Fraction(r["alpha"]) for r in indicial["roots"]} == {-r for r in roots}
+        assert indicial["residual"] is None
+        assert code == 1
+        assert elapsed < 1.0
+
+    def test_log_walk_over_budget_is_inconclusive(self, tmp_path):
+        # indicial roots 0, -1/2 and -100000: the gap 100000 from -100000 to 0,
+        # with two levels above the indicial one, exceeds the walk budget
+        path = self.euler_file(
+            tmp_path / "gap.json", Fraction(0), Fraction(100000), Fraction(1, 2), extra=[(0, 2)]
+        )
+        ode = psi_transform(load_operator_file(path))
+        assert sorted(_level_polynomials(ode)) == [0, 1, 2]
+        start = time.perf_counter()
+        code, report = run_report("analyze", "--op", path)
+        elapsed = time.perf_counter() - start
+        verdict = report["result"]["verdict"]
+        assert code == 1
+        assert verdict["status"] == "inconclusive"
+        assert verdict["diagnostics"]["notes"] == [
+            "log test for root -100000 undecided: its integer gap 100000 exceeds "
+            f"the series budget LOG_WALK_TERMS = {LOG_WALK_TERMS}"
+        ]
+        assert elapsed < 1.0
 
 
 class TestVerify:
