@@ -2,20 +2,23 @@
 Gaussian rationals, plus the monomial form of the Hermite polynomials and
 the Gaussian moments of polynomials.
 
-Coefficients are :class:`fractions.Fraction` throughout; nothing in this
-module touches floating point.  Polynomials are stored sparsely as
-``{degree: coefficient}`` dictionaries with zero coefficients pruned, so the
-zero polynomial is the empty dict.  Two coefficient domains appear:
+Coefficients are :class:`fractions.Fraction` throughout.  Polynomials are
+stored sparsely as ``{degree: coefficient}`` dictionaries with zero
+coefficients pruned, so the zero polynomial is the empty dict.  Two
+coefficient domains appear:
 
 * :class:`RationalPoly` -- polynomials over Q,
 * :class:`GaussianRationalPoly` -- polynomials over Q(i), with each
   coefficient a :class:`QI` pair (real, imaginary).
 
-The sparse-dict ring they share (``_SparseDict``) also carries the Hermite
-chaos expansions of ``malliavin.ChaosElement``.  ``hermite_to_monomial``
-gives the probabilists' (monic) Hermite polynomial H_q in monomials: H_0 = 1,
+``accumulate`` is the package's one add-and-prune loop for sparse dicts.
+The sparse-dict ring (``_SparseDict``) also carries the Hermite chaos
+expansions of ``malliavin.ChaosElement``.  ``hermite_to_monomial`` gives the
+probabilists' (monic) Hermite polynomial H_q in monomials: H_0 = 1,
 H_1 = x, H_3 = x^3 - 3x, and E[H_a(X) H_b(X)] = a! delta_{ab} for
 X ~ N(0,1).  ``gaussian_power_moments`` is the one engine for E[f(X)^k].
+``RationalPoly.float_coefficients`` is the one numpy entry; it loads numpy
+when called, so exact code never imports it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,26 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import lcm
+from math import comb, lcm
 from operator import mul
+
+
+def accumulate(pairs, out=None) -> dict:
+    """Add each (key, value) of ``pairs`` into ``out`` (a new dict if None).
+
+    A key whose sum is zero is dropped, so the result holds only nonzero
+    values; values may be Fractions, QI or sparse polynomials.  Returns
+    ``out``.
+    """
+    out = {} if out is None else out
+    for key, value in pairs:
+        if key in out:
+            value = out[key] + value
+        if value:
+            out[key] = value
+        else:
+            out.pop(key, None)
+    return out
 
 
 def _as_fraction(x) -> Fraction:
@@ -160,6 +181,9 @@ class _SparseDict:
     def is_zero(self) -> bool:
         return not self.c
 
+    def __bool__(self):
+        return bool(self.c)
+
     def degree(self) -> int:
         """Degree, with the zero element given degree -1."""
         return max(self.c) if self.c else -1
@@ -178,14 +202,7 @@ class _SparseDict:
     def __add__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        out = dict(self.c)
-        for d, v in other.c.items():
-            s = out.get(d, self._zero) + v
-            if s:
-                out[d] = s
-            else:
-                out.pop(d, None)
-        return self._new(out)
+        return self._new(accumulate(other.c.items(), dict(self.c)))
 
     def __neg__(self):
         return self._new({d: -v for d, v in self.c.items()})
@@ -222,16 +239,9 @@ class _SparsePoly(_SparseDict):
         return self.c[max(self.c)]
 
     def _product(self, other) -> dict:
-        out = {}
-        for d1, v1 in self.c.items():
-            for d2, v2 in other.c.items():
-                d = d1 + d2
-                s = out.get(d, self._zero) + v1 * v2
-                if s:
-                    out[d] = s
-                else:
-                    out.pop(d, None)
-        return out
+        return accumulate(
+            (d1 + d2, v1 * v2) for d1, v1 in self.c.items() for d2, v2 in other.c.items()
+        )
 
     def derivative(self):
         return self._new({d - 1: d * v for d, v in self.c.items() if d >= 1})
@@ -267,6 +277,24 @@ class RationalPoly(_SparsePoly):
 
     def to_gaussian(self) -> "GaussianRationalPoly":
         return GaussianRationalPoly({d: QI(v) for d, v in self.c.items()})
+
+    def float_coefficients(self):
+        """Dense numpy float array of the coefficients, constant first.
+
+        The zero polynomial gives [0.].  A coefficient too large for a float
+        raises OverflowError naming its degree.
+        """
+        import numpy as np
+
+        dense = np.zeros(max(self.degree() + 1, 1))
+        for d, v in self.c.items():
+            try:
+                dense[d] = float(v)
+            except OverflowError:
+                raise OverflowError(
+                    f"the x^{d} coefficient does not fit in a float"
+                ) from None
+        return dense
 
 
 def _as_qi(x) -> QI:
@@ -342,6 +370,35 @@ def gaussian_power_moments(f: RationalPoly):
             for d, pd in enumerate(power, i):
                 nxt[d] += gi * pd
         power = nxt
+
+
+def cumulants_from_moments(moment_oracle, r: int) -> Fraction:
+    """kappa_r from a moment oracle, by the standard recursion.
+
+    kappa_n = mu_n - sum_{m=1}^{n-1} C(n-1, m-1) kappa_m mu_{n-m}.
+    """
+    if r < 1:
+        raise ValueError("cumulant order must be >= 1")
+    mu = [Fraction(1)] + [_as_fraction(moment_oracle(n)) for n in range(1, r + 1)]
+    kappa = [Fraction(0)]
+    for n in range(1, r + 1):
+        k_n = mu[n] - sum(
+            comb(n - 1, m - 1) * kappa[m] * mu[n - m] for m in range(1, n)
+        )
+        kappa.append(k_n)
+    return kappa[r]
+
+
+@lru_cache(maxsize=None)
+def falling_poly(k: int, start: int = 0) -> RationalPoly:
+    """(x)_k / (x)_start = (x - start) (x - start - 1) ... (x - k + 1) in x.
+
+    Cached; callers must not modify the result.
+    """
+    out = RationalPoly({0: 1})
+    for l in range(start, k):
+        out = out * RationalPoly({1: 1, 0: -l})
+    return out
 
 
 def falling_factorial(x, j: int):

@@ -25,8 +25,9 @@ The analysis is exact throughout:
   S'(t) = A t^{-1-gamma}, and reads the balances off the lower Newton
   polygon of the points (derivative order k, valuation of c_k).  Edges of
   slope sigma > 1 give exponential branches S ~ A_S t^{-gamma} with
-  gamma = sigma - 1 and A^d = -l_{k1}/l_{k2} (endpoint coefficients, with
-  d = k2 - k1 directions); slope-1 edges give power branches phi ~ t^alpha
+  gamma = sigma - 1, A_S = -A/gamma and A^d = rho = -l_{k1}/l_{k2}
+  (endpoint coefficients, with d = k2 - k1 directions), and each keeps rho
+  and its edge (k1, k2); slope-1 edges give power branches phi ~ t^alpha
   with alpha a root of the edge polynomial; edges of slope < 1 contribute
   bounded directions.  Magnitudes are stored as exact pairs
   (rational, root index) with |A_S| = pair[0]^(1/pair[1]), and phases as
@@ -34,13 +35,12 @@ The analysis is exact throughout:
   (-1)^(1/d) = e^{i pi/d}.
 * ``power_correction`` refines an exponential branch with the two-term
   ansatz S = A_S t^{-gamma} + a log t.  By the closed form
-  phi^{(k)}/phi = X^k t^{-k(1+gamma)}
-  + X^{k-1} (k a - (1+gamma) k(k-1)/2) t^{-k(1+gamma)+gamma} + ...
-  (X = -gamma A_S), each ODE monomial feeds at most the balance level and
-  the level gamma above it; the first must cancel in Q(i)[A]/(A^d - rho)
-  and the second, linear in a, fixes a.  Anything below the balance,
-  between the two levels, inconsistent, or unconstrained raises
-  ``CorrectionNotLinear``.
+  phi^{(k)}/phi = A^k t^{-k(1+gamma)}
+  + A^{k-1} (k a - (1+gamma) k(k-1)/2) t^{-k(1+gamma)+gamma} + ...,
+  each ODE monomial feeds at most the balance level and the level gamma
+  above it; the first must cancel in Q(i)[A]/(A^d - rho) and the second,
+  linear in a, fixes a.  Anything below the balance, between the two
+  levels, inconsistent, or unconstrained raises ``CorrectionNotLinear``.
 * ``classify_branch`` turns a branch into an exclusion: real-part signs of
   A_S t^{-gamma} on each side of 0 (principal continuation on t < 0, so the
   left-side phase is theta - gamma) detect blow-up; oscillatory branches
@@ -68,7 +68,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import QI, GaussianRationalPoly, RationalPoly
+from .algebra import QI, GaussianRationalPoly, RationalPoly, accumulate, falling_poly
 from .operators import CfOde, SteinOperator, moment_recurrence, psi_transform
 
 
@@ -263,14 +263,6 @@ def _factor_common_unit(values: list[QI]) -> tuple[QI, list[Fraction]] | None:
     return None
 
 
-def _falling_poly(k: int, start: int = 0) -> GaussianRationalPoly:
-    """(beta)_k / (beta)_start = (beta-start) ... (beta-k+1) as a polynomial in beta."""
-    out = GaussianRationalPoly({0: 1})
-    for l in range(start, k):
-        out = out * GaussianRationalPoly({1: 1, 0: -l})
-    return out
-
-
 # --- singularity classification ---------------------------------------------
 
 
@@ -351,7 +343,7 @@ class IndicialRoot:
 
 
 class IndicialRoots:
-    """Indicial roots of a regular singular point; iterates over exponents.
+    """Indicial roots of a regular singular point.
 
     ``residual`` is the part of the indicial polynomial that has no rational
     roots (a nonzero constant when everything factored); it is surfaced so a
@@ -366,9 +358,6 @@ class IndicialRoots:
         self.polynomial = polynomial
         self.residual = residual
         self.undecided = tuple(undecided)
-
-    def __iter__(self):
-        return iter(sorted({r.alpha for r in self.roots}))
 
     def root_set(self) -> frozenset:
         return frozenset(r.alpha for r in self.roots)
@@ -397,13 +386,11 @@ def _level_polynomials(ode: CfOde) -> dict[int, GaussianRationalPoly]:
     """
     n = ode.order
     w = ode.coeffs[n].valuation()
-    levels: dict[int, GaussianRationalPoly] = {}
-    for k, c in enumerate(ode.coeffs):
-        for d, v in c.c.items():
-            r = (d - k) - (w - n)
-            term = _falling_poly(k) * GaussianRationalPoly({0: v})
-            levels[r] = levels.get(r, GaussianRationalPoly()) + term
-    return {r: p for r, p in levels.items() if not p.is_zero()}
+    return accumulate(
+        ((d - k) - (w - n), falling_poly(k).to_gaussian() * v)
+        for k, c in enumerate(ode.coeffs)
+        for d, v in c.c.items()
+    )
 
 
 def _qi_rational_roots(poly: GaussianRationalPoly) -> list[Fraction]:
@@ -510,10 +497,10 @@ class AsymptoticBranch:
 
     kind "bounded": S' = O(1); ``multiplicity`` such directions.
     kind "exponential": S ~ A_S t^{-gamma} with |A_S| = mag_pow^(1/mag_root)
-    and arg(A_S) = phase * pi; ``ring`` holds (modulus d, rho, scale) with
-    A_S = scale * A and A^d = rho, identifying the branch among the d roots
-    by ``ring["index"]``.  ``power_exponent`` is the refinement exponent a in
-    phi ~ t^a e^{S} once ``power_correction`` has run.
+    and arg(A_S) = phase * pi; A_S = -A/gamma with A^d = ``rho`` and
+    d = k2 - k1 for the Newton-polygon ``edge`` (k1, k2).
+    ``power_exponent`` is the refinement exponent a in phi ~ t^a e^{S} once
+    ``power_correction`` has run.
     kind "logarithmic": S ~ alpha log t, i.e. phi ~ t^alpha, with
     alpha = ``power_exponent`` (reported again as ``log_coeff``);
     ``log_exponent`` marks a t^e log t term when the series carries one
@@ -529,7 +516,8 @@ class AsymptoticBranch:
         "phase",
         "power_exponent",
         "log_exponent",
-        "ring",
+        "rho",
+        "edge",
     )
 
     def __init__(
@@ -542,7 +530,8 @@ class AsymptoticBranch:
         phase=None,
         power_exponent=None,
         log_exponent=None,
-        ring=None,
+        rho=None,
+        edge=None,
     ):
         if kind not in ("bounded", "exponential", "logarithmic"):
             raise ValueError(f"unknown branch kind {kind!r}")
@@ -556,7 +545,8 @@ class AsymptoticBranch:
             None if power_exponent is None else Fraction(power_exponent)
         )
         self.log_exponent = None if log_exponent is None else Fraction(log_exponent)
-        self.ring = ring
+        self.rho = rho
+        self.edge = edge
 
     @property
     def magnitude_pair(self) -> tuple[Fraction, int] | None:
@@ -643,10 +633,11 @@ def dominant_balance(ode: CfOde) -> list[AsymptoticBranch]:
             # power balance: phi ~ t^alpha with sum l_k (alpha)_k = 0; the
             # factor (alpha)_{k1} common to every term is an artifact of
             # lower-order terms, so the edge polynomial starts at k1
-            lead = GaussianRationalPoly()
-            for k in on_edge:
-                l_k = ode.coeffs[k].coeff(v1 + (k - k1))
-                lead = lead + _falling_poly(k, k1) * GaussianRationalPoly({0: l_k})
+            lead = sum(
+                (falling_poly(k, k1).to_gaussian() * ode.coeffs[k].coeff(v1 + (k - k1))
+                 for k in on_edge),
+                GaussianRationalPoly(),
+            )
             factored = _factor_common_unit(
                 [lead.coeff(d) for d in range(lead.degree() + 1)]
             )
@@ -658,15 +649,11 @@ def dominant_balance(ode: CfOde) -> list[AsymptoticBranch]:
                 raise NoBalance(
                     f"slope-1 edge exponents are not rational (residual {residual})"
                 )
-            for alpha in sorted(roots):
-                for _ in range(roots[alpha]):
-                    branches.append(
-                        AsymptoticBranch(
-                            "logarithmic",
-                            gamma=Fraction(0),
-                            power_exponent=alpha,
-                        )
-                    )
+            branches += [
+                AsymptoticBranch("logarithmic", gamma=Fraction(0), power_exponent=alpha)
+                for alpha in sorted(roots)
+                for _ in range(roots[alpha])
+            ]
             continue
         # exponential balance
         if len(on_edge) > 2:
@@ -687,24 +674,19 @@ def dominant_balance(ode: CfOde) -> list[AsymptoticBranch]:
             theta_rho = Fraction(1, 2) if rho.im > 0 else Fraction(3, 2)
             mag_rho = abs(rho.im)
         mag_pow, mag_root = _canonical_magnitude(mag_rho / gamma**d, d)
-        for j in range(d):
-            theta_a = Fraction(theta_rho + 2 * j, d)
-            branches.append(
-                AsymptoticBranch(
-                    "exponential",
-                    gamma=gamma,
-                    mag_pow=mag_pow,
-                    mag_root=mag_root,
-                    phase=(theta_a + 1) % 2,
-                    ring={
-                        "modulus": d,
-                        "rho": rho,
-                        "scale": Fraction(-1, 1) / gamma,
-                        "index": j,
-                        "edge": (k1, k2),
-                    },
-                )
+        # A = rho^(1/d) e^{2 pi i j/d} and A_S = -A/gamma, so arg A_S = arg A + pi
+        branches += [
+            AsymptoticBranch(
+                "exponential",
+                gamma=gamma,
+                mag_pow=mag_pow,
+                mag_root=mag_root,
+                phase=(Fraction(theta_rho + 2 * j, d) + 1) % 2,
+                rho=rho,
+                edge=(k1, k2),
             )
+            for j in range(d)
+        ]
     out = []
     if bounded:
         out.append(AsymptoticBranch("bounded", multiplicity=bounded))
@@ -717,29 +699,27 @@ def dominant_balance(ode: CfOde) -> list[AsymptoticBranch]:
 def power_correction(ode: CfOde, branch: AsymptoticBranch) -> Fraction:
     """Log-correction coefficient a in S = A_S t^{-gamma} + a log t.
 
-    With S' = X t^{-1-gamma} + a/t, X = kappa A and kappa = -gamma * scale,
-    the recursion B_{k+1} = B_k' + S' B_k for phi^{(k)}/phi = B_k gives
+    With S' = A t^{-1-gamma} + a/t (A = -gamma A_S), the recursion
+    B_{k+1} = B_k' + S' B_k for phi^{(k)}/phi = B_k gives
 
-        B_k = X^k t^{-k(1+gamma)}
-              + X^{k-1} (k a - (1+gamma) k(k-1)/2) t^{-k(1+gamma)+gamma}
+        B_k = A^k t^{-k(1+gamma)}
+              + A^{k-1} (k a - (1+gamma) k(k-1)/2) t^{-k(1+gamma)+gamma}
               + O(t^{-k(1+gamma)+2 gamma}),
 
     so a monomial c t^d D^k of the ODE, with lead e = d - k(1+gamma), feeds
     the levels e and e + gamma of the residual and nothing below e + 2 gamma.
-    Powers of A are reduced in Q(i)[A]/(A^d - rho).  The balance level
-    e_bal must cancel identically (that is the dominant balance), no level
-    may lie below it or strictly between it and e_bal + gamma, and the level
-    e_bal + gamma, linear in a, must fix a consistently across all ring
-    components.  The refined solution is phi ~ t^a e^{A_S t^{-gamma}}.
+    Powers of A are reduced in Q(i)[A]/(A^d - rho) with d = k2 - k1 from
+    the branch's edge.  The balance level e_bal must cancel identically
+    (that is the dominant balance), no level may lie below it or strictly
+    between it and e_bal + gamma, and the level e_bal + gamma, linear in a,
+    must fix a consistently across all ring components.  The refined
+    solution is phi ~ t^a e^{A_S t^{-gamma}}.
     """
-    if branch.kind != "exponential" or branch.ring is None:
+    if branch.kind != "exponential" or branch.rho is None:
         raise ValueError("power_correction needs an exponential branch")
-    gamma = branch.gamma
-    modulus = branch.ring["modulus"]
-    rho = branch.ring["rho"]
-    kappa = -gamma * branch.ring["scale"]  # A_S = scale * A
+    gamma, rho = branch.gamma, branch.rho
     mu = 1 + gamma
-    k1, _ = branch.ring["edge"]
+    k1, k2 = branch.edge
     if ode.coeffs[k1].is_zero():
         raise CorrectionNotLinear(
             f"the ODE has no edge term in D^{k1}: the branch is not one of its balances"
@@ -747,36 +727,38 @@ def power_correction(ode: CfOde, branch: AsymptoticBranch) -> Fraction:
     e_bal = Fraction(ode.coeffs[k1].valuation()) - k1 * mu
     top = e_bal + gamma
 
-    def add(vec: dict, k: int, coeff) -> None:
-        """vec += coeff * (kappa A)^k, reduced by A^modulus = rho."""
-        q, u = divmod(k, modulus)
+    def reduced(k: int, coeff) -> tuple[int, QI]:
+        """(u, c) with c A^u = coeff A^k modulo A^d = rho."""
+        q, u = divmod(k, k2 - k1)
         for _ in range(q):
             coeff = coeff * rho
-        vec[u] = vec.get(u, QI(0)) + coeff * kappa**k
+        return u, coeff
 
-    const: dict[Fraction, dict[int, QI]] = {}  # level -> A-power -> coefficient
-    alpha_vec: dict[int, QI] = {}  # coefficient of a at level top
+    terms: dict[Fraction, list] = {}  # level -> [(A-power, coefficient)]
+    alpha_terms = []  # the coefficient of a at level top
     for k, c in enumerate(ode.coeffs):
         for d, v in c.c.items():
             lead = d - k * mu
             if lead < e_bal:
                 raise CorrectionNotLinear(f"terms below the balance level at t^{lead}")
             if lead <= top:
-                add(const.setdefault(lead, {}), k, v)
+                terms.setdefault(lead, []).append(reduced(k, v))
             if lead == e_bal and k:
-                add(alpha_vec, k - 1, v * k)
-                add(const.setdefault(top, {}), k - 1, v * (-mu * k * (k - 1) / 2))
+                alpha_terms.append(reduced(k - 1, v * k))
+                terms.setdefault(top, []).append(reduced(k - 1, v * (-mu * k * (k - 1) / 2)))
+    const = {e: accumulate(pairs) for e, pairs in terms.items()}
+    alpha_vec = accumulate(alpha_terms)
 
-    if any(const.get(e_bal, {}).values()):
+    if const.get(e_bal):
         raise CorrectionNotLinear("dominant balance level failed to cancel")
     for e in const:
-        if e_bal < e < top and any(const[e].values()):
+        if e_bal < e < top and const[e]:
             raise CorrectionNotLinear(
                 f"nonzero terms at intermediate level t^{e} "
                 f"between balance t^{e_bal} and correction t^{top}"
             )
     beta_vec = const.get(top, {})
-    pivot = next((u for u, c in alpha_vec.items() if c), None)
+    pivot = next(iter(alpha_vec), None)
     if pivot is None:
         raise CorrectionNotLinear(
             "correction balance places no constraint on the log coefficient"
@@ -857,97 +839,61 @@ def classify_branch(
 # --- symbolic moment forcing --------------------------------------------------
 
 
-class _LinearMoments:
-    """Moments as exact linear expressions in lazily created free unknowns."""
-
-    def __init__(self, zero_mean: bool, symmetry: bool):
-        self.zero_mean = zero_mean
-        self.symmetry = symmetry
-        self.moments: dict[int, dict] = {0: {None: Fraction(1)}}
-        self.sym_moment: dict[int, int] = {}
-        self.counter = 0
-
-    def get(self, nth: int) -> dict:
-        if nth not in self.moments:
-            if (self.symmetry and nth % 2) or (self.zero_mean and nth == 1):
-                self.moments[nth] = {}
-            else:
-                sym = self.counter
-                self.counter += 1
-                self.sym_moment[sym] = nth
-                self.moments[nth] = {sym: Fraction(1)}
-        return self.moments[nth]
-
-    def known(self, nth: int) -> bool:
-        return nth in self.moments or (self.symmetry and nth % 2) or (
-            self.zero_mean and nth == 1
-        )
-
-    @staticmethod
-    def _add_scaled(acc: dict, expr: dict, scale: Fraction):
-        for k, v in expr.items():
-            tot = acc.get(k, Fraction(0)) + scale * v
-            if tot:
-                acc[k] = tot
-            else:
-                acc.pop(k, None)
-
-    def set_from_row(self, nth: int, rest: dict, coeff: Fraction):
-        expr: dict = {}
-        self._add_scaled(expr, rest, Fraction(-1) / coeff)
-        self.moments[nth] = expr
-
-    def pin_symbol(self, expr: dict) -> bool:
-        """Use expr = 0 to eliminate one free symbol; False if inconsistent."""
-        syms = [k for k in expr if k is not None]
-        if not syms:
-            return not expr  # pure nonzero constant -> inconsistent
-        sym = max(syms)
-        coeff = expr[sym]
-        sub = {k: -v / coeff for k, v in expr.items() if k != sym}
-        for m_expr in self.moments.values():
-            if sym in m_expr:
-                scale = m_expr.pop(sym)
-                self._add_scaled(m_expr, sub, scale)
-        return True
-
-    def free_moment_indices(self) -> list[int]:
-        live = set()
-        for expr in self.moments.values():
-            live.update(k for k in expr if k is not None)
-        return sorted(self.sym_moment[s] for s in live)
-
-
 def _moment_forcing(op: SteinOperator, zero_mean: bool, symmetry: bool):
     """Do the recurrence rows E[S y^k] = 0 pin every moment of the target?
 
     Processes rows until past every degenerate row (vanishing top coefficient)
     plus a safety margin; returns (pinned: bool, free moment orders, rows).
+    Each moment is an exact linear expression {unknown: coefficient} (None is
+    the constant 1) in free unknowns created on first use; a row that cannot
+    solve for its top moment eliminates its newest unknown.
     """
     rec = moment_recurrence(op)
     smax, smin = rec.max_shift, rec.min_shift
     top_roots, _ = _rational_roots(rec.leading_coefficient_poly())
     deg_rows = [int(r) for r in top_roots if r.denominator == 1 and r >= 0]
     rows = (max(deg_rows) + 1 if deg_rows else 0) + (smax - smin) + abs(smax) + 8
-    state = _LinearMoments(zero_mean, symmetry)
+    moments: dict[int, dict] = {0: {None: Fraction(1)}}
+    order: list[int] = []  # unknown u stands for E[W^order[u]]
+
+    def vanishes(nth: int) -> bool:
+        return (symmetry and nth % 2 == 1) or (zero_mean and nth == 1)
+
+    def moment(nth: int) -> dict:
+        if nth not in moments:
+            moments[nth] = {}
+            if not vanishes(nth):
+                moments[nth][len(order)] = Fraction(1)
+                order.append(nth)
+        return moments[nth]
+
     for k in range(rows + 1):
         cs = rec.coefficients(k)
         if not cs:
             continue
         top = k + smax
-        if smax in cs and not state.known(top):
-            rest: dict = {}
-            for sft, v in cs.items():
-                if sft != smax:
-                    state._add_scaled(rest, state.get(k + sft), v)
-            state.set_from_row(top, rest, cs[smax])
+        solve = smax in cs and top not in moments and not vanishes(top)
+        expr = accumulate(
+            (u, v * w)
+            for sft, v in cs.items()
+            if not (solve and sft == smax)
+            for u, w in moment(k + sft).items()
+        )
+        if solve:
+            moments[top] = {u: -w / cs[smax] for u, w in expr.items()}
             continue
-        expr: dict = {}
-        for sft, v in cs.items():
-            state._add_scaled(expr, state.get(k + sft), v)
-        if expr and not state.pin_symbol(expr):
-            return False, [], rows  # inconsistent: no law satisfies the system
-    free = state.free_moment_indices()
+        unknowns = [u for u in expr if u is not None]
+        if not unknowns:
+            if expr:
+                return False, [], rows  # inconsistent: no law satisfies the system
+            continue
+        u = max(unknowns)
+        sub = [(x, -w / expr[u]) for x, w in expr.items() if x != u]
+        for m_expr in moments.values():
+            if u in m_expr:
+                scale = m_expr.pop(u)
+                accumulate(((x, scale * w) for x, w in sub), m_expr)
+    free = sorted({order[u] for m_expr in moments.values() for u in m_expr if u is not None})
     return not free, free, rows
 
 
@@ -1017,26 +963,17 @@ class Verdict:
 
 
 def _branches_for_regular(ind: IndicialRoots) -> list[AsymptoticBranch]:
-    branches = []
-    for root in ind.roots:
-        branches.append(
-            AsymptoticBranch(
-                "logarithmic",
-                gamma=Fraction(0),
-                power_exponent=root.alpha,
-                log_exponent=root.log_exponent,
-            )
+    """One power branch per root and multiplicity; the repeats carry log t at the root."""
+    return [
+        AsymptoticBranch(
+            "logarithmic",
+            gamma=Fraction(0),
+            power_exponent=root.alpha,
+            log_exponent=root.alpha if j else root.log_exponent,
         )
-        for _ in range(root.multiplicity - 1):
-            branches.append(
-                AsymptoticBranch(
-                    "logarithmic",
-                    gamma=Fraction(0),
-                    power_exponent=root.alpha,
-                    log_exponent=root.alpha,
-                )
-            )
-    return branches
+        for root in ind.roots
+        for j in range(root.multiplicity)
+    ]
 
 
 def _apply_conjugate_trap(table: list) -> list[int]:

@@ -49,6 +49,8 @@ from typing import TYPE_CHECKING
 
 from .algebra import (
     _as_fraction,
+    accumulate,
+    cumulants_from_moments,
     gaussian_moment,
     gaussian_power_moments,
     hermite_to_monomial,
@@ -93,23 +95,6 @@ def hermite_poly_moment(p: int, k: int) -> Fraction:
     while len(known) <= k:
         known.append(next(engine))
     return known[k]
-
-
-def cumulants_from_moments(moment_oracle, r: int) -> Fraction:
-    """kappa_r from a moment oracle, by the standard recursion.
-
-    kappa_n = mu_n - sum_{m=1}^{n-1} C(n-1, m-1) kappa_m mu_{n-m}.
-    """
-    if r < 1:
-        raise ValueError("cumulant order must be >= 1")
-    mu = [Fraction(1)] + [_as_fraction(moment_oracle(n)) for n in range(1, r + 1)]
-    kappa = [Fraction(0)]
-    for n in range(1, r + 1):
-        k_n = mu[n] - sum(
-            comb(n - 1, m - 1) * kappa[m] * mu[n - m] for m in range(1, n)
-        )
-        kappa.append(k_n)
-    return kappa[r]
 
 
 def cumulant(dist: "TargetDistribution", r: int) -> Fraction:
@@ -170,11 +155,11 @@ class BesselRatioCf:
 
     def _rep(self, j: int) -> dict:
         while len(self._derivs) <= j:
-            nxt = {}
-            for (nu, k), c in self._derivs[-1].items():
-                nxt[(nu - 1, k)] = nxt.get((nu - 1, k), Fraction(0)) + c
-                nxt[(nu, k + 1)] = nxt.get((nu, k + 1), Fraction(0)) - (nu + k) * c
-            self._derivs.append({key: v for key, v in nxt.items() if v})
+            self._derivs.append(accumulate(
+                pair
+                for (nu, k), c in self._derivs[-1].items()
+                for pair in (((nu - 1, k), c), ((nu, k + 1), -(nu + k) * c))
+            ))
         return self._derivs[j]
 
     def __call__(self, t: float, j: int = 0) -> float:
@@ -221,14 +206,11 @@ class ReciprocalSqrtCf:
 
     def _rep(self, j: int) -> dict:
         while len(self._derivs) <= j:
-            nxt = {}
-            for (e, d), c in self._derivs[-1].items():
-                if d:
-                    key = (e, d - 1)
-                    nxt[key] = nxt.get(key, Fraction(0)) + d * c
-                key = (e - 1, d + 1)
-                nxt[key] = nxt.get(key, Fraction(0)) + 2 * self.sigma2 * e * c
-            self._derivs.append({key: v for key, v in nxt.items() if v})
+            self._derivs.append(accumulate(
+                pair
+                for (e, d), c in self._derivs[-1].items()
+                for pair in (((e, d - 1), d * c), ((e - 1, d + 1), 2 * self.sigma2 * e * c))
+            ))
         return self._derivs[j]
 
     def __call__(self, t: float, j: int = 0) -> float:
@@ -252,7 +234,6 @@ class TargetDistribution:
 
     __slots__ = (
         "name",
-        "family",
         "params",
         "symmetric",
         "zero_mean",
@@ -264,7 +245,6 @@ class TargetDistribution:
     def __init__(
         self,
         name: str,
-        family: str,
         params: dict | None,
         *,
         symmetric: bool,
@@ -274,7 +254,6 @@ class TargetDistribution:
         cf=None,
     ):
         self.name = name
-        self.family = family
         self.params = {k: _as_fraction(v) for k, v in (params or {}).items()}
         self.symmetric = bool(symmetric)
         self.zero_mean = bool(zero_mean)
@@ -345,7 +324,6 @@ def _gaussian_target(sigma2: Fraction) -> TargetDistribution:
     sigma = float(sigma2) ** 0.5
     return TargetDistribution(
         "gaussian" if sigma2 == 1 else f"gaussian:sigma2={sigma2}",
-        "gaussian",
         {"sigma2": sigma2},
         symmetric=True,
         zero_mean=True,
@@ -364,7 +342,6 @@ def _semicircle_target() -> TargetDistribution:
 
     return TargetDistribution(
         "semicircle",
-        "semicircle",
         {},
         symmetric=True,
         zero_mean=True,
@@ -378,19 +355,14 @@ def _hermite_target(p: int) -> TargetDistribution:
     def sampler(rng, n):
         import numpy as np
 
-        coef = np.zeros(p + 1)
-        for d, c in hermite_to_monomial(p).c.items():
-            try:
-                coef[d] = float(c)
-            except OverflowError:
-                raise ValueError(
-                    f"H{p}: the x^{d} coefficient of H_{p} does not fit in a float"
-                ) from None
+        try:
+            coef = hermite_to_monomial(p).float_coefficients()
+        except OverflowError as exc:
+            raise ValueError(f"H{p}: {exc}") from None
         return np.polynomial.polynomial.polyval(rng.standard_normal(n), coef)
 
     return TargetDistribution(
         f"H{p}",
-        "H",
         {"p": p},
         symmetric=(p % 2 == 1),
         zero_mean=True,
@@ -402,7 +374,7 @@ def _hermite_target(p: int) -> TargetDistribution:
 
 # The laws of the operator families.  Each builder takes the values parsed
 # against ``FAMILIES[family].params`` and returns the law's capabilities;
-# ``get_target`` adds the canonical spec as name, the family and the values.
+# ``get_target`` adds the canonical spec as name and the values.
 
 
 def _pn_law(p, sigma2) -> dict:
@@ -494,7 +466,7 @@ def get_target(spec: str, **params) -> TargetDistribution:
     family, values, name = parse_spec(spec, params, _target_params)
     if family in TARGET_BUILDERS:
         law = TARGET_BUILDERS[family](**values)
-        return TargetDistribution(name, family, values, **law)
+        return TargetDistribution(name, values, **law)
     if family in _GAUSSIAN_NAMES:
         return _gaussian_target(values["sigma2"])
     if family == "semicircle":

@@ -36,10 +36,11 @@ from .algebra import (
     RationalPoly,
     _as_fraction,
     _SparseDict,
+    accumulate,
+    cumulants_from_moments,
     gaussian_power_moments,
     hermite_to_monomial,
 )
-from .distributions import cumulants_from_moments
 
 __all__ = [
     "ChaosElement",
@@ -80,17 +81,12 @@ class ChaosElement(_SparseDict):
             raise ValueError("Hermite degree must be >= 0")
 
     def _product(self, other) -> dict:
-        out = {}
-        for qa, ca in self.c.items():
-            for qb, cb in other.c.items():
-                scale = ca * cb
-                for q, v in hermite_product(qa, qb).c.items():
-                    s = out.get(q, Fraction(0)) + scale * v
-                    if s:
-                        out[q] = s
-                    else:
-                        out.pop(q, None)
-        return out
+        return accumulate(
+            (q, ca * cb * v)
+            for qa, ca in self.c.items()
+            for qb, cb in other.c.items()
+            for q, v in hermite_product(qa, qb).c.items()
+        )
 
     def expectation(self) -> Fraction:
         """E[F]: the level-0 coefficient, by orthogonality."""
@@ -111,10 +107,7 @@ class ChaosElement(_SparseDict):
         return next(islice(gaussian_power_moments(self.to_poly()), k, None))
 
     def to_poly(self) -> RationalPoly:
-        out = RationalPoly()
-        for q, v in self.c.items():
-            out = out + v * hermite_to_monomial(q)
-        return out
+        return sum((v * hermite_to_monomial(q) for q, v in self.c.items()), RationalPoly())
 
     def __repr__(self):
         if not self.c:

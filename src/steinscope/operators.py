@@ -45,6 +45,8 @@ from .algebra import (
     GaussianRationalPoly,
     RationalPoly,
     _as_fraction,
+    accumulate,
+    falling_poly,
     unit_ipow,
 )
 
@@ -116,14 +118,7 @@ class SteinOperator:
     def __add__(self, other):
         if not isinstance(other, SteinOperator):
             return NotImplemented
-        out = dict(self.a)
-        for key, v in other.a.items():
-            s = out.get(key, Fraction(0)) + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return SteinOperator(out)
+        return SteinOperator(accumulate(other.a.items(), dict(self.a)))
 
     def __rmul__(self, scalar):
         scalar = _as_fraction(scalar)
@@ -181,8 +176,7 @@ class SteinOperator:
             p = self.coefficient_poly(j)
             if p.is_zero():
                 continue
-            head = f"({p})" if len(p.c) > 1 or p.coeff(0) else f"({p})"
-            parts.append(head if j == 0 else f"{head}*D^{j}")
+            parts.append(f"({p})" if j == 0 else f"({p})*D^{j}")
         label = f"{self.name}: " if self.name else ""
         return f"SteinOperator({label}{' + '.join(parts)})"
 
@@ -223,9 +217,6 @@ class CfOde:
         if isinstance(other, CfOde):
             return self.coeffs == other.coeffs
         return NotImplemented
-
-    def scaled(self, u: QI) -> "CfOde":
-        return CfOde([u * c for c in self.coeffs], unit=u)
 
     def __repr__(self):
         terms = []
@@ -312,14 +303,7 @@ class MomentRecurrence:
     __slots__ = ("terms", "operator")
 
     def __init__(self, op: SteinOperator):
-        terms: dict[int, RationalPoly] = {}
-        for (i, j), v in op.a.items():
-            ff = RationalPoly({0: v})
-            for l in range(j):
-                ff = ff * RationalPoly({1: 1, 0: -l})
-            s = i - j
-            terms[s] = terms.get(s, RationalPoly()) + ff
-        self.terms = {s: p for s, p in terms.items() if not p.is_zero()}
+        self.terms = accumulate((i - j, v * falling_poly(j)) for (i, j), v in op.a.items())
         self.operator = op
 
     @property
@@ -388,45 +372,46 @@ def _stirling_row(p: int) -> tuple[int, ...]:
 
 # --- catalog ---------------------------------------------------------------
 
+# name -> (target hint, coefficients {(i, j): a_ij})
 _STATIC_CATALOG = {
     # classical first-order Gaussian operator D - y
-    "gauss_classical": {(0, 1): 1, (1, 0): -1},
+    "gauss_classical": ("N01", {(0, 1): 1, (1, 0): -1}),
     # H3(X) target, (T, m) = (4, 3):
     # 5y - (3y^2+12)D + 207yD^2 + (351y^2-1080)D^3 + (81y^3-324y)D^4
-    "H3_T4m3": {
+    "H3_T4m3": ("H3", {
         (1, 0): 5,
         (2, 1): -3, (0, 1): -12,
         (1, 2): 207,
         (2, 3): 351, (0, 3): -1080,
         (3, 4): 81, (1, 4): -324,
-    },
+    }),
     # H3(X) target, (T, m) = (5, 2):
     # y - 6D - 99yD^2 + (216-27y^2)D^3 + 486yD^4 + (486y^2-1944)D^5
-    "H3_T5m2": {
+    "H3_T5m2": ("H3", {
         (1, 0): 1,
         (0, 1): -6,
         (1, 2): -99,
         (0, 3): 216, (2, 3): -27,
         (1, 4): 486,
         (2, 5): 486, (0, 5): -1944,
-    },
+    }),
     # H4(X) target, (T, m) = (2, 3):
     # (-y^2+50y+24) + (64y^2+72y-1008)D + (16y^3-48y^2-576y+1728)D^2
-    "H4_T2m3": {
+    "H4_T2m3": ("H4", {
         (2, 0): -1, (1, 0): 50, (0, 0): 24,
         (2, 1): 64, (1, 1): 72, (0, 1): -1008,
         (3, 2): 16, (2, 2): -48, (1, 2): -576, (0, 2): 1728,
-    },
+    }),
     # H4(X) target, (T, m) = (3, 2):
     # y - (24+44y)D + (576+144y-16y^2)D^2 + (192y^2+576y-3456)D^3
-    "H4_T3m2": {
+    "H4_T3m2": ("H4", {
         (1, 0): 1,
         (0, 1): -24, (1, 1): -44,
         (0, 2): 576, (1, 2): 144, (2, 2): -16,
         (2, 3): 192, (1, 3): 576, (0, 3): -3456,
-    },
+    }),
     # H5(X) target, (T, m) = (13, 4)
-    "H5_T13m4": {
+    "H5_T13m4": ("H5", {
         (1, 0): 1,
         (0, 1): -120,
         (1, 2): -75325,
@@ -444,9 +429,9 @@ _STATIC_CATALOG = {
         (3, 12): -2160000000000000, (1, 12): 622080000000000000,
         (4, 13): -1080000000000000, (2, 13): 622080000000000000,
         (0, 13): -29859840000000000000,
-    },
+    }),
     # H6(X) target, (T, m) = (6, 3)
-    "H6_T6m3": {
+    "H6_T6m3": ("H6", {
         (1, 0): 1,
         (1, 1): -1278, (0, 1): -720,
         (2, 2): -972, (1, 2): 103320, (0, 2): 756000,
@@ -456,28 +441,17 @@ _STATIC_CATALOG = {
         (2, 5): -314928000, (1, 5): -19945440000, (0, 5): 125971200000,
         (3, 6): -209952000, (2, 6): -19945440000, (1, 6): 251942400000,
         (0, 6): 7558272000000,
-    },
+    }),
     # degree-5 operator annihilating both N(0,1) and the centered semicircle:
     # (1-y^2)D^5 + (y^3-4y)D^4 + (5-2y^2)D^3 + (3y^3-21y)D^2 + 9y^2 D - 9y
-    "gauss_semicircle_T5": {
+    "gauss_semicircle_T5": ("N01", {
         (0, 5): 1, (2, 5): -1,
         (3, 4): 1, (1, 4): -4,
         (0, 3): 5, (2, 3): -2,
         (3, 2): 3, (1, 2): -21,
         (2, 1): 9,
         (1, 0): -9,
-    },
-}
-
-_STATIC_HINTS = {
-    "gauss_classical": "N01",
-    "H3_T4m3": "H3",
-    "H3_T5m2": "H3",
-    "H4_T2m3": "H4",
-    "H4_T3m2": "H4",
-    "H5_T13m4": "H5",
-    "H6_T6m3": "H6",
-    "gauss_semicircle_T5": "N01",  # also annihilates the semicircle law
+    }),
 }
 
 
@@ -636,8 +610,7 @@ def catalog_get(name: str, **params) -> SteinOperator:
     """
     family, values, spec = parse_spec(name, params, _catalog_params)
     if family in _STATIC_CATALOG:
-        return SteinOperator(
-            _STATIC_CATALOG[family], name=family, target_hint=_STATIC_HINTS[family]
-        )
+        hint, coeffs = _STATIC_CATALOG[family]
+        return SteinOperator(coeffs, name=family, target_hint=hint)
     coeffs = FAMILIES[family].operator(**values)
     return SteinOperator(coeffs, name=spec, target_hint=spec)

@@ -151,16 +151,10 @@ class GaussianPolyTest:
         self.label = label if label is not None else f"exp(-y^2/2)*({poly})"
 
     def _poly(self, j: int) -> np.ndarray:
-        import numpy as np
-
         while len(self._polys) <= j:
             p = self._polys[-1]
             self._polys.append(p.derivative() - RationalPoly({1: 1}) * p)
-        p = self._polys[j]
-        dense = np.zeros(max(p.degree() + 1, 1))
-        for d, c in p.c.items():
-            dense[d] = float(c)
-        return dense
+        return self._polys[j].float_coefficients()
 
     def derivative(self, y: np.ndarray, j: int) -> np.ndarray:
         import numpy as np
@@ -169,13 +163,18 @@ class GaussianPolyTest:
         return vals * np.exp(-0.5 * y * y)
 
 
-def default_test_family(t_grid=(Fraction(1, 2), 1, 2), max_poly_degree: int = 2):
+# The frequencies of the default waves and the top degree of its weighted monomials.
+_T_GRID = (Fraction(1, 2), 1, 2)
+_MAX_POLY_DEGREE = 2
+
+
+def default_test_family():
     """The standard family: cos/sin waves on a t-grid plus weighted monomials."""
     family = []
-    for t in t_grid:
+    for t in _T_GRID:
         family.append(TrigTest("cos", t))
         family.append(TrigTest("sin", t))
-    for d in range(max_poly_degree + 1):
+    for d in range(_MAX_POLY_DEGREE + 1):
         label = "exp(-y^2/2)" if d == 0 else f"exp(-y^2/2)*y^{d}"
         family.append(GaussianPolyTest(RationalPoly({d: 1}), label=label))
     return family
@@ -193,21 +192,6 @@ def _welford_merge(a, b):
     mean = mean_a + delta * (n_b / n)
     m2 = m2_a + m2_b + delta * delta * (n_a * n_b / n)
     return (n, mean, m2)
-
-
-def _operator_coefficient_arrays(op: SteinOperator) -> dict[int, np.ndarray]:
-    import numpy as np
-
-    arrays = {}
-    for j in range(op.T + 1):
-        poly = op.coefficient_poly(j)
-        if poly.is_zero():
-            continue
-        dense = np.zeros(poly.degree() + 1)
-        for d, c in poly.c.items():
-            dense[d] = float(c)
-        arrays[j] = dense
-    return arrays
 
 
 def _threads() -> int:
@@ -240,7 +224,8 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
     if family is None:
         family = default_test_family()
     family = list(family)
-    coeff = _operator_coefficient_arrays(op)
+    coeff = {j: op.coefficient_poly(j).float_coefficients()
+             for j in sorted({j for _, j in op.a})}
     sizes = [chunk] * (n // chunk) + ([n % chunk] if n % chunk else [])
 
     def run_chunk(i: int):

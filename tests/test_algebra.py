@@ -9,8 +9,12 @@ from hypothesis import given, strategies as st
 
 from steinscope.algebra import (
     QI,
+    GaussianRationalPoly,
     RationalPoly,
+    accumulate,
+    cumulants_from_moments,
     falling_factorial,
+    falling_poly,
     gaussian_moment,
     gaussian_power_moments,
     hermite_to_monomial,
@@ -202,3 +206,52 @@ def test_falling_factorial():
     assert falling_factorial(5, 3) == 60
     assert falling_factorial(Fraction(1, 2), 2) == Fraction(-1, 4)
     assert falling_factorial(2, 4) == 0
+
+
+class TestAccumulate:
+    def test_zero_sums_are_dropped(self):
+        pairs = [(1, Fraction(1, 2)), (2, 3), (1, Fraction(-1, 2)), (3, 0), (2, 1)]
+        assert accumulate(pairs) == {2: 4}
+
+    def test_adds_into_out_in_place(self):
+        out = {0: Fraction(1), 1: Fraction(2)}
+        result = accumulate([(1, -2), (5, Fraction(1, 3))], out)
+        assert result is out
+        assert out == {0: 1, 5: Fraction(1, 3)}
+
+    def test_gaussian_rational_values(self):
+        assert accumulate([("a", QI(1, 1)), ("a", QI(0, -1)), ("b", QI(0, 2)),
+                           ("b", QI(0, -2))]) == {"a": QI(1)}
+
+    def test_polynomial_values(self):
+        # _SparseDict.__bool__ makes a zero polynomial a zero sum
+        x = RationalPoly({1: 1})
+        out = accumulate([(0, x), (1, RationalPoly({0: 2})), (0, -x)])
+        assert out == {1: RationalPoly({0: 2})}
+        assert not RationalPoly() and not GaussianRationalPoly({3: QI()})
+
+    @given(st.lists(st.tuples(st.integers(0, 4), fractions_st)))
+    def test_matches_summing_then_pruning(self, pairs):
+        sums = {}
+        for key, value in pairs:
+            sums[key] = sums.get(key, 0) + value
+        assert accumulate(pairs) == {k: v for k, v in sums.items() if v}
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_falling_poly_agrees_with_falling_factorial(k):
+    for start in range(k + 1):
+        p = falling_poly(k, start)
+        assert p.degree() == k - start
+        for x in (Fraction(-3), Fraction(1, 2), Fraction(4), Fraction(7, 3)):
+            head = falling_factorial(x, start)
+            if head:
+                assert p(x) == falling_factorial(x, k) / head
+            else:
+                assert p(x) == falling_factorial(x - start, k - start)
+
+
+def test_cumulants_from_moments_of_the_standard_gaussian():
+    assert [cumulants_from_moments(gaussian_moment, r) for r in range(1, 7)] == [
+        0, 1, 0, 0, 0, 0
+    ]

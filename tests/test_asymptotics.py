@@ -248,10 +248,10 @@ class TestNewtonPolygonBranches:
         for spec in ("H3_T4m3", "H5_T13m4", "H6_T6m3", "PN:p=8", "G1G2:r=1,s=2,lam=3"):
             ode = ode_of(spec)
             for b in exp_branches(ode):
-                k1, k2 = b.ring["edge"]
+                k1, k2 = b.edge
                 l1 = ode.coeffs[k1].coeff(ode.coeffs[k1].valuation())
                 l2 = ode.coeffs[k2].coeff(ode.coeffs[k2].valuation())
-                assert l1 + l2 * b.ring["rho"] == QI(0)
+                assert l1 + l2 * b.rho == QI(0)
 
     def test_interior_point_on_exponential_edge_rejected(self):
         # c0 = 1, c1 = t^2, c2 = t^4: one edge of slope 2 carrying k = 0, 1, 2
@@ -331,9 +331,12 @@ class TestPowerCorrection:
     def test_perturbed_magnitude_raises_correction_not_linear(self):
         # Doubling A_S breaks the leading balance; that must surface as
         # CorrectionNotLinear, which verdicts record in correction_failures.
+        # A_S = -A/gamma with A^(k2 - k1) = rho, so doubling A_S multiplies
+        # rho by 2^(k2 - k1).
         ode = ode_of("H4_T2m3")
         (branch,) = exp_branches(ode)
-        branch.ring["scale"] *= 2
+        k1, k2 = branch.edge
+        branch.rho = branch.rho * 2 ** (k2 - k1)
         with pytest.raises(CorrectionNotLinear, match="failed to cancel"):
             power_correction(ode, branch)
 

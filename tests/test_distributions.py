@@ -363,7 +363,7 @@ class TestRegistry:
     def test_custom_target_construction(self):
         # The type is open: a user can wire an ad-hoc law for verification.
         law = TargetDistribution(
-            "shifted", "custom", {},
+            "shifted", {},
             symmetric=False, zero_mean=False,
             sampler=lambda rng, n: 1.0 + rng.standard_normal(n),
         )
