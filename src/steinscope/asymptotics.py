@@ -49,7 +49,8 @@ The analysis is exact throughout:
   excluded for symmetric targets, except when a surviving conjugate pair
   (theta, 2 - theta) admits a real linear combination, which no symmetry
   argument can exclude.
-* ``characterisation_verdict`` / ``verdict_for_ode`` run the pipeline:
+* ``characterisation_verdict`` / ``verdict_for_ode`` run the pipeline
+  (``resolve_target_meta`` fills in the side-condition defaults):
   first-order ODEs characterise outright; regular singular points are
   handled through the indicial roots; irregular ones through dominant
   balance plus corrections; if several admissible directions remain, the
@@ -1020,8 +1021,10 @@ def verdict_for_ode(
     assume; ``symmetric``/``zero_mean`` say which side conditions are
     available (they are consumed only if needed and reported when consumed).
     ``op`` enables the moment-forcing step when several admissible
-    directions remain.
+    directions remain.  A negative ``moment_order`` raises ValueError.
     """
+    if moment_order < 0:
+        raise ValueError(f"moment order {moment_order}; need moment_order >= 0")
     diagnostics: dict = {}
     sing = classify_singularity(ode)
     n = ode.order
@@ -1138,25 +1141,25 @@ def verdict_for_ode(
     return Verdict(status, conditions, table, sing, indicial, diagnostics)
 
 
-def characterisation_verdict(op: SteinOperator, target_meta=None) -> Verdict:
+def resolve_target_meta(op: SteinOperator, target_meta=None) -> dict:
+    """``target_meta`` over its defaults: moment_order = the operator's y-degree
+    m (the order of the transformed ODE), symmetric = zero_mean = False."""
+    meta = {"moment_order": op.m, "symmetric": False, "zero_mean": False}
+    unknown = sorted(set(target_meta or ()) - set(meta))
+    if unknown:
+        raise ValueError(f"unknown target_meta keys {unknown}")
+    return {**meta, **(target_meta or {})}
+
+
+def characterisation_verdict(op: SteinOperator, target_meta=None, ode=None) -> Verdict:
     """Verdict for a Stein operator against its target's metadata.
 
-    ``target_meta`` maps optional keys moment_order (default: the operator's
-    y-degree m, the order of the transformed ODE), symmetric, zero_mean.
+    ``target_meta`` is read by ``resolve_target_meta``.  A caller that
+    already holds ``psi_transform(op)`` passes it as ``ode``.
     """
-    meta = dict(target_meta or {})
-    moment_order = int(meta.pop("moment_order", op.m))
-    symmetric = bool(meta.pop("symmetric", False))
-    zero_mean = bool(meta.pop("zero_mean", False))
-    if meta:
-        raise ValueError(f"unknown target_meta keys {sorted(meta)}")
-    return verdict_for_ode(
-        psi_transform(op),
-        moment_order,
-        symmetric=symmetric,
-        zero_mean=zero_mean,
-        op=op,
-    )
+    if ode is None:
+        ode = psi_transform(op)
+    return verdict_for_ode(ode, **resolve_target_meta(op, target_meta), op=op)
 
 
 # --- leading-order fixtures for the degree-7/8 Hermite targets -----------------

@@ -32,7 +32,7 @@ from importlib.metadata import version
 from pathlib import Path
 
 from . import __version__
-from .asymptotics import characterisation_verdict
+from .asymptotics import characterisation_verdict, resolve_target_meta
 from .discovery import (
     MAX_CONSTRAINTS,
     MAX_UNKNOWNS,
@@ -55,6 +55,7 @@ from .operators import (
     catalog_names,
     psi_transform,
 )
+from .malliavin import check_gamma_characterisation, identity_catalog
 from .verification import check_moment_recurrence, mc_stein_residual
 
 __all__ = [
@@ -191,22 +192,23 @@ def _cmd_transform(args) -> tuple[dict, int]:
 
 def _cmd_analyze(args) -> tuple[dict, int]:
     op = _resolve_operator(args.op)
-    meta = {} if op.target_hint is None else dict(get_target(op.target_hint).meta)
+    meta = {} if op.target_hint is None else get_target(op.target_hint).meta
     if args.symmetric:
         meta["symmetric"] = True
     if args.zero_mean:
         meta["zero_mean"] = True
     if args.moments is not None:
         meta["moment_order"] = args.moments
-    verdict = characterisation_verdict(op, meta)
+    ode = psi_transform(op)
+    meta = resolve_target_meta(op, meta)
+    try:
+        verdict = characterisation_verdict(op, meta, ode=ode)
+    except ValueError as exc:  # --moments < 0
+        raise UsageError(str(exc)) from None
     result = {
         "operator": op.to_json_dict(),
-        "ode": _ode_json(psi_transform(op)),
-        "target_meta": {
-            "moment_order": meta.get("moment_order", op.m),
-            "symmetric": meta.get("symmetric", False),
-            "zero_mean": meta.get("zero_mean", False),
-        },
+        "ode": _ode_json(ode),
+        "target_meta": meta,
         "verdict": verdict.as_json(),
     }
     return result, (1 if verdict.status == "inconclusive" else 0)
@@ -256,8 +258,6 @@ def _cmd_discover(args) -> tuple[dict, int]:
 
 
 def _cmd_gamma(args) -> tuple[dict, int]:
-    from .malliavin import check_gamma_characterisation, identity_catalog
-
     catalog = identity_catalog()
     if args.check not in catalog:
         raise UsageError(

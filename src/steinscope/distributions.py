@@ -296,8 +296,7 @@ class TargetDistribution:
             )
         import numpy as np
 
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        return self._sampler(rng, int(n))
+        return self._sampler(np.random.default_rng(seed), int(n))
 
     def cf(self, t: float, j: int = 0) -> float:
         """j-th derivative of the characteristic function at t."""

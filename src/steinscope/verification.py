@@ -6,18 +6,17 @@ Three modes, one report type:
   relation E[S y^k] = 0 is evaluated as exact rational arithmetic for
   k = 0..K.  Pass means identically zero; there is no tolerance.
 * ``mc_stein_residual``: for sampled targets, E[S f(W)] is estimated over a
-  family of smooth test functions whose derivatives are available in closed
-  form (trigonometric waves and Gaussian-weighted polynomials).  A test
-  passes when |sample mean| <= sigma_mult * standard error (default 4).
+  family of smooth test functions (trigonometric waves and Gaussian-weighted
+  polynomials).  A test passes when |sample mean| <= 4 standard errors.
 * ``ode_residual``: when the target has a closed-form characteristic
   function, the transformed ODE is evaluated directly on a t-grid and the
   worst normalised residual |sum c_i phi^(i)| / (sum |c_i||phi^(i)| + 1) is
   returned.
 
-Derivatives of test functions are never taken numerically: the j-th
-derivative of cos(ty)/sin(ty) is t^j cos(ty + j pi/2) / t^j sin(ty + j pi/2),
-and the class exp(-y^2/2) p(y) is closed under d/dy via p -> p' - y p.  This
-keeps high-order operators stable.
+Both test classes are closed under d/dy, so each image S f is built exactly,
+once, before any sample is drawn: S e^{ity} = e^{ity} P(y), with P read off
+the raw characteristic-function transform, and S maps exp(-y^2/2) p(y) to
+exp(-y^2/2) q(y) with q built from p -> p' - y p.
 
 Monte-Carlo estimation is chunked; chunk i draws from a generator seeded
 with seed + i, so results are reproducible and independent of the number of
@@ -35,16 +34,19 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from functools import reduce
 from typing import TYPE_CHECKING
 
-from .algebra import RationalPoly
-from .operators import CfOde, SteinOperator, moment_recurrence
+from .algebra import RationalPoly, unit_ipow
+from .operators import CfOde, SteinOperator, moment_recurrence, psi_transform
 
 if TYPE_CHECKING:
     import numpy as np
 
 _DEFAULT_N = 10**6
+# Samples per Monte-Carlo chunk, and the standard errors a residual may reach.
 _CHUNK = 1 << 17
+_SIGMA_MULT = 4.0
 
 
 class ResidualReport:
@@ -53,7 +55,7 @@ class ResidualReport:
     The invariant ``passed == (|residual| <= threshold)`` is enforced at
     construction.  Exact-mode reports carry a Fraction residual and zero
     threshold; Monte-Carlo reports carry float residual, standard error and
-    threshold = sigma_mult * stderr.
+    threshold = _SIGMA_MULT * stderr.
     """
 
     __slots__ = ("test_id", "mode", "residual", "stderr", "threshold",
@@ -122,7 +124,11 @@ def check_moment_recurrence(op: SteinOperator, dist, K: int = 12) -> list[Residu
 # --- Monte-Carlo mode -------------------------------------------------------------
 
 class TrigTest:
-    """cos(ty) or sin(ty): the j-th derivative is t^j trig(ty + j pi/2)."""
+    """cos(ty) or sin(ty), with t an exact rational.
+
+    S e^{ity} = e^{ity} P(y) with P(y) = sum a_ij (it)^j y^i, so S cos(ty)
+    is Re(e^{ity} P(y)) and S sin(ty) is Im(e^{ity} P(y)).
+    """
 
     __slots__ = ("kind", "t", "label")
 
@@ -130,37 +136,43 @@ class TrigTest:
         if kind not in ("cos", "sin"):
             raise ValueError("kind must be 'cos' or 'sin'")
         self.kind = kind
-        self.t = float(t)
+        self.t = Fraction(t)
         self.label = f"{kind}({t}*y)"
 
-    def derivative(self, y: np.ndarray, j: int) -> np.ndarray:
+    def image(self, op: SteinOperator):
+        """S applied to this wave, as a function of a float array y."""
         import numpy as np
 
-        phase = self.t * y + j * (np.pi / 2)
-        wave = np.cos(phase) if self.kind == "cos" else np.sin(phase)
-        return self.t**j * wave
+        # the raw transform's c_i(t) = sum_j a_ij i^(j-i) t^j, so P_i = i^i c_i(t)
+        ode = psi_transform(op, normalise=False)
+        p = [unit_ipow(i) * c(self.t) for i, c in enumerate(ode.coeffs)]
+        re = RationalPoly({i: v.re for i, v in enumerate(p)}).float_coefficients()
+        im = RationalPoly({i: v.im for i, v in enumerate(p)}).float_coefficients()
+        t, polyval = float(self.t), np.polynomial.polynomial.polyval
+        if self.kind == "cos":  # Re(e^{ity} P(y))
+            return lambda y: np.cos(t * y) * polyval(y, re) - np.sin(t * y) * polyval(y, im)
+        return lambda y: np.sin(t * y) * polyval(y, re) + np.cos(t * y) * polyval(y, im)
 
 
 class GaussianPolyTest:
     """exp(-y^2/2) p(y): differentiation maps p to p' - y p, a closed class."""
 
-    __slots__ = ("label", "_polys")
+    __slots__ = ("label", "poly")
 
     def __init__(self, poly: RationalPoly, label: str | None = None):
-        self._polys = [poly]
+        self.poly = poly
         self.label = label if label is not None else f"exp(-y^2/2)*({poly})"
 
-    def _poly(self, j: int) -> np.ndarray:
-        while len(self._polys) <= j:
-            p = self._polys[-1]
-            self._polys.append(p.derivative() - RationalPoly({1: 1}) * p)
-        return self._polys[j].float_coefficients()
-
-    def derivative(self, y: np.ndarray, j: int) -> np.ndarray:
+    def image(self, op: SteinOperator):
+        """S f = exp(-y^2/2) q(y) with q = sum_j a_j p_j, as a function of y."""
         import numpy as np
 
-        vals = np.polynomial.polynomial.polyval(y, self._poly(j))
-        return vals * np.exp(-0.5 * y * y)
+        q, p_j = RationalPoly({}), self.poly
+        for j in range(op.T + 1):
+            q = q + op.coefficient_poly(j) * p_j
+            p_j = p_j.derivative() - RationalPoly({1: 1}) * p_j
+        coef = q.float_coefficients()
+        return lambda y: np.polynomial.polynomial.polyval(y, coef) * np.exp(-0.5 * y * y)
 
 
 # The frequencies of the default waves and the top degree of its weighted monomials.
@@ -183,10 +195,6 @@ def default_test_family():
 def _welford_merge(a, b):
     n_a, mean_a, m2_a = a
     n_b, mean_b, m2_b = b
-    if n_a == 0:
-        return b
-    if n_b == 0:
-        return a
     n = n_a + n_b
     delta = mean_b - mean_a
     mean = mean_a + delta * (n_b / n)
@@ -205,39 +213,31 @@ def _threads() -> int:
 
 
 def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
-                      seed: int = 0, *, sigma_mult: float = 4.0,
-                      chunk: int = _CHUNK) -> list[ResidualReport]:
+                      seed: int = 0) -> list[ResidualReport]:
     """Estimate E[S f(W)] over a test-function family by seeded Monte-Carlo.
 
-    Returns one report per family member with residual = sample mean,
-    stderr, and threshold = sigma_mult * stderr.  Chunk i draws
-    ``dist.sample(chunk_size, seed + i)``; estimates are identical for any
-    thread count.  A standard error needs two samples, so n < 2 raises
-    ValueError rather than passing on a zero threshold.  A mean or standard
-    error that is not finite (the samples overflowed) also raises
-    ValueError, since NaN or infinity is neither a pass nor a fail.
+    Each image S f is built once, before sampling.  Returns one report per
+    family member with residual = sample mean, stderr, and threshold =
+    _SIGMA_MULT * stderr.  Chunk i draws ``dist.sample(chunk_size, seed + i)``;
+    estimates are identical for any thread count.  n < 2 (no standard error)
+    and an empty family (no test) raise ValueError rather than pass
+    vacuously, as does a mean or standard error that is not finite (the
+    samples overflowed), since NaN or infinity is neither a pass nor a fail.
     """
     if n < 2:
         raise ValueError(f"Monte-Carlo sample size n = {n}; need n >= 2")
-    import numpy as np
-
-    if family is None:
-        family = default_test_family()
-    family = list(family)
-    coeff = {j: op.coefficient_poly(j).float_coefficients()
-             for j in sorted({j for _, j in op.a})}
-    sizes = [chunk] * (n // chunk) + ([n % chunk] if n % chunk else [])
+    family = default_test_family() if family is None else list(family)
+    if not family:
+        raise ValueError("the test-function family is empty; need at least one test")
+    images = [fn.image(op) for fn in family]
+    full, rest = divmod(n, _CHUNK)
+    sizes = [_CHUNK] * full + ([rest] if rest else [])
 
     def run_chunk(i: int):
-        rng = np.random.default_rng(seed + i)
-        y = dist.sample(sizes[i], seed=rng)
-        powers = {j: np.polynomial.polynomial.polyval(y, c)
-                  for j, c in coeff.items()}
+        y = dist.sample(sizes[i], seed=seed + i)
         stats = []
-        for fn in family:
-            vals = np.zeros_like(y)
-            for j, a_j in powers.items():
-                vals += a_j * fn.derivative(y, j)
+        for image in images:
+            vals = image(y)
             m = float(vals.mean())
             stats.append((len(y), m, float(((vals - m) ** 2).sum())))
         return stats
@@ -253,17 +253,14 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
 
     out = []
     for idx, fn in enumerate(family):
-        acc = (0, 0.0, 0.0)
-        for stats in per_chunk:
-            acc = _welford_merge(acc, stats[idx])
-        cnt, mean, m2 = acc
-        stderr = (m2 / (cnt - 1)) ** 0.5 / cnt**0.5 if cnt > 1 else 0.0
+        cnt, mean, m2 = reduce(_welford_merge, (stats[idx] for stats in per_chunk))
+        stderr = (m2 / (cnt - 1)) ** 0.5 / cnt**0.5
         if not (math.isfinite(mean) and math.isfinite(stderr)):
             raise ValueError(
                 f"{dist.name}: the Monte-Carlo estimate for {fn.label} is not "
                 f"finite (mean {mean}, stderr {stderr})")
         out.append(ResidualReport(
-            fn.label, "mc", mean, sigma_mult * stderr,
+            fn.label, "mc", mean, _SIGMA_MULT * stderr,
             stderr=stderr, n=cnt, seed=seed,
         ))
     return out

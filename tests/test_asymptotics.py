@@ -18,6 +18,7 @@ from steinscope.asymptotics import (
     dominant_balance,
     indicial_roots,
     power_correction,
+    resolve_target_meta,
     verdict_for_ode,
 )
 from steinscope.operators import CfOde, catalog_get, psi_transform
@@ -538,6 +539,24 @@ class TestVerdicts:
         ode = CfOde([{0: 1}, {0: 1}, {0: 1}])  # analytic coefficients
         v = verdict_for_ode(ode, 2)
         assert v.status == "inconclusive"
+
+    @pytest.mark.parametrize("moment_order", [-1, -5])
+    def test_negative_moment_order_is_an_error(self, moment_order):
+        # a negative count of finite moments is meaningless; the first-order
+        # Gaussian ODE would otherwise report "characterising"
+        with pytest.raises(ValueError, match="moment_order >= 0"):
+            verdict_for_ode(psi_transform(catalog_get("gauss_classical")), moment_order)
+        with pytest.raises(ValueError, match="moment_order >= 0"):
+            characterisation_verdict(catalog_get("gauss_classical"),
+                                     {"moment_order": moment_order})
+
+    def test_resolved_target_meta_fills_defaults_in_report_order(self):
+        op = catalog_get("H4_T2m3")
+        assert resolve_target_meta(op, {"zero_mean": True}) == {
+            "moment_order": 3, "symmetric": False, "zero_mean": True}
+        assert list(resolve_target_meta(op)) == ["moment_order", "symmetric", "zero_mean"]
+        with pytest.raises(ValueError, match="unknown target_meta keys"):
+            resolve_target_meta(op, {"moments": 3})
 
 
 class TestNumericalCrossCheck:

@@ -246,6 +246,14 @@ class TestAnalyze:
         assert code == 1
         assert report["result"]["verdict"]["diagnostics"]["free_moments"] == [2]
 
+    @pytest.mark.parametrize("moments", ["-1", "-5"])
+    def test_negative_moments_exits_2(self, moments):
+        # it used to report "characterising" with "moment_order": -5
+        code, out, err = run_cli("analyze", "--moments", moments, "--op", "gauss_classical")
+        assert code == 2
+        assert out == ""
+        assert "moment_order >= 0" in err
+
     def test_target_meta_defaults_to_hint(self):
         _, report = run_report("analyze", "--op", "H5_T13m4")
         assert report["result"]["target_meta"] == {

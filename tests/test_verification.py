@@ -2,8 +2,8 @@
 
 Exact mode feeds a moment oracle through the operator's moment recurrence;
 Monte-Carlo mode estimates E[S f(W)] over a family of smooth test functions
-and flags residuals beyond sigma_mult standard errors.  All Monte-Carlo
-outcomes asserted here were recorded at fixed seeds and are deterministic.
+and flags residuals beyond four standard errors.  All Monte-Carlo outcomes
+asserted here were recorded at fixed seeds and are deterministic.
 """
 
 import os
@@ -11,7 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from steinscope import verification
 from steinscope.algebra import RationalPoly
 from steinscope.distributions import (
     BesselRatioCf,
@@ -125,15 +127,66 @@ class TestExactMode:
             check_moment_recurrence(catalog_get("H3_T4m3"), get_target("H4"), K=K)
 
 
+def d(j):
+    """The operator D^j, whose image of f is the j-th derivative of f."""
+    return SteinOperator({(0, j): 1})
+
+
+# The per-order evaluation that exact images replaced, kept verbatim as the
+# reference: derivative j of each test function and the sum over j of
+# a_j(y) f^(j)(y) from float coefficient tables.
+def reference_trig_derivative(kind, t, y, j):
+    phase = t * y + j * (np.pi / 2)
+    wave = np.cos(phase) if kind == "cos" else np.sin(phase)
+    return t**j * wave
+
+
+def reference_gaussian_polys(poly, T):
+    polys = [poly]
+    while len(polys) <= T:
+        p = polys[-1]
+        polys.append(p.derivative() - RationalPoly({1: 1}) * p)
+    return [q.float_coefficients() for q in polys]
+
+
+def reference_image(op, fn, y):
+    """Per-order S f(y) and the summed magnitude of its terms."""
+    coeff = {j: op.coefficient_poly(j).float_coefficients()
+             for j in sorted({j for _, j in op.a})}
+    if isinstance(fn, TrigTest):
+        t = float(fn.t)
+        derivs = {j: reference_trig_derivative(fn.kind, t, y, j) for j in coeff}
+        bounds = {j: np.full_like(y, t**j) for j in coeff}
+    else:
+        polys = reference_gaussian_polys(fn.poly, op.T)
+        w = np.exp(-0.5 * y * y)
+        derivs = {j: np.polynomial.polynomial.polyval(y, polys[j]) * w for j in coeff}
+        bounds = {j: np.polynomial.polynomial.polyval(np.abs(y), np.abs(polys[j])) * w
+                  for j in coeff}
+    vals, scale = np.zeros_like(y), np.zeros_like(y)
+    for j, c in coeff.items():
+        vals += np.polynomial.polynomial.polyval(y, c) * derivs[j]
+        scale += np.polynomial.polynomial.polyval(np.abs(y), np.abs(c)) * bounds[j]
+    return vals, scale
+
+
+small_operator_st = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=6)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    min_size=1,
+    max_size=10,
+).filter(lambda a: any(a.values())).map(SteinOperator)
+
+
 class TestTestFunctions:
     def test_trig_derivatives_closed_form(self):
         y = np.linspace(-3.0, 3.0, 11)
         f = TrigTest("cos", 2)
-        assert np.allclose(f.derivative(y, 0), np.cos(2 * y))
-        assert np.allclose(f.derivative(y, 1), -2 * np.sin(2 * y))
-        assert np.allclose(f.derivative(y, 2), -4 * np.cos(2 * y))
+        assert np.allclose(f.image(d(0))(y), np.cos(2 * y))
+        assert np.allclose(f.image(d(1))(y), -2 * np.sin(2 * y))
+        assert np.allclose(f.image(d(2))(y), -4 * np.cos(2 * y))
         g = TrigTest("sin", F(1, 2))
-        assert np.allclose(g.derivative(y, 1), 0.5 * np.cos(0.5 * y))
+        assert np.allclose(g.image(d(1))(y), 0.5 * np.cos(0.5 * y))
 
     def test_trig_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -143,11 +196,20 @@ class TestTestFunctions:
         y = np.linspace(-2.5, 2.5, 11)
         w = np.exp(-0.5 * y * y)
         f = GaussianPolyTest(RationalPoly({0: 1}))
-        assert np.allclose(f.derivative(y, 0), w)
-        assert np.allclose(f.derivative(y, 1), -y * w)
-        assert np.allclose(f.derivative(y, 2), (y * y - 1) * w)
+        assert np.allclose(f.image(d(0))(y), w)
+        assert np.allclose(f.image(d(1))(y), -y * w)
+        assert np.allclose(f.image(d(2))(y), (y * y - 1) * w)
         g = GaussianPolyTest(RationalPoly({1: 1}))
-        assert np.allclose(g.derivative(y, 1), (1 - y * y) * w)
+        assert np.allclose(g.image(d(1))(y), (1 - y * y) * w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_operator_st, st.sampled_from(default_test_family()))
+    def test_image_matches_per_order_reference(self, op, fn):
+        # T <= 6, m <= 3: the exact image agrees with the per-order float
+        # sum to 1e-12 of the summed term magnitudes
+        y = np.linspace(-3.0, 3.0, 41)
+        expected, scale = reference_image(op, fn, y)
+        assert np.all(np.abs(fn.image(op)(y) - expected) <= 1e-12 * scale)
 
     def test_default_family_labels(self):
         labels = [f.label for f in default_test_family()]
@@ -296,10 +358,11 @@ class TestMcMechanics:
         # bitwise identical whatever STEIN_SCOPE_THREADS says.  A small
         # chunk size forces several chunks even at modest n.
         op, g = catalog_get("gauss_classical"), get_target("gaussian")
+        monkeypatch.setattr(verification, "_CHUNK", 2**14)
         monkeypatch.delenv("STEIN_SCOPE_THREADS", raising=False)
-        seq = mc_stein_residual(op, g, n=5 * 10**4, seed=11, chunk=2**14)
+        seq = mc_stein_residual(op, g, n=5 * 10**4, seed=11)
         monkeypatch.setenv("STEIN_SCOPE_THREADS", "4")
-        par = mc_stein_residual(op, g, n=5 * 10**4, seed=11, chunk=2**14)
+        par = mc_stein_residual(op, g, n=5 * 10**4, seed=11)
         assert [r.residual for r in seq] == [r.residual for r in par]
         assert [r.stderr for r in seq] == [r.stderr for r in par]
 
@@ -319,12 +382,18 @@ class TestMcMechanics:
         monkeypatch.setenv("STEIN_SCOPE_THREADS", "many")
         assert _threads() == 1
 
-    def test_sigma_mult_sets_threshold(self):
+    def test_threshold_is_four_standard_errors(self):
         reports = mc_stein_residual(
             catalog_get("gauss_classical"), get_target("gaussian"),
-            n=10**4, seed=0, sigma_mult=2.0)
+            n=10**4, seed=0)
         for rep in reports:
-            assert rep.threshold == pytest.approx(2.0 * rep.stderr)
+            assert rep.threshold == 4 * rep.stderr
+
+    def test_empty_family_is_an_error(self):
+        # no test would run, and all([]) would pass the pair
+        with pytest.raises(ValueError, match="family is empty"):
+            mc_stein_residual(catalog_get("H3_T4m3"), get_target("H4"),
+                              family=[], n=10**4)
 
     def test_custom_family_is_respected(self):
         reports = mc_stein_residual(
