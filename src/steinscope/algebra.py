@@ -19,6 +19,10 @@ H_1 = x, H_3 = x^3 - 3x, and E[H_a(X) H_b(X)] = a! delta_{ab} for
 X ~ N(0,1).  ``gaussian_power_moments`` is the one engine for E[f(X)^k].
 ``RationalPoly.float_coefficients`` is the one numpy entry; it loads numpy
 when called, so exact code never imports it.
+
+``rational_roots`` is the one exact root finder over Q (Sturm isolation on
+integers), ``primitive`` the one primitive part, and ``real_form`` takes a
+polynomial over Q(i) that is a unit times a real one back to Q.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 
@@ -128,9 +132,6 @@ class QI:
 
     def conjugate(self):
         return QI(self.re, -self.im)
-
-    def is_real(self) -> bool:
-        return not self.im
 
     def __complex__(self):
         return complex(self.re) + 1j * complex(self.im)
@@ -318,6 +319,156 @@ class GaussianRationalPoly(_SparsePoly):
         for d, v in self.c.items():
             acc += complex(v) * t ** d
         return acc
+
+    def real_form(self) -> RationalPoly | None:
+        """u * self as a polynomial over Q, for the unit u that makes it real.
+
+        u = 1 when every coefficient is real and u = -i when every one is
+        imaginary; None when the coefficients are mixed.  A unit factor
+        moves no root.
+        """
+        if not any(v.im for v in self.c.values()):
+            return RationalPoly({d: v.re for d, v in self.c.items()})
+        if not any(v.re for v in self.c.values()):
+            return RationalPoly({d: v.im for d, v in self.c.items()})
+        return None
+
+
+# --- integer and rational roots ------------------------------------------------
+
+
+def _int_nth_root(n: int, k: int) -> int | None:
+    """Exact k-th root of n >= 0, or None if n is not a perfect k-th power."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n in (0, 1) or k == 1:
+        return n
+    lo, hi = 0, 1
+    while hi**k < n:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**k < n:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo**k == n else None
+
+
+def fraction_nth_root(x: Fraction, k: int) -> Fraction | None:
+    """Exact k-th root of a rational x >= 0, or None if it is not rational."""
+    p, q = _int_nth_root(x.numerator, k), _int_nth_root(x.denominator, k)
+    return None if p is None or q is None else Fraction(p, q)
+
+
+def primitive(coeffs) -> list[int]:
+    """Rational coefficients scaled by a positive number to coprime integers.
+
+    The scale is positive, so every sign is kept; a zero row stays zero.
+    """
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    g = gcd(*ints)
+    return [c // g for c in ints] if g else ints
+
+
+def _divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder over Q of dense coefficient lists, constant first."""
+    num = [Fraction(c) for c in num]
+    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for shift in reversed(range(len(quot))):
+        q = quot[shift] = num[shift + len(den) - 1] / den[-1]
+        for i, c in enumerate(den):
+            num[shift + i] -= q * c
+    rem = num[: len(den) - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem
+
+
+def _horner(coeffs: list[int], y: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * y + c
+    return acc
+
+
+def _integer_roots(g: list[int]) -> list[int]:
+    """Integer roots of a monic square-free integer polynomial, constant first.
+
+    Every root lies in (-M-1, M] with M the largest |g_i| below the leading
+    term (Cauchy's bound).  With V(y) the sign changes of the Sturm chain at
+    y, the interval (a, b] holds V(a) - V(b) distinct roots; an interval
+    that holds a root is halved until a single integer b is left, which is
+    tested.
+    """
+    chain = [g, primitive([i * c for i, c in enumerate(g)][1:])]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in primitive(_divmod(chain[-2], chain[-1])[1])])
+
+    def changes(y: int) -> int:
+        signs = [v > 0 for v in (_horner(p, y) for p in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = max(abs(c) for c in g[:-1])
+    stack = [(-bound - 1, bound, changes(-bound - 1), changes(bound))]
+    roots = []
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if not _horner(g, hi):
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = changes(mid)
+        stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+    return roots
+
+
+def rational_roots(poly: RationalPoly) -> tuple[dict[Fraction, int], RationalPoly]:
+    """All rational roots (with multiplicity) and the unfactored residual.
+
+    The residual is the polynomial left after deflating every rational root;
+    it is a (nonzero) constant exactly when the polynomial splits over Q.
+    With f the primitive integer form of the polynomial (zero roots
+    removed), the roots are those of its square-free part f / gcd(f, f'):
+    made monic by y = a_n x, its rational roots are the integer roots y, which
+    ``_integer_roots`` isolates without factoring any coefficient.  Each root
+    p/q is then divided out of f as often as q x - p divides it.  The
+    residual keeps the scaling of one-root-at-a-time deflation: the
+    polynomial itself when no nonzero root exists, otherwise the integer
+    quotient times the denominator q of the last root in the order
+    (|p|, q, p < 0).
+    """
+    if poly.is_zero():
+        raise ValueError("cannot extract roots of the zero polynomial")
+    roots: dict[Fraction, int] = {}
+    v = poly.valuation()
+    if v:
+        roots[Fraction(0)] = v
+        poly = RationalPoly({d - v: c for d, c in poly.c.items()})
+    f = primitive([poly.coeff(d) for d in range(poly.degree() + 1)])
+    if len(f) == 1:
+        return roots, poly
+    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    while b:  # Euclid: a ends as gcd(f, f')
+        rem = _divmod(a, b)[1]
+        a, b = b, primitive(rem)
+    square_free = primitive(_divmod(f, a)[0])
+    lead, n = square_free[-1], len(square_free) - 1
+    monic = [c * lead ** (n - 1 - i) for i, c in enumerate(square_free[:-1])] + [1]
+    found = [Fraction(y, lead) for y in _integer_roots(monic)]
+    if not found:
+        return roots, poly
+    for x in found:
+        linear = [-x.numerator, x.denominator]
+        while not (division := _divmod(f, linear))[1]:
+            f = division[0]
+            roots[x] = roots.get(x, 0) + 1
+    last = max(found, key=lambda x: (abs(x.numerator), x.denominator, x < 0))
+    return roots, RationalPoly({d: last.denominator * c for d, c in enumerate(f)})
 
 
 @lru_cache(maxsize=None)

@@ -14,8 +14,8 @@ The analysis is exact throughout:
 
 * ``classify_singularity`` applies the valuation test to the c_i.
 * ``indicial_roots`` computes the Frobenius indicial polynomial at a regular
-  singular point, extracts its rational roots with multiplicity (Sturm
-  isolation on integers, no trial division), and decides the log cases:
+  singular point, extracts its rational roots with multiplicity
+  (``algebra.rational_roots``), and decides the log cases:
   repeated roots, and integer-gap roots, where a log term enters iff the
   forcing at the gap index is nonzero.  With one level above the indicial
   one that is read off the rational roots of the two level polynomials;
@@ -69,7 +69,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import QI, GaussianRationalPoly, RationalPoly, accumulate, falling_poly
+from .algebra import (QI, GaussianRationalPoly, RationalPoly, accumulate, falling_poly,
+                      fraction_nth_root, rational_roots)
 from .operators import CfOde, SteinOperator, moment_recurrence, psi_transform
 
 
@@ -85,7 +86,7 @@ class CorrectionNotLinear(ValueError):
     """The refinement S = A_S t^-gamma + a log t has no consistent linear solution."""
 
 
-# --- exact trigonometric sign -----------------------------------------------
+# --- exact trigonometric sign and branch magnitude ---------------------------
 
 
 def _cos_pi_sign(q: Fraction) -> int:
@@ -100,37 +101,6 @@ def _frac_str(x) -> str | None:
     return None if x is None else str(Fraction(x))
 
 
-# --- integer / rational root helpers ----------------------------------------
-
-
-def _int_nth_root(n: int, k: int) -> int | None:
-    """Exact k-th root of n >= 0, or None if n is not a perfect k-th power."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n in (0, 1) or k == 1:
-        return n
-    lo, hi = 0, 1
-    while hi**k < n:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**k < n:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**k == n else None
-
-
-def _fraction_nth_root(x: Fraction, k: int) -> Fraction | None:
-    p = _int_nth_root(x.numerator, k)
-    if p is None:
-        return None
-    q = _int_nth_root(x.denominator, k)
-    if q is None:
-        return None
-    return Fraction(p, q)
-
-
 def _canonical_magnitude(mag_pow: Fraction, root: int) -> tuple[Fraction, int]:
     """Reduce (mag_pow, root) so that the root index is minimal.
 
@@ -141,127 +111,10 @@ def _canonical_magnitude(mag_pow: Fraction, root: int) -> tuple[Fraction, int]:
     for e in range(1, root + 1):
         if root % e:
             continue
-        r = _fraction_nth_root(mag_pow, root // e)
+        r = fraction_nth_root(mag_pow, root // e)
         if r is not None:
             return (r, e)
     return (mag_pow, root)
-
-
-def _primitive(coeffs) -> list[int]:
-    """Rational coefficients scaled by a positive number to coprime integers."""
-    scale = math.lcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
-
-
-def _divmod(num: list, den: list) -> tuple[list, list]:
-    """Quotient and remainder over Q of dense coefficient lists, constant first."""
-    num = [Fraction(c) for c in num]
-    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    for shift in reversed(range(len(quot))):
-        q = quot[shift] = num[shift + len(den) - 1] / den[-1]
-        for i, c in enumerate(den):
-            num[shift + i] -= q * c
-    rem = num[: len(den) - 1]
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem
-
-
-def _horner(coeffs: list[int], y: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * y + c
-    return acc
-
-
-def _integer_roots(g: list[int]) -> list[int]:
-    """Integer roots of a monic square-free integer polynomial, constant first.
-
-    Every root lies in (-M-1, M] with M the largest |g_i| below the leading
-    term (Cauchy's bound).  With V(y) the sign changes of the Sturm chain at
-    y, the interval (a, b] holds V(a) - V(b) distinct roots; an interval
-    that holds a root is halved until a single integer b is left, which is
-    tested.
-    """
-    chain = [g, _primitive([i * c for i, c in enumerate(g)][1:])]
-    while len(chain[-1]) > 1:
-        chain.append([-c for c in _primitive(_divmod(chain[-2], chain[-1])[1])])
-
-    def changes(y: int) -> int:
-        signs = [v > 0 for v in (_horner(p, y) for p in chain) if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    bound = max(abs(c) for c in g[:-1])
-    stack = [(-bound - 1, bound, changes(-bound - 1), changes(bound))]
-    roots = []
-    while stack:
-        lo, hi, v_lo, v_hi = stack.pop()
-        if v_lo == v_hi:
-            continue
-        if hi - lo == 1:
-            if not _horner(g, hi):
-                roots.append(hi)
-            continue
-        mid = (lo + hi) // 2
-        v_mid = changes(mid)
-        stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
-    return roots
-
-
-def _rational_roots(poly: RationalPoly) -> tuple[dict[Fraction, int], RationalPoly]:
-    """All rational roots (with multiplicity) and the unfactored residual.
-
-    The residual is the polynomial left after deflating every rational root;
-    it is a (nonzero) constant exactly when the polynomial splits over Q.
-    With f the primitive integer form of the polynomial (zero roots
-    removed), the roots are those of its square-free part f / gcd(f, f'):
-    made monic by y = a_n x, its rational roots are the integer roots y, which
-    ``_integer_roots`` isolates without factoring any coefficient.  Each root
-    p/q is then divided out of f as often as q x - p divides it.  The
-    residual keeps the scaling of one-root-at-a-time deflation: the
-    polynomial itself when no nonzero root exists, otherwise the integer
-    quotient times the denominator q of the last root in the order
-    (|p|, q, p < 0).
-    """
-    if poly.is_zero():
-        raise ValueError("cannot extract roots of the zero polynomial")
-    roots: dict[Fraction, int] = {}
-    v = poly.valuation()
-    if v:
-        roots[Fraction(0)] = v
-        poly = RationalPoly({d - v: c for d, c in poly.c.items()})
-    f = _primitive([poly.coeff(d) for d in range(poly.degree() + 1)])
-    if len(f) == 1:
-        return roots, poly
-    a, b = f, [i * c for i, c in enumerate(f)][1:]
-    while b:  # Euclid: a ends as gcd(f, f')
-        rem = _divmod(a, b)[1]
-        a, b = b, _primitive(rem) if rem else []
-    square_free = _primitive(_divmod(f, a)[0])
-    lead, n = square_free[-1], len(square_free) - 1
-    monic = [c * lead ** (n - 1 - i) for i, c in enumerate(square_free[:-1])] + [1]
-    found = [Fraction(y, lead) for y in _integer_roots(monic)]
-    if not found:
-        return roots, poly
-    for x in found:
-        linear = [-x.numerator, x.denominator]
-        while not (division := _divmod(f, linear))[1]:
-            f = division[0]
-            roots[x] = roots.get(x, 0) + 1
-    last = max(found, key=lambda x: (abs(x.numerator), x.denominator, x < 0))
-    return roots, RationalPoly({d: last.denominator * c for d, c in enumerate(f)})
-
-
-def _factor_common_unit(values: list[QI]) -> tuple[QI, list[Fraction]] | None:
-    """Factor a unit u in {1, -i} so that u*values are all real; None if mixed."""
-    nonzero = [v for v in values if v]
-    if all(v.im == 0 for v in nonzero):
-        return QI(1), [v.re for v in values]
-    if all(v.re == 0 for v in nonzero):
-        return QI(0, -1), [v.im for v in values]
-    return None
 
 
 # --- singularity classification ---------------------------------------------
@@ -403,7 +256,7 @@ def _qi_rational_roots(poly: GaussianRationalPoly) -> list[Fraction]:
     re = RationalPoly({d: v.re for d, v in poly.c.items()})
     im = RationalPoly({d: v.im for d, v in poly.c.items()})
     first, other = (re, im) if not re.is_zero() else (im, re)
-    return [beta for beta in _rational_roots(first)[0] if not other(beta)]
+    return [beta for beta in rational_roots(first)[0] if not other(beta)]
 
 
 def _chain_log(alpha: Fraction, alphas: list, step: int, p_step) -> Fraction | None:
@@ -460,14 +313,12 @@ def indicial_roots(ode: CfOde) -> IndicialRoots:
         )
     levels = _level_polynomials(ode)
     p0 = levels[0]
-    factored = _factor_common_unit([p0.coeff(d) for d in range(p0.degree() + 1)])
-    if factored is None:
+    poly = p0.real_form()
+    if poly is None:
         # mixed real/imaginary indicial coefficients: no rational roots; the
         # whole polynomial is surfaced as the unfactored residual
         return IndicialRoots((), RationalPoly(), p0)
-    _, reals = factored
-    poly = RationalPoly(dict(enumerate(reals)))
-    roots, residual = _rational_roots(poly)
+    roots, residual = rational_roots(poly)
     higher = sorted((r, p) for r, p in levels.items() if r > 0)
 
     entries, undecided = [], []
@@ -639,13 +490,10 @@ def dominant_balance(ode: CfOde) -> list[AsymptoticBranch]:
                  for k in on_edge),
                 GaussianRationalPoly(),
             )
-            factored = _factor_common_unit(
-                [lead.coeff(d) for d in range(lead.degree() + 1)]
-            )
-            if factored is None:
+            poly = lead.real_form()
+            if poly is None:
                 raise NoBalance("slope-1 edge with mixed-unit coefficients")
-            poly = RationalPoly(dict(enumerate(factored[1])))
-            roots, residual = _rational_roots(poly)
+            roots, residual = rational_roots(poly)
             if residual.degree() > 0:
                 raise NoBalance(
                     f"slope-1 edge exponents are not rational (residual {residual})"
@@ -851,7 +699,7 @@ def _moment_forcing(op: SteinOperator, zero_mean: bool, symmetry: bool):
     """
     rec = moment_recurrence(op)
     smax, smin = rec.max_shift, rec.min_shift
-    top_roots, _ = _rational_roots(rec.leading_coefficient_poly())
+    top_roots, _ = rational_roots(rec.leading_coefficient_poly())
     deg_rows = [int(r) for r in top_roots if r.denominator == 1 and r >= 0]
     rows = (max(deg_rows) + 1 if deg_rows else 0) + (smax - smin) + abs(smax) + 8
     moments: dict[int, dict] = {0: {None: Fraction(1)}}

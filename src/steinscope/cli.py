@@ -222,8 +222,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
             reports = check_moment_recurrence(op, target, K=args.orders)
         else:
             reports = mc_stein_residual(op, target, n=args.n, seed=args.seed)
-    except (NotImplementedError, ValueError) as exc:
-        # no oracle or sampler, --orders < 0, --n < 2
+    except (NotImplementedError, ValueError, OverflowError) as exc:
+        # no oracle or sampler, --orders < 0, --n < 2, beyond float range
         raise UsageError(str(exc)) from None
     passed = all(r.passed for r in reports)
     result = {

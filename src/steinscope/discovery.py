@@ -17,9 +17,9 @@ The trail of (K, dimension) pairs is kept on the problem object so any
 K-sensitivity is surfaced, never hidden.
 
 The nullspace is computed multi-modularly.  Each row is cleared to
-integers.  Moment matrices for high-order Hermite targets have entries of
-hundreds of digits (about 1800 bits for H5 at K = 94), while their
-nullspace vectors are far smaller: two primes recover the H5 basis.
+coprime integers.  Moment matrices for high-order Hermite targets have
+entries of hundreds of digits (about 1260 bits for H5 at K = 94), while
+their nullspace vectors are far smaller: two primes recover the H5 basis.
 Modulo a deterministic sequence of primes just below 2^62, the reduced
 row echelon form gives a rank, pivot columns and, at each free column,
 the entries of one basis vector; these are combined by the Chinese
@@ -38,7 +38,7 @@ of primes ever needed.
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .algebra import _as_fraction, falling_factorial
+from .algebra import _as_fraction, falling_factorial, primitive
 from .operators import SteinOperator
 
 __all__ = [
@@ -128,7 +128,7 @@ class DiscoveryProblem:
 
 
 def _constraint_rows(prob: DiscoveryProblem, start: int, stop: int) -> list[list[int]]:
-    """Constraint rows k = start .. stop - 1, each scaled to integers."""
+    """Constraint rows k = start .. stop - 1, each scaled to coprime integers."""
     cols = prob.columns()
     rows = []
     for k in range(start, stop):
@@ -136,8 +136,7 @@ def _constraint_rows(prob: DiscoveryProblem, start: int, stop: int) -> list[list
         for i, j in cols:
             ff = falling_factorial(k, j)
             row.append(ff * prob.moment(k + i - j) if ff else Fraction(0))
-        scale = lcm(*(v.denominator for v in row))
-        rows.append([int(v * scale) for v in row])
+        rows.append(primitive(row))
     return rows
 
 
@@ -289,23 +288,6 @@ def _nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
         "multi-modular nullspace not certified within the Hadamard bound")
 
 
-def _primitive(row: list[Fraction]) -> list[Fraction]:
-    """Scale to coprime integers with the first nonzero entry positive."""
-    nonzero = [v for v in row if v]
-    if not nonzero:
-        return row
-    scale = Fraction(lcm(*(v.denominator for v in nonzero)))
-    ints = [v * scale for v in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, int(v))
-    ints = [v / g for v in ints]
-    first = next(v for v in ints if v)
-    if first < 0:
-        ints = [-v for v in ints]
-    return ints
-
-
 def canonicalise(basis: list[SteinOperator]) -> list[SteinOperator]:
     """Deterministic representatives of the span of ``basis``.
 
@@ -339,12 +321,9 @@ def canonicalise(basis: list[SteinOperator]) -> list[SteinOperator]:
         r += 1
         if r == len(rows):
             break
-    out = []
-    for row in rows[:r]:
-        prim = _primitive(row)
-        out.append(SteinOperator(
-            {key: v for key, v in zip(keys, prim) if v}))
-    return out
+    # each row's pivot is 1, so the positive rescaling keeps it positive
+    return [SteinOperator({key: v for key, v in zip(keys, primitive(row)) if v})
+            for row in rows[:r]]
 
 
 def find_stein_operators(prob: DiscoveryProblem) -> list[SteinOperator]:

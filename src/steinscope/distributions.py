@@ -358,7 +358,11 @@ def _hermite_target(p: int) -> TargetDistribution:
             coef = hermite_to_monomial(p).float_coefficients()
         except OverflowError as exc:
             raise ValueError(f"H{p}: {exc}") from None
-        return np.polynomial.polynomial.polyval(rng.standard_normal(n), coef)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.polynomial.polynomial.polyval(rng.standard_normal(n), coef)
+        if not np.isfinite(y).all():
+            raise ValueError(f"H{p}: a sample overflows a float")
+        return y
 
     return TargetDistribution(
         f"H{p}",

@@ -96,10 +96,6 @@ class ChaosElement(_SparseDict):
         """E[F^2] = sum_q c_q^2 q!, by orthogonality."""
         return sum((v * v * factorial(q) for q, v in self.c.items()), Fraction(0))
 
-    def variance(self) -> Fraction:
-        m = self.expectation()
-        return self.second_moment() - m * m
-
     def moment(self, k: int) -> Fraction:
         """E[F^k], exact, from the moment engine on the monomial form."""
         if k < 0:

@@ -1,5 +1,6 @@
 """Tests for the exact polynomial layer, H_q in monomials and the moment engine."""
 
+import math
 from fractions import Fraction
 from itertools import islice
 from math import factorial
@@ -18,6 +19,7 @@ from steinscope.algebra import (
     gaussian_moment,
     gaussian_power_moments,
     hermite_to_monomial,
+    primitive,
     unit_ipow,
 )
 from steinscope.malliavin import hermite_product
@@ -59,7 +61,7 @@ class TestQI:
     @given(qi_st)
     def test_norm_via_conjugate(self, a):
         n = a * a.conjugate()
-        assert n.is_real()
+        assert not n.im
         assert n.re >= 0
 
 
@@ -109,6 +111,49 @@ class TestRationalPoly:
     @given(poly_st, fractions_st)
     def test_evaluation_is_ring_hom(self, a, x):
         assert (a * a)(x) == a(x) * a(x)
+
+
+class TestPrimitive:
+    def test_zero_row_is_unchanged(self):
+        assert primitive([0, 0, 0]) == [0, 0, 0]
+        assert primitive([Fraction(0), Fraction(0)]) == [0, 0]
+        assert primitive([]) == []
+
+    def test_positive_scaling_keeps_every_sign(self):
+        assert primitive([-6, 0, 4, -10]) == [-3, 0, 2, -5]
+        assert primitive([0, -7]) == [0, -1]
+
+    def test_fraction_input_is_cleared(self):
+        assert primitive([Fraction(-1, 2), Fraction(3, 4), 0, Fraction(5, 6)]) == [
+            -6, 9, 0, 10,
+        ]
+
+    @given(st.lists(fractions_st, min_size=1, max_size=6).filter(any))
+    def test_coprime_positive_multiple(self, row):
+        prim = primitive(row)
+        assert all(isinstance(c, int) for c in prim)
+        assert math.gcd(*prim) == 1
+        scale = next(Fraction(p) / c for p, c in zip(prim, row) if c)
+        assert scale > 0
+        assert prim == [scale * c for c in row]
+
+
+class TestRealForm:
+    def test_real_coefficients(self):
+        poly = GaussianRationalPoly({0: QI(2), 3: QI(Fraction(-1, 3))})
+        assert poly.real_form() == RationalPoly({0: 2, 3: Fraction(-1, 3)})
+
+    def test_imaginary_axis_is_multiplied_by_minus_i(self):
+        poly = GaussianRationalPoly({1: QI(0, 5), 2: QI(0, -1)})
+        assert poly.real_form() == RationalPoly({1: 5, 2: -1})
+        assert poly * QI(0, -1) == poly.real_form().to_gaussian()
+
+    def test_mixed_coefficients_give_none(self):
+        assert GaussianRationalPoly({0: QI(1), 1: QI(0, 1)}).real_form() is None
+        assert GaussianRationalPoly({2: QI(1, 1)}).real_form() is None
+
+    def test_zero_polynomial(self):
+        assert GaussianRationalPoly().real_form() == RationalPoly()
 
 
 def gaussian_expectation(p):

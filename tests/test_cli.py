@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import resources
@@ -397,17 +398,34 @@ class TestVerify:
         assert out == ""
         assert "n >= 2" in err
 
-    @pytest.mark.parametrize("target", ["H150", "H700"])
+    @pytest.mark.parametrize("target", ["H150", "H296", "H700"])
     def test_mc_mode_overflowing_hermite_target_exits_2(self, target):
-        # H150 samples overflow to a NaN estimate; the coefficients of H700
-        # do not fit in a float
-        code, out, err = run_cli(
-            "verify", "--op", "gauss_classical", "--target", target,
-            "--mode", "mc", "--n", "100",
-        )
+        # the test-function images overflow on the (finite) H150 samples,
+        # H296 samples overflow a float, and the coefficients of H700 do not
+        # fit in one
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                "verify", "--op", "gauss_classical", "--target", target,
+                "--mode", "mc", "--n", "100",
+            )
         assert code == 2
         assert out == ""
         assert target in err
+        assert [str(w.message) for w in caught] == []
+
+    def test_mc_mode_coefficient_beyond_float_exits_2(self, tmp_path):
+        path = tmp_path / "big.json"
+        big = "-1" + "0" * 399  # 400 digits
+        save_report(path, {"name": "big", "T": 1, "m": 1,
+                           "coeff": [["0", "1"], [big, "0"]]})
+        code, out, err = run_cli(
+            "verify", "--op", str(path), "--target", "gaussian",
+            "--mode", "mc", "--n", "1000",
+        )
+        assert code == 2
+        assert out == ""
+        assert "the x^1 coefficient does not fit in a float" in err
 
     def test_mc_mode_without_sampler_exits_2(self):
         code, out, err = run_cli(

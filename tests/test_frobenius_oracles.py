@@ -2,9 +2,11 @@
 
 The trial-division ``_rational_roots`` and the dense series walk in
 ``indicial_roots`` below are the implementations the package used before it
-read rational roots off Sturm isolation and log terms off root sets.  They
-are kept verbatim as reference oracles: hypothesis checks that the package
-(``asymptotics._rational_roots`` and ``asymptotics.indicial_roots``) agrees
+read rational roots off Sturm isolation and log terms off root sets, and
+``_factor_common_unit`` is the dense unit factoring they used before
+``GaussianRationalPoly.real_form``.  They are kept verbatim as reference
+oracles: hypothesis checks that the package (``algebra.rational_roots``,
+``GaussianRationalPoly.real_form`` and ``asymptotics.indicial_roots``) agrees
 with them on random polynomials and random regular singular ODEs.
 """
 
@@ -13,13 +15,12 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from steinscope import asymptotics
-from steinscope.algebra import QI, RationalPoly
+from steinscope import algebra, asymptotics
+from steinscope.algebra import QI, GaussianRationalPoly, RationalPoly
 from steinscope.asymptotics import (
     IndicialRoot,
     IndicialRoots,
     NotRegularSingular,
-    _factor_common_unit,
     _level_polynomials,
     classify_singularity,
 )
@@ -38,6 +39,16 @@ def _divisors(n: int) -> list[int]:
             out.add(n // d)
         d += 1
     return sorted(out)
+
+
+def _factor_common_unit(values: list[QI]) -> tuple[QI, list[Fraction]] | None:
+    """Factor a unit u in {1, -i} so that u*values are all real; None if mixed."""
+    nonzero = [v for v in values if v]
+    if all(v.im == 0 for v in nonzero):
+        return QI(1), [v.re for v in values]
+    if all(v.re == 0 for v in nonzero):
+        return QI(0, -1), [v.im for v in values]
+    return None
 
 
 def _rational_roots(poly: RationalPoly) -> tuple[dict[Fraction, int], RationalPoly]:
@@ -229,7 +240,7 @@ class TestRationalRootsAgainstTrialDivision:
     @example(RationalPoly({0: 12, 1: -16, 2: 7, 3: -1}))  # -(x - 2)^2 (x - 3)
     def test_same_roots_multiplicities_and_residual(self, poly):
         want_roots, want_residual = _rational_roots(poly)
-        got_roots, got_residual = asymptotics._rational_roots(poly)
+        got_roots, got_residual = algebra.rational_roots(poly)
         assert got_roots == want_roots
         assert str(got_residual) == str(want_residual)
 
@@ -332,3 +343,22 @@ class TestLogTestAgainstDenseWalk:
             return
         assert len(_level_polynomials(ode)) == 3
         assert log_table(asymptotics.indicial_roots(ode)) == log_table(want)
+
+
+# --- unit factoring -------------------------------------------------------------
+
+
+class TestRealFormAgainstUnitFactoring:
+    @settings(max_examples=200, deadline=None)
+    @given(level_poly(4))
+    @example([QI(0, 2), 0, QI(0, -3)])
+    @example([Fraction(1), QI(0, 1)])
+    @example([])
+    def test_same_real_coefficients_or_none(self, coeffs):
+        values = [QI() + c for c in coeffs]
+        want = _factor_common_unit(values)
+        got = GaussianRationalPoly(dict(enumerate(values))).real_form()
+        if want is None:
+            assert got is None
+        else:
+            assert got == RationalPoly(dict(enumerate(want[1])))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from steinscope import asymptotics
-from steinscope.asymptotics import _rational_roots
+from steinscope.algebra import rational_roots
 from steinscope.operators import SteinOperator, catalog_get, moment_recurrence
 
 # --- reference oracle, verbatim -------------------------------------------------
@@ -88,7 +88,7 @@ def _moment_forcing(op: SteinOperator, zero_mean: bool, symmetry: bool):
     """
     rec = moment_recurrence(op)
     smax, smin = rec.max_shift, rec.min_shift
-    top_roots, _ = _rational_roots(rec.leading_coefficient_poly())
+    top_roots, _ = rational_roots(rec.leading_coefficient_poly())
     deg_rows = [int(r) for r in top_roots if r.denominator == 1 and r >= 0]
     rows = (max(deg_rows) + 1 if deg_rows else 0) + (smax - smin) + abs(smax) + 8
     state = _LinearMoments(zero_mean, symmetry)
