@@ -11,6 +11,8 @@ coefficient domains appear:
 * :class:`GaussianRationalPoly` -- polynomials over Q(i), with each
   coefficient a :class:`QI` pair (real, imaginary).
 
+``_as_fraction`` is the one reader for exact numbers given as text: operator
+files, catalog and target specs and Hermite indices all go through it.
 ``accumulate`` is the package's one add-and-prune loop for sparse dicts.
 The sparse-dict ring (``_SparseDict``) also carries the Hermite chaos
 expansions of ``malliavin.ChaosElement``.  ``hermite_to_monomial`` gives the
@@ -27,6 +29,7 @@ polynomial over Q(i) that is a unit times a real one back to Q.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -52,13 +55,29 @@ def accumulate(pairs, out=None) -> dict:
     return out
 
 
+# an optionally signed integer, or p/q with a nonzero denominator q
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d*[1-9]\d*))?", re.ASCII)
+
+
+def _clip(text: str, width: int = 40) -> str:
+    """``text`` cut to ``width`` characters, for an error message."""
+    return text if len(text) <= width else text[:width] + "..."
+
+
 def _as_fraction(x) -> Fraction:
+    """A Fraction from a Fraction, an int, or text in the ``_RATIONAL`` grammar
+    (surrounding whitespace ignored; other text raises ValueError).  A value
+    has no more digits than its text, and ``int()``'s digit limit rejects an
+    over-long literal."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        match = _RATIONAL.fullmatch(x.strip())
+        if match is None:
+            raise ValueError(f"malformed rational {_clip(x)!r}")
+        return Fraction(int(match[1]), int(match[2] or 1))
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 

@@ -213,9 +213,6 @@ class IndicialRoots:
         self.residual = residual
         self.undecided = tuple(undecided)
 
-    def root_set(self) -> frozenset:
-        return frozenset(r.alpha for r in self.roots)
-
     def fully_factored(self) -> bool:
         return self.residual.degree() <= 0
 
@@ -999,15 +996,11 @@ def resolve_target_meta(op: SteinOperator, target_meta=None) -> dict:
     return {**meta, **(target_meta or {})}
 
 
-def characterisation_verdict(op: SteinOperator, target_meta=None, ode=None) -> Verdict:
-    """Verdict for a Stein operator against its target's metadata.
-
-    ``target_meta`` is read by ``resolve_target_meta``.  A caller that
-    already holds ``psi_transform(op)`` passes it as ``ode``.
-    """
-    if ode is None:
-        ode = psi_transform(op)
-    return verdict_for_ode(ode, **resolve_target_meta(op, target_meta), op=op)
+def characterisation_verdict(op: SteinOperator, target_meta=None) -> Verdict:
+    """Verdict for a Stein operator against its target's metadata, which is
+    read by ``resolve_target_meta``."""
+    meta = resolve_target_meta(op, target_meta)
+    return verdict_for_ode(psi_transform(op), **meta, op=op)
 
 
 # --- leading-order fixtures for the degree-7/8 Hermite targets -----------------

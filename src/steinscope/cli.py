@@ -32,7 +32,8 @@ from importlib.metadata import version
 from pathlib import Path
 
 from . import __version__
-from .asymptotics import characterisation_verdict, resolve_target_meta
+# benchmarks/selftest.py traces characterisation_verdict through this module
+from .asymptotics import characterisation_verdict, resolve_target_meta, verdict_for_ode
 from .discovery import (
     MAX_CONSTRAINTS,
     MAX_UNKNOWNS,
@@ -82,14 +83,12 @@ def load_operator_file(path) -> SteinOperator:
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return SteinOperator.from_json_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    try:
-        return SteinOperator.from_json_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # also json's int digit limit
         raise UsageError(f"{path}: {exc}") from exc
 
 
@@ -122,8 +121,6 @@ def _resolve_operator(spec: str) -> SteinOperator:
             + ", ".join(catalog_names())
             + " (or pass a path to an operator JSON file)"
         ) from None
-    except BadParameter as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _resolve_target(spec: str) -> TargetDistribution:
@@ -133,8 +130,6 @@ def _resolve_target(spec: str) -> TargetDistribution:
         raise UsageError(
             f"unknown target {spec!r}; known targets: " + ", ".join(target_names())
         ) from None
-    except BadParameter as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _ode_json(ode: CfOde) -> dict:
@@ -202,7 +197,7 @@ def _cmd_analyze(args) -> tuple[dict, int]:
     ode = psi_transform(op)
     meta = resolve_target_meta(op, meta)
     try:
-        verdict = characterisation_verdict(op, meta, ode=ode)
+        verdict = verdict_for_ode(ode, **meta, op=op)
     except ValueError as exc:  # --moments < 0
         raise UsageError(str(exc)) from None
     result = {
@@ -451,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--orders",
         type=int,
         default=12,
-        help="exact mode: check recurrence rows k=0..orders (>= 0)",
+        help=f"exact mode: check recurrence rows k=0..orders (0 to {MAX_CONSTRAINTS})",
     )
 
     p = sub.add_parser(
@@ -494,7 +489,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result, code = _HANDLERS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, BadParameter) as exc:
         print(f"steinscope: error: {exc}", file=sys.stderr)
         return 2
     report = {

@@ -55,7 +55,7 @@ from .algebra import (
     gaussian_power_moments,
     hermite_to_monomial,
 )
-from .operators import FAMILIES, POSITIVE, BadParameter, Param, parse_spec
+from .operators import FAMILIES, POSITIVE, BadParameter, Param, parse_spec, read_parameter
 
 if TYPE_CHECKING:
     import numpy as np
@@ -474,7 +474,7 @@ def get_target(spec: str, **params) -> TargetDistribution:
         return _gaussian_target(values["sigma2"])
     if family == "semicircle":
         return _semicircle_target()
-    p = int(family[1:])  # H<p>, admitted by _target_params
+    p = read_parameter("p", family[1:])  # H<p>, admitted by _target_params
     if p < 1:
         raise BadParameter(f"Hermite target requires p >= 1, got {p}")
-    return _hermite_target(p)
+    return _hermite_target(int(p))

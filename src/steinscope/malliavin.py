@@ -92,10 +92,6 @@ class ChaosElement(_SparseDict):
         """E[F]: the level-0 coefficient, by orthogonality."""
         return self.c.get(0, Fraction(0))
 
-    def second_moment(self) -> Fraction:
-        """E[F^2] = sum_q c_q^2 q!, by orthogonality."""
-        return sum((v * v * factorial(q) for q, v in self.c.items()), Fraction(0))
-
     def moment(self, k: int) -> Fraction:
         """E[F^k], exact, from the moment engine on the monomial form."""
         if k < 0:

@@ -35,7 +35,6 @@ the canonical spec "PN:p=4,sigma2=1"; the catalog, the target registry in
 
 from __future__ import annotations
 
-import re as _re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -45,6 +44,7 @@ from .algebra import (
     GaussianRationalPoly,
     RationalPoly,
     _as_fraction,
+    _clip,
     accumulate,
     falling_poly,
     unit_ipow,
@@ -61,20 +61,6 @@ class BadParameter(ValueError):
 
 class NotInImage(ValueError):
     """ODE coefficients are not i-power-aligned with any rational operator."""
-
-
-def _parse_rational_string(s) -> Fraction:
-    """Parse an exact rational like "-3/2" or "24"; reject anything else."""
-    if not isinstance(s, str):
-        raise ValueError(f"rational entries must be strings, got {s!r}")
-    if not _re.fullmatch(r"[+-]?\d+(/\d+)?", s.strip()):
-        raise ValueError(f"malformed rational {s!r}")
-    num, _, den = s.strip().partition("/")
-    if den:
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in rational {s!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
 
 
 class SteinOperator:
@@ -144,9 +130,11 @@ class SteinOperator:
     def from_json_dict(cls, d: dict) -> "SteinOperator":
         try:
             name = d.get("name", "")
-            T, m, rows = int(d["T"]), int(d["m"]), d["coeff"]
-        except (KeyError, TypeError, ValueError) as exc:
+            T, m, rows = d["T"], d["m"], d["coeff"]
+        except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed operator JSON: {exc}") from exc
+        if type(T) is not int or type(m) is not int:  # not a bool, float or string
+            raise ValueError(f"T and m must be JSON integers, got {_clip(f'{T!r}, {m!r}')}")
         if len(rows) != m + 1:
             raise ValueError(f"expected {m + 1} coefficient rows, got {len(rows)}")
         a = {}
@@ -157,11 +145,12 @@ class SteinOperator:
                 )
             for j, s in enumerate(row):
                 try:
-                    v = _parse_rational_string(s)
+                    if not isinstance(s, str):
+                        raise ValueError(
+                            f"rational entries must be strings, got {_clip(repr(s))}")
+                    a[(i, j)] = _as_fraction(s)
                 except ValueError as exc:
                     raise ValueError(f"row {i}, column {j}: {exc}") from exc
-                if v:
-                    a[(i, j)] = v
         op = cls(a, name=name)
         if op.m != m or op.T != T:
             raise ValueError(
@@ -550,12 +539,16 @@ def _inline_pairs(text: str):
             continue
         key, eq, val = item.partition("=")
         if not eq:
-            raise BadParameter(f"expected key=value, got {item!r}")
-        try:
-            value = Fraction(val.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise BadParameter(f"bad value for {key.strip()!r}: {exc}") from exc
-        yield key.strip(), value
+            raise BadParameter(f"expected key=value, got {_clip(item)!r}")
+        yield key.strip(), val
+
+
+def read_parameter(name: str, value) -> Fraction:
+    """``_as_fraction(value)``, with any error raised as BadParameter."""
+    try:
+        return _as_fraction(value)
+    except (TypeError, ValueError) as exc:
+        raise BadParameter(f"bad value for {name!r}: {exc}") from None
 
 
 def parse_spec(spec: str, keywords: dict, params_of) -> tuple[str, dict, str]:
@@ -577,13 +570,14 @@ def parse_spec(spec: str, keywords: dict, params_of) -> tuple[str, dict, str]:
     values = {}
     for name, default, (requirement, holds) in params:
         if name in given:
-            v = _as_fraction(given.pop(name))
+            v = read_parameter(name, given.pop(name))
         elif default is not None:
             v = Fraction(default)
         else:
             raise BadParameter(f"{family} requires parameter {name!r}")
         if not holds(v):
-            raise BadParameter(f"{family} requires {requirement.format(name)}, got {v}")
+            raise BadParameter(
+                f"{family} requires {requirement.format(name)}, got {_clip(str(v))}")
         values[name] = v
     if given:
         raise BadParameter(f"unknown parameters for {family}: {sorted(given)}")

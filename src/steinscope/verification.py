@@ -38,6 +38,7 @@ from functools import reduce
 from typing import TYPE_CHECKING
 
 from .algebra import RationalPoly, unit_ipow
+from .discovery import MAX_CONSTRAINTS
 from .operators import CfOde, SteinOperator, moment_recurrence, psi_transform
 
 if TYPE_CHECKING:
@@ -109,10 +110,12 @@ def check_moment_recurrence(op: SteinOperator, dist, K: int = 12) -> list[Residu
     ``dist`` must expose an exact ``moment(order) -> Fraction`` oracle
     (NoExactOracle propagates otherwise).  Each report's residual is the
     exact value of sum_s c_s(k) E[W^{k+s}]; pass means exactly zero.
-    K < 0 checks nothing and raises ValueError rather than passing vacuously.
+    K < 0, which would pass vacuously, and K > MAX_CONSTRAINTS, the row
+    budget that discovery keeps too, raise ValueError.
     """
-    if K < 0:
-        raise ValueError(f"moment orders K = {K}; need K >= 0")
+    if not 0 <= K <= MAX_CONSTRAINTS:
+        raise ValueError(f"moment orders K = {K}; need K >= 0 and K <= the "
+                         f"budget MAX_CONSTRAINTS = {MAX_CONSTRAINTS}")
     rec = moment_recurrence(op)
     out = []
     for k in range(K + 1):

@@ -12,6 +12,7 @@ from steinscope.algebra import (
     QI,
     GaussianRationalPoly,
     RationalPoly,
+    _as_fraction,
     accumulate,
     cumulants_from_moments,
     falling_factorial,
@@ -300,3 +301,42 @@ def test_cumulants_from_moments_of_the_standard_gaussian():
     assert [cumulants_from_moments(gaussian_moment, r) for r in range(1, 7)] == [
         0, 1, 0, 0, 0, 0
     ]
+
+
+_digits = st.text("0123456789", min_size=1, max_size=6)
+_int_text = st.builds(lambda sign, d: sign + d, st.sampled_from(["", "+", "-"]), _digits)
+_blank = st.text(" \t\n", max_size=2)
+
+
+class TestReader:
+    """``_as_fraction`` on text: a signed integer or p/q, nothing else."""
+
+    @given(st.fractions(), _blank, _blank)
+    def test_round_trips_every_fraction(self, q, before, after):
+        assert _as_fraction(before + str(q) + after) == q
+
+    @given(st.one_of(
+        st.builds("{}e{}".format, _int_text, _int_text),  # exponent
+        st.builds("{}E{}".format, _int_text, _digits),
+        st.builds("{}.{}".format, _int_text, _digits),  # decimal
+        st.builds(".{}".format, _digits),
+        st.builds("{}_{}".format, _int_text, _digits),  # underscore
+        st.builds("{}/{}_{}".format, _int_text, _digits, _digits),
+        _blank,  # empty
+        st.builds("{}/{}".format, _int_text, st.text("0", min_size=1, max_size=4)),  # /0
+        st.builds("{}/-{}".format, _int_text, _digits),
+        st.builds("{}/{}/{}".format, _int_text, _digits, _digits),
+        st.sampled_from(["/", "-", "+", "1/", "/2", "1 / 2", "- 1", "inf", "nan", "\u0663"]),
+    ))
+    def test_rejects_text_outside_the_grammar(self, text):
+        with pytest.raises(ValueError, match="malformed rational"):
+            _as_fraction(text)
+
+    def test_long_text_is_clipped_in_the_message(self):
+        with pytest.raises(ValueError) as info:
+            _as_fraction("1e" + "9" * 5000)
+        assert len(str(info.value)) < 80
+
+    def test_over_long_literal_hits_the_int_digit_limit(self):
+        with pytest.raises(ValueError, match="limit"):
+            _as_fraction("9" * 5000)

@@ -83,7 +83,7 @@ class TestIndicialRoots:
         # roots {0, 2 - 2s}
         for s in (Fraction(3, 4), Fraction(1), Fraction(3, 2), Fraction(5), Fraction(7, 2)):
             ind = indicial_roots(ode_of(f"PRR:s={s}"))
-            assert ind.root_set() == {Fraction(0), 2 - 2 * s}
+            assert {r.alpha for r in ind.roots} == {Fraction(0), 2 - 2 * s}
             assert ind.fully_factored()
 
     def test_rayleigh_double_root_carries_log(self):
@@ -96,7 +96,7 @@ class TestIndicialRoots:
         for a, b in ((Fraction(1, 2), Fraction(1)), (Fraction(2), Fraction(3)),
                      (Fraction(1, 4), Fraction(1, 4))):
             ind = indicial_roots(ode_of(f"BG1:a={a},b={b},r=2"))
-            assert ind.root_set() == {Fraction(0), 1 - a - b}
+            assert {r.alpha for r in ind.roots} == {Fraction(0), 1 - a - b}
 
     def test_euler_double_root(self):
         ode = CfOde([{}, {1: 1}, {2: 1}])
@@ -123,7 +123,7 @@ class TestIndicialRoots:
         # t^2 phi'' + t phi' - 2 phi: indicial beta^2 - 2, no rational roots
         ode = CfOde([{0: -2}, {1: 1}, {2: 1}])
         ind = indicial_roots(ode)
-        assert ind.root_set() == frozenset()
+        assert {r.alpha for r in ind.roots} == set()
         assert not ind.fully_factored()
 
 

@@ -25,7 +25,7 @@ from steinscope.cli import (
     report_json,
     save_report,
 )
-from steinscope.operators import SteinOperator, catalog_get, psi_transform
+from steinscope.operators import BadParameter, SteinOperator, catalog_get, psi_transform
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -224,6 +224,72 @@ class TestOperatorFiles:
         assert SteinOperator.from_json_dict(json.loads(text)) == op
 
 
+def _operator_file(text):
+    """argv maker: write ``text`` as an operator file, pass it as --op."""
+    def argv(tmp_path):
+        path = tmp_path / "op.json"
+        path.write_text(text)
+        return ("analyze", "--op", str(path))
+    return argv
+
+
+_GAUSS_ROWS = '"coeff": [["0", "1"], ["-1", "0"]]'
+
+
+class TestOutsideNumbers:
+    """Every exact number from outside is read by one grammar, an optionally
+    signed integer or p/q; anything else is a prompt usage error."""
+
+    @pytest.mark.parametrize("make_argvs,message", [
+        pytest.param(  # a 10-million-digit integer used to be built first
+            [lambda _: ("transform", "--op", "PN:p=3,sigma2=1e10000000")],
+            "bad value for 'sigma2': malformed rational '1e10000000'", id="exponent"),
+        pytest.param(
+            [lambda _: ("analyze", "--op", "PRR:s=1e1000000")],
+            "bad value for 's': malformed rational '1e1000000'", id="exponent-prr"),
+        pytest.param(
+            [lambda _: ("verify", "--op", "gauss_classical", "--target",
+                        "H" + "9" * 5000, "--mode", "exact")],
+            "bad value for 'p'", id="hermite-index-over-digit-limit"),
+        pytest.param(
+            [_operator_file('{"T": 1e400, "m": 1, ' + _GAUSS_ROWS + "}")],
+            "T and m must be JSON integers, got inf, 1", id="T-float-overflow"),
+        pytest.param(  # used to be read as (1, 1)
+            [_operator_file('{"T": 1.0, "m": true, ' + _GAUSS_ROWS + "}")],
+            "T and m must be JSON integers, got 1.0, True", id="T-float-m-bool"),
+        pytest.param(  # used to be read as sigma2=10
+            [lambda _: ("analyze", "--op", "PN:p=3,sigma2=1_0")],
+            "bad value for 'sigma2': malformed rational '1_0'", id="underscore"),
+        pytest.param(  # a file entry and a spec value now read alike
+            [_operator_file('{"T": 1, "m": 1, "coeff": [["0", "1e3"], ["-1", "0"]]}'),
+             lambda _: ("analyze", "--op", "PN:p=3,sigma2=1e3")],
+            "malformed rational '1e3'", id="exponent-file-and-spec"),
+        pytest.param(
+            [_operator_file("[1, 2]")],
+            "malformed operator JSON", id="file-not-an-object"),
+        pytest.param(
+            [_operator_file('{"T": 1' + "0" * 5000 + ', "m": 1, ' + _GAUSS_ROWS + "}")],
+            "limit", id="json-integer-over-digit-limit"),
+    ])
+    def test_exits_2_promptly_with_one_line(self, tmp_path, make_argvs, message):
+        for make_argv in make_argvs:
+            start = time.monotonic()
+            code, out, err = run_cli(*make_argv(tmp_path))
+            assert time.monotonic() - start < 1.0
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1 and len(err) < 400
+            assert message in err
+
+    def test_spec_and_keyword_values_share_the_grammar(self):
+        op = catalog_get("PN:p=+3,sigma2= 3/6 ")
+        assert op.name == "PN:p=3,sigma2=1/2"
+        assert catalog_get("PN", p="3", sigma2="1/2") == op
+        for bad in ("1.5", "3/0", 0.5):
+            with pytest.raises(BadParameter, match="bad value for 'sigma2'"):
+                catalog_get("PN", p=3, sigma2=bad)
+
+
 class TestAnalyze:
     def test_characterising_case_exits_0(self):
         code, report = run_report("analyze", "--op", "PN:p=4", "--moments", "3")
@@ -360,6 +426,27 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "K >= 0" in err
+
+    @pytest.mark.parametrize("orders", ["257", "100000"])
+    def test_exact_mode_orders_over_budget_exits_2(self, orders):
+        # rows k = 0..orders share discover's budget MAX_CONSTRAINTS = 256
+        start = time.monotonic()
+        code, out, err = run_cli(
+            "verify", "--op", "gauss_classical", "--target", "gaussian",
+            "--mode", "exact", "--orders", orders,
+        )
+        assert time.monotonic() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "MAX_CONSTRAINTS = 256" in err
+
+    def test_exact_mode_orders_at_budget_runs(self):
+        code, report = run_report(
+            "verify", "--op", "gauss_classical", "--target", "gaussian",
+            "--mode", "exact", "--orders", "256",
+        )
+        assert code == 0
+        assert len(report["result"]["tests"]) == 257
 
     def test_exact_mode_without_oracle_exits_2(self):
         code, out, err = run_cli(
