@@ -20,7 +20,8 @@ probabilists' (monic) Hermite polynomial H_q in monomials: H_0 = 1,
 H_1 = x, H_3 = x^3 - 3x, and E[H_a(X) H_b(X)] = a! delta_{ab} for
 X ~ N(0,1).  ``gaussian_power_moments`` is the one engine for E[f(X)^k].
 ``RationalPoly.float_coefficients`` is the one numpy entry; it loads numpy
-when called, so exact code never imports it.
+when called, so exact code never imports it.  ``float_horner`` evaluates
+such coefficients on a sample array with numpy polyval's exact roundings.
 
 ``rational_roots`` is the one exact root finder over Q (Sturm isolation on
 integers), ``primitive`` the one primitive part, and ``real_form`` takes a
@@ -315,6 +316,22 @@ class RationalPoly(_SparsePoly):
                     f"the x^{d} coefficient does not fit in a float"
                 ) from None
         return dense
+
+
+def float_horner(x, coef):
+    """Evaluate dense float coefficients (constant first) on a float array x.
+
+    The roundings are exactly those of numpy's ``polyval``: the start
+    coef[-1] + x*0, then acc*x + coef[i] for each lower degree, so the
+    result is the same bit for bit.  Every step writes into one array, where
+    ``polyval`` allocates two per degree.
+    """
+    acc = x * 0.0
+    acc += coef[-1]
+    for c in coef[-2::-1]:
+        acc *= x
+        acc += c
+    return acc
 
 
 def _as_qi(x) -> QI:

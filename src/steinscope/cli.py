@@ -28,7 +28,6 @@ import json
 import os
 import platform
 import sys
-from importlib.metadata import version
 from pathlib import Path
 
 from . import __version__
@@ -141,14 +140,28 @@ def _ode_json(ode: CfOde) -> dict:
     }
 
 
+def _installed_version(name: str) -> str:
+    """The Version: header of the first ``<name>-*.dist-info`` on sys.path."""
+    for entry in sys.path:
+        for info in sorted(Path(entry or ".").glob(f"{name}-*.dist-info")):
+            try:
+                with open(info / "METADATA", encoding="utf-8") as metadata:
+                    for line in metadata:
+                        if line.startswith("Version:"):
+                            return line[len("Version:"):].strip()
+            except OSError:
+                continue
+    return "unknown"
+
+
 def _versions() -> dict:
-    # Read from the installed metadata so that exact commands never import
-    # the numeric stack; only Monte-Carlo and closed-form cf code needs it.
+    # Read from the installed metadata files so that exact commands import
+    # neither the numeric stack nor importlib.metadata (with its email parser).
     return {
         "steinscope": __version__,
         "python": platform.python_version(),
-        "numpy": version("numpy"),
-        "scipy": version("scipy"),
+        "numpy": _installed_version("numpy"),
+        "scipy": _installed_version("scipy"),
     }
 
 
@@ -491,6 +504,13 @@ def main(argv=None) -> int:
         result, code = _HANDLERS[args.command](args)
     except (UsageError, BadParameter) as exc:
         print(f"steinscope: error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # a result number too long to print
+        if "integer string conversion" not in str(exc):
+            raise
+        print("steinscope: error: the result has a number of more than "
+              f"{sys.get_int_max_str_digits()} digits, the limit of Python's "
+              "integer string conversion", file=sys.stderr)
         return 2
     report = {
         "command": args.command,

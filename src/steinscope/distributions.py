@@ -49,8 +49,10 @@ from typing import TYPE_CHECKING
 
 from .algebra import (
     _as_fraction,
+    _clip,
     accumulate,
     cumulants_from_moments,
+    float_horner,
     gaussian_moment,
     gaussian_power_moments,
     hermite_to_monomial,
@@ -115,18 +117,17 @@ class GaussianCf:
     and H_j the monic Hermite polynomial, so evaluation needs no differencing.
     """
 
-    __slots__ = ("sigma2", "_sigma")
+    __slots__ = ("sigma2",)
 
     def __init__(self, sigma2=1):
         self.sigma2 = _as_fraction(sigma2)
         if self.sigma2 <= 0:
             raise ValueError("sigma2 must be > 0")
-        self._sigma = float(self.sigma2) ** 0.5
 
     def __call__(self, t: float, j: int = 0) -> float:
         import numpy as np
 
-        s = self._sigma
+        s = float(self.sigma2) ** 0.5
         u = s * t
         value = 0.0
         for d, c in hermite_to_monomial(j).c.items():
@@ -287,7 +288,10 @@ class TargetDistribution:
         return self._moment(int(k))
 
     def sample(self, n: int, seed=0) -> np.ndarray:
-        """n i.i.d. draws; reproducible for a fixed integer seed."""
+        """n i.i.d. draws; reproducible for a fixed integer seed.
+
+        A parameter beyond float range raises ValueError.
+        """
         if n < 1:
             raise ValueError("n must be >= 1")
         if self._sampler is None:
@@ -296,7 +300,11 @@ class TargetDistribution:
             )
         import numpy as np
 
-        return self._sampler(np.random.default_rng(seed), int(n))
+        try:
+            return self._sampler(np.random.default_rng(seed), int(n))
+        except OverflowError:  # a parameter beyond float range
+            raise ValueError(
+                f"{_clip(self.name)}: a parameter does not fit in a float") from None
 
     def cf(self, t: float, j: int = 0) -> float:
         """j-th derivative of the characteristic function at t."""
@@ -320,14 +328,13 @@ class TargetDistribution:
 # --- registry -----------------------------------------------------------------
 
 def _gaussian_target(sigma2: Fraction) -> TargetDistribution:
-    sigma = float(sigma2) ** 0.5
     return TargetDistribution(
         "gaussian" if sigma2 == 1 else f"gaussian:sigma2={sigma2}",
         {"sigma2": sigma2},
         symmetric=True,
         zero_mean=True,
         moment=lambda k: gaussian_moment(k) * sigma2 ** (k // 2),
-        sampler=lambda rng, n: sigma * rng.standard_normal(n),
+        sampler=lambda rng, n: float(sigma2) ** 0.5 * rng.standard_normal(n),
         cf=GaussianCf(sigma2),
     )
 
@@ -359,7 +366,7 @@ def _hermite_target(p: int) -> TargetDistribution:
         except OverflowError as exc:
             raise ValueError(f"H{p}: {exc}") from None
         with np.errstate(over="ignore", invalid="ignore"):
-            y = np.polynomial.polynomial.polyval(rng.standard_normal(n), coef)
+            y = float_horner(rng.standard_normal(n), coef)
         if not np.isfinite(y).all():
             raise ValueError(f"H{p}: a sample overflows a float")
         return y
@@ -377,17 +384,21 @@ def _hermite_target(p: int) -> TargetDistribution:
 
 # The laws of the operator families.  Each builder takes the values parsed
 # against ``FAMILIES[family].params`` and returns the law's capabilities;
-# ``get_target`` adds the canonical spec as name and the values.
+# ``get_target`` adds the canonical spec as name and the values.  Parameters
+# become floats inside the samplers, so a law whose parameters are beyond
+# float range still gives its metadata.
 
 
 def _pn_law(p, sigma2) -> dict:
-    p, sigma = int(p), float(sigma2) ** 0.5
+    p = int(p)
     cf = {1: GaussianCf, 2: ReciprocalSqrtCf}.get(p)
     return dict(
         symmetric=True,
         zero_mean=True,
         moment=lambda k: gaussian_moment(k) ** p * sigma2 ** (k // 2),
-        sampler=lambda rng, n: sigma * rng.standard_normal((p, n)).prod(axis=0),
+        sampler=lambda rng, n: (
+            float(sigma2) ** 0.5 * rng.standard_normal((p, n)).prod(axis=0)
+        ),
         cf=None if cf is None else cf(sigma2),
     )
 
@@ -397,12 +408,12 @@ def _prr_law(s) -> dict:
 
 
 def _g1x_law(r, lam, sigma2) -> dict:
-    sigma, rate = float(sigma2) ** 0.5, float(lam) ** 0.5
     return dict(
         symmetric=True,
         zero_mean=True,
         sampler=lambda rng, n: (
-            sigma * rng.standard_normal(n) * rng.gamma(float(r), 1.0 / rate, n)
+            float(sigma2) ** 0.5 * rng.standard_normal(n)
+            * rng.gamma(float(r), 1.0 / float(lam) ** 0.5, n)
         ),
     )
 
@@ -418,14 +429,11 @@ def _bg1_law(a, b, r) -> dict:
 
 
 def _g1g2_law(r, s, lam) -> dict:
-    scale = 1.0 / float(lam)
-    return dict(
-        symmetric=False,
-        zero_mean=False,
-        sampler=lambda rng, n: (
-            rng.gamma(float(r), scale, n) * rng.gamma(float(s), scale, n)
-        ),
-    )
+    def sampler(rng, n):
+        scale = 1.0 / float(lam)
+        return rng.gamma(float(r), scale, n) * rng.gamma(float(s), scale, n)
+
+    return dict(symmetric=False, zero_mean=False, sampler=sampler)
 
 
 TARGET_BUILDERS = {

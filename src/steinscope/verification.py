@@ -16,7 +16,13 @@ Three modes, one report type:
 Both test classes are closed under d/dy, so each image S f is built exactly,
 once, before any sample is drawn: S e^{ity} = e^{ity} P(y), with P read off
 the raw characteristic-function transform, and S maps exp(-y^2/2) p(y) to
-exp(-y^2/2) q(y) with q built from p -> p' - y p.
+exp(-y^2/2) q(y) with q built from p -> p' - y p.  An image is a product of
+shared factors (``Image``): cos(ty) and sin(ty) from one product ty per
+frequency t, the weight exp(-y^2/2), and each image polynomial, evaluated by
+``algebra.float_horner``.  Within a chunk each factor is computed once and
+kept only while the images that use it run.  The roundings are those of
+evaluating every image on its own with numpy's ``polyval``, so residuals and
+standard errors are bit-identical to that.
 
 Monte-Carlo estimation is chunked; chunk i draws from a generator seeded
 with seed + i, so results are reproducible and independent of the number of
@@ -33,11 +39,12 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from typing import TYPE_CHECKING
 
-from .algebra import RationalPoly, unit_ipow
+from .algebra import RationalPoly, float_horner, unit_ipow
 from .discovery import MAX_CONSTRAINTS
 from .operators import CfOde, SteinOperator, moment_recurrence, psi_transform
 
@@ -126,11 +133,52 @@ def check_moment_recurrence(op: SteinOperator, dist, K: int = 12) -> list[Residu
 
 # --- Monte-Carlo mode -------------------------------------------------------------
 
+def _factor(y, key):
+    """One shared factor of the test images at the samples y.
+
+    ``("wave", t)`` is (cos(ty), sin(ty)) from one product ty,
+    ``("weight",)`` is exp(-y^2/2), and ``("poly", coef)`` is the polynomial
+    with float coefficients coef (constant first).
+    """
+    import numpy as np
+
+    kind, *args = key
+    if kind == "wave":
+        ty = args[0] * y
+        return np.cos(ty), np.sin(ty, out=ty)
+    if kind == "weight":
+        return np.exp(-0.5 * y * y)
+    return float_horner(y, args[0])
+
+
+class Image:
+    """S f as ``combine`` applied to the shared factors named by ``keys``.
+
+    ``combine`` returns a new array.  Called on samples, an image evaluates
+    alone; ``mc_stein_residual`` instead gives each chunk's images every
+    factor they share once.
+    """
+
+    __slots__ = ("keys", "combine")
+
+    def __init__(self, keys: tuple, combine):
+        self.keys = keys
+        self.combine = combine
+
+    def __call__(self, y):
+        return self.combine(*(_factor(y, key) for key in self.keys))
+
+
+def _poly_key(poly: RationalPoly) -> tuple:
+    return ("poly", tuple(poly.float_coefficients().tolist()))
+
+
 class TrigTest:
     """cos(ty) or sin(ty), with t an exact rational.
 
     S e^{ity} = e^{ity} P(y) with P(y) = sum a_ij (it)^j y^i, so S cos(ty)
-    is Re(e^{ity} P(y)) and S sin(ty) is Im(e^{ity} P(y)).
+    is Re(e^{ity} P(y)) and S sin(ty) is Im(e^{ity} P(y)); the waves at one
+    t share cos(ty), sin(ty) and both parts of P.
     """
 
     __slots__ = ("kind", "t", "label")
@@ -142,19 +190,17 @@ class TrigTest:
         self.t = Fraction(t)
         self.label = f"{kind}({t}*y)"
 
-    def image(self, op: SteinOperator):
-        """S applied to this wave, as a function of a float array y."""
-        import numpy as np
-
+    def image(self, op: SteinOperator) -> Image:
+        """S applied to this wave, as a product of shared factors."""
         # the raw transform's c_i(t) = sum_j a_ij i^(j-i) t^j, so P_i = i^i c_i(t)
         ode = psi_transform(op, normalise=False)
         p = [unit_ipow(i) * c(self.t) for i, c in enumerate(ode.coeffs)]
-        re = RationalPoly({i: v.re for i, v in enumerate(p)}).float_coefficients()
-        im = RationalPoly({i: v.im for i, v in enumerate(p)}).float_coefficients()
-        t, polyval = float(self.t), np.polynomial.polynomial.polyval
+        re = _poly_key(RationalPoly({i: v.re for i, v in enumerate(p)}))
+        im = _poly_key(RationalPoly({i: v.im for i, v in enumerate(p)}))
+        keys = (("wave", float(self.t)), re, im)
         if self.kind == "cos":  # Re(e^{ity} P(y))
-            return lambda y: np.cos(t * y) * polyval(y, re) - np.sin(t * y) * polyval(y, im)
-        return lambda y: np.sin(t * y) * polyval(y, re) + np.cos(t * y) * polyval(y, im)
+            return Image(keys, lambda wave, r, i: wave[0] * r - wave[1] * i)
+        return Image(keys, lambda wave, r, i: wave[1] * r + wave[0] * i)
 
 
 class GaussianPolyTest:
@@ -166,16 +212,13 @@ class GaussianPolyTest:
         self.poly = poly
         self.label = label if label is not None else f"exp(-y^2/2)*({poly})"
 
-    def image(self, op: SteinOperator):
-        """S f = exp(-y^2/2) q(y) with q = sum_j a_j p_j, as a function of y."""
-        import numpy as np
-
+    def image(self, op: SteinOperator) -> Image:
+        """S f = exp(-y^2/2) q(y) with q = sum_j a_j p_j, as shared factors."""
         q, p_j = RationalPoly({}), self.poly
         for j in range(op.T + 1):
             q = q + op.coefficient_poly(j) * p_j
             p_j = p_j.derivative() - RationalPoly({1: 1}) * p_j
-        coef = q.float_coefficients()
-        return lambda y: np.polynomial.polynomial.polyval(y, coef) * np.exp(-0.5 * y * y)
+        return Image((_poly_key(q), ("weight",)), lambda q, w: q * w)
 
 
 # The frequencies of the default waves and the top degree of its weighted monomials.
@@ -219,8 +262,9 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
                       seed: int = 0) -> list[ResidualReport]:
     """Estimate E[S f(W)] over a test-function family by seeded Monte-Carlo.
 
-    Each image S f is built once, before sampling.  Returns one report per
-    family member with residual = sample mean, stderr, and threshold =
+    Each image S f is built once, before sampling, and each chunk computes
+    the factors its images share once.  Returns one report per family
+    member with residual = sample mean, stderr, and threshold =
     _SIGMA_MULT * stderr.  Chunk i draws ``dist.sample(chunk_size, seed + i)``;
     estimates are identical for any thread count.  n < 2 (no standard error)
     and an empty family (no test) raise ValueError rather than pass
@@ -235,19 +279,29 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
     import numpy as np
 
     images = [fn.image(op) for fn in family]
+    uses = Counter(key for image in images for key in image.keys)
     full, rest = divmod(n, _CHUNK)
     sizes = [_CHUNK] * full + ([rest] if rest else [])
 
     def run_chunk(i: int):
         y = dist.sample(sizes[i], seed=seed + i)
-        stats = []
+        # each factor is computed at its first use and dropped after its last
+        factors, left, stats = {}, Counter(uses), []
         # an image that overflows on finite samples is reported below, once,
         # as a non-finite estimate
         with np.errstate(over="ignore", invalid="ignore"):
             for image in images:
-                vals = image(y)
+                for key in image.keys:
+                    if key not in factors:
+                        factors[key] = _factor(y, key)
+                vals = image.combine(*(factors[key] for key in image.keys))
+                for key in image.keys:
+                    left[key] -= 1
+                    if not left[key]:
+                        del factors[key]
                 m = float(vals.mean())
-                stats.append((len(y), m, float(((vals - m) ** 2).sum())))
+                vals -= m  # vals is the image's own array
+                stats.append((len(y), m, float(np.square(vals, out=vals).sum())))
         return stats
 
     workers = min(_threads(), len(sizes))

@@ -17,6 +17,7 @@ from steinscope.algebra import (
     cumulants_from_moments,
     falling_factorial,
     falling_poly,
+    float_horner,
     gaussian_moment,
     gaussian_power_moments,
     hermite_to_monomial,
@@ -112,6 +113,40 @@ class TestRationalPoly:
     @given(poly_st, fractions_st)
     def test_evaluation_is_ring_hom(self, a, x):
         assert (a * a)(x) == a(x) * a(x)
+
+
+# coefficients with exact zeros of both signs, samples of both signs
+_floats_st = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=True),
+)
+
+
+class TestFloatHorner:
+    @given(st.lists(_floats_st, min_size=1, max_size=9),
+           st.lists(_floats_st, min_size=1, max_size=16))
+    def test_bit_for_bit_numpy_polyval(self, coef, samples):
+        import numpy as np
+
+        x = np.array(samples)
+        coef = np.array(coef)
+        expected = np.polynomial.polynomial.polyval(x, coef)
+        assert float_horner(x, coef).tobytes() == expected.tobytes()
+
+    def test_degree_zero_and_zero_polynomial(self):
+        import numpy as np
+
+        x = np.array([-2.0, -0.0, 0.0, 3.5])
+        assert float_horner(x, np.array([7.0])).tolist() == [7.0] * 4
+        zero = float_horner(x, RationalPoly({}).float_coefficients())
+        assert zero.tobytes() == np.polynomial.polynomial.polyval(x, [0.0]).tobytes()
+
+    def test_leaves_the_samples_alone(self):
+        import numpy as np
+
+        x = np.array([-1.5, 2.0])
+        float_horner(x, np.array([1.0, -3.0, 0.5]))
+        assert x.tolist() == [-1.5, 2.0]
 
 
 class TestPrimitive:

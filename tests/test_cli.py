@@ -19,6 +19,7 @@ import steinscope
 from steinscope.asymptotics import LOG_WALK_TERMS, _level_polynomials
 from steinscope.cli import (
     UsageError,
+    _installed_version,
     _versions,
     load_operator_file,
     main,
@@ -280,6 +281,32 @@ class TestOutsideNumbers:
             assert out == ""
             assert err.count("\n") == 1 and len(err) < 400
             assert message in err
+
+    def test_parameter_beyond_float_range_analyzes(self):
+        # the law's metadata needs no float; the parameter used to be
+        # converted while building the target (an OverflowError traceback)
+        code, report = run_report("analyze", "--op", f"G1G2:r=1,s=2,lam={'9' * 400}")
+        assert code == 0
+        assert report["result"]["target_meta"]["symmetric"] is False
+
+    @pytest.mark.parametrize("op", ["G1G2:r=1,s=2,lam=2", f"G1G2:r=1,s=2,lam={'9' * 400}"])
+    def test_mc_with_parameter_beyond_float_range_exits_2(self, op):
+        spec = f"G1G2:r=1,s=2,lam={'9' * 400}"
+        code, out, err = run_cli("verify", "--op", op, "--target", spec,
+                                 "--mode", "mc", "--n", "1000")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "does not fit in a float" in err
+
+    @pytest.mark.parametrize("command", ["transform", "analyze"])
+    def test_result_number_over_digit_limit_exits_2(self, command):
+        # lam has 2500 digits, so the operator's coefficient -lam^2 has 5000,
+        # more than Python converts to a string by default
+        code, out, err = run_cli(command, "--op", f"G1G2:r=1,s=2,lam={'9' * 2500}")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"more than {sys.get_int_max_str_digits()} digits" in err
 
     def test_spec_and_keyword_values_share_the_grammar(self):
         op = catalog_get("PN:p=+3,sigma2= 3/6 ")
@@ -652,7 +679,9 @@ class TestPretty:
 
 
 # Runs main() in a fresh interpreter and prints the exit code and which
-# parts of the numeric stack and of the thread pool the command loaded.
+# parts of the numeric stack, of the thread pool and of the package
+# metadata reader (importlib.metadata and its email parser) the command
+# loaded.
 _IMPORT_PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -662,7 +691,9 @@ with redirect_stdout(io.StringIO()):
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "scipy": "scipy" in sys.modules,
                   "scipy.special": "scipy.special" in sys.modules,
-                  "concurrent.futures": "concurrent.futures" in sys.modules}))
+                  "concurrent.futures": "concurrent.futures" in sys.modules,
+                  "importlib.metadata": "importlib.metadata" in sys.modules,
+                  "email": "email" in sys.modules}))
 """
 
 
@@ -689,7 +720,7 @@ class TestNumericStackImports:
     def test_exact_commands_load_neither_numpy_nor_scipy(self, argv):
         assert probe_imports(*argv) == {
             "code": 0, "numpy": False, "scipy": False, "scipy.special": False,
-            "concurrent.futures": False,
+            "concurrent.futures": False, "importlib.metadata": False, "email": False,
         }
 
     def test_monte_carlo_loads_numpy_but_not_scipy_special(self):
@@ -708,3 +739,12 @@ class TestNumericStackImports:
         versions = _versions()
         assert versions["numpy"] == numpy.__version__
         assert versions["scipy"] == scipy.__version__
+
+    @pytest.mark.parametrize("name", ["numpy", "scipy"])
+    def test_versions_match_importlib_metadata(self, name):
+        from importlib.metadata import version
+
+        assert _installed_version(name) == version(name)
+
+    def test_version_of_a_package_not_installed_reads_unknown(self):
+        assert _installed_version("no_such_package") == "unknown"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinscope.algebra import gaussian_moment
+from steinscope.algebra import gaussian_moment, hermite_to_monomial
 from steinscope.distributions import (
     BesselRatioCf,
     GaussianCf,
@@ -231,6 +231,26 @@ class TestSamplers:
         x = get_target("PN:p=3").sample(300_000, seed=9)
         assert abs((x**2).mean() - 1.0) < 0.05
         assert abs((x**4).mean() - 27) / 27 < 0.2
+
+    @pytest.mark.parametrize("p", [1, 3, 6])
+    def test_hermite_samples_are_polyval_of_normals_bit_for_bit(self, p):
+        # H_p(X) is evaluated by algebra.float_horner, with numpy polyval's
+        # roundings
+        coef = hermite_to_monomial(p).float_coefficients()
+        x = np.random.default_rng(3).standard_normal(10**4)
+        expected = np.polynomial.polynomial.polyval(x, coef)
+        assert get_target(f"H{p}").sample(10**4, seed=3).tobytes() == expected.tobytes()
+
+    def test_parameters_beyond_float_range(self):
+        # the law and its metadata build; only sampling needs the floats
+        huge = "9" * 400
+        for spec in (f"G1G2:r=1,s=2,lam={huge}", f"G1X:r=2,lam={huge},sigma2=1",
+                     f"PN:p=1,sigma2={huge}", f"gaussian:sigma2={huge}",
+                     f"BG1:a={huge},b=1,r=2"):
+            law = get_target(spec)
+            assert law.has_sampler
+            with pytest.raises(ValueError, match="does not fit in a float"):
+                law.sample(10)
 
     def test_analysis_only_target(self):
         prr = get_target("PRR:s=3/2")
