@@ -588,9 +588,9 @@ def falling_poly(k: int, start: int = 0) -> RationalPoly:
     return out
 
 
-def falling_factorial(x, j: int):
-    """x (x-1) ... (x-j+1); exact for Fraction input, with (x)_0 = 1."""
-    out = x * 0 + 1 if not isinstance(x, int) else 1
-    for k in range(j):
-        out = out * (x - k)
+def falling_factorials(k: int, top: int) -> list[int]:
+    """[(k)_0, (k)_1, ..., (k)_top] for an integer k >= 0, so (k)_j = 0 for j > k."""
+    out = [1]
+    for j in range(top):
+        out.append(out[-1] * (k - j))
     return out

@@ -827,27 +827,16 @@ def _apply_conjugate_trap(table: list) -> list[int]:
 
     A pair of decaying branches with phases theta and 2 - theta admits a
     real-valued linear combination at leading order, which the symmetry
-    argument cannot exclude.  Returns the flipped indices.
+    argument cannot exclude.  A symmetry-excluded branch has no real phase,
+    so it is never its own conjugate.  Returns the flipped indices.
     """
-    flipped = []
-    sym_idx = [
-        i
+    sym = [
+        (i, b)
         for i, (b, reason) in enumerate(table)
         if reason == "excluded_by_symmetry" and b.kind == "exponential"
     ]
-    for i in sym_idx:
-        bi = table[i][0]
-        for j in sym_idx:
-            if j == i:
-                continue
-            bj = table[j][0]
-            if (
-                bi.gamma == bj.gamma
-                and bi.magnitude_pair == bj.magnitude_pair
-                and (bi.phase + bj.phase) % 2 == 0
-            ):
-                flipped.append(i)
-                break
+    keys = {(b.gamma, b.magnitude_pair, b.phase) for _, b in sym}
+    flipped = [i for i, b in sym if (b.gamma, b.magnitude_pair, -b.phase % 2) in keys]
     for i in flipped:
         table[i] = (table[i][0], "not_excluded")
     return flipped

@@ -38,7 +38,7 @@ of primes ever needed.
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .algebra import _as_fraction, falling_factorial, primitive
+from .algebra import _as_fraction, falling_factorials, primitive
 from .operators import SteinOperator
 
 __all__ = [
@@ -132,11 +132,9 @@ def _constraint_rows(prob: DiscoveryProblem, start: int, stop: int) -> list[list
     cols = prob.columns()
     rows = []
     for k in range(start, stop):
-        row = []
-        for i, j in cols:
-            ff = falling_factorial(k, j)
-            row.append(ff * prob.moment(k + i - j) if ff else Fraction(0))
-        rows.append(primitive(row))
+        ff = falling_factorials(k, prob.T)
+        rows.append(primitive([ff[j] * prob.moment(k + i - j) if ff[j] else Fraction(0)
+                               for i, j in cols]))
     return rows
 
 

@@ -7,7 +7,8 @@ A TargetDistribution bundles up to three capabilities behind one name:
   normal laws PN(p, sigma2), the centred Gaussian, and the centred
   semicircle; their moments are rational and computed exactly.  The H_p
   moments come from ``algebra.gaussian_power_moments`` (integer powers of
-  H_p in monomials), extended on demand and kept per p.
+  H_p in monomials), extended on demand and kept per p, up to the degree
+  budget ``MAX_HERMITE_DEGREE`` on p*k.
 * a seeded sampler ``sample(n, seed)`` drawing i.i.d. replicates with numpy.
   Samplers are stateless: concurrent use derives per-task seeds as
   ``seed + task_index``.
@@ -57,7 +58,8 @@ from .algebra import (
     gaussian_power_moments,
     hermite_to_monomial,
 )
-from .operators import FAMILIES, POSITIVE, BadParameter, Param, parse_spec, read_parameter
+from .operators import (FAMILIES, INDEX, POSITIVE, BadParameter, Param, parse_spec,
+                        read_parameter)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -80,17 +82,26 @@ class UnknownTarget(KeyError):
 # p -> (E[H_p^k] for k = 0, 1, ... so far, the engine that continues them)
 _HERMITE_MOMENTS: dict = {}
 
+# Work budget.  E[H_p^k] expands H_p^k, of degree p*k, in about (p k)^2 / 4
+# products whatever p is: 0.2-1.1 s at p k = 2048 on a 2-core VM, 2.5-11 s at 4096.
+MAX_HERMITE_DEGREE = 2048
+
 
 def hermite_poly_moment(p: int, k: int) -> Fraction:
     """E[H_p(X)^k] for X ~ N(0,1), exactly.
 
     H_p has integer monomial coefficients; its moments come from
     ``gaussian_power_moments``, and each p keeps the list computed so far.
+    A degree p*k above MAX_HERMITE_DEGREE raises ValueError.
     """
     if p < 1:
         raise ValueError("Hermite index p must be >= 1")
     if k < 0:
         raise ValueError("moment order k must be >= 0")
+    if p * k > MAX_HERMITE_DEGREE:
+        raise ValueError(
+            f"E[H{p}^{k}] expands a polynomial of degree {p * k}, beyond the "
+            f"budget MAX_HERMITE_DEGREE = {MAX_HERMITE_DEGREE}")
     if p not in _HERMITE_MOMENTS:
         _HERMITE_MOMENTS[p] = ([], gaussian_power_moments(hermite_to_monomial(p)))
     known, engine = _HERMITE_MOMENTS[p]
@@ -483,6 +494,7 @@ def get_target(spec: str, **params) -> TargetDistribution:
     if family == "semicircle":
         return _semicircle_target()
     p = read_parameter("p", family[1:])  # H<p>, admitted by _target_params
-    if p < 1:
-        raise BadParameter(f"Hermite target requires p >= 1, got {p}")
+    if not INDEX[1](p):
+        raise BadParameter(
+            f"Hermite target requires {INDEX[0].format('p')}, got {_clip(str(p))}")
     return _hermite_target(int(p))

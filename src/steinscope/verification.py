@@ -15,7 +15,7 @@ Three modes, one report type:
 
 Both test classes are closed under d/dy, so each image S f is built exactly,
 once, before any sample is drawn: S e^{ity} = e^{ity} P(y), with P read off
-the raw characteristic-function transform, and S maps exp(-y^2/2) p(y) to
+the coefficients as P_i = sum_j a_ij (it)^j, and S maps exp(-y^2/2) p(y) to
 exp(-y^2/2) q(y) with q built from p -> p' - y p.  An image is a product of
 shared factors (``Image``): cos(ty) and sin(ty) from one product ty per
 frequency t, the weight exp(-y^2/2), and each image polynomial, evaluated by
@@ -44,9 +44,9 @@ from fractions import Fraction
 from functools import reduce
 from typing import TYPE_CHECKING
 
-from .algebra import RationalPoly, float_horner, unit_ipow
+from .algebra import RationalPoly, accumulate, float_horner, unit_ipow
 from .discovery import MAX_CONSTRAINTS
-from .operators import CfOde, SteinOperator, moment_recurrence, psi_transform
+from .operators import CfOde, SteinOperator, moment_recurrence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -192,11 +192,9 @@ class TrigTest:
 
     def image(self, op: SteinOperator) -> Image:
         """S applied to this wave, as a product of shared factors."""
-        # the raw transform's c_i(t) = sum_j a_ij i^(j-i) t^j, so P_i = i^i c_i(t)
-        ode = psi_transform(op, normalise=False)
-        p = [unit_ipow(i) * c(self.t) for i, c in enumerate(ode.coeffs)]
-        re = _poly_key(RationalPoly({i: v.re for i, v in enumerate(p)}))
-        im = _poly_key(RationalPoly({i: v.im for i, v in enumerate(p)}))
+        p = accumulate((i, unit_ipow(j) * (v * self.t**j)) for (i, j), v in op.a.items())
+        re = _poly_key(RationalPoly({i: v.re for i, v in p.items()}))
+        im = _poly_key(RationalPoly({i: v.im for i, v in p.items()}))
         keys = (("wave", float(self.t)), re, im)
         if self.kind == "cos":  # Re(e^{ity} P(y))
             return Image(keys, lambda wave, r, i: wave[0] * r - wave[1] * i)

@@ -15,7 +15,7 @@ from steinscope.algebra import (
     _as_fraction,
     accumulate,
     cumulants_from_moments,
-    falling_factorial,
+    falling_factorials,
     falling_poly,
     float_horner,
     gaussian_moment,
@@ -282,11 +282,25 @@ class TestGaussianMoment:
         )
 
 
-def test_falling_factorial():
-    assert falling_factorial(5, 0) == 1
-    assert falling_factorial(5, 3) == 60
-    assert falling_factorial(Fraction(1, 2), 2) == Fraction(-1, 4)
-    assert falling_factorial(2, 4) == 0
+def _falling_product(x, j: int):
+    """x (x-1) ... (x-j+1), with the empty product 1."""
+    out = 1
+    for l in range(j):
+        out *= x - l
+    return out
+
+
+def test_falling_factorials():
+    assert falling_factorials(5, 0) == [1]
+    assert falling_factorials(5, 3) == [1, 5, 20, 60]
+    assert falling_factorials(0, 3) == [1, 0, 0, 0]
+    # zeros past k: (2)_3 = (2)_4 = 0
+    assert falling_factorials(2, 4) == [1, 2, 2, 0, 0]
+    for k in range(8):
+        ff = falling_factorials(k, 10)
+        assert all(type(v) is int for v in ff)
+        assert ff == [_falling_product(k, j) for j in range(11)]
+        assert all(v == 0 for v in ff[k + 1:])
 
 
 class TestAccumulate:
@@ -325,11 +339,12 @@ def test_falling_poly_agrees_with_falling_factorial(k):
         p = falling_poly(k, start)
         assert p.degree() == k - start
         for x in (Fraction(-3), Fraction(1, 2), Fraction(4), Fraction(7, 3)):
-            head = falling_factorial(x, start)
+            head = _falling_product(x, start)
             if head:
-                assert p(x) == falling_factorial(x, k) / head
+                assert p(x) == _falling_product(x, k) / head
             else:
-                assert p(x) == falling_factorial(x - start, k - start)
+                assert p(x) == _falling_product(x - start, k - start)
+        assert [falling_poly(j)(k) for j in range(9)] == falling_factorials(k, 8)
 
 
 def test_cumulants_from_moments_of_the_standard_gaussian():

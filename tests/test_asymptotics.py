@@ -6,6 +6,7 @@ import pytest
 
 from steinscope.algebra import QI
 from steinscope.asymptotics import (
+    _apply_conjugate_trap,
     H7_LEADING_ODE,
     H8_LEADING_ODE,
     AsymptoticBranch,
@@ -503,6 +504,34 @@ class TestVerdicts:
         v = self.check("PN:p=9", 8, "inconclusive", symmetric=True)
         assert "surviving_branches" in v.diagnostics
         assert "conjugate_trap" in v.diagnostics
+
+    def test_conjugate_trap_flips_exactly_the_conjugate_pairs(self):
+        def exp(phase, gamma=Fraction(1, 2), mag=Fraction(2)):
+            return AsymptoticBranch("exponential", gamma=gamma, mag_pow=mag,
+                                    mag_root=1, phase=phase)
+
+        sym = "excluded_by_symmetry"
+        table = [
+            (exp(Fraction(1, 3)), sym),  # 0: pairs with 5
+            (exp(Fraction(1, 2)), sym),  # 1: no partner with phase 3/2
+            (exp(Fraction(3, 2), gamma=Fraction(1, 3)), sym),  # 2: other gamma
+            (exp(Fraction(3, 2)), "unbounded(right)"),  # 3: not excluded by symmetry
+            (exp(Fraction(1, 4), mag=Fraction(3)), sym),  # 4: other magnitude
+            (exp(Fraction(5, 3)), sym),  # 5: pairs with 0
+            (exp(Fraction(7, 4)), sym),  # 6: no partner with magnitude 2
+        ]
+        # the pairwise search the set lookup replaced
+        pairs = [
+            i for i, (bi, ri) in enumerate(table) if ri == sym
+            if any(j != i and rj == sym and bi.gamma == bj.gamma
+                   and bi.magnitude_pair == bj.magnitude_pair
+                   and (bi.phase + bj.phase) % 2 == 0
+                   for j, (bj, rj) in enumerate(table))
+        ]
+        assert pairs == [0, 5]
+        assert _apply_conjugate_trap(table) == pairs
+        assert [reason for _, reason in table] == [
+            "not_excluded", sym, sym, "unbounded(right)", sym, "not_excluded", sym]
 
     def test_gauss_semicircle_shared_operator_inconclusive(self):
         v = self.check("gauss_semicircle_T5", 2, "inconclusive", symmetric=True)

@@ -475,6 +475,35 @@ class TestVerify:
         assert code == 0
         assert len(report["result"]["tests"]) == 257
 
+    @pytest.mark.parametrize("argv,budget", [
+        (("analyze", "--op", "PN:p=99999999"), "MAX_INDEX = 1000"),
+        (("verify", "--op", "gauss_classical", "--target", "H3000", "--mode", "exact",
+          "--orders", "3"), "MAX_INDEX = 1000"),
+        (("verify", "--op", "gauss_classical", "--target", "H60", "--mode", "exact",
+          "--orders", "256"), "MAX_HERMITE_DEGREE = 2048"),
+        (("discover", "--target", "H1000", "--order", "0", "--degree", "0"),
+         "MAX_HERMITE_DEGREE = 2048"),
+    ])
+    def test_index_over_budget_exits_2_promptly(self, argv, budget):
+        start = time.monotonic()
+        code, out, err = run_cli(*argv)
+        assert time.monotonic() - start < 5.0
+        assert code == 2
+        assert out == ""
+        assert budget in err and len(err.splitlines()) == 1
+
+    def test_exact_mode_on_a_large_family_index_is_prompt(self):
+        # the moment relation reads integer falling factorials, so PN:p=600
+        # costs no polynomial in k of degree 600
+        start = time.monotonic()
+        code, report = run_report(
+            "verify", "--op", "PN:p=600", "--target", "PN:p=600",
+            "--mode", "exact", "--orders", "12",
+        )
+        assert time.monotonic() - start < 5.0
+        assert code == 0
+        assert len(report["result"]["tests"]) == 13
+
     def test_exact_mode_without_oracle_exits_2(self):
         code, out, err = run_cli(
             "verify", "--op", "PRR:s=2", "--target", "PRR:s=2", "--mode", "exact"

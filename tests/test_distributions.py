@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from steinscope.algebra import gaussian_moment, hermite_to_monomial
 from steinscope.distributions import (
+    MAX_HERMITE_DEGREE,
     BesselRatioCf,
     GaussianCf,
     NoClosedForm,
@@ -24,7 +25,7 @@ from steinscope.distributions import (
     target_names,
 )
 from steinscope.malliavin import ChaosElement
-from steinscope.operators import BadParameter, catalog_get, moment_recurrence
+from steinscope.operators import MAX_INDEX, BadParameter, catalog_get, moment_recurrence
 
 F = Fraction
 
@@ -52,6 +53,21 @@ class TestHermitePolyMoment:
             hermite_poly_moment(0, 2)
         with pytest.raises(ValueError):
             hermite_poly_moment(3, -1)
+
+    def test_degree_budget(self):
+        # E[H_p^k] expands a polynomial of degree p k; the budget is checked first
+        assert MAX_HERMITE_DEGREE == 2048
+        assert hermite_poly_moment(64, 32) > 0
+        with pytest.raises(ValueError, match="MAX_HERMITE_DEGREE = 2048"):
+            hermite_poly_moment(64, 33)
+        with pytest.raises(ValueError, match="degree 3000"):
+            hermite_poly_moment(1000, 3)
+
+    def test_index_budget_is_shared_with_the_families(self):
+        assert get_target(f"H{MAX_INDEX}").name == f"H{MAX_INDEX}"
+        for spec in (f"H{MAX_INDEX + 1}", "H0", f"PN:p={MAX_INDEX + 1}"):
+            with pytest.raises(BadParameter, match=f"MAX_INDEX = {MAX_INDEX}"):
+                get_target(spec)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=4))
     def test_odd_hermite_odd_moments_vanish(self, p, m):

@@ -3,7 +3,10 @@
 ``_trig_image``, ``_gaussian_image`` and ``_reference_mc`` below are the
 implementation the package used before the test images of one chunk shared
 their factors (t*y, cos and sin per frequency, the Gaussian weight, each
-image polynomial) and evaluated polynomials by an in-place Horner.  Each
+image polynomial) and evaluated polynomials by an in-place Horner.
+``_trig_image`` reads its wave polynomial off the raw characteristic-function
+transform, which the package no longer exposes; ``_raw_psi_transform`` is
+that transform as the package wrote it.  Each
 image was evaluated on its own with numpy's ``polyval``.  They are kept
 verbatim as a reference oracle: every residual and standard error of
 ``mc_stein_residual`` must equal the oracle's bit for bit, for one thread
@@ -15,9 +18,9 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from steinscope.algebra import RationalPoly, unit_ipow
+from steinscope.algebra import QI, GaussianRationalPoly, RationalPoly, unit_ipow
 from steinscope.distributions import get_target
-from steinscope.operators import catalog_get, psi_transform
+from steinscope.operators import CfOde, catalog_get
 from steinscope.verification import (
     _CHUNK,
     _welford_merge,
@@ -29,10 +32,19 @@ from steinscope.verification import (
 # --- reference oracle, verbatim -------------------------------------------------
 
 
+def _raw_psi_transform(op):
+    """The raw image a_ij y^i D^j -> a_ij i^(j-i) t^j phi^(i), with no unit applied."""
+    rows: list[dict] = [{} for _ in range(op.m + 1)]
+    for (i, j), v in op.a.items():
+        rows[i][j] = unit_ipow(j - i) * v
+    coeffs = [GaussianRationalPoly(r) for r in rows]
+    return CfOde(coeffs, unit=QI(1))
+
+
 def _trig_image(self, op):
     """S applied to this wave, as a function of a float array y."""
     # the raw transform's c_i(t) = sum_j a_ij i^(j-i) t^j, so P_i = i^i c_i(t)
-    ode = psi_transform(op, normalise=False)
+    ode = _raw_psi_transform(op)
     p = [unit_ipow(i) * c(self.t) for i, c in enumerate(ode.coeffs)]
     re = RationalPoly({i: v.re for i, v in enumerate(p)}).float_coefficients()
     im = RationalPoly({i: v.im for i, v in enumerate(p)}).float_coefficients()

@@ -11,6 +11,7 @@ from steinscope.algebra import QI, RationalPoly, gaussian_moment
 from steinscope.distributions import TARGET_BUILDERS, get_target
 from steinscope.operators import (
     FAMILIES,
+    MAX_INDEX,
     BadParameter,
     CfOde,
     NotInImage,
@@ -227,10 +228,6 @@ class TestPsiInverse:
     def test_random_round_trip(self, op):
         assert psi_inverse(psi_transform(op)) == op
 
-    def test_round_trip_without_normalisation(self):
-        op = catalog_get("H3_T5m2")
-        assert psi_inverse(psi_transform(op, normalise=False)) == op
-
     def test_rejects_ode_outside_image(self):
         # c0 = 1 would need a (0, 0) term scaled by i^0 AND a nonzero
         # imaginary part elsewhere that no Q-operator produces
@@ -373,6 +370,13 @@ class TestFamilyRegistry:
     def test_repeated_keyword_through_the_alias(self):
         with pytest.raises(BadParameter, match="more than once"):
             catalog_get("G1X", r=1, lam=2, **{"lambda": 3})
+
+    def test_pn_index_is_bounded_before_any_work(self):
+        # the Stirling row of p is O(p^2) integers; p = 10^8 must fail at parse
+        assert MAX_INDEX == 1000
+        for p in ("0", "1001", "99999999", "3/2"):
+            with pytest.raises(BadParameter, match=r"1 <= p <= MAX_INDEX = 1000"):
+                catalog_get(f"PN:p={p}")
 
     def test_keywords_win_over_the_spec(self):
         assert catalog_get("PN:p=4", p=5) == catalog_get("PN:p=5")
