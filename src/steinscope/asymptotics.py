@@ -49,14 +49,16 @@ The analysis is exact throughout:
   excluded for symmetric targets, except when a surviving conjugate pair
   (theta, 2 - theta) admits a real linear combination, which no symmetry
   argument can exclude.
-* ``characterisation_verdict`` / ``verdict_for_ode`` run the pipeline
-  (``resolve_target_meta`` fills in the side-condition defaults):
-  first-order ODEs characterise outright; regular singular points are
-  handled through the indicial roots; irregular ones through dominant
-  balance plus corrections; if several admissible directions remain, the
-  exact moment recurrence is solved symbolically to see whether the target's
-  moments are pinned, optionally consuming the side conditions zero_mean
-  and/or symmetry.  Verdicts report exactly the conditions consumed.
+* ``verdict_for_ode`` runs the pipeline on the ODE and the side conditions
+  alone, and ``characterisation_verdict`` runs it on an operator's
+  transform: first-order ODEs characterise outright; regular singular
+  points are handled through the indicial roots; ordinary and irregular
+  ones through dominant balance plus corrections; if several admissible
+  directions remain, the exact moment recurrence of the operator
+  ``psi_inverse`` recovers from the ODE is solved symbolically to see
+  whether the target's moments are pinned, optionally consuming the side
+  conditions zero_mean and/or symmetry.  Verdicts report exactly the
+  conditions consumed.
 
 The module also ships the leading-order ODE coefficients for the degree-7
 and degree-8 Hermite targets (``H7_LEADING_ODE``, ``H8_LEADING_ODE``); their
@@ -71,7 +73,8 @@ from fractions import Fraction
 
 from .algebra import (QI, GaussianRationalPoly, RationalPoly, accumulate, falling_poly,
                       fraction_nth_root, rational_roots)
-from .operators import CfOde, SteinOperator, moment_recurrence, psi_transform
+from .operators import (CfOde, NotInImage, SteinOperator, moment_recurrence, psi_inverse,
+                        psi_transform)
 
 
 class NotRegularSingular(ValueError):
@@ -847,23 +850,22 @@ def verdict_for_ode(
     moment_order: int,
     symmetric: bool = False,
     zero_mean: bool = False,
-    op: SteinOperator | None = None,
 ) -> Verdict:
     """Run the full sufficiency analysis on a characteristic-function ODE.
 
     ``moment_order`` is the number of finite moments the argument may
     assume; ``symmetric``/``zero_mean`` say which side conditions are
     available (they are consumed only if needed and reported when consumed).
-    ``op`` enables the moment-forcing step when several admissible
-    directions remain.  A negative ``moment_order`` raises ValueError.
+    When several admissible directions remain, moment forcing reads the
+    operator ``psi_inverse(ode)``; an ODE outside the transform's image is
+    then inconclusive.  A negative ``moment_order`` raises ValueError.
     """
     if moment_order < 0:
         raise ValueError(f"moment order {moment_order}; need moment_order >= 0")
     diagnostics: dict = {}
     sing = classify_singularity(ode)
-    n = ode.order
 
-    if n == 1:
+    if ode.order == 1:
         table = ((AsymptoticBranch("bounded"), "candidate"),)
         diagnostics["notes"] = [
             "first-order ODE: the solution space is one-dimensional, so the "
@@ -872,9 +874,7 @@ def verdict_for_ode(
         return Verdict("characterising", (), table, sing, None, diagnostics)
 
     indicial = None
-    if sing.kind == "ordinary":
-        table = [(AsymptoticBranch("bounded", multiplicity=n), "candidate")]
-    elif sing.kind == "regular_singular":
+    if sing.kind == "regular_singular":
         indicial = indicial_roots(ode)
         if not indicial.fully_factored():
             diagnostics["notes"] = [
@@ -884,34 +884,33 @@ def verdict_for_ode(
         if indicial.undecided:
             diagnostics["notes"] = list(indicial.undecided)
             return Verdict("inconclusive", (), (), sing, indicial, diagnostics)
-        table = [
-            (b, classify_branch(b, moment_order, symmetric))
-            for b in _branches_for_regular(indicial)
-        ]
+        branches = _branches_for_regular(indicial)
     else:
+        # at an ordinary point every Newton-polygon edge has slope < 1, so
+        # this is one bounded branch of multiplicity ode.order
         try:
             branches = dominant_balance(ode)
         except NoBalance as exc:
             diagnostics["notes"] = [f"dominant balance failed: {exc}"]
             return Verdict("inconclusive", (), (), sing, None, diagnostics)
-        table = []
-        correction_notes = []
-        for b in branches:
-            reason = classify_branch(b, moment_order, symmetric)
-            if (
-                reason == "not_excluded"
-                and b.kind == "exponential"
-                and b.power_exponent is None
-                and 0 in (_cos_pi_sign(b.phase), _cos_pi_sign(b.phase - b.gamma))
-            ):
-                try:
-                    b.power_exponent = power_correction(ode, b)
-                    reason = classify_branch(b, moment_order, symmetric)
-                except CorrectionNotLinear as exc:
-                    correction_notes.append(f"{b.describe()}: {exc}")
-            table.append((b, reason))
-        if correction_notes:
-            diagnostics["correction_failures"] = correction_notes
+    table = []
+    correction_notes = []
+    for b in branches:
+        reason = classify_branch(b, moment_order, symmetric)
+        if (
+            reason == "not_excluded"
+            and b.kind == "exponential"
+            and b.power_exponent is None
+            and 0 in (_cos_pi_sign(b.phase), _cos_pi_sign(b.phase - b.gamma))
+        ):
+            try:
+                b.power_exponent = power_correction(ode, b)
+                reason = classify_branch(b, moment_order, symmetric)
+            except CorrectionNotLinear as exc:
+                correction_notes.append(f"{b.describe()}: {exc}")
+        table.append((b, reason))
+    if correction_notes:
+        diagnostics["correction_failures"] = correction_notes
 
     flipped = _apply_conjugate_trap(table)
     if flipped:
@@ -936,10 +935,12 @@ def verdict_for_ode(
         ]
         return Verdict("inconclusive", (), table, sing, indicial, diagnostics)
     if candidates > 1:
-        if op is None:
+        try:
+            op = psi_inverse(ode)
+        except NotInImage as exc:
             diagnostics["notes"] = [
-                f"{candidates} admissible directions remain and no operator "
-                "was supplied for moment forcing"
+                f"{candidates} admissible directions remain and moment forcing "
+                f"has no operator: {exc}"
             ]
             return Verdict("inconclusive", (), table, sing, indicial, diagnostics)
         options = [set()]
@@ -975,21 +976,12 @@ def verdict_for_ode(
     return Verdict(status, conditions, table, sing, indicial, diagnostics)
 
 
-def resolve_target_meta(op: SteinOperator, target_meta=None) -> dict:
-    """``target_meta`` over its defaults: moment_order = the operator's y-degree
-    m (the order of the transformed ODE), symmetric = zero_mean = False."""
-    meta = {"moment_order": op.m, "symmetric": False, "zero_mean": False}
-    unknown = sorted(set(target_meta or ()) - set(meta))
-    if unknown:
-        raise ValueError(f"unknown target_meta keys {unknown}")
-    return {**meta, **(target_meta or {})}
-
-
 def characterisation_verdict(op: SteinOperator, target_meta=None) -> Verdict:
-    """Verdict for a Stein operator against its target's metadata, which is
-    read by ``resolve_target_meta``."""
-    meta = resolve_target_meta(op, target_meta)
-    return verdict_for_ode(psi_transform(op), **meta, op=op)
+    """Verdict for a Stein operator against its target's metadata, the
+    keyword arguments of ``verdict_for_ode``; moment_order defaults to the
+    operator's y-degree m, the order of the transformed ODE."""
+    meta = {"moment_order": op.m, **(target_meta or {})}
+    return verdict_for_ode(psi_transform(op), **meta)
 
 
 # --- leading-order fixtures for the degree-7/8 Hermite targets -----------------

@@ -32,13 +32,8 @@ from pathlib import Path
 
 from . import __version__
 # benchmarks/selftest.py traces characterisation_verdict through this module
-from .asymptotics import characterisation_verdict, resolve_target_meta, verdict_for_ode
-from .discovery import (
-    MAX_CONSTRAINTS,
-    MAX_UNKNOWNS,
-    DiscoveryProblem,
-    find_stein_operators,
-)
+from .asymptotics import characterisation_verdict, verdict_for_ode
+from .discovery import MAX_UNKNOWNS, DiscoveryProblem, find_stein_operators
 from .distributions import (
     TargetDistribution,
     UnknownTarget,
@@ -47,6 +42,7 @@ from .distributions import (
 )
 from .operators import (
     FAMILIES,
+    MAX_CONSTRAINTS,
     BadParameter,
     CfOde,
     SteinOperator,
@@ -200,7 +196,9 @@ def _cmd_transform(args) -> tuple[dict, int]:
 
 def _cmd_analyze(args) -> tuple[dict, int]:
     op = _resolve_operator(args.op)
-    meta = {} if op.target_hint is None else get_target(op.target_hint).meta
+    meta = {"moment_order": op.m, "symmetric": False, "zero_mean": False}
+    if op.target_hint is not None:
+        meta.update(get_target(op.target_hint).meta)
     if args.symmetric:
         meta["symmetric"] = True
     if args.zero_mean:
@@ -208,9 +206,8 @@ def _cmd_analyze(args) -> tuple[dict, int]:
     if args.moments is not None:
         meta["moment_order"] = args.moments
     ode = psi_transform(op)
-    meta = resolve_target_meta(op, meta)
     try:
-        verdict = verdict_for_ode(ode, **meta, op=op)
+        verdict = verdict_for_ode(ode, **meta)
     except ValueError as exc:  # --moments < 0
         raise UsageError(str(exc)) from None
     result = {

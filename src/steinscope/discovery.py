@@ -39,7 +39,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .algebra import _as_fraction, falling_factorials, primitive
-from .operators import SteinOperator
+from .operators import MAX_CONSTRAINTS, SteinOperator
 
 __all__ = [
     "DiscoveryProblem",
@@ -53,12 +53,10 @@ class OracleTooShort(ValueError):
     """The moment oracle cannot supply a required order."""
 
 
-# Work budget.  Row k of the constraint matrix needs moments up to order
-# k + m, and exact Hermite moments grow with the order, so both the width
-# and the height are capped.  H8 at both caps, (T, m) = (15, 7) with
-# K = 256, took 17 s on a 2-core VM; H5 (13, 4) needs 70 unknowns, K = 86.
+# Work budget: the width is capped here and the height by the moment
+# relation's row budget MAX_CONSTRAINTS.  H5 (13, 4) needs 70 unknowns,
+# K = 86.
 MAX_UNKNOWNS = 128
-MAX_CONSTRAINTS = 256
 
 
 class DiscoveryProblem:

@@ -338,18 +338,6 @@ class TargetDistribution:
 
 # --- registry -----------------------------------------------------------------
 
-def _gaussian_target(sigma2: Fraction) -> TargetDistribution:
-    return TargetDistribution(
-        "gaussian" if sigma2 == 1 else f"gaussian:sigma2={sigma2}",
-        {"sigma2": sigma2},
-        symmetric=True,
-        zero_mean=True,
-        moment=lambda k: gaussian_moment(k) * sigma2 ** (k // 2),
-        sampler=lambda rng, n: float(sigma2) ** 0.5 * rng.standard_normal(n),
-        cf=GaussianCf(sigma2),
-    )
-
-
 def _semicircle_target() -> TargetDistribution:
     def moment(k: int) -> Fraction:
         if k % 2:
@@ -489,8 +477,10 @@ def get_target(spec: str, **params) -> TargetDistribution:
     if family in TARGET_BUILDERS:
         law = TARGET_BUILDERS[family](**values)
         return TargetDistribution(name, values, **law)
-    if family in _GAUSSIAN_NAMES:
-        return _gaussian_target(values["sigma2"])
+    if family in _GAUSSIAN_NAMES:  # N(0, sigma2) is PN at p = 1
+        sigma2 = values["sigma2"]
+        name = "gaussian" if sigma2 == 1 else f"gaussian:sigma2={sigma2}"
+        return TargetDistribution(name, values, **_pn_law(1, sigma2))
     if family == "semicircle":
         return _semicircle_target()
     p = read_parameter("p", family[1:])  # H<p>, admitted by _target_params

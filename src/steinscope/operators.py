@@ -275,6 +275,13 @@ def psi_inverse(ode: CfOde) -> SteinOperator:
     )
 
 
+# Row budget of the moment relation: an exact check reads rows k = 0..K and
+# discovery builds K constraint rows, each needing moments up to order k + m,
+# and exact Hermite moments grow with the order.  H8 at discovery's caps,
+# (T, m) = (15, 7) with K = 256, took 17 s on a 2-core VM.
+MAX_CONSTRAINTS = 256
+
+
 class MomentRecurrence:
     """The exact relation sum_s c_s(k) E[W^{k+s}] = 0 implied by an operator.
 

@@ -19,8 +19,10 @@ the coefficients as P_i = sum_j a_ij (it)^j, and S maps exp(-y^2/2) p(y) to
 exp(-y^2/2) q(y) with q built from p -> p' - y p.  An image is a product of
 shared factors (``Image``): cos(ty) and sin(ty) from one product ty per
 frequency t, the weight exp(-y^2/2), and each image polynomial, evaluated by
-``algebra.float_horner``.  Within a chunk each factor is computed once and
-kept only while the images that use it run.  The roundings are those of
+``algebra.float_horner``.  Within a chunk an image keeps the factors it
+shares with the previous image and computes the rest; the default family
+lists the waves at one t, and the weighted monomials, consecutively, so
+each of its factors is computed once per chunk.  The roundings are those of
 evaluating every image on its own with numpy's ``polyval``, so residuals and
 standard errors are bit-identical to that.
 
@@ -39,14 +41,12 @@ from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from typing import TYPE_CHECKING
 
 from .algebra import RationalPoly, accumulate, float_horner, unit_ipow
-from .discovery import MAX_CONSTRAINTS
-from .operators import CfOde, SteinOperator, moment_recurrence
+from .operators import MAX_CONSTRAINTS, CfOde, SteinOperator, moment_recurrence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -116,17 +116,27 @@ def check_moment_recurrence(op: SteinOperator, dist, K: int = 12) -> list[Residu
 
     ``dist`` must expose an exact ``moment(order) -> Fraction`` oracle
     (NoExactOracle propagates otherwise).  Each report's residual is the
-    exact value of sum_s c_s(k) E[W^{k+s}]; pass means exactly zero.
-    K < 0, which would pass vacuously, and K > MAX_CONSTRAINTS, the row
-    budget that discovery keeps too, raise ValueError.
+    exact value of sum_s c_s(k) E[W^{k+s}]; pass means exactly zero.  Each
+    order is asked of the oracle once and kept while later rows read it:
+    no row after k reads order k + min_shift.  K < 0, which would pass
+    vacuously, and K > MAX_CONSTRAINTS, the moment relation's row budget,
+    raise ValueError.
     """
     if not 0 <= K <= MAX_CONSTRAINTS:
         raise ValueError(f"moment orders K = {K}; need K >= 0 and K <= the "
                          f"budget MAX_CONSTRAINTS = {MAX_CONSTRAINTS}")
     rec = moment_recurrence(op)
+    kept: dict[int, Fraction] = {}
+
+    def moment(order: int) -> Fraction:
+        if order not in kept:
+            kept[order] = dist.moment(order)
+        return kept[order]
+
     out = []
     for k in range(K + 1):
-        r = rec.residual(dist.moment, k)
+        r = rec.residual(moment, k)
+        kept.pop(k + rec.min_shift, None)
         out.append(ResidualReport(f"moment-k={k}", "exact", r, Fraction(0)))
     return out
 
@@ -261,7 +271,7 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
     """Estimate E[S f(W)] over a test-function family by seeded Monte-Carlo.
 
     Each image S f is built once, before sampling, and each chunk computes
-    the factors its images share once.  Returns one report per family
+    the factors consecutive images share once.  Returns one report per family
     member with residual = sample mean, stderr, and threshold =
     _SIGMA_MULT * stderr.  Chunk i draws ``dist.sample(chunk_size, seed + i)``;
     estimates are identical for any thread count.  n < 2 (no standard error)
@@ -277,26 +287,22 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
     import numpy as np
 
     images = [fn.image(op) for fn in family]
-    uses = Counter(key for image in images for key in image.keys)
     full, rest = divmod(n, _CHUNK)
     sizes = [_CHUNK] * full + ([rest] if rest else [])
 
     def run_chunk(i: int):
         y = dist.sample(sizes[i], seed=seed + i)
-        # each factor is computed at its first use and dropped after its last
-        factors, left, stats = {}, Counter(uses), []
+        factors, stats = {}, []
         # an image that overflows on finite samples is reported below, once,
         # as a non-finite estimate
         with np.errstate(over="ignore", invalid="ignore"):
             for image in images:
+                # keep what this image shares with the previous one
+                factors = {key: factors[key] for key in image.keys if key in factors}
                 for key in image.keys:
                     if key not in factors:
                         factors[key] = _factor(y, key)
                 vals = image.combine(*(factors[key] for key in image.keys))
-                for key in image.keys:
-                    left[key] -= 1
-                    if not left[key]:
-                        del factors[key]
                 m = float(vals.mean())
                 vals -= m  # vals is the image's own array
                 stats.append((len(y), m, float(np.square(vals, out=vals).sum())))

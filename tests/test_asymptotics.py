@@ -19,7 +19,6 @@ from steinscope.asymptotics import (
     dominant_balance,
     indicial_roots,
     power_correction,
-    resolve_target_meta,
     verdict_for_ode,
 )
 from steinscope.operators import CfOde, catalog_get, psi_transform
@@ -568,6 +567,46 @@ class TestVerdicts:
         ode = CfOde([{0: 1}, {0: 1}, {0: 1}])  # analytic coefficients
         v = verdict_for_ode(ode, 2)
         assert v.status == "inconclusive"
+        # c_1 = 1 is not i-aligned with c_0 = c_2 = 1: no operator transforms
+        # to this ODE, so there is no moment recurrence to force
+        assert v.diagnostics["notes"] == [
+            "2 admissible directions remain and moment forcing has no operator: "
+            "ODE coefficients are not i-power-aligned with a rational operator"
+        ]
+
+    @pytest.mark.parametrize("coeffs", [
+        [{0: 1}, {0: 1}, {0: 1}],
+        [{}, {1: 1}, {0: 1}],          # c_0 = 0
+        [{}, {}, {0: 1}],              # c_n is the only nonzero coefficient
+        [{2: 1}, {}, {5: QI(0, 1)}, {0: 3}],
+    ])
+    def test_ordinary_point_is_one_bounded_branch_of_full_multiplicity(self, coeffs):
+        # at an ordinary point every Newton-polygon edge has slope < 1, so
+        # dominant balance gives one bounded branch of multiplicity n
+        ode = CfOde(coeffs)
+        assert classify_singularity(ode).kind == "ordinary"
+        v = verdict_for_ode(ode, ode.order)
+        assert v.as_json()["branch_table"] == [{
+            "kind": "bounded", "multiplicity": ode.order, "gamma": None,
+            "magnitude": None, "phase_over_pi": None, "power_exponent": None,
+            "log_coeff": None, "log_exponent": None, "exclusion": "candidate",
+        }]
+
+    @pytest.mark.parametrize("spec, meta", [
+        ("H4_T2m3", {"zero_mean": True}),
+        ("gauss_semicircle_T5", {"symmetric": True, "zero_mean": True}),
+    ])
+    def test_moment_forcing_reads_the_operator_back_from_the_ode(self, spec, meta):
+        # an ODE built directly from the transform's coefficients records no
+        # unit; psi_inverse still recovers the operator up to sign, and the
+        # moment-forcing rows are homogeneous, so the verdict is the operator's
+        op = catalog_get(spec)
+        ode = CfOde(psi_transform(op).coeffs)
+        assert ode.unit is None
+        v = verdict_for_ode(ode, op.m, **meta)
+        expected = characterisation_verdict(op, meta)
+        assert v.as_json() == expected.as_json()
+        assert {"moment_forcing", "free_moments"} & set(v.diagnostics)
 
     @pytest.mark.parametrize("moment_order", [-1, -5])
     def test_negative_moment_order_is_an_error(self, moment_order):
@@ -579,13 +618,17 @@ class TestVerdicts:
             characterisation_verdict(catalog_get("gauss_classical"),
                                      {"moment_order": moment_order})
 
-    def test_resolved_target_meta_fills_defaults_in_report_order(self):
-        op = catalog_get("H4_T2m3")
-        assert resolve_target_meta(op, {"zero_mean": True}) == {
-            "moment_order": 3, "symmetric": False, "zero_mean": True}
-        assert list(resolve_target_meta(op)) == ["moment_order", "symmetric", "zero_mean"]
-        with pytest.raises(ValueError, match="unknown target_meta keys"):
-            resolve_target_meta(op, {"moments": 3})
+    def test_default_moment_order_is_the_operator_degree(self):
+        # H3_T4m3's verdict changes below moment order 3 = m
+        op = catalog_get("H3_T4m3")
+        assert op.m == 3
+        v = characterisation_verdict(op, {"symmetric": True}).as_json()
+        assert v == verdict_for_ode(psi_transform(op), 3, symmetric=True).as_json()
+        assert v != verdict_for_ode(psi_transform(op), 2, symmetric=True).as_json()
+
+    def test_unknown_target_meta_key_is_a_type_error(self):
+        with pytest.raises(TypeError, match="moments"):
+            characterisation_verdict(catalog_get("H4_T2m3"), {"moments": 3})
 
 
 class TestNumericalCrossCheck:

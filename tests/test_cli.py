@@ -365,6 +365,57 @@ class TestAnalyze:
         assert report_sym["result"]["verdict"]["conditions"] == ["symmetry"]
 
 
+# The analyze result for y^2 - 1 (T = 0: a law on {-1, 1}) with --zero-mean,
+# as recorded before ordinary points went through the Newton polygon.
+_RADEMACHER_RESULT = (
+    '{"operator":{"name":"rademacher","T":0,"m":2,"coeff":[["-1"],["0"],["1"]]},'
+    '"ode":{"order":2,"unit":"-1","coefficients":["(1)","0","(1)"],'
+    '"display":"CfOde(((1))*phi^(2) + ((1))*phi = 0)"},'
+    '"target_meta":{"moment_order":2,"symmetric":false,"zero_mean":true},'
+    '"verdict":{"status":"characterising_with_conditions","conditions":["zero_mean"],'
+    '"singularity":{"kind":"ordinary","valuations":[0,null,0]},"indicial_roots":null,'
+    '"branch_table":[{"kind":"bounded","multiplicity":2,"gamma":null,"magnitude":null,'
+    '"phase_over_pi":null,"power_exponent":null,"log_coeff":null,"log_exponent":null,'
+    '"exclusion":"candidate"}],'
+    '"diagnostics":{"moment_forcing":"all moments pinned by rows k=0..12 using [\'zero_mean\']"}}}'
+)
+
+
+class TestOrdinaryPoint:
+    """An operator with T = 0 transforms to an ODE with an ordinary point at 0."""
+
+    @staticmethod
+    def rademacher(tmp_path):
+        path = tmp_path / "rademacher.json"
+        save_report(path, {"name": "rademacher", "T": 0, "m": 2,
+                           "coeff": [["-1"], ["0"], ["1"]]})
+        return path
+
+    def test_report_bytes_are_unchanged(self, tmp_path):
+        path = self.rademacher(tmp_path)
+        code, out, err = run_cli("analyze", "--op", path, "--zero-mean")
+        assert (code, err) == (0, "")
+        assert out == report_json({
+            "command": "analyze",
+            "inputs": {"op": str(path), "symmetric": False, "zero_mean": True},
+            "seed": 0,
+            "versions": _versions(),
+            "result": json.loads(_RADEMACHER_RESULT),
+        })
+
+    def test_without_a_side_condition_the_first_moment_is_free(self, tmp_path):
+        code, report = run_report("analyze", "--op", self.rademacher(tmp_path))
+        verdict = report["result"]["verdict"]
+        assert code == 1
+        assert verdict["branch_table"] == json.loads(_RADEMACHER_RESULT)["verdict"][
+            "branch_table"]
+        assert verdict["diagnostics"] == {
+            "free_moments": [1],
+            "notes": ["2 admissible directions and the recurrence leaves E[W^n] "
+                      "free for n in [1]"],
+        }
+
+
 class TestAnalyzeBoundedWork:
     """Regular singular inputs whose work used to grow with their numbers."""
 

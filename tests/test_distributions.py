@@ -129,6 +129,29 @@ class TestMomentOracles:
         assert g24.moment(2) == 24
         assert g24.moment(4) == 3 * 24**2
 
+    @pytest.mark.parametrize("sigma2", ["1", "6", "1/3"])
+    def test_gaussian_is_pn_at_p_1(self, sigma2):
+        # N(0, sigma2) is built as the PN law at p = 1: same moments, the
+        # same samples as sqrt(sigma2) * standard_normal(n) byte for byte,
+        # and the same closed-form characteristic function
+        g = get_target(f"gaussian:sigma2={sigma2}")
+        pn = get_target(f"PN:p=1,sigma2={sigma2}")
+        assert g.name == ("gaussian" if sigma2 == "1" else f"gaussian:sigma2={sigma2}")
+        assert get_target(f"N01:sigma2={sigma2}").name == g.name
+        assert g.params == {"sigma2": F(sigma2)}
+        assert g.meta == {"symmetric": True, "zero_mean": True}
+        assert [g.moment(k) for k in range(30)] == [pn.moment(k) for k in range(30)]
+        assert [g.moment(k) for k in range(30)] == [
+            gaussian_moment(k) * F(sigma2) ** (k // 2) for k in range(30)]
+        for seed in (0, 5):
+            x = g.sample(100003, seed=seed)
+            ref = float(F(sigma2)) ** 0.5 * np.random.default_rng(seed).standard_normal(100003)
+            assert x.tobytes() == ref.tobytes()
+            assert x.tobytes() == pn.sample(100003, seed=seed).tobytes()
+        for t in (0.0, 0.5, 2.0):
+            for j in range(3):
+                assert g.cf(t, j) == pn.cf(t, j) == GaussianCf(F(sigma2))(t, j)
+
     def test_semicircle_catalan(self):
         sc = get_target("semicircle")
         assert sc.moment(2) == F(1, 4)

@@ -8,6 +8,7 @@ asserted here were recorded at fixed seeds and are deterministic.
 
 import os
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -119,6 +120,29 @@ class TestExactMode:
         with pytest.raises(NoExactOracle):
             check_moment_recurrence(
                 catalog_get("PRR:s=2"), get_target("PRR:s=2"), K=4)
+
+    @pytest.mark.parametrize("op_spec, target_spec", [
+        ("H4_T2m3", "H4"),
+        ("PN:p=4", "PN:p=4"),
+        ("gauss_semicircle_T5", "semicircle"),
+        ("H5_T13m4", "H5"),
+        ("H3_T4m3", "H4"),  # a wrong pair reads the same orders
+    ])
+    def test_oracle_is_asked_each_order_once(self, op_spec, target_spec):
+        op, target = catalog_get(op_spec), get_target(target_spec)
+        calls = []
+
+        def moment(order):
+            calls.append(order)
+            return target.moment(order)
+
+        K = 40
+        reports = check_moment_recurrence(op, SimpleNamespace(moment=moment), K=K)
+        rec = moment_recurrence(op)
+        read = {k + s for k in range(K + 1) for s in rec.coefficients(k)}
+        assert sorted(calls) == sorted(read)  # every order read, each once
+        assert [r.residual for r in reports] == [
+            rec.residual(target.moment, k) for k in range(K + 1)]
 
     @pytest.mark.parametrize("K", [-1, -5])
     def test_negative_order_is_an_error(self, K):
