@@ -7,14 +7,14 @@ constraint on the (m+1)(T+1) unknown coefficients:
 
     sum_{i,j} a_{i,j} ff(k, j) mu(k + i - j) = 0,
 
-with ff the falling factorial (zero for j > k, so no negative moment is
-ever requested) and mu the exact moment oracle.  Truncating to k < K
-gives a K x (m+1)(T+1) rational matrix whose nullspace contains every
-operator of this shape that annihilates the law; whether K constraints
-already pin that nullspace down is checked by stabilisation: the basis is
-tested against eight extra rows, and K is raised until it satisfies them.
-The trail of (K, dimension) pairs is kept on the problem object so any
-K-sensitivity is surfaced, never hidden.
+with ff the falling factorial (zero for j > k, so no negative order is
+read) and mu the exact moment oracle, read once per solve, highest order
+first, so a moment budget refuses before any moment is computed.
+Truncating to k < K gives a K x (m+1)(T+1) rational matrix whose
+nullspace holds every operator of this shape that annihilates the law;
+stabilisation tests the basis against eight extra rows and raises K
+until it satisfies them.  The (K, dimension) trail is kept on the
+problem, so any K-sensitivity is surfaced.
 
 The nullspace is computed multi-modularly.  Each row is cleared to
 coprime integers.  Moment matrices for high-order Hermite targets have
@@ -62,9 +62,9 @@ MAX_UNKNOWNS = 128
 class DiscoveryProblem:
     """Search space for operators annihilating a target's moments.
 
-    ``oracle`` may be an object with an exact ``moment`` method, a bare
-    callable k -> moment, or a finite sequence [mu_0, mu_1, ...] (which
-    raises OracleTooShort when the search needs more than it holds).
+    ``oracle`` is an object with an exact ``moment`` method, such as a
+    target, or a finite sequence [mu_0, mu_1, ...] (which raises
+    OracleTooShort when the search needs more than it holds).
     ``T`` bounds the derivative order, ``m`` the coefficient degree in y,
     and ``K`` the number of moment constraints; the default gives 16 rows
     of slack over the (T+1)(m+1) unknowns.  More than MAX_UNKNOWNS unknowns
@@ -77,8 +77,7 @@ class DiscoveryProblem:
     ``dimension_trail`` the (K, dimension) pairs visited along the way.
     """
 
-    __slots__ = ("oracle", "T", "m", "K", "effective_K", "dimension_trail",
-                 "_moment")
+    __slots__ = ("T", "m", "K", "effective_K", "dimension_trail", "_oracle")
 
     def __init__(self, oracle, T: int, m: int, K: int | None = None):
         self.T = int(T)
@@ -98,40 +97,33 @@ class DiscoveryProblem:
             raise ValueError(
                 f"K = {self.K} constraints exceeds the discovery budget of "
                 f"{MAX_CONSTRAINTS} constraints")
-        self.oracle = oracle
         self.effective_K = None
         self.dimension_trail = []
-        if hasattr(oracle, "moment"):
-            self._moment = oracle.moment
-        elif callable(oracle):
-            self._moment = oracle
-        else:
-            seq = [_as_fraction(v) for v in oracle]
+        self._oracle = (oracle if hasattr(oracle, "moment")
+                        else [_as_fraction(v) for v in oracle])
 
-            def from_sequence(k: int, _seq=seq):
-                if k >= len(_seq):
-                    raise OracleTooShort(
-                        f"moment of order {k} required, but the oracle "
-                        f"ends at order {len(_seq) - 1}")
-                return _seq[k]
-
-            self._moment = from_sequence
-
-    def moment(self, k: int) -> Fraction:
-        return _as_fraction(self._moment(k))
+    def moments(self, n: int) -> list[Fraction]:
+        """[mu_0, ..., mu_n], asking for mu_n first and for each order once."""
+        if isinstance(self._oracle, list):
+            if n >= len(self._oracle):
+                raise OracleTooShort(f"moment of order {n} required, but the oracle "
+                                     f"ends at order {len(self._oracle) - 1}")
+            return self._oracle[:n + 1]
+        top = _as_fraction(self._oracle.moment(n))
+        return [_as_fraction(self._oracle.moment(k)) for k in range(n)] + [top]
 
     def columns(self) -> list[tuple[int, int]]:
         """Unknown coefficient slots (i, j), i.e. y^i D^j, in (i, j)-lex order."""
         return [(i, j) for i in range(self.m + 1) for j in range(self.T + 1)]
 
 
-def _constraint_rows(prob: DiscoveryProblem, start: int, stop: int) -> list[list[int]]:
-    """Constraint rows k = start .. stop - 1, each scaled to coprime integers."""
+def _constraint_rows(prob, mus, start: int, stop: int) -> list[list[int]]:
+    """Rows k = start .. stop - 1 read from ``mus``, scaled to coprime integers."""
     cols = prob.columns()
     rows = []
     for k in range(start, stop):
         ff = falling_factorials(k, prob.T)
-        rows.append(primitive([ff[j] * prob.moment(k + i - j) if ff[j] else Fraction(0)
+        rows.append(primitive([ff[j] * mus[k + i - j] if ff[j] else Fraction(0)
                                for i, j in cols]))
     return rows
 
@@ -337,11 +329,13 @@ def find_stein_operators(prob: DiscoveryProblem) -> list[SteinOperator]:
     ncols = (prob.T + 1) * (prob.m + 1)
     K = prob.K
     prob.dimension_trail = []
-    rows = _constraint_rows(prob, 0, K)
+    # rows k < K + 8 read orders up to K + 7 + m
+    mus = prob.moments(K + 7 + prob.m)
+    rows = _constraint_rows(prob, mus, 0, K)
     vectors = _nullspace(rows, ncols)
     prob.dimension_trail.append((K, len(vectors)))
     while True:
-        new_rows = _constraint_rows(prob, K, K + 8)
+        new_rows = _constraint_rows(prob, mus, K, K + 8)
         rows += new_rows
         if all(_annihilates(new_rows, v) for v in vectors):
             prob.dimension_trail.append((K + 8, len(vectors)))
@@ -349,6 +343,7 @@ def find_stein_operators(prob: DiscoveryProblem) -> list[SteinOperator]:
         vectors = _nullspace(rows, ncols)
         prob.dimension_trail.append((K + 8, len(vectors)))
         K += 8
+        mus = prob.moments(K + 7 + prob.m)
     prob.effective_K = K
     cols = prob.columns()
     ops = [

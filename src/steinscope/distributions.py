@@ -301,7 +301,8 @@ class TargetDistribution:
     def sample(self, n: int, seed=0) -> np.ndarray:
         """n i.i.d. draws; reproducible for a fixed integer seed.
 
-        A parameter beyond float range raises ValueError.
+        A parameter beyond float range, or a nonzero one that rounds to 0.0
+        in a float, raises ValueError naming it.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
@@ -309,13 +310,18 @@ class TargetDistribution:
             raise NotImplementedError(
                 f"{self.name} has no sampler; it is an analysis-only target"
             )
+        for key, value in self.params.items():
+            try:
+                as_float = float(value)
+            except OverflowError:
+                raise ValueError(f"{_clip(self.name)}: parameter {key} does not fit "
+                                 f"in a float") from None
+            if value and not as_float:
+                raise ValueError(f"{_clip(self.name)}: parameter {key} is nonzero "
+                                 f"but rounds to 0.0 in a float")
         import numpy as np
 
-        try:
-            return self._sampler(np.random.default_rng(seed), int(n))
-        except OverflowError:  # a parameter beyond float range
-            raise ValueError(
-                f"{_clip(self.name)}: a parameter does not fit in a float") from None
+        return self._sampler(np.random.default_rng(seed), int(n))
 
     def cf(self, t: float, j: int = 0) -> float:
         """j-th derivative of the characteristic function at t."""

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import TYPE_CHECKING
 
-from .algebra import RationalPoly, accumulate, float_horner, unit_ipow
+from .algebra import RationalPoly, _as_fraction, accumulate, float_horner, unit_ipow
 from .operators import MAX_CONSTRAINTS, CfOde, SteinOperator, moment_recurrence
 
 if TYPE_CHECKING:
@@ -116,26 +116,28 @@ def check_moment_recurrence(op: SteinOperator, dist, K: int = 12) -> list[Residu
 
     ``dist`` must expose an exact ``moment(order) -> Fraction`` oracle
     (NoExactOracle propagates otherwise).  Each report's residual is the
-    exact value of sum_s c_s(k) E[W^{k+s}]; pass means exactly zero.  Each
-    order is asked of the oracle once and kept while later rows read it:
-    no row after k reads order k + min_shift.  K < 0, which would pass
-    vacuously, and K > MAX_CONSTRAINTS, the moment relation's row budget,
-    raise ValueError.
+    exact value of sum_s c_s(k) E[W^{k+s}]; pass means exactly zero.  The
+    highest order any row reads is asked for first, so a moment budget
+    refuses before any other work; each other order is asked once and kept
+    until no later row reads it.  K < 0, which would pass vacuously, and
+    K > MAX_CONSTRAINTS, the moment relation's row budget, raise ValueError.
     """
     if not 0 <= K <= MAX_CONSTRAINTS:
         raise ValueError(f"moment orders K = {K}; need K >= 0 and K <= the "
                          f"budget MAX_CONSTRAINTS = {MAX_CONSTRAINTS}")
     rec = moment_recurrence(op)
-    kept: dict[int, Fraction] = {}
+    rows = [rec.coefficients(k) for k in range(K + 1)]
+    top = max((k + s for k, row in enumerate(rows) for s in row), default=None)
+    kept = {} if top is None else {top: _as_fraction(dist.moment(top))}
 
     def moment(order: int) -> Fraction:
         if order not in kept:
-            kept[order] = dist.moment(order)
+            kept[order] = _as_fraction(dist.moment(order))
         return kept[order]
 
     out = []
-    for k in range(K + 1):
-        r = rec.residual(moment, k)
+    for k, row in enumerate(rows):
+        r = sum((c * moment(k + s) for s, c in row.items()), Fraction(0))
         kept.pop(k + rec.min_shift, None)
         out.append(ResidualReport(f"moment-k={k}", "exact", r, Fraction(0)))
     return out
@@ -276,11 +278,14 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
     _SIGMA_MULT * stderr.  Chunk i draws ``dist.sample(chunk_size, seed + i)``;
     estimates are identical for any thread count.  n < 2 (no standard error)
     and an empty family (no test) raise ValueError rather than pass
-    vacuously, as does a mean or standard error that is not finite (the
-    samples overflowed), since NaN or infinity is neither a pass nor a fail.
+    vacuously, as do a negative seed and a mean or standard error that is
+    not finite (the samples overflowed), since NaN or infinity is neither a
+    pass nor a fail.
     """
     if n < 2:
         raise ValueError(f"Monte-Carlo sample size n = {n}; need n >= 2")
+    if seed < 0:
+        raise ValueError(f"Monte-Carlo seed = {seed}; need seed >= 0")
     family = default_test_family() if family is None else list(family)
     if not family:
         raise ValueError("the test-function family is empty; need at least one test")

@@ -16,6 +16,7 @@ import jsonschema
 import pytest
 
 import steinscope
+from steinscope import distributions
 from steinscope.asymptotics import LOG_WALK_TERMS, _level_polynomials
 from steinscope.cli import (
     UsageError,
@@ -298,6 +299,28 @@ class TestOutsideNumbers:
         assert out == ""
         assert err.count("\n") == 1 and "does not fit in a float" in err
 
+    @pytest.mark.parametrize("op,target,param", [
+        ("G1G2:r=1,s=2,lam=2", f"G1G2:r=1/{'9' * 400},s=2,lam=2", "r"),
+        ("G1X:r=2,lam=3,sigma2=2", f"G1X:r=2,lam=3,sigma2=1/{'9' * 400}", "sigma2"),
+        ("BG1:a=1/2,b=1,r=2", f"BG1:a=1/{'9' * 400},b=1,r=1", "a"),
+    ])
+    def test_mc_with_parameter_rounding_to_zero_exits_2(self, op, target, param):
+        # sampling with the 0.0 would draw from a degenerate law, or numpy
+        # would refuse it without naming the parameter ("a <= 0")
+        code, out, err = run_cli("verify", "--op", op, "--target", target,
+                                 "--mode", "mc", "--n", "1000")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"parameter {param} is nonzero but rounds to 0.0 in a float" in err
+
+    def test_mc_with_negative_seed_exits_2(self):
+        code, out, err = run_cli("verify", "--op", "gauss_classical", "--target", "gaussian",
+                                 "--mode", "mc", "--n", "100", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "steinscope: error: Monte-Carlo seed = -1; need seed >= 0\n"
+
     @pytest.mark.parametrize("command", ["transform", "analyze"])
     def test_result_number_over_digit_limit_exits_2(self, command):
         # lam has 2500 digits, so the operator's coefficient -lam^2 has 5000,
@@ -538,10 +561,32 @@ class TestVerify:
     def test_index_over_budget_exits_2_promptly(self, argv, budget):
         start = time.monotonic()
         code, out, err = run_cli(*argv)
-        assert time.monotonic() - start < 5.0
+        assert time.monotonic() - start < 1.0
         assert code == 2
         assert out == ""
         assert budget in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--op", "gauss_classical", "--target", "H60", "--mode", "exact",
+         "--orders", "256"),
+        ("discover", "--target", "H1000", "--order", "0", "--degree", "0"),
+    ])
+    def test_hermite_budget_refuses_before_any_expansion(self, argv, monkeypatch):
+        # the highest order is asked for first, so the budget refuses it
+        # before the moment engine starts on any power of H_p
+        started = []
+        engine = distributions.gaussian_power_moments
+
+        def recording(f):
+            started.append(f)
+            return engine(f)
+
+        monkeypatch.setattr(distributions, "_HERMITE_MOMENTS", {})
+        monkeypatch.setattr(distributions, "gaussian_power_moments", recording)
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert "MAX_HERMITE_DEGREE = 2048" in err
+        assert started == []
 
     def test_exact_mode_on_a_large_family_index_is_prompt(self):
         # the moment relation reads integer falling factorials, so PN:p=600

@@ -18,7 +18,7 @@ from steinscope.discovery import (
     canonicalise,
     find_stein_operators,
 )
-from steinscope.distributions import get_target
+from steinscope.distributions import TargetDistribution, get_target
 from steinscope.operators import SteinOperator, catalog_get
 from steinscope.verification import check_moment_recurrence
 
@@ -75,16 +75,17 @@ class TestDiscoveryProblem:
     def test_oracle_forms(self):
         g = get_target("gaussian")
         from_dist = DiscoveryProblem(g, 1, 1, K=4)
-        from_callable = DiscoveryProblem(g.moment, 1, 1, K=4)
         from_list = DiscoveryProblem([g.moment(k) for k in range(6)], 1, 1, K=4)
-        for prob in (from_dist, from_callable, from_list):
-            assert prob.moment(4) == F(3)
-            assert isinstance(prob.moment(2), Fraction)
+        for prob in (from_dist, from_list):
+            mus = prob.moments(4)
+            assert mus == [1, 0, 1, 0, 3]
+            assert all(isinstance(mu, Fraction) for mu in mus)
 
     def test_short_sequence_raises(self):
         prob = DiscoveryProblem([1, 0, 1], 1, 1, K=4)
-        with pytest.raises(OracleTooShort):
-            prob.moment(3)
+        assert prob.moments(2) == [1, 0, 1]
+        with pytest.raises(OracleTooShort, match="order 3 required"):
+            prob.moments(3)
 
 
 class TestCanonicalise:
@@ -157,6 +158,23 @@ class TestReproduction:
         assert in_span(basis, catalog_get("H5_T13m4"))
         assert prob.effective_K == (13 + 1) * (4 + 1) + 16
 
+    def test_h5_asks_each_order_once_highest_first(self, monkeypatch):
+        # rows k < K + 8 = 94 read orders up to 93 + m = 97; a matrix cell
+        # reads the list of moments, not the oracle
+        calls = []
+        moment = TargetDistribution.moment
+
+        def counting(self, k):
+            calls.append(k)
+            return moment(self, k)
+
+        monkeypatch.setattr(TargetDistribution, "moment", counting)
+        prob = DiscoveryProblem(get_target("H5"), 13, 4)
+        assert len(find_stein_operators(prob)) == 1
+        assert prob.dimension_trail == [(86, 1), (94, 1)]
+        assert calls[0] == 97
+        assert sorted(calls) == list(range(98))
+
 
 class TestSoundness:
     @pytest.mark.parametrize("target,T,m", [
@@ -193,7 +211,8 @@ class TestStability:
 
     def test_short_oracle_fails_during_stabilisation(self):
         # Ten moments cover the K = 8 base solve (orders up to K - 1 + m)
-        # but not the K + 8 stabilisation pass.
+        # but not the K + 8 stabilisation pass; the first read asks for
+        # both, order K + 7 + m = 16 first, so it fails before any solve.
         mus = [get_target("gaussian").moment(k) for k in range(10)]
         with pytest.raises(OracleTooShort):
             find_stein_operators(DiscoveryProblem(mus, 1, 1, K=8))

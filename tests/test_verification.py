@@ -141,6 +141,7 @@ class TestExactMode:
         rec = moment_recurrence(op)
         read = {k + s for k in range(K + 1) for s in rec.coefficients(k)}
         assert sorted(calls) == sorted(read)  # every order read, each once
+        assert calls[0] == max(read)  # the highest first, so a budget refuses at once
         assert [r.residual for r in reports] == [
             rec.residual(target.moment, k) for k in range(K + 1)]
 
