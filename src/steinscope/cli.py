@@ -52,7 +52,7 @@ from .operators import (
     psi_transform,
 )
 from .malliavin import check_gamma_characterisation, identity_catalog
-from .verification import check_moment_recurrence, mc_stein_residual
+from .verification import MAX_SAMPLES, check_moment_recurrence, mc_stein_residual
 
 __all__ = [
     "UsageError",
@@ -228,7 +228,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
         else:
             reports = mc_stein_residual(op, target, n=args.n, seed=args.seed)
     except (NotImplementedError, ValueError, OverflowError) as exc:
-        # no oracle or sampler, --orders < 0, --n < 2, beyond float range
+        # no oracle or sampler, --orders or --n out of range, beyond float range
         raise UsageError(str(exc)) from None
     passed = all(r.passed for r in reports)
     result = {
@@ -450,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact moment recurrences or Monte-Carlo residuals (default mc)",
     )
     p.add_argument(
-        "--n", type=int, default=100_000, help="Monte-Carlo sample size (>= 2)"
+        "--n", type=int, default=100_000,
+        help=f"Monte-Carlo sample size (2 to {MAX_SAMPLES})",
     )
     p.add_argument(
         "--orders",

@@ -397,13 +397,21 @@ def _hermite_target(p: int) -> TargetDistribution:
 def _pn_law(p, sigma2) -> dict:
     p = int(p)
     cf = {1: GaussianCf, 2: ReciprocalSqrtCf}.get(p)
+
+    def sampler(rng, n):
+        # the stream and product order of standard_normal((p, n)).prod(axis=0),
+        # with one row held at a time
+        y = rng.standard_normal(n)
+        for _ in range(p - 1):
+            y *= rng.standard_normal(n)
+        y *= float(sigma2) ** 0.5
+        return y
+
     return dict(
         symmetric=True,
         zero_mean=True,
         moment=lambda k: gaussian_moment(k) ** p * sigma2 ** (k // 2),
-        sampler=lambda rng, n: (
-            float(sigma2) ** 0.5 * rng.standard_normal((p, n)).prod(axis=0)
-        ),
+        sampler=sampler,
         cf=None if cf is None else cf(sigma2),
     )
 

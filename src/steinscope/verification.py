@@ -19,12 +19,17 @@ the coefficients as P_i = sum_j a_ij (it)^j, and S maps exp(-y^2/2) p(y) to
 exp(-y^2/2) q(y) with q built from p -> p' - y p.  An image is a product of
 shared factors (``Image``): cos(ty) and sin(ty) from one product ty per
 frequency t, the weight exp(-y^2/2), and each image polynomial, evaluated by
-``algebra.float_horner``.  Within a chunk an image keeps the factors it
-shares with the previous image and computes the rest; the default family
-lists the waves at one t, and the weighted monomials, consecutively, so
-each of its factors is computed once per chunk.  The roundings are those of
-evaluating every image on its own with numpy's ``polyval``, so residuals and
-standard errors are bit-identical to that.
+``algebra.float_horner``.  Consecutive images that share a factor form a
+group; the default family's groups are the cos/sin pair at each t and the
+three weighted monomials.  A chunk walks each group in blocks of _BLOCK
+samples, computes the group's factors once per block and writes every
+image's values into its own chunk-length output array; only then is each
+array reduced to its mean and sum of squared deviations.  The factors live
+for one block, and each worker reuses one output array per image of the
+widest group, so a worker's memory does not grow with n.  Every step is an
+elementwise ufunc with the roundings of evaluating each image on its own
+with numpy's ``polyval``, and the reductions see whole chunks, so residuals
+and standard errors are bit-identical to that.
 
 Monte-Carlo estimation is chunked; chunk i draws from a generator seeded
 with seed + i, so results are reproducible and independent of the number of
@@ -54,6 +59,14 @@ if TYPE_CHECKING:
 _DEFAULT_N = 10**6
 # Samples per Monte-Carlo chunk, and the standard errors a residual may reach.
 _CHUNK = 1 << 17
+# The Monte-Carlo sample budget: --n above it is refused before any sampling.
+MAX_SAMPLES = 10**8
+# Samples per block of a chunk's image evaluation, 256 KiB per factor array.
+# Measured on two cores: at one thread, blocks of 2^16 and 2^17 took fresh
+# pages for every block (about 30 times the minor faults) and ran 35-45 %
+# slower; at two threads, 2^13 ran slowest, its many small ufunc calls
+# contending for the interpreter lock.
+_BLOCK = 1 << 15
 _SIGMA_MULT = 4.0
 
 
@@ -159,16 +172,20 @@ def _factor(y, key):
         ty = args[0] * y
         return np.cos(ty), np.sin(ty, out=ty)
     if kind == "weight":
-        return np.exp(-0.5 * y * y)
+        # the roundings of np.exp(-0.5 * y * y), in one array
+        w = np.multiply(y, -0.5)
+        w *= y
+        return np.exp(w, out=w)
     return float_horner(y, args[0])
 
 
 class Image:
     """S f as ``combine`` applied to the shared factors named by ``keys``.
 
-    ``combine`` returns a new array.  Called on samples, an image evaluates
-    alone; ``mc_stein_residual`` instead gives each chunk's images every
-    factor they share once.
+    ``combine(out, *factors)`` writes the image's values into ``out``.
+    Called on samples, an image computes its factors and writes into a new
+    array; ``mc_stein_residual`` instead gives the images of a group the
+    factors of each block once and writes into its reused output arrays.
     """
 
     __slots__ = ("keys", "combine")
@@ -178,7 +195,34 @@ class Image:
         self.combine = combine
 
     def __call__(self, y):
-        return self.combine(*(_factor(y, key) for key in self.keys))
+        import numpy as np
+
+        out = np.empty_like(y)
+        self.combine(out, *(_factor(y, key) for key in self.keys))
+        return out
+
+
+def _cos_image(out, wave, re, im):
+    """Re(e^{ity} P(y)) = cos(ty) re(y) - sin(ty) im(y), into out."""
+    import numpy as np
+
+    np.multiply(wave[0], re, out=out)
+    out -= wave[1] * im
+
+
+def _sin_image(out, wave, re, im):
+    """Im(e^{ity} P(y)) = sin(ty) re(y) + cos(ty) im(y), into out."""
+    import numpy as np
+
+    np.multiply(wave[1], re, out=out)
+    out += wave[0] * im
+
+
+def _weighted_image(out, q, weight):
+    """exp(-y^2/2) q(y), into out."""
+    import numpy as np
+
+    np.multiply(q, weight, out=out)
 
 
 def _poly_key(poly: RationalPoly) -> tuple:
@@ -208,9 +252,7 @@ class TrigTest:
         re = _poly_key(RationalPoly({i: v.re for i, v in p.items()}))
         im = _poly_key(RationalPoly({i: v.im for i, v in p.items()}))
         keys = (("wave", float(self.t)), re, im)
-        if self.kind == "cos":  # Re(e^{ity} P(y))
-            return Image(keys, lambda wave, r, i: wave[0] * r - wave[1] * i)
-        return Image(keys, lambda wave, r, i: wave[1] * r + wave[0] * i)
+        return Image(keys, _cos_image if self.kind == "cos" else _sin_image)
 
 
 class GaussianPolyTest:
@@ -228,7 +270,7 @@ class GaussianPolyTest:
         for j in range(op.T + 1):
             q = q + op.coefficient_poly(j) * p_j
             p_j = p_j.derivative() - RationalPoly({1: 1}) * p_j
-        return Image((_poly_key(q), ("weight",)), lambda q, w: q * w)
+        return Image((_poly_key(q), ("weight",)), _weighted_image)
 
 
 # The frequencies of the default waves and the top degree of its weighted monomials.
@@ -268,63 +310,89 @@ def _threads() -> int:
     return max(1, min(wanted, os.cpu_count() or 1))
 
 
+def _share_groups(images) -> list[list[Image]]:
+    """Split the images into runs of consecutive images that share a factor."""
+    groups, keys = [], set()
+    for image in images:
+        if keys.isdisjoint(image.keys):
+            groups.append([])
+            keys = set()
+        groups[-1].append(image)
+        keys.update(image.keys)
+    return groups
+
+
 def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
                       seed: int = 0) -> list[ResidualReport]:
     """Estimate E[S f(W)] over a test-function family by seeded Monte-Carlo.
 
-    Each image S f is built once, before sampling, and each chunk computes
-    the factors consecutive images share once.  Returns one report per family
+    Each image S f is built once, before sampling; each chunk evaluates the
+    images block by block, computing the factors a group of consecutive
+    images shares once per block.  Returns one report per family
     member with residual = sample mean, stderr, and threshold =
     _SIGMA_MULT * stderr.  Chunk i draws ``dist.sample(chunk_size, seed + i)``;
     estimates are identical for any thread count.  n < 2 (no standard error)
     and an empty family (no test) raise ValueError rather than pass
     vacuously, as do a negative seed and a mean or standard error that is
     not finite (the samples overflowed), since NaN or infinity is neither a
-    pass nor a fail.
+    pass nor a fail.  n above the budget MAX_SAMPLES raises ValueError
+    before any sampling.
     """
-    if n < 2:
-        raise ValueError(f"Monte-Carlo sample size n = {n}; need n >= 2")
+    if not 2 <= n <= MAX_SAMPLES:
+        raise ValueError(f"Monte-Carlo sample size n = {n}; need n >= 2 and "
+                         f"n <= the budget MAX_SAMPLES = {MAX_SAMPLES}")
     if seed < 0:
         raise ValueError(f"Monte-Carlo seed = {seed}; need seed >= 0")
     family = default_test_family() if family is None else list(family)
     if not family:
         raise ValueError("the test-function family is empty; need at least one test")
+    import threading
+
     import numpy as np
 
-    images = [fn.image(op) for fn in family]
-    full, rest = divmod(n, _CHUNK)
-    sizes = [_CHUNK] * full + ([rest] if rest else [])
+    groups = _share_groups(fn.image(op) for fn in family)
+    width = max(map(len, groups))
+    chunks = range(-(-n // _CHUNK))
+    worker = threading.local()
 
     def run_chunk(i: int):
-        y = dist.sample(sizes[i], seed=seed + i)
-        factors, stats = {}, []
+        y = dist.sample(min(_CHUNK, n - i * _CHUNK), seed=seed + i)
+        if not hasattr(worker, "outs"):  # one output array per image of a group
+            worker.outs = [np.empty(min(n, _CHUNK)) for _ in range(width)]
+        stats = []
         # an image that overflows on finite samples is reported below, once,
         # as a non-finite estimate
         with np.errstate(over="ignore", invalid="ignore"):
-            for image in images:
-                # keep what this image shares with the previous one
-                factors = {key: factors[key] for key in image.keys if key in factors}
-                for key in image.keys:
-                    if key not in factors:
-                        factors[key] = _factor(y, key)
-                vals = image.combine(*(factors[key] for key in image.keys))
-                m = float(vals.mean())
-                vals -= m  # vals is the image's own array
-                stats.append((len(y), m, float(np.square(vals, out=vals).sum())))
+            for group in groups:
+                outs = [out[:len(y)] for out in worker.outs[:len(group)]]
+                for lo in range(0, len(y), _BLOCK):
+                    block, factors = slice(lo, lo + _BLOCK), {}
+                    for image, out in zip(group, outs):
+                        for key in image.keys:
+                            if key not in factors:
+                                factors[key] = _factor(y[block], key)
+                        image.combine(out[block], *(factors[key] for key in image.keys))
+                for vals in outs:
+                    m = float(vals.mean())
+                    vals -= m
+                    stats.append((len(y), m, float(np.square(vals, out=vals).sum())))
         return stats
 
-    workers = min(_threads(), len(sizes))
+    def merge(per_chunk):
+        # each chunk's statistics join the totals in chunk order as they arrive
+        return reduce(lambda a, b: list(map(_welford_merge, a, b)), per_chunk)
+
+    workers = min(_threads(), len(chunks))
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_chunk = list(pool.map(run_chunk, range(len(sizes))))
+            totals = merge(pool.map(run_chunk, chunks))
     else:
-        per_chunk = [run_chunk(i) for i in range(len(sizes))]
+        totals = merge(map(run_chunk, chunks))
 
     out = []
-    for idx, fn in enumerate(family):
-        cnt, mean, m2 = reduce(_welford_merge, (stats[idx] for stats in per_chunk))
+    for fn, (cnt, mean, m2) in zip(family, totals):
         stderr = (m2 / (cnt - 1)) ** 0.5 / cnt**0.5
         if not (math.isfinite(mean) and math.isfinite(stderr)):
             raise ValueError(

@@ -557,6 +557,8 @@ class TestVerify:
           "--orders", "256"), "MAX_HERMITE_DEGREE = 2048"),
         (("discover", "--target", "H1000", "--order", "0", "--degree", "0"),
          "MAX_HERMITE_DEGREE = 2048"),
+        (("verify", "--op", "H3_T4m3", "--target", "H3", "--mode", "mc",
+          "--n", "1000000000000000"), "MAX_SAMPLES = 100000000"),
     ])
     def test_index_over_budget_exits_2_promptly(self, argv, budget):
         start = time.monotonic()

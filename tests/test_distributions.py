@@ -271,6 +271,17 @@ class TestSamplers:
         assert abs((x**2).mean() - 1.0) < 0.05
         assert abs((x**4).mean() - 27) / 27 < 0.2
 
+    @pytest.mark.parametrize("n", [1, 5, 2**17 + 3])
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_pn_samples_are_the_row_product_bit_for_bit(self, p, n):
+        # the sampler multiplies one row of normals in at a time, with the
+        # stream and product order of the (p, n) array's column products
+        sigma2 = F(3, 7)
+        rows = np.random.default_rng(5).standard_normal((p, n))
+        expected = float(sigma2) ** 0.5 * rows.prod(axis=0)
+        got = get_target(f"PN:p={p},sigma2=3/7").sample(n, seed=5)
+        assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("p", [1, 3, 6])
     def test_hermite_samples_are_polyval_of_normals_bit_for_bit(self, p):
         # H_p(X) is evaluated by algebra.float_horner, with numpy polyval's

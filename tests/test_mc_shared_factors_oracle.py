@@ -22,6 +22,7 @@ from steinscope.algebra import QI, GaussianRationalPoly, RationalPoly, unit_ipow
 from steinscope.distributions import get_target
 from steinscope.operators import CfOde, catalog_get
 from steinscope.verification import (
+    _BLOCK,
     _CHUNK,
     _welford_merge,
     TrigTest,
@@ -131,3 +132,19 @@ class TestSharedFactorsOracle:
         op = catalog_get("H6_T6m3")
         y = get_target("H6").sample(10**4, seed=1)
         assert fn.image(op)(y).tobytes() == _reference_image(fn, op)(y).tobytes()
+
+    @pytest.mark.parametrize("n", [2, _BLOCK - 1, _BLOCK + 1, _CHUNK + 1, N])
+    @pytest.mark.parametrize("op_spec,target_spec", MC_PAIRS[:3])
+    def test_block_edges_match_the_oracle_bit_for_bit(self, op_spec, target_spec, n,
+                                                      monkeypatch):
+        # a chunk is evaluated in blocks of _BLOCK samples; a last block of
+        # one sample, a chunk shorter than a block and a last chunk of one
+        # sample must give the oracle's bits too
+        op, dist = catalog_get(op_spec), get_target(target_spec)
+        family = default_test_family()
+        expected = _reference_mc(op, dist, family, n, SEED)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("STEIN_SCOPE_THREADS", threads)
+            reports = mc_stein_residual(op, dist, family, n=n, seed=SEED)
+            got = [(r.residual, r.stderr) for r in reports]
+            assert _bits(got) == _bits(expected), threads

@@ -7,6 +7,7 @@ asserted here were recorded at fixed seeds and are deterministic.
 """
 
 import os
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -398,6 +399,36 @@ class TestMcMechanics:
         with pytest.raises(ValueError, match="n >= 2"):
             mc_stein_residual(catalog_get("gauss_classical"),
                               get_target("gaussian"), n=n)
+
+    def test_more_samples_than_the_budget_is_an_error(self):
+        # refused before any chunk is sized or sampled
+        def sample(n, seed):
+            raise AssertionError("sampled over the budget")
+
+        with pytest.raises(ValueError, match="MAX_SAMPLES = 100000000"):
+            mc_stein_residual(catalog_get("gauss_classical"),
+                              SimpleNamespace(name="never", sample=sample),
+                              n=verification.MAX_SAMPLES + 1)
+
+    def test_workspace_does_not_grow_with_n(self, monkeypatch):
+        # numpy reports its buffers to tracemalloc; one worker holds the
+        # chunk's samples, the sampler's transient and one output array per
+        # image of the widest group (3), while the shared factors live for
+        # one block
+        monkeypatch.setenv("STEIN_SCOPE_THREADS", "1")
+        op, target = catalog_get("H3_T4m3"), get_target("H3")
+        mc_stein_residual(op, target, n=10**3)  # imports and caches settle
+        peaks = []
+        for n in (10**6, 4 * 10**6):
+            tracemalloc.start()
+            try:
+                mc_stein_residual(op, target, n=n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        chunk_bytes = verification._CHUNK * 8
+        assert max(peaks) < 6 * chunk_bytes + 2**16
+        assert abs(peaks[1] - peaks[0]) < 2**14
 
     def test_thread_count_is_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setenv("STEIN_SCOPE_THREADS", str(10**9))
