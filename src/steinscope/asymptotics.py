@@ -19,8 +19,9 @@ The analysis is exact throughout:
   repeated roots, and integer-gap roots, where a log term enters iff the
   forcing at the gap index is nonzero.  With one level above the indicial
   one that is read off the rational roots of the two level polynomials;
-  with more, the exact series recurrence is walked within LOG_WALK_TERMS
-  terms, and a longer gap leaves the verdict inconclusive.
+  with more, the exact series recurrence is walked within
+  ``budgets.LOG_WALK_TERMS`` terms, and a longer gap leaves the verdict
+  inconclusive.
 * ``dominant_balance`` substitutes the ansatz phi = e^{S(t)},
   S'(t) = A t^{-1-gamma}, and reads the balances off the lower Newton
   polygon of the points (derivative order k, valuation of c_k).  Edges of
@@ -73,6 +74,7 @@ from fractions import Fraction
 
 from .algebra import (QI, GaussianRationalPoly, RationalPoly, accumulate, falling_poly,
                       fraction_nth_root, rational_roots)
+from .budgets import LOG_WALK_TERMS
 from .operators import (CfOde, NotInImage, SteinOperator, moment_recurrence, psi_inverse,
                         psi_transform)
 
@@ -165,11 +167,6 @@ def classify_singularity(ode: CfOde) -> SingularityClass:
 
 
 # --- Frobenius indicial analysis ---------------------------------------------
-
-# Work budget of the term-by-term log test, used only when two or more levels
-# lie above the indicial one: the largest integer gap it walks.
-LOG_WALK_TERMS = 1000
-
 
 class IndicialRoot:
     """One indicial root: exponent, multiplicity, and log obstruction.

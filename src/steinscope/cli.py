@@ -33,7 +33,8 @@ from pathlib import Path
 from . import __version__
 # benchmarks/selftest.py traces characterisation_verdict through this module
 from .asymptotics import characterisation_verdict, verdict_for_ode
-from .discovery import MAX_UNKNOWNS, DiscoveryProblem, find_stein_operators
+from .budgets import MAX_CONSTRAINTS, MAX_SAMPLES, MAX_UNKNOWNS
+from .discovery import DiscoveryProblem, find_stein_operators
 from .distributions import (
     TargetDistribution,
     UnknownTarget,
@@ -42,7 +43,6 @@ from .distributions import (
 )
 from .operators import (
     FAMILIES,
-    MAX_CONSTRAINTS,
     BadParameter,
     CfOde,
     SteinOperator,
@@ -52,7 +52,7 @@ from .operators import (
     psi_transform,
 )
 from .malliavin import check_gamma_characterisation, identity_catalog
-from .verification import MAX_SAMPLES, check_moment_recurrence, mc_stein_residual
+from .verification import check_moment_recurrence, mc_stein_residual
 
 __all__ = [
     "UsageError",
@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--n", type=int, default=100_000,
-        help=f"Monte-Carlo sample size (2 to {MAX_SAMPLES})",
+        help=f"Monte-Carlo sample size (2 to {MAX_SAMPLES}; PN:p samples count p each)",
     )
     p.add_argument(
         "--orders",

@@ -39,7 +39,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .algebra import _as_fraction, falling_factorials, primitive
-from .operators import MAX_CONSTRAINTS, SteinOperator
+from .budgets import check
+from .operators import SteinOperator
 
 __all__ = [
     "DiscoveryProblem",
@@ -53,12 +54,6 @@ class OracleTooShort(ValueError):
     """The moment oracle cannot supply a required order."""
 
 
-# Work budget: the width is capped here and the height by the moment
-# relation's row budget MAX_CONSTRAINTS.  H5 (13, 4) needs 70 unknowns,
-# K = 86.
-MAX_UNKNOWNS = 128
-
-
 class DiscoveryProblem:
     """Search space for operators annihilating a target's moments.
 
@@ -67,10 +62,10 @@ class DiscoveryProblem:
     OracleTooShort when the search needs more than it holds).
     ``T`` bounds the derivative order, ``m`` the coefficient degree in y,
     and ``K`` the number of moment constraints; the default gives 16 rows
-    of slack over the (T+1)(m+1) unknowns.  More than MAX_UNKNOWNS unknowns
-    or MAX_CONSTRAINTS constraints raises ValueError.  Stabilisation adds
-    eight rows per round; each re-solve drops the dimension, so there are
-    at most (T+1)(m+1) of them.
+    of slack over the (T+1)(m+1) unknowns.  More unknowns than
+    ``budgets.MAX_UNKNOWNS`` or constraints than ``budgets.MAX_CONSTRAINTS``
+    raises OverBudget.  Stabilisation adds eight rows per round; each
+    re-solve drops the dimension, so there are at most (T+1)(m+1) of them.
 
     After ``find_stein_operators`` runs, ``effective_K`` holds the
     constraint count at which the nullspace stabilised and
@@ -85,18 +80,12 @@ class DiscoveryProblem:
         if self.T < 0 or self.m < 0:
             raise ValueError("derivative order and degree must be >= 0")
         unknowns = (self.T + 1) * (self.m + 1)
-        if unknowns > MAX_UNKNOWNS:
-            raise ValueError(
-                f"(T+1)(m+1) = {unknowns} unknowns exceeds the discovery "
-                f"budget of {MAX_UNKNOWNS} unknowns")
+        check("MAX_UNKNOWNS", "unknowns (T+1)(m+1)", unknowns)
         self.K = unknowns + 16 if K is None else int(K)
         if self.K < unknowns:
             raise ValueError(
                 f"K = {self.K} constraints cannot pin {unknowns} unknowns")
-        if self.K > MAX_CONSTRAINTS:
-            raise ValueError(
-                f"K = {self.K} constraints exceeds the discovery budget of "
-                f"{MAX_CONSTRAINTS} constraints")
+        check("MAX_CONSTRAINTS", "constraints K", self.K)
         self.effective_K = None
         self.dimension_trail = []
         self._oracle = (oracle if hasattr(oracle, "moment")

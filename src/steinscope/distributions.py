@@ -8,7 +8,7 @@ A TargetDistribution bundles up to three capabilities behind one name:
   semicircle; their moments are rational and computed exactly.  The H_p
   moments come from ``algebra.gaussian_power_moments`` (integer powers of
   H_p in monomials), extended on demand and kept per p, up to the degree
-  budget ``MAX_HERMITE_DEGREE`` on p*k.
+  budget ``budgets.MAX_HERMITE_DEGREE`` on p*k.
 * a seeded sampler ``sample(n, seed)`` drawing i.i.d. replicates with numpy.
   Samplers are stateless: concurrent use derives per-task seeds as
   ``seed + task_index``.
@@ -58,8 +58,8 @@ from .algebra import (
     gaussian_power_moments,
     hermite_to_monomial,
 )
-from .operators import (FAMILIES, INDEX, POSITIVE, BadParameter, Param, parse_spec,
-                        read_parameter)
+from .budgets import check
+from .operators import FAMILIES, INDEX, POSITIVE, Param, parse_spec
 
 if TYPE_CHECKING:
     import numpy as np
@@ -82,26 +82,20 @@ class UnknownTarget(KeyError):
 # p -> (E[H_p^k] for k = 0, 1, ... so far, the engine that continues them)
 _HERMITE_MOMENTS: dict = {}
 
-# Work budget.  E[H_p^k] expands H_p^k, of degree p*k, in about (p k)^2 / 4
-# products whatever p is: 0.2-1.1 s at p k = 2048 on a 2-core VM, 2.5-11 s at 4096.
-MAX_HERMITE_DEGREE = 2048
-
 
 def hermite_poly_moment(p: int, k: int) -> Fraction:
     """E[H_p(X)^k] for X ~ N(0,1), exactly.
 
     H_p has integer monomial coefficients; its moments come from
     ``gaussian_power_moments``, and each p keeps the list computed so far.
-    A degree p*k above MAX_HERMITE_DEGREE raises ValueError.
+    A degree p*k above MAX_HERMITE_DEGREE raises OverBudget.
     """
     if p < 1:
         raise ValueError("Hermite index p must be >= 1")
     if k < 0:
         raise ValueError("moment order k must be >= 0")
-    if p * k > MAX_HERMITE_DEGREE:
-        raise ValueError(
-            f"E[H{p}^{k}] expands a polynomial of degree {p * k}, beyond the "
-            f"budget MAX_HERMITE_DEGREE = {MAX_HERMITE_DEGREE}")
+    check("MAX_HERMITE_DEGREE", f"E[H{p}^{k}] expands a polynomial of degree {p * k}: p*k",
+          p * k)
     if p not in _HERMITE_MOMENTS:
         _HERMITE_MOMENTS[p] = ([], gaussian_power_moments(hermite_to_monomial(p)))
     known, engine = _HERMITE_MOMENTS[p]
@@ -241,7 +235,9 @@ class TargetDistribution:
     has no exact oracle, ``cf`` raises NoClosedForm when no closed form
     exists, and ``sample`` raises NotImplementedError for analysis-only
     targets.  ``meta`` is the side-condition dictionary consumed by the
-    sufficiency pipeline.
+    sufficiency pipeline.  ``draws`` is what one sample counts against the
+    Monte-Carlo budget: the p normal draws a PN:p sample multiplies, and one
+    for every other law.
     """
 
     __slots__ = (
@@ -249,6 +245,7 @@ class TargetDistribution:
         "params",
         "symmetric",
         "zero_mean",
+        "draws",
         "_moment",
         "_sampler",
         "_cf",
@@ -264,11 +261,13 @@ class TargetDistribution:
         moment=None,
         sampler=None,
         cf=None,
+        draws: int = 1,
     ):
         self.name = name
         self.params = {k: _as_fraction(v) for k, v in (params or {}).items()}
         self.symmetric = bool(symmetric)
         self.zero_mean = bool(zero_mean)
+        self.draws = draws
         self._moment = moment
         self._sampler = sampler
         self._cf = cf
@@ -413,6 +412,7 @@ def _pn_law(p, sigma2) -> dict:
         moment=lambda k: gaussian_moment(k) ** p * sigma2 ** (k // 2),
         sampler=sampler,
         cf=None if cf is None else cf(sigma2),
+        draws=p,
     )
 
 
@@ -461,6 +461,7 @@ _GAUSSIAN_NAMES = ("gaussian", "N01")
 _GAUSSIAN_PARAMS = (Param("sigma2", 1, POSITIVE),)
 
 _HERMITE_NAME = re.compile(r"^H(\d+)$")
+_HERMITE_INDEX = Param("p", None, INDEX)
 
 
 def _target_params(name: str) -> tuple[Param, ...]:
@@ -480,14 +481,13 @@ def target_names() -> list[str]:
     )
 
 
-def get_target(spec: str, **params) -> TargetDistribution:
+def get_target(spec: str) -> TargetDistribution:
     """Fetch a target law, e.g. get_target("PN:p=4,sigma2=1").
 
-    Parameters may be embedded after a colon or passed as keywords (keywords
-    win on conflict).  Raises UnknownTarget for unknown names and
-    BadParameter for invalid parameters.
+    Parameters follow the name after a colon.  Raises UnknownTarget for
+    unknown names and BadParameter for invalid parameters.
     """
-    family, values, name = parse_spec(spec, params, _target_params)
+    family, values, name = parse_spec(spec, _target_params)
     if family in TARGET_BUILDERS:
         law = TARGET_BUILDERS[family](**values)
         return TargetDistribution(name, values, **law)
@@ -497,8 +497,5 @@ def get_target(spec: str, **params) -> TargetDistribution:
         return TargetDistribution(name, values, **_pn_law(1, sigma2))
     if family == "semicircle":
         return _semicircle_target()
-    p = read_parameter("p", family[1:])  # H<p>, admitted by _target_params
-    if not INDEX[1](p):
-        raise BadParameter(
-            f"Hermite target requires {INDEX[0].format('p')}, got {_clip(str(p))}")
-    return _hermite_target(int(p))
+    # H<p>, admitted by _target_params
+    return _hermite_target(int(_HERMITE_INDEX.read("Hermite target", family[1:])))

@@ -28,9 +28,10 @@ and the product laws G1X(r, lam, sigma2), BG1(a, b, r), G1G2(r, s, lam).
 
 Each family is declared once, in ``FAMILIES``: its ordered parameters with
 defaults and domain rules, and its operator builder.  ``parse_spec`` binds a
-spec such as "PN:p=4" plus keyword overrides to those parameters and renders
-the canonical spec "PN:p=4,sigma2=1"; the catalog, the target registry in
-``distributions`` and the CLI listing all go through it.
+spec such as "PN:p=4" to those parameters and renders the canonical spec
+"PN:p=4,sigma2=1"; the catalog, the target registry in ``distributions``
+and the CLI listing all go through it.  PN's index p is held to the work
+budget ``budgets.MAX_INDEX``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .algebra import (
     falling_poly,
     unit_ipow,
 )
+from .budgets import MAX_INDEX
 
 
 class UnknownOperator(KeyError):
@@ -275,13 +277,6 @@ def psi_inverse(ode: CfOde) -> SteinOperator:
     )
 
 
-# Row budget of the moment relation: an exact check reads rows k = 0..K and
-# discovery builds K constraint rows, each needing moments up to order k + m,
-# and exact Hermite moments grow with the order.  H8 at discovery's caps,
-# (T, m) = (15, 7) with K = 256, took 17 s on a 2-core VM.
-MAX_CONSTRAINTS = 256
-
-
 class MomentRecurrence:
     """The exact relation sum_s c_s(k) E[W^{k+s}] = 0 implied by an operator.
 
@@ -451,14 +446,26 @@ def catalog_names() -> list[str]:
 class Param(NamedTuple):
     """One family parameter: its name, its default (None: required), its rule.
 
-    The rule is ``(requirement, holds)``: a value v with ``not holds(v)``
-    raises BadParameter "<family> requires <requirement>, got v", with the
-    parameter name filled in for ``{}``.
+    The rule is ``(requirement, holds)``: ``read`` raises BadParameter
+    "<family> requires <requirement>, got v" for a value v with
+    ``not holds(v)``, with the parameter name filled in for ``{}``.
     """
 
     name: str
     default: int | None
     rule: tuple[str, Callable[[Fraction], bool]]
+
+    def read(self, family: str, value) -> Fraction:
+        """``value`` read by ``_as_fraction`` and held to the rule."""
+        try:
+            v = _as_fraction(value)
+        except ValueError as exc:
+            raise BadParameter(f"bad value for {self.name!r}: {exc}") from None
+        requirement, holds = self.rule
+        if not holds(v):
+            raise BadParameter(f"{family} requires {requirement.format(self.name)}, "
+                               f"got {_clip(str(v))}")
+        return v
 
 
 class Family(NamedTuple):
@@ -473,11 +480,7 @@ class Family(NamedTuple):
 
 
 POSITIVE = ("{} > 0", lambda v: v > 0)
-
-# Work budget shared by PN's p (its operator needs the O(p^2) Stirling row)
-# and the Hermite target H_p.  At p = 1000 on a 2-core VM, analyze takes
-# about 1 s and an exact verify of PN at --orders 256 about 2.6 s.
-MAX_INDEX = 1000
+# PN's p and the Hermite target's p
 INDEX = (f"integer 1 <= {{}} <= MAX_INDEX = {MAX_INDEX}",
          lambda v: v.denominator == 1 and 1 <= v <= MAX_INDEX)
 
@@ -523,64 +526,46 @@ FAMILIES = {
 _KEY_ALIASES = {"lambda": "lam"}
 
 
-def _given(pairs, family: str) -> dict:
-    """Parameter assignments under their canonical keys; a repeat is an error."""
+def _given(inline: str, family: str) -> dict:
+    """The "key=value,..." assignments under their canonical keys; a repeat is an error."""
     out = {}
-    for key, value in pairs:
-        key = _KEY_ALIASES.get(key, key)
+    for item in inline.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise BadParameter(f"expected key=value, got {_clip(item)!r}")
+        key = _KEY_ALIASES.get(key.strip(), key.strip())
         if key in out:
             raise BadParameter(f"{family} got parameter {key!r} more than once")
         out[key] = value
     return out
 
 
-def _inline_pairs(text: str):
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, eq, val = item.partition("=")
-        if not eq:
-            raise BadParameter(f"expected key=value, got {_clip(item)!r}")
-        yield key.strip(), val
-
-
-def read_parameter(name: str, value) -> Fraction:
-    """``_as_fraction(value)``, with any error raised as BadParameter."""
-    try:
-        return _as_fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise BadParameter(f"bad value for {name!r}: {exc}") from None
-
-
-def parse_spec(spec: str, keywords: dict, params_of) -> tuple[str, dict, str]:
-    """Bind "NAME:key=value,..." and keyword overrides to NAME's parameters.
+def parse_spec(spec: str, params_of) -> tuple[str, dict, str]:
+    """Bind "NAME:key=value,..." to NAME's parameters.
 
     ``params_of(NAME)`` gives NAME's ordered ``Param`` tuple and raises for
-    unknown names.  Keywords win over the spec; ``lambda`` is read as
-    ``lam``; a key given twice on one side, a missing required parameter, a
-    value outside its rule and an unknown key raise BadParameter.  Returns
-    ``(NAME, values, canonical spec)`` where the canonical spec lists every
-    value in parameter order, e.g. "PN:p=4,sigma2=1" (just NAME when it
-    takes no parameters).
+    unknown names.  ``lambda`` is read as ``lam``; a key given twice, a
+    missing required parameter, a value outside its rule and an unknown key
+    raise BadParameter.  Returns ``(NAME, values, canonical spec)`` where
+    the canonical spec lists every value in parameter order, e.g.
+    "PN:p=4,sigma2=1" (just NAME when it takes no parameters).
     """
     family, _, inline = spec.partition(":")
     family = family.strip()
     params = params_of(family)
-    given = _given(_inline_pairs(inline), family)
-    given.update(_given(keywords.items(), family))
+    given = _given(inline, family)
     values = {}
-    for name, default, (requirement, holds) in params:
-        if name in given:
-            v = read_parameter(name, given.pop(name))
-        elif default is not None:
-            v = Fraction(default)
+    for param in params:
+        if param.name in given:
+            value = given.pop(param.name)
+        elif param.default is not None:
+            value = param.default
         else:
-            raise BadParameter(f"{family} requires parameter {name!r}")
-        if not holds(v):
-            raise BadParameter(
-                f"{family} requires {requirement.format(name)}, got {_clip(str(v))}")
-        values[name] = v
+            raise BadParameter(f"{family} requires parameter {param.name!r}")
+        values[param.name] = param.read(family, value)
     if given:
         raise BadParameter(f"unknown parameters for {family}: {sorted(given)}")
     if not values:
@@ -597,14 +582,13 @@ def _catalog_params(name: str) -> tuple[Param, ...]:
     raise UnknownOperator(name)
 
 
-def catalog_get(name: str, **params) -> SteinOperator:
+def catalog_get(name: str) -> SteinOperator:
     """Fetch a catalog operator, e.g. catalog_get("PN:p=4,sigma2=1").
 
-    Parameters may be embedded in the name after a colon or passed as
-    keyword arguments (keywords win on conflict).  Raises UnknownOperator
-    for unknown names and BadParameter for invalid parameters.
+    Parameters follow the name after a colon.  Raises UnknownOperator for
+    unknown names and BadParameter for invalid parameters.
     """
-    family, values, spec = parse_spec(name, params, _catalog_params)
+    family, values, spec = parse_spec(name, _catalog_params)
     if family in _STATIC_CATALOG:
         hint, coeffs = _STATIC_CATALOG[family]
         return SteinOperator(coeffs, name=family, target_hint=hint)

@@ -51,7 +51,8 @@ from functools import reduce
 from typing import TYPE_CHECKING
 
 from .algebra import RationalPoly, _as_fraction, accumulate, float_horner, unit_ipow
-from .operators import MAX_CONSTRAINTS, CfOde, SteinOperator, moment_recurrence
+from .budgets import check
+from .operators import CfOde, SteinOperator, moment_recurrence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -59,8 +60,6 @@ if TYPE_CHECKING:
 _DEFAULT_N = 10**6
 # Samples per Monte-Carlo chunk, and the standard errors a residual may reach.
 _CHUNK = 1 << 17
-# The Monte-Carlo sample budget: --n above it is refused before any sampling.
-MAX_SAMPLES = 10**8
 # Samples per block of a chunk's image evaluation, 256 KiB per factor array.
 # Measured on two cores: at one thread, blocks of 2^16 and 2^17 took fresh
 # pages for every block (about 30 times the minor faults) and ran 35-45 %
@@ -132,12 +131,13 @@ def check_moment_recurrence(op: SteinOperator, dist, K: int = 12) -> list[Residu
     exact value of sum_s c_s(k) E[W^{k+s}]; pass means exactly zero.  The
     highest order any row reads is asked for first, so a moment budget
     refuses before any other work; each other order is asked once and kept
-    until no later row reads it.  K < 0, which would pass vacuously, and
-    K > MAX_CONSTRAINTS, the moment relation's row budget, raise ValueError.
+    until no later row reads it.  K < 0, which would pass vacuously, raises
+    ValueError, and K > MAX_CONSTRAINTS, the moment relation's row budget,
+    OverBudget.
     """
-    if not 0 <= K <= MAX_CONSTRAINTS:
-        raise ValueError(f"moment orders K = {K}; need K >= 0 and K <= the "
-                         f"budget MAX_CONSTRAINTS = {MAX_CONSTRAINTS}")
+    if K < 0:
+        raise ValueError(f"moment orders K = {K}; need K >= 0")
+    check("MAX_CONSTRAINTS", "moment orders K", K)
     rec = moment_recurrence(op)
     rows = [rec.coefficients(k) for k in range(K + 1)]
     top = max((k + s for k, row in enumerate(rows) for s in row), default=None)
@@ -335,12 +335,14 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
     and an empty family (no test) raise ValueError rather than pass
     vacuously, as do a negative seed and a mean or standard error that is
     not finite (the samples overflowed), since NaN or infinity is neither a
-    pass nor a fail.  n above the budget MAX_SAMPLES raises ValueError
-    before any sampling.
+    pass nor a fail.  n times ``dist.draws`` (one if absent) above the
+    budget MAX_SAMPLES raises OverBudget before any sampling.
     """
-    if not 2 <= n <= MAX_SAMPLES:
-        raise ValueError(f"Monte-Carlo sample size n = {n}; need n >= 2 and "
-                         f"n <= the budget MAX_SAMPLES = {MAX_SAMPLES}")
+    if n < 2:
+        raise ValueError(f"Monte-Carlo sample size n = {n}; need n >= 2")
+    draws = getattr(dist, "draws", 1)
+    check("MAX_SAMPLES", "Monte-Carlo sample size n" if draws == 1
+          else f"Monte-Carlo draws n*{draws}", n * draws)
     if seed < 0:
         raise ValueError(f"Monte-Carlo seed = {seed}; need seed >= 0")
     family = default_test_family() if family is None else list(family)

@@ -61,11 +61,11 @@ class TestDiscoveryProblem:
         # the caps themselves are accepted; H5 (13, 4) has 70 unknowns
         assert DiscoveryProblem(g, 15, 7).K == 128 + 16
         assert DiscoveryProblem(g, 1, 1, K=256).K == 256
-        with pytest.raises(ValueError, match="budget of 128 unknowns"):
+        with pytest.raises(ValueError, match="MAX_UNKNOWNS = 128"):
             DiscoveryProblem(g, 128, 0)
-        with pytest.raises(ValueError, match="budget of 128 unknowns"):
+        with pytest.raises(ValueError, match="MAX_UNKNOWNS = 128"):
             DiscoveryProblem(g, 10**30, 10**30)
-        with pytest.raises(ValueError, match="budget of 256 constraints"):
+        with pytest.raises(ValueError, match="MAX_CONSTRAINTS = 256"):
             DiscoveryProblem(g, 1, 1, K=257)
 
     def test_columns_are_i_j_lexicographic(self):

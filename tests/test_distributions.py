@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinscope.algebra import gaussian_moment, hermite_to_monomial
+from steinscope.budgets import MAX_HERMITE_DEGREE, MAX_INDEX
 from steinscope.distributions import (
-    MAX_HERMITE_DEGREE,
     BesselRatioCf,
     GaussianCf,
     NoClosedForm,
@@ -25,7 +25,7 @@ from steinscope.distributions import (
     target_names,
 )
 from steinscope.malliavin import ChaosElement
-from steinscope.operators import MAX_INDEX, BadParameter, catalog_get, moment_recurrence
+from steinscope.operators import BadParameter, catalog_get, moment_recurrence
 
 F = Fraction
 
@@ -125,7 +125,7 @@ class TestMomentOracles:
     def test_gaussian(self):
         g = get_target("gaussian")
         assert [g.moment(k) for k in range(7)] == [1, 0, 1, 0, 3, 0, 15]
-        g24 = get_target("gaussian", sigma2=24)
+        g24 = get_target("gaussian:sigma2=24")
         assert g24.moment(2) == 24
         assert g24.moment(4) == 3 * 24**2
 
@@ -416,10 +416,6 @@ class TestRegistry:
             get_target("semicircle:radius=2")
         with pytest.raises(BadParameter):
             get_target("H3:p=4")
-
-    def test_keyword_parameters_win(self):
-        tgt = get_target("PN:p=2,sigma2=1", sigma2=F(1, 3))
-        assert tgt.params["sigma2"] == F(1, 3)
 
     def test_meta(self):
         assert get_target("H3").meta == {"symmetric": True, "zero_mean": True}

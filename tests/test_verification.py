@@ -17,11 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from steinscope import verification
 from steinscope.algebra import RationalPoly
+from steinscope.budgets import MAX_SAMPLES, OverBudget
 from steinscope.distributions import (
     BesselRatioCf,
     GaussianCf,
     NoExactOracle,
     ReciprocalSqrtCf,
+    TargetDistribution,
     get_target,
 )
 from steinscope.operators import (
@@ -408,7 +410,23 @@ class TestMcMechanics:
         with pytest.raises(ValueError, match="MAX_SAMPLES = 100000000"):
             mc_stein_residual(catalog_get("gauss_classical"),
                               SimpleNamespace(name="never", sample=sample),
-                              n=verification.MAX_SAMPLES + 1)
+                              n=MAX_SAMPLES + 1)
+
+    def test_the_budget_counts_the_normal_draws_of_a_pn_sample(self, monkeypatch):
+        # a PN:p sample multiplies p normal draws, so n * p is held to the
+        # budget, before any sampling; every other law counts one per sample
+        law = get_target("PN:p=1000")
+        assert law.draws == 1000
+        assert get_target("G1X:r=1,lam=1").draws == get_target("H5").draws == 1
+
+        def sample(self, n, seed):
+            raise AssertionError("sampled over the budget")
+
+        monkeypatch.setattr(TargetDistribution, "sample", sample)
+        with pytest.raises(OverBudget, match=r"n\*1000 = 100001000 exceeds the budget "
+                                             r"MAX_SAMPLES = 100000000"):
+            mc_stein_residual(catalog_get("gauss_classical"), law,
+                              n=MAX_SAMPLES // 1000 + 1)
 
     def test_workspace_does_not_grow_with_n(self, monkeypatch):
         # numpy reports its buffers to tracemalloc; one worker holds the
