@@ -50,10 +50,12 @@ MAX_UNKNOWNS = 128
 MAX_HERMITE_DEGREE = 2048
 
 # Monte-Carlo draws: verify --n times the draws per sample, p for PN:p and
-# one for every other law.  At n = 10^8, one thread: H5_T13m4 on H5 35.4 s,
-# BG1 37.7 s, and H149, whose sampler evaluates a polynomial of degree 149
-# per sample, 85 s (exit 2: its images overflow); PN:p=1000 at n = 10^5,
-# 2.5 s.
+# for H<p>, whose sampler evaluates a polynomial of degree p, and one for
+# every other law.  At 10^8 draws, one thread: H5_T13m4 on BG1 45.3 s and
+# on gaussian 31.8 s, BG1 on BG1 38.0 s, H5_T13m4 on H5 (n = 2*10^7)
+# 7.1 s, gauss_classical on H2 (n = 5*10^7) 11.9 s and on H149
+# (n = 671140) 1.0 s (exit 2: its images overflow), and on PN:p=1000
+# (n = 10^5) 2.1 s.
 MAX_SAMPLES = 10**8
 
 # The integer gap the term-by-term Frobenius log test walks, used only when

@@ -451,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--n", type=int, default=100_000,
-        help=f"Monte-Carlo sample size (2 to {MAX_SAMPLES}; PN:p samples count p each)",
+        help=f"Monte-Carlo sample size (2 to {MAX_SAMPLES}; "
+             "PN:p and H<p> samples count p each)",
     )
     p.add_argument(
         "--orders",

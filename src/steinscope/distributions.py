@@ -236,8 +236,9 @@ class TargetDistribution:
     exists, and ``sample`` raises NotImplementedError for analysis-only
     targets.  ``meta`` is the side-condition dictionary consumed by the
     sufficiency pipeline.  ``draws`` is what one sample counts against the
-    Monte-Carlo budget: the p normal draws a PN:p sample multiplies, and one
-    for every other law.
+    Monte-Carlo budget: the p normal draws a PN:p sample multiplies, the
+    degree p of the polynomial an H_p sample evaluates, and one for every
+    other law.
     """
 
     __slots__ = (
@@ -383,6 +384,7 @@ def _hermite_target(p: int) -> TargetDistribution:
         moment=lambda k: hermite_poly_moment(p, k),
         sampler=sampler,
         cf=GaussianCf(1) if p == 1 else None,
+        draws=p,
     )
 
 

@@ -6,27 +6,29 @@ Three modes, one report type:
   relation E[S y^k] = 0 is evaluated as exact rational arithmetic for
   k = 0..K.  Pass means identically zero; there is no tolerance.
 * ``mc_stein_residual``: for sampled targets, E[S f(W)] is estimated over a
-  family of smooth test functions (trigonometric waves and Gaussian-weighted
-  polynomials).  A test passes when |sample mean| <= 4 standard errors.
+  fixed set of smooth test functions (trigonometric waves and
+  Gaussian-weighted monomials).  A test passes when |sample mean| <= 4
+  standard errors.
 * ``ode_residual``: when the target has a closed-form characteristic
   function, the transformed ODE is evaluated directly on a t-grid and the
   worst normalised residual |sum c_i phi^(i)| / (sum |c_i||phi^(i)| + 1) is
   returned.
 
-Both test classes are closed under d/dy, so each image S f is built exactly,
-once, before any sample is drawn: S e^{ity} = e^{ity} P(y), with P read off
-the coefficients as P_i = sum_j a_ij (it)^j, and S maps exp(-y^2/2) p(y) to
-exp(-y^2/2) q(y) with q built from p -> p' - y p.  An image is a product of
-shared factors (``Image``): cos(ty) and sin(ty) from one product ty per
-frequency t, the weight exp(-y^2/2), and each image polynomial, evaluated by
-``algebra.float_horner``.  Consecutive images that share a factor form a
-group; the default family's groups are the cos/sin pair at each t and the
-three weighted monomials.  A chunk walks each group in blocks of _BLOCK
-samples, computes the group's factors once per block and writes every
-image's values into its own chunk-length output array; only then is each
-array reduced to its mean and sum of squared deviations.  The factors live
-for one block, and each worker reuses one output array per image of the
-widest group, so a worker's memory does not grow with n.  Every step is an
+The test functions are fixed: cos(ty) and sin(ty) for t in 1/2, 1, 2, and
+exp(-y^2/2) y^d for d <= 2.  Both classes are closed under d/dy, so each
+image S f is built exactly, once, before any sample is drawn:
+S e^{ity} = e^{ity} P(y), with P read off the coefficients as
+P_i = sum_j a_ij (it)^j, and S maps exp(-y^2/2) p(y) to exp(-y^2/2) q(y)
+with q built from p -> p' - y p.  The images fall into four fixed groups
+(``image_groups``) by what they share: the cos/sin pair at each t shares
+ty, cos(ty), sin(ty) and both parts of P, and the three weighted monomials
+share the weight exp(-y^2/2).  A chunk walks each group in blocks of _BLOCK
+samples, computes the group's factors once per block, evaluates each
+polynomial by ``algebra.float_horner``, and writes every image's values
+into its own chunk-length output array; only then is each array reduced to
+its mean and sum of squared deviations.  The factors live for one block,
+and each worker reuses three output arrays, one per image of the widest
+group, so a worker's memory does not grow with n.  Every step is an
 elementwise ufunc with the roundings of evaluating each image on its own
 with numpy's ``polyval``, and the reductions see whole chunks, so residuals
 and standard errors are bit-identical to that.
@@ -158,136 +160,80 @@ def check_moment_recurrence(op: SteinOperator, dist, K: int = 12) -> list[Residu
 
 # --- Monte-Carlo mode -------------------------------------------------------------
 
-def _factor(y, key):
-    """One shared factor of the test images at the samples y.
-
-    ``("wave", t)`` is (cos(ty), sin(ty)) from one product ty,
-    ``("weight",)`` is exp(-y^2/2), and ``("poly", coef)`` is the polynomial
-    with float coefficients coef (constant first).
-    """
-    import numpy as np
-
-    kind, *args = key
-    if kind == "wave":
-        ty = args[0] * y
-        return np.cos(ty), np.sin(ty, out=ty)
-    if kind == "weight":
-        # the roundings of np.exp(-0.5 * y * y), in one array
-        w = np.multiply(y, -0.5)
-        w *= y
-        return np.exp(w, out=w)
-    return float_horner(y, args[0])
-
-
-class Image:
-    """S f as ``combine`` applied to the shared factors named by ``keys``.
-
-    ``combine(out, *factors)`` writes the image's values into ``out``.
-    Called on samples, an image computes its factors and writes into a new
-    array; ``mc_stein_residual`` instead gives the images of a group the
-    factors of each block once and writes into its reused output arrays.
-    """
-
-    __slots__ = ("keys", "combine")
-
-    def __init__(self, keys: tuple, combine):
-        self.keys = keys
-        self.combine = combine
-
-    def __call__(self, y):
-        import numpy as np
-
-        out = np.empty_like(y)
-        self.combine(out, *(_factor(y, key) for key in self.keys))
-        return out
-
-
-def _cos_image(out, wave, re, im):
-    """Re(e^{ity} P(y)) = cos(ty) re(y) - sin(ty) im(y), into out."""
-    import numpy as np
-
-    np.multiply(wave[0], re, out=out)
-    out -= wave[1] * im
-
-
-def _sin_image(out, wave, re, im):
-    """Im(e^{ity} P(y)) = sin(ty) re(y) + cos(ty) im(y), into out."""
-    import numpy as np
-
-    np.multiply(wave[1], re, out=out)
-    out += wave[0] * im
-
-
-def _weighted_image(out, q, weight):
-    """exp(-y^2/2) q(y), into out."""
-    import numpy as np
-
-    np.multiply(q, weight, out=out)
-
-
-def _poly_key(poly: RationalPoly) -> tuple:
-    return ("poly", tuple(poly.float_coefficients().tolist()))
-
-
-class TrigTest:
-    """cos(ty) or sin(ty), with t an exact rational.
-
-    S e^{ity} = e^{ity} P(y) with P(y) = sum a_ij (it)^j y^i, so S cos(ty)
-    is Re(e^{ity} P(y)) and S sin(ty) is Im(e^{ity} P(y)); the waves at one
-    t share cos(ty), sin(ty) and both parts of P.
-    """
-
-    __slots__ = ("kind", "t", "label")
-
-    def __init__(self, kind: str, t):
-        if kind not in ("cos", "sin"):
-            raise ValueError("kind must be 'cos' or 'sin'")
-        self.kind = kind
-        self.t = Fraction(t)
-        self.label = f"{kind}({t}*y)"
-
-    def image(self, op: SteinOperator) -> Image:
-        """S applied to this wave, as a product of shared factors."""
-        p = accumulate((i, unit_ipow(j) * (v * self.t**j)) for (i, j), v in op.a.items())
-        re = _poly_key(RationalPoly({i: v.re for i, v in p.items()}))
-        im = _poly_key(RationalPoly({i: v.im for i, v in p.items()}))
-        keys = (("wave", float(self.t)), re, im)
-        return Image(keys, _cos_image if self.kind == "cos" else _sin_image)
-
-
-class GaussianPolyTest:
-    """exp(-y^2/2) p(y): differentiation maps p to p' - y p, a closed class."""
-
-    __slots__ = ("label", "poly")
-
-    def __init__(self, poly: RationalPoly, label: str | None = None):
-        self.poly = poly
-        self.label = label if label is not None else f"exp(-y^2/2)*({poly})"
-
-    def image(self, op: SteinOperator) -> Image:
-        """S f = exp(-y^2/2) q(y) with q = sum_j a_j p_j, as shared factors."""
-        q, p_j = RationalPoly({}), self.poly
-        for j in range(op.T + 1):
-            q = q + op.coefficient_poly(j) * p_j
-            p_j = p_j.derivative() - RationalPoly({1: 1}) * p_j
-        return Image((_poly_key(q), ("weight",)), _weighted_image)
-
-
-# The frequencies of the default waves and the top degree of its weighted monomials.
+# The frequencies of the waves and the top degree of the weighted monomials.
 _T_GRID = (Fraction(1, 2), 1, 2)
 _MAX_POLY_DEGREE = 2
 
 
-def default_test_family():
-    """The standard family: cos/sin waves on a t-grid plus weighted monomials."""
-    family = []
-    for t in _T_GRID:
-        family.append(TrigTest("cos", t))
-        family.append(TrigTest("sin", t))
+def _wave_images(op: SteinOperator, t):
+    """The images of cos(ty) and sin(ty), from one t*y per block.
+
+    S e^{ity} = e^{ity} P(y) with P(y) = sum a_ij (it)^j y^i, so S cos(ty)
+    is Re(e^{ity} P) = cos(ty) Re P - sin(ty) Im P and S sin(ty) is
+    Im(e^{ity} P) = sin(ty) Re P + cos(ty) Im P.  P is read off the
+    operator once, and both parts become floats here, before any sample.
+    Returns the two labels and ``evaluate(y, outs)``, which writes both
+    images of the samples y into outs.
+    """
+    import numpy as np
+
+    p = accumulate((i, unit_ipow(j) * (v * Fraction(t)**j)) for (i, j), v in op.a.items())
+    re = RationalPoly({i: v.re for i, v in p.items()}).float_coefficients()
+    im = RationalPoly({i: v.im for i, v in p.items()}).float_coefficients()
+    tf = float(t)
+
+    def evaluate(y, outs):
+        cos_out, sin_out = outs
+        ty = tf * y
+        cos = np.cos(ty)
+        sin = np.sin(ty, out=ty)
+        re_y, im_y = float_horner(y, re), float_horner(y, im)
+        np.multiply(cos, re_y, out=cos_out)
+        cos_out -= sin * im_y
+        np.multiply(sin, re_y, out=sin_out)
+        sin_out += cos * im_y
+
+    return (f"cos({t}*y)", f"sin({t}*y)"), evaluate
+
+
+def _gaussian_images(op: SteinOperator):
+    """The images of exp(-y^2/2) y^d, d <= _MAX_POLY_DEGREE, from one weight per block.
+
+    d/dy maps exp(-y^2/2) p(y) to exp(-y^2/2) (p' - y p), so S maps
+    exp(-y^2/2) y^d to exp(-y^2/2) q_d(y) with q_d = sum_j a_j p_j,
+    p_0 = y^d; each q_d becomes floats here, before any sample.  Returns
+    the labels and ``evaluate(y, outs)``, as ``_wave_images`` does.
+    """
+    import numpy as np
+
+    labels, qs = [], []
     for d in range(_MAX_POLY_DEGREE + 1):
-        label = "exp(-y^2/2)" if d == 0 else f"exp(-y^2/2)*y^{d}"
-        family.append(GaussianPolyTest(RationalPoly({d: 1}), label=label))
-    return family
+        labels.append("exp(-y^2/2)" if d == 0 else f"exp(-y^2/2)*y^{d}")
+        q, p_j = RationalPoly({}), RationalPoly({d: 1})
+        for j in range(op.T + 1):
+            q = q + op.coefficient_poly(j) * p_j
+            p_j = p_j.derivative() - RationalPoly({1: 1}) * p_j
+        qs.append(q.float_coefficients())
+
+    def evaluate(y, outs):
+        # the roundings of np.exp(-0.5 * y * y), in one array
+        w = np.multiply(y, -0.5)
+        w *= y
+        np.exp(w, out=w)
+        for q, out in zip(qs, outs):
+            np.multiply(float_horner(y, q), w, out=out)
+
+    return tuple(labels), evaluate
+
+
+def image_groups(op: SteinOperator) -> list:
+    """The test functions' images under op, as (labels, evaluate) groups.
+
+    One group per frequency of _T_GRID, then the weighted monomials; a
+    group's images share their factors (t*y, cos, sin and both parts of P;
+    the weight), which ``evaluate`` computes once per call.
+    """
+    return [_wave_images(op, t) for t in _T_GRID] + [_gaussian_images(op)]
 
 
 def _welford_merge(a, b):
@@ -310,32 +256,19 @@ def _threads() -> int:
     return max(1, min(wanted, os.cpu_count() or 1))
 
 
-def _share_groups(images) -> list[list[Image]]:
-    """Split the images into runs of consecutive images that share a factor."""
-    groups, keys = [], set()
-    for image in images:
-        if keys.isdisjoint(image.keys):
-            groups.append([])
-            keys = set()
-        groups[-1].append(image)
-        keys.update(image.keys)
-    return groups
-
-
-def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
+def mc_stein_residual(op: SteinOperator, dist, n: int = _DEFAULT_N,
                       seed: int = 0) -> list[ResidualReport]:
-    """Estimate E[S f(W)] over a test-function family by seeded Monte-Carlo.
+    """Estimate E[S f(W)] over the fixed test functions by seeded Monte-Carlo.
 
-    Each image S f is built once, before sampling; each chunk evaluates the
-    images block by block, computing the factors a group of consecutive
-    images shares once per block.  Returns one report per family
-    member with residual = sample mean, stderr, and threshold =
-    _SIGMA_MULT * stderr.  Chunk i draws ``dist.sample(chunk_size, seed + i)``;
-    estimates are identical for any thread count.  n < 2 (no standard error)
-    and an empty family (no test) raise ValueError rather than pass
-    vacuously, as do a negative seed and a mean or standard error that is
-    not finite (the samples overflowed), since NaN or infinity is neither a
-    pass nor a fail.  n times ``dist.draws`` (one if absent) above the
+    The images are built once, before sampling (``image_groups``); each
+    chunk walks each group block by block.  Returns one report per test
+    function, in group order, with residual = sample mean, stderr, and
+    threshold = _SIGMA_MULT * stderr.  Chunk i draws
+    ``dist.sample(chunk_size, seed + i)``; estimates are identical for any
+    thread count.  n < 2 (no standard error) raises ValueError rather than
+    pass vacuously, as do a negative seed and a mean or standard error that
+    is not finite (the samples overflowed), since NaN or infinity is neither
+    a pass nor a fail.  n times ``dist.draws`` (one if absent) above the
     budget MAX_SAMPLES raises OverBudget before any sampling.
     """
     if n < 2:
@@ -345,15 +278,12 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
           else f"Monte-Carlo draws n*{draws}", n * draws)
     if seed < 0:
         raise ValueError(f"Monte-Carlo seed = {seed}; need seed >= 0")
-    family = default_test_family() if family is None else list(family)
-    if not family:
-        raise ValueError("the test-function family is empty; need at least one test")
     import threading
 
     import numpy as np
 
-    groups = _share_groups(fn.image(op) for fn in family)
-    width = max(map(len, groups))
+    groups = image_groups(op)
+    width = max(len(labels) for labels, _ in groups)
     chunks = range(-(-n // _CHUNK))
     worker = threading.local()
 
@@ -365,15 +295,11 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
         # an image that overflows on finite samples is reported below, once,
         # as a non-finite estimate
         with np.errstate(over="ignore", invalid="ignore"):
-            for group in groups:
-                outs = [out[:len(y)] for out in worker.outs[:len(group)]]
+            for labels, evaluate in groups:
+                outs = [out[:len(y)] for out in worker.outs[:len(labels)]]
                 for lo in range(0, len(y), _BLOCK):
-                    block, factors = slice(lo, lo + _BLOCK), {}
-                    for image, out in zip(group, outs):
-                        for key in image.keys:
-                            if key not in factors:
-                                factors[key] = _factor(y[block], key)
-                        image.combine(out[block], *(factors[key] for key in image.keys))
+                    block = slice(lo, lo + _BLOCK)
+                    evaluate(y[block], [out[block] for out in outs])
                 for vals in outs:
                     m = float(vals.mean())
                     vals -= m
@@ -393,15 +319,16 @@ def mc_stein_residual(op: SteinOperator, dist, family=None, n: int = _DEFAULT_N,
     else:
         totals = merge(map(run_chunk, chunks))
 
+    labels = [label for group_labels, _ in groups for label in group_labels]
     out = []
-    for fn, (cnt, mean, m2) in zip(family, totals):
+    for label, (cnt, mean, m2) in zip(labels, totals):
         stderr = (m2 / (cnt - 1)) ** 0.5 / cnt**0.5
         if not (math.isfinite(mean) and math.isfinite(stderr)):
             raise ValueError(
-                f"{dist.name}: the Monte-Carlo estimate for {fn.label} is not "
+                f"{dist.name}: the Monte-Carlo estimate for {label} is not "
                 f"finite (mean {mean}, stderr {stderr})")
         out.append(ResidualReport(
-            fn.label, "mc", mean, _SIGMA_MULT * stderr,
+            label, "mc", mean, _SIGMA_MULT * stderr,
             stderr=stderr, n=cnt, seed=seed,
         ))
     return out

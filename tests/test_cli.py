@@ -724,6 +724,9 @@ OVER_BUDGET = {
         # 10^6 PN:p=1000 samples multiply 10^9 normal draws
         ("verify", "--op", "gauss_classical", "--target", "PN:p=1000", "--mode", "mc",
          "--n", "1000000"),
+        # each of 10^8 H149 samples evaluates a polynomial of degree 149
+        ("verify", "--op", "gauss_classical", "--target", "H149", "--mode", "mc",
+         "--n", "100000000"),
     ],
     "LOG_WALK_TERMS": [],
 }

@@ -3,7 +3,8 @@
 ``cli.main`` runs in-process on catalog and target specs with extreme or
 malformed parameters, small operator files with huge or degenerate entries,
 and out-of-range flags.  Each case must return (or, for argparse, exit with)
-0, 1 or 2 within a time limit, print no traceback and raise no warning.
+0, 1 or 2 within a time limit (1 s for a usage error, 10 s otherwise),
+print no traceback and raise no warning.
 Shapes stay small and ``--n`` low so every case is cheap; values that
 would take seconds of honest work, such as PN at p = 1000, are left out,
 while values past a budget, which must be refused at once, are kept.
@@ -22,8 +23,9 @@ from hypothesis import strategies as st
 
 from steinscope.cli import main
 
-# seconds one case may take
+# seconds one case may take: a refusal (exit 2) does no honest work first
 _CASE_LIMIT = 10.0
+_REFUSAL_LIMIT = 1.0
 
 _HUGE = "9" * 400
 _POSITIVE = st.sampled_from(["1", "2", "3", "4", "5", "1/2", "7/3"])
@@ -160,7 +162,7 @@ def run_clean(argv, text=None):
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, argv
     assert [str(w.message) for w in caught] == [], argv
-    assert elapsed < _CASE_LIMIT, (argv, elapsed)
+    assert elapsed < (_REFUSAL_LIMIT if code == 2 else _CASE_LIMIT), (argv, code, elapsed)
     if code == 2:
         assert err.startswith(("steinscope: error:", "usage:")), (argv, err)
     else:

@@ -1,7 +1,7 @@
 """Tests for exact and Monte-Carlo verification of Stein operators.
 
 Exact mode feeds a moment oracle through the operator's moment recurrence;
-Monte-Carlo mode estimates E[S f(W)] over a family of smooth test functions
+Monte-Carlo mode estimates E[S f(W)] over a fixed set of smooth test functions
 and flags residuals beyond four standard errors.  All Monte-Carlo outcomes
 asserted here were recorded at fixed seeds and are deterministic.
 """
@@ -33,13 +33,11 @@ from steinscope.operators import (
     psi_transform,
 )
 from steinscope.verification import (
-    GaussianPolyTest,
     ResidualReport,
-    TrigTest,
     _threads,
     check_moment_recurrence,
     default_ode_grid,
-    default_test_family,
+    image_groups,
     mc_stein_residual,
     ode_residual,
 )
@@ -160,6 +158,27 @@ def d(j):
     return SteinOperator({(0, j): 1})
 
 
+# The fixed test functions in report order: a wave's kind and frequency, or
+# the degree d of exp(-y^2/2) y^d.
+FAMILY = {
+    "cos(1/2*y)": ("cos", F(1, 2)), "sin(1/2*y)": ("sin", F(1, 2)),
+    "cos(1*y)": ("cos", 1), "sin(1*y)": ("sin", 1),
+    "cos(2*y)": ("cos", 2), "sin(2*y)": ("sin", 2),
+    "exp(-y^2/2)": ("weight", 0), "exp(-y^2/2)*y^1": ("weight", 1),
+    "exp(-y^2/2)*y^2": ("weight", 2),
+}
+
+
+def images(op, y):
+    """Every image of ``image_groups(op)`` at the samples y, by label."""
+    out = {}
+    for labels, evaluate in image_groups(op):
+        outs = [np.empty_like(y) for _ in labels]
+        evaluate(y, outs)
+        out.update(zip(labels, outs))
+    return out
+
+
 # The per-order evaluation that exact images replaced, kept verbatim as the
 # reference: derivative j of each test function and the sum over j of
 # a_j(y) f^(j)(y) from float coefficient tables.
@@ -181,12 +200,13 @@ def reference_image(op, fn, y):
     """Per-order S f(y) and the summed magnitude of its terms."""
     coeff = {j: op.coefficient_poly(j).float_coefficients()
              for j in sorted({j for _, j in op.a})}
-    if isinstance(fn, TrigTest):
-        t = float(fn.t)
-        derivs = {j: reference_trig_derivative(fn.kind, t, y, j) for j in coeff}
+    kind, param = FAMILY[fn]
+    if kind != "weight":
+        t = float(param)
+        derivs = {j: reference_trig_derivative(kind, t, y, j) for j in coeff}
         bounds = {j: np.full_like(y, t**j) for j in coeff}
     else:
-        polys = reference_gaussian_polys(fn.poly, op.T)
+        polys = reference_gaussian_polys(RationalPoly({param: 1}), op.T)
         w = np.exp(-0.5 * y * y)
         derivs = {j: np.polynomial.polynomial.polyval(y, polys[j]) * w for j in coeff}
         bounds = {j: np.polynomial.polynomial.polyval(np.abs(y), np.abs(polys[j])) * w
@@ -209,39 +229,31 @@ small_operator_st = st.dictionaries(
 class TestTestFunctions:
     def test_trig_derivatives_closed_form(self):
         y = np.linspace(-3.0, 3.0, 11)
-        f = TrigTest("cos", 2)
-        assert np.allclose(f.image(d(0))(y), np.cos(2 * y))
-        assert np.allclose(f.image(d(1))(y), -2 * np.sin(2 * y))
-        assert np.allclose(f.image(d(2))(y), -4 * np.cos(2 * y))
-        g = TrigTest("sin", F(1, 2))
-        assert np.allclose(g.image(d(1))(y), 0.5 * np.cos(0.5 * y))
-
-    def test_trig_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            TrigTest("tan", 1)
+        assert np.allclose(images(d(0), y)["cos(2*y)"], np.cos(2 * y))
+        assert np.allclose(images(d(1), y)["cos(2*y)"], -2 * np.sin(2 * y))
+        assert np.allclose(images(d(2), y)["cos(2*y)"], -4 * np.cos(2 * y))
+        assert np.allclose(images(d(1), y)["sin(1/2*y)"], 0.5 * np.cos(0.5 * y))
 
     def test_gaussian_poly_closed_class(self):
         y = np.linspace(-2.5, 2.5, 11)
         w = np.exp(-0.5 * y * y)
-        f = GaussianPolyTest(RationalPoly({0: 1}))
-        assert np.allclose(f.image(d(0))(y), w)
-        assert np.allclose(f.image(d(1))(y), -y * w)
-        assert np.allclose(f.image(d(2))(y), (y * y - 1) * w)
-        g = GaussianPolyTest(RationalPoly({1: 1}))
-        assert np.allclose(g.image(d(1))(y), (1 - y * y) * w)
+        assert np.allclose(images(d(0), y)["exp(-y^2/2)"], w)
+        assert np.allclose(images(d(1), y)["exp(-y^2/2)"], -y * w)
+        assert np.allclose(images(d(2), y)["exp(-y^2/2)"], (y * y - 1) * w)
+        assert np.allclose(images(d(1), y)["exp(-y^2/2)*y^1"], (1 - y * y) * w)
 
     @settings(max_examples=150, deadline=None)
-    @given(small_operator_st, st.sampled_from(default_test_family()))
+    @given(small_operator_st, st.sampled_from(list(FAMILY)))
     def test_image_matches_per_order_reference(self, op, fn):
         # T <= 6, m <= 3: the exact image agrees with the per-order float
         # sum to 1e-12 of the summed term magnitudes
         y = np.linspace(-3.0, 3.0, 41)
         expected, scale = reference_image(op, fn, y)
-        assert np.all(np.abs(fn.image(op)(y) - expected) <= 1e-12 * scale)
+        assert np.all(np.abs(images(op, y)[fn] - expected) <= 1e-12 * scale)
 
     def test_default_family_labels(self):
-        labels = [f.label for f in default_test_family()]
-        assert labels == [
+        got = [label for labels, _ in image_groups(d(0)) for label in labels]
+        assert got == list(FAMILY) == [
             "cos(1/2*y)", "sin(1/2*y)",
             "cos(1*y)", "sin(1*y)",
             "cos(2*y)", "sin(2*y)",
@@ -352,14 +364,13 @@ class TestBetaGammaDriftCoefficient:
 
 class TestMcMechanics:
     def test_zero_test_function_gives_exact_zero(self):
-        zero = GaussianPolyTest(RationalPoly({}), label="zero")
-        reports = mc_stein_residual(
-            catalog_get("gauss_classical"), get_target("gaussian"),
-            family=[zero], n=10**4, seed=0)
-        assert len(reports) == 1
-        assert reports[0].residual == 0.0
-        assert reports[0].stderr == 0.0
-        assert reports[0].passed
+        # S = D + y maps exp(-y^2/2) to exp(-y^2/2) (-y + y), exactly zero
+        op = SteinOperator({(0, 1): 1, (1, 0): 1})
+        reports = mc_stein_residual(op, get_target("gaussian"), n=10**4, seed=0)
+        (zero,) = [r for r in reports if r.test_id == "exp(-y^2/2)"]
+        assert zero.residual == 0.0
+        assert zero.stderr == 0.0
+        assert zero.passed
 
     def test_same_seed_is_deterministic(self):
         op, g = catalog_get("gauss_classical"), get_target("gaussian")
@@ -413,11 +424,13 @@ class TestMcMechanics:
                               n=MAX_SAMPLES + 1)
 
     def test_the_budget_counts_the_normal_draws_of_a_pn_sample(self, monkeypatch):
-        # a PN:p sample multiplies p normal draws, so n * p is held to the
-        # budget, before any sampling; every other law counts one per sample
+        # a PN:p sample multiplies p normal draws and an H_p sample
+        # evaluates a degree-p polynomial, so n * p is held to the budget,
+        # before any sampling; every other law counts one per sample
         law = get_target("PN:p=1000")
         assert law.draws == 1000
-        assert get_target("G1X:r=1,lam=1").draws == get_target("H5").draws == 1
+        assert get_target("G1X:r=1,lam=1").draws == 1
+        assert get_target("H5").draws == 5
 
         def sample(self, n, seed):
             raise AssertionError("sampled over the budget")
@@ -428,13 +441,18 @@ class TestMcMechanics:
             mc_stein_residual(catalog_get("gauss_classical"), law,
                               n=MAX_SAMPLES // 1000 + 1)
 
-    def test_workspace_does_not_grow_with_n(self, monkeypatch):
+    @pytest.mark.parametrize("op_spec,target_spec", [
+        ("H3_T4m3", "H3"),
+        # Re P = -y at every frequency: the waves still form three groups
+        ("gauss_classical", "gaussian"),
+    ])
+    def test_workspace_does_not_grow_with_n(self, op_spec, target_spec, monkeypatch):
         # numpy reports its buffers to tracemalloc; one worker holds the
         # chunk's samples, the sampler's transient and one output array per
         # image of the widest group (3), while the shared factors live for
         # one block
         monkeypatch.setenv("STEIN_SCOPE_THREADS", "1")
-        op, target = catalog_get("H3_T4m3"), get_target("H3")
+        op, target = catalog_get(op_spec), get_target(target_spec)
         mc_stein_residual(op, target, n=10**3)  # imports and caches settle
         peaks = []
         for n in (10**6, 4 * 10**6):
@@ -462,18 +480,6 @@ class TestMcMechanics:
             n=10**4, seed=0)
         for rep in reports:
             assert rep.threshold == 4 * rep.stderr
-
-    def test_empty_family_is_an_error(self):
-        # no test would run, and all([]) would pass the pair
-        with pytest.raises(ValueError, match="family is empty"):
-            mc_stein_residual(catalog_get("H3_T4m3"), get_target("H4"),
-                              family=[], n=10**4)
-
-    def test_custom_family_is_respected(self):
-        reports = mc_stein_residual(
-            catalog_get("gauss_classical"), get_target("gaussian"),
-            family=[TrigTest("cos", 1)], n=10**4, seed=0)
-        assert [r.test_id for r in reports] == ["cos(1*y)"]
 
 
 class TestOdeResidual:
