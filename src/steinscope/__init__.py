@@ -46,7 +46,6 @@ from .asymptotics import (
     verdict_for_ode,
 )
 from .distributions import (
-    NoClosedForm,
     NoExactOracle,
     TargetDistribution,
     cumulant,
@@ -58,7 +57,6 @@ from .verification import (
     ResidualReport,
     check_moment_recurrence,
     mc_stein_residual,
-    ode_residual,
 )
 from .malliavin import (
     ChaosElement,
@@ -118,11 +116,9 @@ __all__ = [
     "hermite_poly_moment",
     "cumulant",
     "NoExactOracle",
-    "NoClosedForm",
     "ResidualReport",
     "check_moment_recurrence",
     "mc_stein_residual",
-    "ode_residual",
     "ChaosElement",
     "malliavin_D",
     "L_inverse",

@@ -348,14 +348,6 @@ class GaussianRationalPoly(_SparsePoly):
     _zero = QI()
     _coerce = staticmethod(_as_qi)
 
-    def eval_complex(self, t: float) -> complex:
-        """Evaluate at a float point as a complex number."""
-        # plain (non-Horner) evaluation is fine for the modest degrees here
-        acc = 0j
-        for d, v in self.c.items():
-            acc += complex(v) * t ** d
-        return acc
-
     def real_form(self) -> RationalPoly | None:
         """u * self as a polynomial over Q, for the unit u that makes it real.
 

@@ -157,7 +157,6 @@ def _versions() -> dict:
         "steinscope": __version__,
         "python": platform.python_version(),
         "numpy": _installed_version("numpy"),
-        "scipy": _installed_version("scipy"),
     }
 
 

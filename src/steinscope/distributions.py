@@ -1,6 +1,6 @@
-"""Target laws: exact moment oracles, seeded samplers, characteristic functions.
+"""Target laws: exact moment oracles and seeded samplers.
 
-A TargetDistribution bundles up to three capabilities behind one name:
+A TargetDistribution bundles up to two capabilities behind one name:
 
 * an exact moment oracle ``moment(k)`` returning a Fraction.  The laws that
   carry one are the Hermite targets H_p(X) with X ~ N(0,1), the product
@@ -12,10 +12,6 @@ A TargetDistribution bundles up to three capabilities behind one name:
 * a seeded sampler ``sample(n, seed)`` drawing i.i.d. replicates with numpy.
   Samplers are stateless: concurrent use derives per-task seeds as
   ``seed + task_index``.
-* a characteristic function ``cf(t, j)`` evaluating the j-th derivative of
-  phi at t, for the three laws with a closed form: the Gaussian
-  (exp(-sigma2 t^2/2)), the semicircle (2 J_1(t)/t), and PN(2, sigma2)
-  ((1 + sigma2 t^2)^(-1/2)).
 
 The Beta/Gamma product laws (G1X, BG1, G1G2) ship samplers and metadata but
 no exact oracle; recurrence checks for them run in Monte-Carlo mode.  The
@@ -30,15 +26,8 @@ by the operator's canonical spec.  This module keeps only each family's law
 (``TARGET_BUILDERS``) and the laws outside the families: H_p, the Gaussian
 and the semicircle.
 
-Characteristic-function derivatives are never computed by numerical
-differencing.  Each closed form lives in a finite function basis that is
-closed under d/dt (Gaussian weight times polynomials; Bessel functions over
-powers of t; rational powers of 1 + sigma2 t^2 times monomials), so the j-th
-derivative is obtained by exact recursion on basis coefficients followed by
-a single floating-point evaluation.
-
-numpy and scipy are imported inside the sampling and characteristic-function
-code that computes with them, so the exact moment oracles load neither.
+numpy is imported inside the sampling code that computes with it, so the
+exact moment oracles do not load it.
 """
 
 from __future__ import annotations
@@ -51,7 +40,6 @@ from typing import TYPE_CHECKING
 from .algebra import (
     _as_fraction,
     _clip,
-    accumulate,
     cumulants_from_moments,
     float_horner,
     gaussian_moment,
@@ -67,10 +55,6 @@ if TYPE_CHECKING:
 
 class NoExactOracle(ValueError):
     """An exact moment oracle was required but the target does not have one."""
-
-
-class NoClosedForm(ValueError):
-    """A closed-form characteristic function was required but none exists."""
 
 
 class UnknownTarget(KeyError):
@@ -113,132 +97,18 @@ def _catalan(r: int) -> int:
     return comb(2 * r, r) // (r + 1)
 
 
-# --- characteristic-function engines -----------------------------------------
-
-class GaussianCf:
-    """phi(t) = exp(-sigma2 t^2 / 2) with exact-structure derivatives.
-
-    The j-th derivative is (-s)^j H_j(s t) exp(-s^2 t^2/2) with s^2 = sigma2
-    and H_j the monic Hermite polynomial, so evaluation needs no differencing.
-    """
-
-    __slots__ = ("sigma2",)
-
-    def __init__(self, sigma2=1):
-        self.sigma2 = _as_fraction(sigma2)
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be > 0")
-
-    def __call__(self, t: float, j: int = 0) -> float:
-        import numpy as np
-
-        s = float(self.sigma2) ** 0.5
-        u = s * t
-        value = 0.0
-        for d, c in hermite_to_monomial(j).c.items():
-            value += float(c) * u**d
-        return (-s) ** j * value * np.exp(-0.5 * u * u)
-
-
-class BesselRatioCf:
-    """B_1(t)/t (scaled) for B in {J, Y}, with derivatives in the Bessel basis.
-
-    Elements are stored as {(nu, k): c} meaning sum c * B_nu(t) / t^k.  The
-    rule d/dt [B_nu t^-k] = B_{nu-1} t^-k - (nu+k) B_nu t^-(k+1) (valid for
-    both kinds) keeps the basis closed under differentiation.  The "J" form
-    is 2 J_1(t)/t, normalised so phi(0) = 1 with the removable singularity
-    filled by its even power series; the "Y" form Y_1(t)/t is singular at 0.
-    """
-
-    __slots__ = ("kind", "_derivs")
-
-    def __init__(self, kind: str = "J"):
-        if kind not in ("J", "Y"):
-            raise ValueError("kind must be 'J' or 'Y'")
-        self.kind = kind
-        scale = 2 if kind == "J" else 1
-        self._derivs = [{(1, 1): Fraction(scale)}]
-
-    def _rep(self, j: int) -> dict:
-        while len(self._derivs) <= j:
-            self._derivs.append(accumulate(
-                pair
-                for (nu, k), c in self._derivs[-1].items()
-                for pair in (((nu - 1, k), c), ((nu, k + 1), -(nu + k) * c))
-            ))
-        return self._derivs[j]
-
-    def __call__(self, t: float, j: int = 0) -> float:
-        if self.kind == "J" and abs(t) <= 1.0:
-            # The entire series 2 J_1(t)/t = sum_m a_m t^{2m} with
-            # a_m = (-1)^m / (4^m m! (m+1)!) avoids the cancellation the
-            # Bessel basis suffers between J_nu / t^k terms at small t.
-            total = 0.0
-            a_m = 1.0
-            for m in range(0, 40 + j // 2):
-                if 2 * m >= j:
-                    term = a_m * t ** (2 * m - j)
-                    for i in range(j):
-                        term *= 2 * m - i
-                    total += term
-                    if m and abs(term) < 1e-18 * max(1.0, abs(total)):
-                        break
-                a_m /= -4.0 * (m + 1) * (m + 2)
-            return total
-        if t == 0:
-            raise ValueError("Y_1(t)/t is singular at t = 0")
-        from scipy import special
-
-        bessel = special.jv if self.kind == "J" else special.yv
-        return sum(
-            float(c) * bessel(nu, t) / t**k for (nu, k), c in self._rep(j).items()
-        )
-
-
-class ReciprocalSqrtCf:
-    """phi(t) = (1 + sigma2 t^2)^(-1/2) with derivatives by exact recursion.
-
-    Elements are {(e, d): c} meaning sum c * t^d * (1 + sigma2 t^2)^e with
-    rational c and e; d/dt maps (e, d) to d*(e, d-1) + 2*sigma2*e*(e-1, d+1).
-    """
-
-    __slots__ = ("sigma2", "_derivs")
-
-    def __init__(self, sigma2=1):
-        self.sigma2 = _as_fraction(sigma2)
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be > 0")
-        self._derivs = [{(Fraction(-1, 2), 0): Fraction(1)}]
-
-    def _rep(self, j: int) -> dict:
-        while len(self._derivs) <= j:
-            self._derivs.append(accumulate(
-                pair
-                for (e, d), c in self._derivs[-1].items()
-                for pair in (((e, d - 1), d * c), ((e - 1, d + 1), 2 * self.sigma2 * e * c))
-            ))
-        return self._derivs[j]
-
-    def __call__(self, t: float, j: int = 0) -> float:
-        u = 1.0 + float(self.sigma2) * t * t
-        return sum(
-            float(c) * t**d * u ** float(e) for (e, d), c in self._rep(j).items()
-        )
-
-
 # --- the target type ----------------------------------------------------------
 
 class TargetDistribution:
     """A named target law bundling whichever capabilities it supports.
 
     Capabilities are optional: ``moment`` raises NoExactOracle when the law
-    has no exact oracle, ``cf`` raises NoClosedForm when no closed form
-    exists, and ``sample`` raises NotImplementedError for analysis-only
-    targets.  ``meta`` is the side-condition dictionary consumed by the
-    sufficiency pipeline.  ``draws`` is what one sample counts against the
-    Monte-Carlo budget: the p normal draws a PN:p sample multiplies, the
-    degree p of the polynomial an H_p sample evaluates, and one for every
-    other law.
+    has no exact oracle, and ``sample`` raises NotImplementedError for
+    analysis-only targets.  ``meta`` is the side-condition dictionary
+    consumed by the sufficiency pipeline.  ``draws`` is what one sample
+    counts against the Monte-Carlo budget: the p normal draws a PN:p sample
+    multiplies, the degree p of the polynomial an H_p sample evaluates, and
+    one for every other law.
     """
 
     __slots__ = (
@@ -249,7 +119,6 @@ class TargetDistribution:
         "draws",
         "_moment",
         "_sampler",
-        "_cf",
     )
 
     def __init__(
@@ -261,7 +130,6 @@ class TargetDistribution:
         zero_mean: bool,
         moment=None,
         sampler=None,
-        cf=None,
         draws: int = 1,
     ):
         self.name = name
@@ -271,7 +139,6 @@ class TargetDistribution:
         self.draws = draws
         self._moment = moment
         self._sampler = sampler
-        self._cf = cf
 
     @property
     def meta(self) -> dict:
@@ -285,10 +152,6 @@ class TargetDistribution:
     @property
     def has_sampler(self) -> bool:
         return self._sampler is not None
-
-    @property
-    def has_cf(self) -> bool:
-        return self._cf is not None
 
     def moment(self, k: int) -> Fraction:
         """E[Y^k], exact."""
@@ -323,19 +186,12 @@ class TargetDistribution:
 
         return self._sampler(np.random.default_rng(seed), int(n))
 
-    def cf(self, t: float, j: int = 0) -> float:
-        """j-th derivative of the characteristic function at t."""
-        if self._cf is None:
-            raise NoClosedForm(f"{self.name} has no closed-form characteristic function")
-        return self._cf(t, j)
-
     def __repr__(self):
         caps = [
             label
             for label, flag in (
                 ("moments", self.has_exact_moments),
                 ("sampler", self.has_sampler),
-                ("cf", self.has_cf),
             )
             if flag
         ]
@@ -358,7 +214,6 @@ def _semicircle_target() -> TargetDistribution:
         zero_mean=True,
         moment=moment,
         sampler=lambda rng, n: 2.0 * rng.beta(1.5, 1.5, n) - 1.0,
-        cf=BesselRatioCf("J"),
     )
 
 
@@ -383,7 +238,6 @@ def _hermite_target(p: int) -> TargetDistribution:
         zero_mean=True,
         moment=lambda k: hermite_poly_moment(p, k),
         sampler=sampler,
-        cf=GaussianCf(1) if p == 1 else None,
         draws=p,
     )
 
@@ -397,7 +251,6 @@ def _hermite_target(p: int) -> TargetDistribution:
 
 def _pn_law(p, sigma2) -> dict:
     p = int(p)
-    cf = {1: GaussianCf, 2: ReciprocalSqrtCf}.get(p)
 
     def sampler(rng, n):
         # the stream and product order of standard_normal((p, n)).prod(axis=0),
@@ -413,7 +266,6 @@ def _pn_law(p, sigma2) -> dict:
         zero_mean=True,
         moment=lambda k: gaussian_moment(k) ** p * sigma2 ** (k // 2),
         sampler=sampler,
-        cf=None if cf is None else cf(sigma2),
         draws=p,
     )
 

@@ -124,7 +124,7 @@ class SteinOperator:
             "T": T,
             "m": m,
             "coeff": [
-                [str(self.a.get((i, j), Fraction(0))) for j in range(T + 1)]
+                [str(self.a.get((i, j), "0")) for j in range(T + 1)]
                 for i in range(m + 1)
             ],
         }

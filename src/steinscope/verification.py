@@ -1,6 +1,6 @@
 """Exact and Monte-Carlo checks that an operator annihilates a target law.
 
-Three modes, one report type:
+Two modes, one report type:
 
 * ``check_moment_recurrence``: for targets with an exact moment oracle, the
   relation E[S y^k] = 0 is evaluated as exact rational arithmetic for
@@ -9,10 +9,6 @@ Three modes, one report type:
   fixed set of smooth test functions (trigonometric waves and
   Gaussian-weighted monomials).  A test passes when |sample mean| <= 4
   standard errors.
-* ``ode_residual``: when the target has a closed-form characteristic
-  function, the transformed ODE is evaluated directly on a t-grid and the
-  worst normalised residual |sum c_i phi^(i)| / (sum |c_i||phi^(i)| + 1) is
-  returned.
 
 The test functions are fixed: cos(ty) and sin(ty) for t in 1/2, 1, 2, and
 exp(-y^2/2) y^d for d <= 2.  Both classes are closed under d/dy, so each
@@ -39,9 +35,8 @@ worker threads (set by the STEIN_SCOPE_THREADS environment variable, at
 most the CPU count).  Chunk statistics are merged by exact pairwise Welford
 combination in chunk order.
 
-numpy is imported inside the Monte-Carlo and ODE-grid code, and
-concurrent.futures only where Monte-Carlo chunks run on threads, so exact
-mode loads neither.
+numpy is imported inside the Monte-Carlo code, and concurrent.futures only
+where Monte-Carlo chunks run on threads, so exact mode loads neither.
 """
 
 from __future__ import annotations
@@ -49,15 +44,10 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
-from functools import reduce
-from typing import TYPE_CHECKING
 
 from .algebra import RationalPoly, _as_fraction, accumulate, float_horner, unit_ipow
 from .budgets import check
-from .operators import CfOde, SteinOperator, moment_recurrence
-
-if TYPE_CHECKING:
-    import numpy as np
+from .operators import SteinOperator, moment_recurrence
 
 _DEFAULT_N = 10**6
 # Samples per Monte-Carlo chunk, and the standard errors a residual may reach.
@@ -268,8 +258,10 @@ def mc_stein_residual(op: SteinOperator, dist, n: int = _DEFAULT_N,
     thread count.  n < 2 (no standard error) raises ValueError rather than
     pass vacuously, as do a negative seed and a mean or standard error that
     is not finite (the samples overflowed), since NaN or infinity is neither
-    a pass nor a fail.  n times ``dist.draws`` (one if absent) above the
-    budget MAX_SAMPLES raises OverBudget before any sampling.
+    a pass nor a fail; the totals are checked as each chunk is merged, so
+    the first chunk that makes one non-finite ends the run.  n times
+    ``dist.draws`` (one if absent) above the budget MAX_SAMPLES raises
+    OverBudget before any sampling.
     """
     if n < 2:
         raise ValueError(f"Monte-Carlo sample size n = {n}; need n >= 2")
@@ -292,8 +284,8 @@ def mc_stein_residual(op: SteinOperator, dist, n: int = _DEFAULT_N,
         if not hasattr(worker, "outs"):  # one output array per image of a group
             worker.outs = [np.empty(min(n, _CHUNK)) for _ in range(width)]
         stats = []
-        # an image that overflows on finite samples is reported below, once,
-        # as a non-finite estimate
+        # an image that overflows on finite samples is reported as a
+        # non-finite estimate when its chunk is merged
         with np.errstate(over="ignore", invalid="ignore"):
             for labels, evaluate in groups:
                 outs = [out[:len(y)] for out in worker.outs[:len(labels)]]
@@ -306,64 +298,37 @@ def mc_stein_residual(op: SteinOperator, dist, n: int = _DEFAULT_N,
                     stats.append((len(y), m, float(np.square(vals, out=vals).sum())))
         return stats
 
-    def merge(per_chunk):
-        # each chunk's statistics join the totals in chunk order as they arrive
-        return reduce(lambda a, b: list(map(_welford_merge, a, b)), per_chunk)
-
-    workers = min(_threads(), len(chunks))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = merge(pool.map(run_chunk, chunks))
-    else:
-        totals = merge(map(run_chunk, chunks))
-
     labels = [label for group_labels, _ in groups for label in group_labels]
-    out = []
-    for label, (cnt, mean, m2) in zip(labels, totals):
+
+    def report(label, cnt, mean, m2):
         stderr = (m2 / (cnt - 1)) ** 0.5 / cnt**0.5
         if not (math.isfinite(mean) and math.isfinite(stderr)):
             raise ValueError(
                 f"{dist.name}: the Monte-Carlo estimate for {label} is not "
                 f"finite (mean {mean}, stderr {stderr})")
-        out.append(ResidualReport(
-            label, "mc", mean, _SIGMA_MULT * stderr,
-            stderr=stderr, n=cnt, seed=seed,
-        ))
-    return out
+        return ResidualReport(label, "mc", mean, _SIGMA_MULT * stderr,
+                              stderr=stderr, n=cnt, seed=seed)
 
+    def merge(per_chunk):
+        # each chunk's statistics join the totals in chunk order as they
+        # arrive, and the totals are reported at once: a total that is not
+        # finite stays so after every later merge
+        totals = None
+        for stats in per_chunk:
+            totals = stats if totals is None else list(map(_welford_merge, totals, stats))
+            reports = [report(label, *total) for label, total in zip(labels, totals)]
+        return reports
 
-# --- ODE mode ----------------------------------------------------------------------
+    workers = min(_threads(), len(chunks))
+    if workers == 1:
+        return merge(map(run_chunk, chunks))
+    from concurrent.futures import ThreadPoolExecutor
 
-def default_ode_grid() -> np.ndarray:
-    """64 log-spaced points in [0.1, 10]; avoids the singular point t = 0."""
-    import numpy as np
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        return merge(pool.map(run_chunk, chunks))
+    finally:
+        # pool.map submits every chunk at once; after a refusal, the chunks
+        # not yet started are cancelled rather than run
+        pool.shutdown(cancel_futures=True)
 
-    return np.geomspace(0.1, 10.0, 64)
-
-
-def ode_residual(ode: CfOde, cf, grid=None) -> float:
-    """Worst normalised residual of the ODE applied to a candidate solution.
-
-    ``cf(t, j)`` must return the j-th derivative of the candidate at t.  The
-    residual at t is |sum_i c_i(t) phi^(i)(t)| divided by
-    sum_i |c_i(t)| |phi^(i)(t)| + 1, and the maximum over the grid is
-    returned.
-    """
-    if grid is None:
-        grid = default_ode_grid()
-    worst = 0.0
-    for t in grid:
-        t = float(t)
-        num = 0j
-        den = 1.0
-        for i, poly in enumerate(ode.coeffs):
-            if poly.is_zero():
-                continue
-            c = poly.eval_complex(t)
-            phi = complex(cf(t, i))
-            num += c * phi
-            den += abs(c) * abs(phi)
-        worst = max(worst, abs(num) / den)
-    return worst

@@ -24,11 +24,7 @@ from steinscope.asymptotics import (
     verdict_for_ode,
 )
 from steinscope.discovery import DiscoveryProblem, canonicalise, find_stein_operators
-from steinscope.distributions import (
-    BesselRatioCf,
-    GaussianCf,
-    get_target,
-)
+from steinscope.distributions import get_target
 from steinscope.malliavin import (
     ChaosElement,
     check_cumulant_formula,
@@ -43,7 +39,9 @@ from steinscope.operators import (
     psi_transform,
     stirling2,
 )
-from steinscope.verification import check_moment_recurrence, mc_stein_residual, ode_residual
+from steinscope.verification import check_moment_recurrence, mc_stein_residual
+
+from cf_witness import BesselRatioCf, GaussianCf, ode_residual
 
 
 def ode_of(spec: str) -> CfOde:

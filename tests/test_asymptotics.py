@@ -651,12 +651,14 @@ class TestNumericalCrossCheck:
         import numpy as np
         from scipy.integrate import solve_ivp
 
+        from cf_witness import eval_complex
+
         for spec, order in self.CASES.items():
             ode = ode_of(spec)
             assert ode.order == order
 
             def rhs(t, y):
-                cs = [c.eval_complex(t) for c in ode.coeffs]
+                cs = [eval_complex(c, t) for c in ode.coeffs]
                 top = cs[-1]
                 lower = sum(c * y[i] for i, c in enumerate(cs[:-1]))
                 dy = list(y[1:]) + [-lower / top]

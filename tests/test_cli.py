@@ -83,7 +83,7 @@ class TestEnvelope:
         assert code == 0
         assert report["command"] == "catalog"
         assert report["seed"] == 0
-        assert set(report["versions"]) == {"steinscope", "python", "numpy", "scipy"}
+        assert set(report["versions"]) == {"steinscope", "python", "numpy"}
 
     def test_seed_is_echoed(self):
         _, report = run_report("transform", "--op", "gauss_classical", "--seed", "7")
@@ -636,6 +636,27 @@ class TestVerify:
         assert out == ""
         assert "the x^1 coefficient does not fit in a float" in err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_mc_mode_overflowing_images_exit_2_at_the_first_chunk(
+            self, tmp_path, monkeypatch, threads):
+        # T = 250: the degree-250 weighted images overflow on the first
+        # chunk, and the refusal comes then, not after 10^8 samples; at two
+        # threads the chunks not yet started are dropped
+        T = 250
+        path = tmp_path / "deg250.json"
+        save_report(path, {"T": T, "m": 1,
+                           "coeff": [["1"] * (T + 1), ["-1"] + ["0"] * T]})
+        monkeypatch.setenv("STEIN_SCOPE_THREADS", threads)
+        start = time.monotonic()
+        code, out, err = run_cli(
+            "verify", "--op", str(path), "--target", "gaussian",
+            "--mode", "mc", "--n", "100000000",
+        )
+        assert time.monotonic() - start < 5.0
+        assert code == 2
+        assert out == ""
+        assert "the Monte-Carlo estimate for exp(-y^2/2) is not finite" in err
+
     def test_mc_mode_without_sampler_exits_2(self):
         code, out, err = run_cli(
             "verify", "--op", "PRR:s=2", "--target", "PRR:s=2", "--n", "1000"
@@ -827,28 +848,36 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "importlib.metadata": "importlib.metadata" in sys.modules,
                   "email": "email" in sys.modules}))
 """
+# None in sys.modules makes every later import of scipy fail
+_BLOCK_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
 
 
-def probe_imports(*argv):
+def probe_imports(*argv, block_scipy=False):
     src = str(Path(steinscope.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (_BLOCK_SCIPY if block_scipy else "") + _IMPORT_PROBE
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        [sys.executable, "-c", probe, *argv],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     return json.loads(proc.stdout)
 
 
+_EXACT_COMMANDS = [
+    ("catalog",),
+    ("analyze", "--op", "PN:p=4"),
+    ("transform", "--op", "H5_T13m4"),
+    ("verify", "--op", "H4_T2m3", "--target", "H4", "--mode", "exact"),
+    ("gamma", "--target", "H3", "--check", "4.1"),
+    ("discover", "--target", "gaussian", "--order", "1", "--degree", "1"),
+]
+_MC_COMMAND = ("verify", "--op", "gauss_classical", "--target", "gaussian",
+               "--mode", "mc", "--n", "1000")
+
+
 class TestNumericStackImports:
-    @pytest.mark.parametrize("argv", [
-        ("catalog",),
-        ("analyze", "--op", "PN:p=4"),
-        ("transform", "--op", "H5_T13m4"),
-        ("verify", "--op", "H4_T2m3", "--target", "H4", "--mode", "exact"),
-        ("gamma", "--target", "H3", "--check", "4.1"),
-        ("discover", "--target", "gaussian", "--order", "1", "--degree", "1"),
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", _EXACT_COMMANDS, ids=lambda argv: argv[0])
     def test_exact_commands_load_neither_numpy_nor_scipy(self, argv):
         assert probe_imports(*argv) == {
             "code": 0, "numpy": False, "scipy": False, "scipy.special": False,
@@ -856,23 +885,23 @@ class TestNumericStackImports:
         }
 
     def test_monte_carlo_loads_numpy_but_not_scipy_special(self):
-        loaded = probe_imports(
-            "verify", "--op", "gauss_classical", "--target", "gaussian",
-            "--mode", "mc", "--n", "1000",
-        )
+        loaded = probe_imports(*_MC_COMMAND)
         assert loaded["code"] == 0
         assert loaded["numpy"] is True
         assert loaded["scipy.special"] is False
 
+    @pytest.mark.parametrize("argv", [*_EXACT_COMMANDS, _MC_COMMAND], ids=lambda argv: (
+        f"{argv[0]}-{argv[argv.index('--mode') + 1]}" if "--mode" in argv else argv[0]))
+    def test_commands_run_where_scipy_cannot_be_imported(self, argv):
+        # scipy is a test dependency only: no command may need it
+        assert probe_imports(*argv, block_scipy=True)["code"] == 0
+
     def test_versions_match_the_imported_packages(self):
         import numpy
-        import scipy
 
-        versions = _versions()
-        assert versions["numpy"] == numpy.__version__
-        assert versions["scipy"] == scipy.__version__
+        assert _versions()["numpy"] == numpy.__version__
 
-    @pytest.mark.parametrize("name", ["numpy", "scipy"])
+    @pytest.mark.parametrize("name", ["numpy"])
     def test_versions_match_importlib_metadata(self, name):
         from importlib.metadata import version
 

@@ -1,4 +1,5 @@
-"""Tests for target laws: oracles, samplers, characteristic functions."""
+"""Tests for target laws (oracles, samplers) and the closed-form
+characteristic functions of ``cf_witness``."""
 
 from fractions import Fraction
 from math import factorial
@@ -11,11 +12,7 @@ from hypothesis import strategies as st
 from steinscope.algebra import gaussian_moment, hermite_to_monomial
 from steinscope.budgets import MAX_HERMITE_DEGREE, MAX_INDEX
 from steinscope.distributions import (
-    BesselRatioCf,
-    GaussianCf,
-    NoClosedForm,
     NoExactOracle,
-    ReciprocalSqrtCf,
     TargetDistribution,
     UnknownTarget,
     cumulant,
@@ -26,6 +23,8 @@ from steinscope.distributions import (
 )
 from steinscope.malliavin import ChaosElement
 from steinscope.operators import BadParameter, catalog_get, moment_recurrence
+
+from cf_witness import BesselRatioCf, GaussianCf, ReciprocalSqrtCf
 
 F = Fraction
 
@@ -133,7 +132,7 @@ class TestMomentOracles:
     def test_gaussian_is_pn_at_p_1(self, sigma2):
         # N(0, sigma2) is built as the PN law at p = 1: same moments, the
         # same samples as sqrt(sigma2) * standard_normal(n) byte for byte,
-        # and the same closed-form characteristic function
+        # and the same sigma2 for the closed-form characteristic function
         g = get_target(f"gaussian:sigma2={sigma2}")
         pn = get_target(f"PN:p=1,sigma2={sigma2}")
         assert g.name == ("gaussian" if sigma2 == "1" else f"gaussian:sigma2={sigma2}")
@@ -150,7 +149,9 @@ class TestMomentOracles:
             assert x.tobytes() == pn.sample(100003, seed=seed).tobytes()
         for t in (0.0, 0.5, 2.0):
             for j in range(3):
-                assert g.cf(t, j) == pn.cf(t, j) == GaussianCf(F(sigma2))(t, j)
+                assert (GaussianCf(g.params["sigma2"])(t, j)
+                        == GaussianCf(pn.params["sigma2"])(t, j)
+                        == GaussianCf(F(sigma2))(t, j))
 
     def test_semicircle_catalan(self):
         sc = get_target("semicircle")
@@ -314,20 +315,21 @@ class TestSamplers:
 
 
 class TestCharacteristicFunctions:
+    # the closed forms of the gaussian, semicircle and PN:p=2 targets
     def test_values_at_zero(self):
-        assert get_target("gaussian").cf(0.0) == 1.0
-        assert get_target("semicircle").cf(0.0) == 1.0
-        assert get_target("PN:p=2").cf(0.0) == 1.0
+        assert GaussianCf(1)(0.0) == 1.0
+        assert BesselRatioCf("J")(0.0) == 1.0
+        assert ReciprocalSqrtCf(1)(0.0) == 1.0
 
     def test_frozen_values(self):
-        assert abs(get_target("PN:p=2").cf(1.0) - 2**-0.5) < 1e-15
-        assert abs(get_target("gaussian").cf(1.0) - np.exp(-0.5)) < 1e-15
+        assert abs(ReciprocalSqrtCf(1)(1.0) - 2**-0.5) < 1e-15
+        assert abs(GaussianCf(1)(1.0) - np.exp(-0.5)) < 1e-15
 
     def test_semicircle_series_window(self):
-        sc = get_target("semicircle")
+        sc = BesselRatioCf("J")
         for t in (1e-4, 1e-3, 1e-2):
-            assert abs(sc.cf(t) - (1 - t * t / 8 + t**4 / 192)) < 1e-12
-        assert abs(sc.cf(0.0, 2) - (-0.25)) < 1e-15
+            assert abs(sc(t) - (1 - t * t / 8 + t**4 / 192)) < 1e-12
+        assert abs(sc(0.0, 2) - (-0.25)) < 1e-15
 
     def test_series_basis_boundary_continuity(self):
         # J-kind switches from power series to the Bessel basis at |t| = 1.
@@ -336,11 +338,11 @@ class TestCharacteristicFunctions:
             assert abs(jcf(0.999999, j) - jcf(1.000001, j)) < 1e-5
 
     def test_evenness_and_bound(self):
-        for spec in ("gaussian", "semicircle", "PN:p=2,sigma2=2"):
-            tgt = get_target(spec)
+        # gaussian, semicircle and PN:p=2,sigma2=2
+        for cf in (GaussianCf(1), BesselRatioCf("J"), ReciprocalSqrtCf(2)):
             for t in np.linspace(0.1, 10, 23):
-                assert abs(tgt.cf(float(t))) <= 1 + 1e-12
-                assert abs(tgt.cf(float(t)) - tgt.cf(float(-t))) < 1e-14
+                assert abs(cf(float(t))) <= 1 + 1e-12
+                assert abs(cf(float(t)) - cf(float(-t))) < 1e-14
 
     def test_derivatives_against_finite_differences(self):
         engines = [
@@ -376,17 +378,10 @@ class TestCharacteristicFunctions:
         with pytest.raises(ValueError):
             BesselRatioCf("Y")(0.0)
 
-    def test_no_closed_form(self):
-        for spec in ("H3", "PN:p=3", "BG1:a=1,b=1,r=1"):
-            tgt = get_target(spec)
-            assert not tgt.has_cf
-            with pytest.raises(NoClosedForm):
-                tgt.cf(1.0)
-
     def test_hermite_one_is_gaussian(self):
-        h1 = get_target("H1")
-        assert h1.has_cf
-        assert abs(h1.cf(2.0) - np.exp(-2.0)) < 1e-15
+        h1, gaussian = get_target("H1"), get_target("gaussian")
+        assert [h1.moment(k) for k in range(12)] == [gaussian.moment(k) for k in range(12)]
+        assert abs(GaussianCf(1)(2.0) - np.exp(-2.0)) < 1e-15
 
 
 class TestRegistry:

@@ -18,14 +18,7 @@ from hypothesis import given, settings, strategies as st
 from steinscope import verification
 from steinscope.algebra import RationalPoly
 from steinscope.budgets import MAX_SAMPLES, OverBudget
-from steinscope.distributions import (
-    BesselRatioCf,
-    GaussianCf,
-    NoExactOracle,
-    ReciprocalSqrtCf,
-    TargetDistribution,
-    get_target,
-)
+from steinscope.distributions import NoExactOracle, TargetDistribution, get_target
 from steinscope.operators import (
     SteinOperator,
     catalog_get,
@@ -36,9 +29,15 @@ from steinscope.verification import (
     ResidualReport,
     _threads,
     check_moment_recurrence,
-    default_ode_grid,
     image_groups,
     mc_stein_residual,
+)
+
+from cf_witness import (
+    BesselRatioCf,
+    GaussianCf,
+    ReciprocalSqrtCf,
+    default_ode_grid,
     ode_residual,
 )
 
@@ -480,6 +479,24 @@ class TestMcMechanics:
             n=10**4, seed=0)
         for rep in reports:
             assert rep.threshold == 4 * rep.stderr
+
+    def test_non_finite_estimate_ends_the_run_at_its_chunk(self, monkeypatch):
+        # squares of samples near 1e200 overflow, so chunk 0's totals are
+        # not finite; the totals are checked as each chunk is merged, and no
+        # later chunk is drawn
+        monkeypatch.setenv("STEIN_SCOPE_THREADS", "1")
+        seeds = []
+
+        def sample(size, seed):
+            seeds.append(seed)
+            return 1e200 * np.random.default_rng(seed).standard_normal(size)
+
+        law = SimpleNamespace(name="huge", sample=sample)
+        with pytest.raises(ValueError, match="huge: the Monte-Carlo estimate for "
+                                             r"cos\(1/2\*y\) is not finite"):
+            mc_stein_residual(catalog_get("gauss_classical"), law,
+                              n=10 * verification._CHUNK)
+        assert seeds == [0]
 
 
 class TestOdeResidual:
