@@ -153,9 +153,6 @@ class QI:
     def conjugate(self):
         return QI(self.re, -self.im)
 
-    def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
-
     def __repr__(self):
         if not self.im:
             return str(self.re)

@@ -75,7 +75,7 @@ from fractions import Fraction
 from .algebra import (QI, GaussianRationalPoly, RationalPoly, accumulate, falling_poly,
                       fraction_nth_root, rational_roots)
 from .budgets import LOG_WALK_TERMS
-from .operators import (CfOde, NotInImage, SteinOperator, moment_recurrence, psi_inverse,
+from .operators import (CfOde, MomentRecurrence, NotInImage, SteinOperator, psi_inverse,
                         psi_transform)
 
 
@@ -694,7 +694,7 @@ def _moment_forcing(op: SteinOperator, zero_mean: bool, symmetry: bool):
     the constant 1) in free unknowns created on first use; a row that cannot
     solve for its top moment eliminates its newest unknown.
     """
-    rec = moment_recurrence(op)
+    rec = MomentRecurrence(op)
     smax, smin = rec.max_shift, rec.min_shift
     top_roots, _ = rational_roots(rec.leading_coefficient_poly())
     deg_rows = [int(r) for r in top_roots if r.denominator == 1 and r >= 0]

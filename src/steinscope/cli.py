@@ -54,15 +54,6 @@ from .operators import (
 from .malliavin import check_gamma_characterisation, identity_catalog
 from .verification import check_moment_recurrence, mc_stein_residual
 
-__all__ = [
-    "UsageError",
-    "build_parser",
-    "load_operator_file",
-    "main",
-    "report_json",
-    "save_report",
-]
-
 
 class UsageError(ValueError):
     """A problem with the invocation itself; maps to exit code 2."""

@@ -42,13 +42,6 @@ from .algebra import _as_fraction, falling_factorials, primitive
 from .budgets import check
 from .operators import SteinOperator
 
-__all__ = [
-    "DiscoveryProblem",
-    "OracleTooShort",
-    "canonicalise",
-    "find_stein_operators",
-]
-
 
 class OracleTooShort(ValueError):
     """The moment oracle cannot supply a required order."""

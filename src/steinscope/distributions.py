@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING
 from .algebra import (
     _as_fraction,
     _clip,
-    cumulants_from_moments,
     float_horner,
     gaussian_moment,
     gaussian_power_moments,
@@ -86,11 +85,6 @@ def hermite_poly_moment(p: int, k: int) -> Fraction:
     while len(known) <= k:
         known.append(next(engine))
     return known[k]
-
-
-def cumulant(dist: "TargetDistribution", r: int) -> Fraction:
-    """kappa_r of the target, exact; requires an exact moment oracle."""
-    return cumulants_from_moments(dist.moment, r)
 
 
 def _catalan(r: int) -> int:

@@ -42,21 +42,6 @@ from .algebra import (
     hermite_to_monomial,
 )
 
-__all__ = [
-    "ChaosElement",
-    "NotPureChaos",
-    "carre_du_champ",
-    "check_cumulant_formula",
-    "check_gamma_characterisation",
-    "check_linverse_square",
-    "gamma_r",
-    "hermite_product",
-    "identity_catalog",
-    "L_inverse",
-    "malliavin_D",
-    "ou_generator",
-]
-
 
 class NotPureChaos(ValueError):
     """The argument must live in a single chaos level q >= 1."""

@@ -16,7 +16,7 @@ where the power of y becomes the derivative order on phi and the derivative
 order becomes the power of t.  ``psi_transform`` computes this ODE exactly
 over the Gaussian rationals; ``psi_inverse`` undoes it.  Substituting
 f(y) = y^k instead yields an exact linear recurrence among the moments of Y
-(``moment_recurrence``).
+(``MomentRecurrence``).
 
 ``catalog_get`` serves the bundled operators: the Hermite-target operators
 H3_T4m3, H3_T5m2, H4_T2m3, H4_T3m2, H5_T13m4, H6_T6m3 (suffix: maximal
@@ -327,11 +327,6 @@ class MomentRecurrence:
             for s in range(self.max_shift, self.min_shift - 1, -1) if (p := self._poly(s))
         ]
         return f"MomentRecurrence({' + '.join(parts)} = 0)"
-
-
-def moment_recurrence(op: SteinOperator) -> MomentRecurrence:
-    """Exact moment recurrence obtained by applying op to f(y) = y^k."""
-    return MomentRecurrence(op)
 
 
 def stirling2(p: int, k: int) -> int:

@@ -47,7 +47,7 @@ from fractions import Fraction
 
 from .algebra import RationalPoly, _as_fraction, accumulate, float_horner, unit_ipow
 from .budgets import check
-from .operators import SteinOperator, moment_recurrence
+from .operators import MomentRecurrence, SteinOperator
 
 _DEFAULT_N = 10**6
 # Samples per Monte-Carlo chunk, and the standard errors a residual may reach.
@@ -130,7 +130,7 @@ def check_moment_recurrence(op: SteinOperator, dist, K: int = 12) -> list[Residu
     if K < 0:
         raise ValueError(f"moment orders K = {K}; need K >= 0")
     check("MAX_CONSTRAINTS", "moment orders K", K)
-    rec = moment_recurrence(op)
+    rec = MomentRecurrence(op)
     rows = [rec.coefficients(k) for k in range(K + 1)]
     top = max((k + s for k, row in enumerate(rows) for s in row), default=None)
     kept = {} if top is None else {top: _as_fraction(dist.moment(top))}

@@ -32,7 +32,7 @@ def eval_complex(poly, t: float) -> complex:
     # plain (non-Horner) evaluation is fine for the modest degrees here
     acc = 0j
     for d, v in poly.c.items():
-        acc += complex(v) * t ** d
+        acc += complex(float(v.re), float(v.im)) * t ** d
     return acc
 
 

@@ -63,7 +63,7 @@ def residual_terms(ode, t, gamma, a_s, a):
         bell.append(sum(comb(m, l) * bell[m - l] * s[l + 1] for l in range(m + 1)))
     rows = []
     for k, c in enumerate(ode.coeffs):
-        c_k = sum(complex(q) * t**d for d, q in c.c.items())
+        c_k = sum(complex(float(q.re), float(q.im)) * t**d for d, q in c.c.items())
         rows.append(c_k * bell[k])
     return np.array(rows)
 

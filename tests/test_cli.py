@@ -852,16 +852,21 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
 _BLOCK_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
 
 
-def probe_imports(*argv, block_scipy=False):
+def _run_fresh(code: str, *argv):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package;
+    return its stdout read as JSON."""
     src = str(Path(steinscope.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = (_BLOCK_SCIPY if block_scipy else "") + _IMPORT_PROBE
     proc = subprocess.run(
-        [sys.executable, "-c", probe, *argv],
+        [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     return json.loads(proc.stdout)
+
+
+def probe_imports(*argv, block_scipy=False):
+    return _run_fresh((_BLOCK_SCIPY if block_scipy else "") + _IMPORT_PROBE, *argv)
 
 
 _EXACT_COMMANDS = [
@@ -909,3 +914,30 @@ class TestNumericStackImports:
 
     def test_version_of_a_package_not_installed_reads_unknown(self):
         assert _installed_version("no_such_package") == "unknown"
+
+
+def _fresh_import(module: str, expression: str):
+    """Import ``module`` in a fresh interpreter and return ``expression`` there."""
+    return _run_fresh(f"import json, sys, {module}\nprint(json.dumps({expression}))")
+
+
+class TestModuleImports:
+    # the package root holds only its docstring and __version__, so each name
+    # has one import path and importing a module runs only what it imports
+    @pytest.mark.parametrize("module,loaded", [
+        ("steinscope", set()),
+        ("steinscope.budgets", {"budgets"}),
+        ("steinscope.algebra", {"algebra"}),
+        ("steinscope.malliavin", {"algebra", "malliavin"}),
+        ("steinscope.operators", {"algebra", "budgets", "operators"}),
+        ("steinscope.cli", {"algebra", "asymptotics", "budgets", "cli", "discovery",
+                            "distributions", "malliavin", "operators", "verification"}),
+    ])
+    def test_importing_a_module_loads_only_what_it_imports(self, module, loaded):
+        found = _fresh_import(module, "[m for m in sys.modules if m.startswith('steinscope.')]")
+        assert {name.removeprefix("steinscope.") for name in found} == loaded
+
+    def test_the_package_root_names_only_its_version(self):
+        names = _fresh_import("steinscope", "sorted(vars(steinscope))")
+        assert [name for name in names if not name.startswith("_")] == []
+        assert "__version__" in names and "__all__" not in names

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinscope import discovery
+from steinscope.algebra import QI
+from steinscope.asymptotics import H8_LEADING_ODE, verdict_for_ode
 from steinscope.discovery import (
     DiscoveryProblem,
     OracleTooShort,
@@ -19,7 +21,7 @@ from steinscope.discovery import (
     find_stein_operators,
 )
 from steinscope.distributions import TargetDistribution, get_target
-from steinscope.operators import SteinOperator, catalog_get
+from steinscope.operators import SteinOperator, catalog_get, psi_transform
 from steinscope.verification import check_moment_recurrence
 
 F = Fraction
@@ -175,6 +177,38 @@ class TestReproduction:
         assert calls[0] == 97
         assert sorted(calls) == list(range(98))
 
+
+
+@pytest.fixture(scope="module")
+def h8_discovery():
+    prob = DiscoveryProblem(get_target("H8"), 10, 4)
+    return prob, find_stein_operators(prob)
+
+
+class TestH8LeadingOdeWitness:
+    # the hand-typed H8_LEADING_ODE is the lowest-t part of the ODE of the
+    # minimal H8 operator, which discovery finds at (T, m) = (10, 4)
+    def test_minimal_shape(self, h8_discovery):
+        prob, basis = h8_discovery
+        assert len(basis) == 1
+        assert prob.dimension_trail == [(71, 1), (79, 1)]
+        assert find_stein_operators(DiscoveryProblem(get_target("H8"), 9, 4)) == []
+
+    def test_lowest_terms_are_one_multiple_of_the_fixture(self, h8_discovery):
+        _, (op,) = h8_discovery
+        ode = psi_transform(op)
+        assert ode.order == H8_LEADING_ODE.order
+        ratios = set()
+        for found, fixed in zip(ode.coeffs, H8_LEADING_ODE.coeffs):
+            assert found.valuation() == fixed.valuation()
+            ratios.add(found.c[found.valuation()] / fixed.c[fixed.valuation()])
+        assert ratios == {QI(-1)}
+
+    def test_full_ode_characterises_with_four_moments(self, h8_discovery):
+        _, (op,) = h8_discovery
+        target = get_target("H8")
+        verdict = verdict_for_ode(psi_transform(op), 4, **target.meta)
+        assert verdict.status == "characterising"
 
 class TestSoundness:
     @pytest.mark.parametrize("target,T,m", [

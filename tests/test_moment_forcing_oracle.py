@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from steinscope import asymptotics
 from steinscope.algebra import rational_roots
-from steinscope.operators import SteinOperator, catalog_get, moment_recurrence
+from steinscope.operators import MomentRecurrence, SteinOperator, catalog_get
 
 # --- reference oracle, verbatim -------------------------------------------------
 
@@ -86,7 +86,7 @@ def _moment_forcing(op: SteinOperator, zero_mean: bool, symmetry: bool):
     Processes rows until past every degenerate row (vanishing top coefficient)
     plus a safety margin; returns (pinned: bool, free moment orders, rows).
     """
-    rec = moment_recurrence(op)
+    rec = MomentRecurrence(op)
     smax, smin = rec.max_shift, rec.min_shift
     top_roots, _ = rational_roots(rec.leading_coefficient_poly())
     deg_rows = [int(r) for r in top_roots if r.denominator == 1 and r >= 0]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 
 from steinscope.algebra import _as_fraction, accumulate, falling_poly, gaussian_moment
-from steinscope.operators import SteinOperator, catalog_get, moment_recurrence
+from steinscope.operators import MomentRecurrence, SteinOperator, catalog_get
 
 from test_operators import operator_st
 
@@ -88,7 +88,7 @@ _ORDERS = range(13)
 
 
 def _assert_same_relation(op: SteinOperator):
-    rec, ref = moment_recurrence(op), _ReferenceRecurrence(op)
+    rec, ref = MomentRecurrence(op), _ReferenceRecurrence(op)
     assert (rec.min_shift, rec.max_shift) == (ref.min_shift, ref.max_shift)
     assert rec.leading_coefficient_poly() == ref.leading_coefficient_poly()
     assert repr(rec) == repr(ref)

@@ -14,12 +14,12 @@ from steinscope.operators import (
     FAMILIES,
     BadParameter,
     CfOde,
+    MomentRecurrence,
     NotInImage,
     SteinOperator,
     UnknownOperator,
     catalog_get,
     catalog_names,
-    moment_recurrence,
     psi_inverse,
     psi_transform,
     stirling2,
@@ -238,7 +238,7 @@ class TestPsiInverse:
 
 class TestMomentRecurrence:
     def test_gaussian_first_order(self):
-        rec = moment_recurrence(catalog_get("gauss_classical"))
+        rec = MomentRecurrence(catalog_get("gauss_classical"))
         # E[k mu_{k-1} - mu_{k+1}] = 0
         for k in range(13):
             cs = rec.coefficients(k)
@@ -248,11 +248,11 @@ class TestMomentRecurrence:
             assert rec.residual(gaussian_moment, k) == 0
 
     def test_degree4_k0_row(self):
-        rec = moment_recurrence(catalog_get("H4_T2m3"))
+        rec = MomentRecurrence(catalog_get("H4_T2m3"))
         assert rec.coefficients(0) == {2: Fraction(-1), 1: Fraction(50), 0: Fraction(24)}
 
     def test_leading_coefficient_poly(self):
-        rec = moment_recurrence(catalog_get("gauss_semicircle_T5"))
+        rec = MomentRecurrence(catalog_get("gauss_semicircle_T5"))
         assert rec.max_shift == 1
         assert rec.min_shift == -5
         p = rec.leading_coefficient_poly()
@@ -261,7 +261,7 @@ class TestMomentRecurrence:
     @settings(max_examples=60, deadline=None)
     @given(operator_st)
     def test_rows_never_reference_negative_moments(self, op):
-        rec = moment_recurrence(op)
+        rec = MomentRecurrence(op)
         for k in range(6):
             for s in rec.coefficients(k):
                 assert k + s >= 0

@@ -20,9 +20,9 @@ from steinscope.algebra import RationalPoly
 from steinscope.budgets import MAX_SAMPLES, OverBudget
 from steinscope.distributions import NoExactOracle, TargetDistribution, get_target
 from steinscope.operators import (
+    MomentRecurrence,
     SteinOperator,
     catalog_get,
-    moment_recurrence,
     psi_transform,
 )
 from steinscope.verification import (
@@ -138,7 +138,7 @@ class TestExactMode:
 
         K = 40
         reports = check_moment_recurrence(op, SimpleNamespace(moment=moment), K=K)
-        rec = moment_recurrence(op)
+        rec = MomentRecurrence(op)
         read = {k + s for k in range(K + 1) for s in rec.coefficients(k)}
         assert sorted(calls) == sorted(read)  # every order read, each once
         assert calls[0] == max(read)  # the highest first, so a budget refuses at once
@@ -355,9 +355,9 @@ class TestBetaGammaDriftCoefficient:
                 out *= (a + j) * (r + j) / (a + b + j)
             return out
 
-        rec = moment_recurrence(self._corrected())
+        rec = MomentRecurrence(self._corrected())
         assert all(rec.residual(m, k) == 0 for k in range(13))
-        printed = moment_recurrence(catalog_get("BG1:a=1/2,b=1,r=2"))
+        printed = MomentRecurrence(catalog_get("BG1:a=1/2,b=1,r=2"))
         assert printed.residual(m, 1) == -2 * a * r / (a + b)
 
 
