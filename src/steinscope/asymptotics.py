@@ -60,11 +60,6 @@ The analysis is exact throughout:
   whether the target's moments are pinned, optionally consuming the side
   conditions zero_mean and/or symmetry.  Verdicts report exactly the
   conditions consumed.
-
-The module also ships the leading-order ODE coefficients for the degree-7
-and degree-8 Hermite targets (``H7_LEADING_ODE``, ``H8_LEADING_ODE``); their
-full minimal operators are too large to bundle, but the leading coefficients
-determine the branch structure.
 """
 
 from __future__ import annotations
@@ -980,31 +975,3 @@ def characterisation_verdict(op: SteinOperator, target_meta=None) -> Verdict:
     meta = {"moment_order": op.m, **(target_meta or {})}
     return verdict_for_ode(psi_transform(op), **meta)
 
-
-# --- leading-order fixtures for the degree-7/8 Hermite targets -----------------
-
-# Characteristic-function ODE leading coefficients for the H7(X) and H8(X)
-# targets (orders 6 and 4).  The full minimal operators are too large to
-# bundle; these leading terms determine the singularity type and the full
-# branch structure at t = 0.
-H7_LEADING_ODE = CfOde(
-    [
-        {1: 5040},                 # c0 = 5040 t
-        {0: 1},                    # c1 = 1
-        {3: 306955845},            # c2 = 306955845 t^3
-        {4: 306156312},            # c3 = 306156312 t^4
-        {5: 116825457},            # c4 = 116825457 t^5
-        {6: 17294403},             # c5 = 17294403 t^6
-        {7: 823543},               # c6 = 823543 t^7 = 7^7 t^7
-    ]
-)
-
-H8_LEADING_ODE = CfOde(
-    [
-        {1: QI(0, 40320)},         # c0 = 40320 i t
-        {0: QI(0, 1)},             # c1 = i
-        {2: 65920},                # c2 = 65920 t^2
-        {3: 32768},                # c3 = 32768 t^3
-        {4: 4096},                 # c4 = 4096 t^4
-    ]
-)

@@ -238,7 +238,7 @@ def _cmd_discover(args) -> tuple[dict, int]:
     try:
         prob = DiscoveryProblem(target, args.order, args.degree, K=args.constraints)
         ops = find_stein_operators(prob)
-    except ValueError as exc:  # NoExactOracle, OracleTooShort, bad shape or budget
+    except ValueError as exc:  # NoExactOracle, bad shape or budget
         raise UsageError(str(exc)) from None
     result = {
         "target": target.name,

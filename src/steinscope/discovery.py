@@ -43,16 +43,10 @@ from .budgets import check
 from .operators import SteinOperator
 
 
-class OracleTooShort(ValueError):
-    """The moment oracle cannot supply a required order."""
-
-
 class DiscoveryProblem:
     """Search space for operators annihilating a target's moments.
 
-    ``oracle`` is an object with an exact ``moment`` method, such as a
-    target, or a finite sequence [mu_0, mu_1, ...] (which raises
-    OracleTooShort when the search needs more than it holds).
+    ``target`` is an object with an exact ``moment`` method.
     ``T`` bounds the derivative order, ``m`` the coefficient degree in y,
     and ``K`` the number of moment constraints; the default gives 16 rows
     of slack over the (T+1)(m+1) unknowns.  More unknowns than
@@ -65,9 +59,9 @@ class DiscoveryProblem:
     ``dimension_trail`` the (K, dimension) pairs visited along the way.
     """
 
-    __slots__ = ("T", "m", "K", "effective_K", "dimension_trail", "_oracle")
+    __slots__ = ("T", "m", "K", "effective_K", "dimension_trail", "_target")
 
-    def __init__(self, oracle, T: int, m: int, K: int | None = None):
+    def __init__(self, target, T: int, m: int, K: int | None = None):
         self.T = int(T)
         self.m = int(m)
         if self.T < 0 or self.m < 0:
@@ -81,18 +75,12 @@ class DiscoveryProblem:
         check("MAX_CONSTRAINTS", "constraints K", self.K)
         self.effective_K = None
         self.dimension_trail = []
-        self._oracle = (oracle if hasattr(oracle, "moment")
-                        else [_as_fraction(v) for v in oracle])
+        self._target = target
 
     def moments(self, n: int) -> list[Fraction]:
         """[mu_0, ..., mu_n], asking for mu_n first and for each order once."""
-        if isinstance(self._oracle, list):
-            if n >= len(self._oracle):
-                raise OracleTooShort(f"moment of order {n} required, but the oracle "
-                                     f"ends at order {len(self._oracle) - 1}")
-            return self._oracle[:n + 1]
-        top = _as_fraction(self._oracle.moment(n))
-        return [_as_fraction(self._oracle.moment(k)) for k in range(n)] + [top]
+        top = _as_fraction(self._target.moment(n))
+        return [_as_fraction(self._target.moment(k)) for k in range(n)] + [top]
 
     def columns(self) -> list[tuple[int, int]]:
         """Unknown coefficient slots (i, j), i.e. y^i D^j, in (i, j)-lex order."""

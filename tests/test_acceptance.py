@@ -15,8 +15,6 @@ from fractions import Fraction as F
 
 from steinscope.algebra import QI
 from steinscope.asymptotics import (
-    H7_LEADING_ODE,
-    H8_LEADING_ODE,
     characterisation_verdict,
     dominant_balance,
     indicial_roots,
@@ -42,6 +40,7 @@ from steinscope.operators import (
 from steinscope.verification import check_moment_recurrence, mc_stein_residual
 
 from cf_witness import BesselRatioCf, GaussianCf, ode_residual
+from ladder import H7_ODE, H8_ODE
 
 
 def ode_of(spec: str) -> CfOde:
@@ -192,7 +191,7 @@ def test_criterion_03_branch_tables():
         {(F(1, 2), (F(1, 54), 2))},
     )
     # degree 7: exponent 2/5, magnitude 5/(14*7^(2/5)), five phases
-    _, _, exps = branch_signature(H7_LEADING_ODE)
+    _, _, exps = branch_signature(H7_ODE)
     mag7 = (F(3125, 26353376), 5)
     check(
         "H7 exponential branches",
@@ -200,7 +199,7 @@ def test_criterion_03_branch_tables():
         {(F(2, 5), mag7, F(2 * j, 5)) for j in range(5)},
     )
     # degree 8: exponent 1/3, magnitude 3/16, phases pi/6, 5pi/6, 3pi/2
-    _, _, exps = branch_signature(H8_LEADING_ODE)
+    _, _, exps = branch_signature(H8_ODE)
     check("H8 magnitudes", {(g, m) for g, m, _ in exps}, {(F(1, 3), (F(3, 16), 1))})
     check(
         "H8 phase set",
@@ -258,7 +257,7 @@ def test_criterion_04_power_corrections():
     # was 4: for phi = t^a e^{i/(16t)} the residual's t^-3 coefficient is -a/16
     timed_correction("H4 correction", ode_of("H4_T2m3"), F(0))
     # was 8/3: with B^3 = -i/4096 the residual's t^-1 coefficient is -3ia
-    timed_correction("H8 correction", H8_LEADING_ODE, F(0))
+    timed_correction("H8 correction", H8_ODE, F(0))
     # was -33/2: with phi = Phi', WKB gives Phi ~ t^(p/(p-2)) e^S, so phi ~ t^0 e^S
     timed_correction("PN(8) correction", ode_of("PN:p=8"), F(0))
     for label, dt in zip(("template", "H4", "H8", "PN(8)"), elapsed):
@@ -303,13 +302,13 @@ def test_criterion_05_verdict_table():
         {"symmetry"},
     )
     check(
-        "H7 fixture",
-        verdict_for_ode(H7_LEADING_ODE, 7, symmetric=True),
+        "H7_T25m6",
+        verdict_for_ode(H7_ODE, 7, symmetric=True),
         "characterising_with_conditions",
         {"symmetry"},
     )
     check("H6_T6m3 mo=3", verdict_of("H6_T6m3", 3, zero_mean=True), "characterising")
-    check("H8 fixture mo=4", verdict_for_ode(H8_LEADING_ODE, 4), "characterising")
+    check("H8_T10m4 mo=4", verdict_for_ode(H8_ODE, 4), "characterising")
     for p in (3, 4):
         check(
             f"PN p={p}",

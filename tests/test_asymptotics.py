@@ -7,8 +7,6 @@ import pytest
 from steinscope.algebra import QI
 from steinscope.asymptotics import (
     _apply_conjugate_trap,
-    H7_LEADING_ODE,
-    H8_LEADING_ODE,
     AsymptoticBranch,
     CorrectionNotLinear,
     NoBalance,
@@ -22,6 +20,8 @@ from steinscope.asymptotics import (
     verdict_for_ode,
 )
 from steinscope.operators import CfOde, catalog_get, psi_transform
+
+from ladder import H7_ODE, H8_ODE
 
 
 def ode_of(spec: str) -> CfOde:
@@ -170,7 +170,7 @@ class TestNewtonPolygonBranches:
         }
 
     def test_degree7_table(self):
-        bounded, powers, exps = branch_signature(H7_LEADING_ODE)
+        bounded, powers, exps = branch_signature(H7_ODE)
         assert (bounded, powers) == (1, [])
         mag = (Fraction(3125, 26353376), 5)  # = (5 / (14 * 7^(2/5)))^5
         assert exps == {
@@ -179,7 +179,7 @@ class TestNewtonPolygonBranches:
         }
 
     def test_degree8_table(self):
-        bounded, powers, exps = branch_signature(H8_LEADING_ODE)
+        bounded, powers, exps = branch_signature(H8_ODE)
         assert (bounded, powers) == (1, [])
         assert exps == {
             (Fraction(1, 3), (Fraction(3, 16), 1), Fraction(1, 6)),
@@ -241,7 +241,7 @@ class TestNewtonPolygonBranches:
             ode = ode_of(spec)
             total = sum(b.multiplicity for b in dominant_balance(ode))
             assert total == ode.order, spec
-        for ode in (H7_LEADING_ODE, H8_LEADING_ODE):
+        for ode in (H7_ODE, H8_ODE):
             assert sum(b.multiplicity for b in dominant_balance(ode)) == ode.order
 
     def test_balance_identity_exact(self):
@@ -307,8 +307,8 @@ class TestPowerCorrection:
         assert power_correction(ode, branch) == 0
 
     def test_degree8_correction_vanishes(self):
-        (branch, *_) = exp_branches(H8_LEADING_ODE)
-        assert power_correction(H8_LEADING_ODE, branch) == 0
+        (branch, *_) = exp_branches(H8_ODE)
+        assert power_correction(H8_ODE, branch) == 0
 
     def test_product_normal_corrections_vanish(self):
         for p in (4, 8):
@@ -402,7 +402,7 @@ class TestClassifyBranch:
     def test_two_sided_growth_with_fractional_gamma(self):
         # gamma = 1/3 and theta = 1/6 give cos(pi/6) > 0 on the right and
         # cos(-pi/6) > 0 on the left: excluded in both directions.
-        (b,) = [b for b in exp_branches(H8_LEADING_ODE) if b.phase == Fraction(1, 6)]
+        (b,) = [b for b in exp_branches(H8_ODE) if b.phase == Fraction(1, 6)]
         assert classify_branch(b, 4) == "unbounded(both)"
 
     def test_oscillating_branch_needs_refinement(self):
@@ -481,13 +481,13 @@ class TestVerdicts:
         )
         self.check("H6_T6m3", 6, "characterising", zero_mean=True)
 
-    def test_degree7_and_8_fixtures(self):
-        v = verdict_for_ode(H7_LEADING_ODE, 7, symmetric=True)
+    def test_degree7_and_8_operators(self):
+        v = verdict_for_ode(H7_ODE, 7, symmetric=True)
         assert (v.status, v.conditions) == (
             "characterising_with_conditions",
             frozenset({"symmetry"}),
         )
-        v = verdict_for_ode(H8_LEADING_ODE, 8)
+        v = verdict_for_ode(H8_ODE, 8)
         assert (v.status, v.conditions) == ("characterising", frozenset())
 
     def test_product_normal_family(self):

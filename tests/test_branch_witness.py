@@ -9,9 +9,9 @@ evaluates the normalised ODE residual
 
 in complex128, with S = A_S t^-gamma + a log t and Y_k the complete Bell
 polynomials built by their float recursion.  The c_k come from
-``psi_transform`` (checked exactly by criterion 01) or from the
-``H8_LEADING_ODE`` fixture.  Nothing from the exact branch machinery in
-``steinscope.asymptotics`` is used.
+``psi_transform`` (checked exactly by criterion 01) of a catalog operator
+or of the H8 operator file ``tests/data/H8_T10m4.json``.  Nothing from the
+exact branch machinery in ``steinscope.asymptotics`` is used.
 
 The fitted order of R along t > 0 decides each claim.  A value that fails to
 cancel the level it is responsible for leaves R at that level; the correct
@@ -33,8 +33,9 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from steinscope.asymptotics import H8_LEADING_ODE
 from steinscope.operators import catalog_get, psi_transform
+
+from ladder import H8_ODE
 
 # fitted orders must land this close to the expected level; levels in every
 # case are at least 1/3 apart
@@ -117,7 +118,7 @@ def test_pn4_phase_set():
 
 
 def test_h8_phase_set():
-    """H8 fixture: edge (1,0)-(4,4), A^3 = -i/4096, |A_S| = 3/16: three phases.
+    """H8_T10m4: edge (1,0)-(4,4), A^3 = -i/4096, |A_S| = 3/16: three phases.
 
     Balance level t^-4/3, gamma = 1/3; with a = 0 the right phases lift R
     to t^-2/3.  The three phases the published six-phase set adds leave R
@@ -127,10 +128,10 @@ def test_h8_phase_set():
     published = {F(1, 2), F(3, 2), F(1, 6), F(11, 6), F(5, 6), F(7, 6)}
     window = (-10, -12)
     for phase in sorted(corrected):
-        got = residual_order(H8_LEADING_ODE, window, F(1, 3), F(3, 16), phase)
+        got = residual_order(H8_ODE, window, F(1, 3), F(3, 16), phase)
         assert_order(got, F(-2, 3), f"corrected phase {phase}")
     for phase in sorted(published - corrected):
-        got = residual_order(H8_LEADING_ODE, window, F(1, 3), F(3, 16), phase)
+        got = residual_order(H8_ODE, window, F(1, 3), F(3, 16), phase)
         assert_order(got, F(-4, 3), f"published phase {phase}")
 
 
@@ -147,7 +148,7 @@ def test_h4_power_correction():
 
 
 def test_h8_power_correction():
-    """H8 fixture, S' = B t^-4/3 + a/t: at t^-1, R has
+    """H8_T10m4, S' = B t^-4/3 + a/t: at t^-1, R has
     ia + 4096(4aB^3 - 8B^3) + 32768B^3 = -3ia (B^3 = -i/4096), so a = 0.
 
     Balance t^-4/3, gamma = 1/3: a = 0 lifts R from t^-1 to t^-2/3 on every
@@ -156,9 +157,9 @@ def test_h8_power_correction():
     window = (-10, -12)
     for phase in (F(1, 6), F(5, 6), F(3, 2)):
         branch = (F(1, 3), F(3, 16), phase)
-        got = residual_order(H8_LEADING_ODE, window, *branch, a=0)
+        got = residual_order(H8_ODE, window, *branch, a=0)
         assert_order(got, F(-2, 3), f"phase {phase}, corrected a = 0")
-        got = residual_order(H8_LEADING_ODE, window, *branch, a=F(8, 3))
+        got = residual_order(H8_ODE, window, *branch, a=F(8, 3))
         assert_order(got, -1, f"phase {phase}, published a = 8/3")
 
 

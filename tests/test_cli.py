@@ -30,6 +30,8 @@ from steinscope.cli import (
 )
 from steinscope.operators import BadParameter, SteinOperator, catalog_get, psi_transform
 
+from ladder import DATA
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 _SCHEMA = json.loads(
@@ -386,6 +388,17 @@ class TestAnalyze:
         code_sym, report_sym = run_report("analyze", "--op", str(path), "--symmetric")
         assert code_sym == 0
         assert report_sym["result"]["verdict"]["conditions"] == ["symmetry"]
+
+    def test_h7_operator_file_characterises_under_symmetry(self):
+        code, report = run_report("analyze", "--op", DATA / "H7_T25m6.json",
+                                  "--symmetric", "--moments", "7")
+        assert code == 0
+        verdict = report["result"]["verdict"]
+        assert verdict["status"] == "characterising_with_conditions"
+        assert verdict["conditions"] == ["symmetry"]
+        table = [(b["kind"], b["gamma"], b["exclusion"] == "candidate")
+                 for b in verdict["branch_table"]]
+        assert sorted(table) == [("bounded", None, True)] + [("exponential", "2/5", False)] * 5
 
 
 # The analyze result for y^2 - 1 (T = 0: a law on {-1, 1}) with --zero-mean,

@@ -12,17 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinscope import discovery
-from steinscope.algebra import QI
-from steinscope.asymptotics import H8_LEADING_ODE, verdict_for_ode
-from steinscope.discovery import (
-    DiscoveryProblem,
-    OracleTooShort,
-    canonicalise,
-    find_stein_operators,
-)
+from steinscope.asymptotics import verdict_for_ode
+from steinscope.discovery import DiscoveryProblem, canonicalise, find_stein_operators
 from steinscope.distributions import TargetDistribution, get_target
-from steinscope.operators import SteinOperator, catalog_get, psi_transform
+from steinscope.operators import SteinOperator, catalog_get
 from steinscope.verification import check_moment_recurrence
+
+from ladder import H7_T25m6, H8_ODE, H8_T10m4
 
 F = Fraction
 
@@ -41,6 +37,13 @@ CLASSICAL = SteinOperator({(0, 1): 1, (1, 0): -1})
 
 def in_span(basis, op):
     return canonicalise(basis + [op]) == canonicalise(basis)
+
+
+class Moments(list):
+    """A finite moment sequence [mu_0, mu_1, ...] read as a target."""
+
+    def moment(self, k):
+        return self[k]
 
 
 class TestDiscoveryProblem:
@@ -75,19 +78,9 @@ class TestDiscoveryProblem:
         assert prob.columns() == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_oracle_forms(self):
-        g = get_target("gaussian")
-        from_dist = DiscoveryProblem(g, 1, 1, K=4)
-        from_list = DiscoveryProblem([g.moment(k) for k in range(6)], 1, 1, K=4)
-        for prob in (from_dist, from_list):
-            mus = prob.moments(4)
-            assert mus == [1, 0, 1, 0, 3]
-            assert all(isinstance(mu, Fraction) for mu in mus)
-
-    def test_short_sequence_raises(self):
-        prob = DiscoveryProblem([1, 0, 1], 1, 1, K=4)
-        assert prob.moments(2) == [1, 0, 1]
-        with pytest.raises(OracleTooShort, match="order 3 required"):
-            prob.moments(3)
+        mus = DiscoveryProblem(get_target("gaussian"), 1, 1, K=4).moments(4)
+        assert mus == [1, 0, 1, 0, 3]
+        assert all(isinstance(mu, Fraction) for mu in mus)
 
 
 class TestCanonicalise:
@@ -179,36 +172,34 @@ class TestReproduction:
 
 
 
-@pytest.fixture(scope="module")
-def h8_discovery():
-    prob = DiscoveryProblem(get_target("H8"), 10, 4)
-    return prob, find_stein_operators(prob)
-
-
-class TestH8LeadingOdeWitness:
-    # the hand-typed H8_LEADING_ODE is the lowest-t part of the ODE of the
-    # minimal H8 operator, which discovery finds at (T, m) = (10, 4)
-    def test_minimal_shape(self, h8_discovery):
-        prob, basis = h8_discovery
-        assert len(basis) == 1
+class TestLadderOperators:
+    # the H7 and H8 operator files that the analysis tests read
+    # (tests/ladder.py), each with its exact certificate
+    def test_h8_file_is_the_discovered_basis(self):
+        prob = DiscoveryProblem(get_target("H8"), 10, 4)
+        assert find_stein_operators(prob) == [H8_T10m4]
         assert prob.dimension_trail == [(71, 1), (79, 1)]
-        assert find_stein_operators(DiscoveryProblem(get_target("H8"), 9, 4)) == []
 
-    def test_lowest_terms_are_one_multiple_of_the_fixture(self, h8_discovery):
-        _, (op,) = h8_discovery
-        ode = psi_transform(op)
-        assert ode.order == H8_LEADING_ODE.order
-        ratios = set()
-        for found, fixed in zip(ode.coeffs, H8_LEADING_ODE.coeffs):
-            assert found.valuation() == fixed.valuation()
-            ratios.add(found.c[found.valuation()] / fixed.c[fixed.valuation()])
-        assert ratios == {QI(-1)}
-
-    def test_full_ode_characterises_with_four_moments(self, h8_discovery):
-        _, (op,) = h8_discovery
-        target = get_target("H8")
-        verdict = verdict_for_ode(psi_transform(op), 4, **target.meta)
+    def test_h8_ode_characterises_with_four_moments(self):
+        verdict = verdict_for_ode(H8_ODE, 4, **get_target("H8").meta)
         assert verdict.status == "characterising"
+
+    def test_h7_file_satisfies_the_moment_recurrence(self):
+        # H7 (25, 6) has 182 unknowns, over MAX_UNKNOWNS = 128, so no test
+        # rediscovers it; the exact recurrence of H7 is its certificate
+        reports = check_moment_recurrence(H7_T25m6, get_target("H7"), K=256)
+        assert len(reports) == 257
+        assert all(r.residual == 0 for r in reports)
+
+    @pytest.mark.parametrize("op", [
+        catalog_get("H3_T4m3"), catalog_get("H3_T5m2"), catalog_get("H4_T2m3"),
+        catalog_get("H4_T3m2"), catalog_get("H5_T13m4"), catalog_get("H6_T6m3"),
+        H8_T10m4,
+    ], ids=lambda op: op.name)
+    def test_no_operator_one_step_smaller(self, op):
+        target = get_target(op.name.split("_")[0])
+        for T, m in ((op.T - 1, op.m), (op.T, op.m - 1)):
+            assert find_stein_operators(DiscoveryProblem(target, T, m)) == [], (T, m)
 
 class TestSoundness:
     @pytest.mark.parametrize("target,T,m", [
@@ -247,16 +238,18 @@ class TestStability:
         # Ten moments cover the K = 8 base solve (orders up to K - 1 + m)
         # but not the K + 8 stabilisation pass; the first read asks for
         # both, order K + 7 + m = 16 first, so it fails before any solve.
-        mus = [get_target("gaussian").moment(k) for k in range(10)]
-        with pytest.raises(OracleTooShort):
-            find_stein_operators(DiscoveryProblem(mus, 1, 1, K=8))
+        mus = Moments(get_target("gaussian").moment(k) for k in range(10))
+        prob = DiscoveryProblem(mus, 1, 1, K=8)
+        with pytest.raises(IndexError):
+            find_stein_operators(prob)
+        assert prob.dimension_trail == []
 
     def test_dimension_drop_is_re_solved(self):
         # E[Y^10] off by one breaks the classical operator only at row
         # k = 9, so the K = 8 basis fails the first eight new rows, the
         # K = 16 system is solved anew (nothing survives), and the empty
         # basis then passes the next check trivially.
-        mus = [get_target("gaussian").moment(k) for k in range(25)]
+        mus = Moments(get_target("gaussian").moment(k) for k in range(25))
         mus[10] += 1
         prob = DiscoveryProblem(mus, 1, 1, K=8)
         assert find_stein_operators(prob) == []
@@ -264,7 +257,7 @@ class TestStability:
         assert prob.effective_K == 16
 
     def test_sequence_oracle_long_enough_succeeds(self):
-        mus = [get_target("gaussian").moment(k) for k in range(17)]
+        mus = Moments(get_target("gaussian").moment(k) for k in range(17))
         prob = DiscoveryProblem(mus, 1, 1, K=8)
         assert find_stein_operators(prob) == [CLASSICAL]
         assert prob.dimension_trail == [(8, 1), (16, 1)]
