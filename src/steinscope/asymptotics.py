@@ -50,16 +50,15 @@ The analysis is exact throughout:
   excluded for symmetric targets, except when a surviving conjugate pair
   (theta, 2 - theta) admits a real linear combination, which no symmetry
   argument can exclude.
-* ``verdict_for_ode`` runs the pipeline on the ODE and the side conditions
-  alone, and ``characterisation_verdict`` runs it on an operator's
+* ``characterisation_verdict`` runs the pipeline on an operator's
   transform: first-order ODEs characterise outright; regular singular
   points are handled through the indicial roots; ordinary and irregular
   ones through dominant balance plus corrections; if several admissible
-  directions remain, the exact moment recurrence of the operator
-  ``psi_inverse`` recovers from the ODE is solved symbolically to see
-  whether the target's moments are pinned, optionally consuming the side
-  conditions zero_mean and/or symmetry.  Verdicts report exactly the
-  conditions consumed.
+  directions remain, the exact moment recurrence of the operator is
+  solved symbolically to see whether the target's moments are pinned,
+  optionally consuming the side conditions zero_mean and/or symmetry.
+  Verdicts report exactly the conditions consumed, and keep the ODE they
+  analysed.
 """
 
 from __future__ import annotations
@@ -70,8 +69,7 @@ from fractions import Fraction
 from .algebra import (QI, GaussianRationalPoly, RationalPoly, accumulate, falling_poly,
                       fraction_nth_root, rational_roots)
 from .budgets import LOG_WALK_TERMS
-from .operators import (CfOde, MomentRecurrence, NotInImage, SteinOperator, psi_inverse,
-                        psi_transform)
+from .operators import CfOde, MomentRecurrence, SteinOperator, psi_transform
 
 
 class NotRegularSingular(ValueError):
@@ -742,10 +740,11 @@ def _moment_forcing(op: SteinOperator, zero_mean: bool, symmetry: bool):
 
 
 class Verdict:
-    """Outcome of the sufficiency analysis for one operator/ODE.
+    """Outcome of the sufficiency analysis for one operator.
 
-    status is "characterising", "characterising_with_conditions" (conditions
-    then list exactly the consumed assumptions, a subset of {"symmetry",
+    ode is the operator's transform, the ODE the analysis read.  status is
+    "characterising", "characterising_with_conditions" (conditions then
+    list exactly the consumed assumptions, a subset of {"symmetry",
     "zero_mean"}), or "inconclusive".  branch_table pairs every analysed
     branch with its exclusion reason; diagnostics carries free moments,
     correction failures, and survivor notes.
@@ -753,6 +752,7 @@ class Verdict:
 
     __slots__ = (
         "status",
+        "ode",
         "conditions",
         "branch_table",
         "singularity",
@@ -763,6 +763,7 @@ class Verdict:
     def __init__(
         self,
         status: str,
+        ode: CfOde,
         conditions=(),
         branch_table=(),
         singularity: SingularityClass | None = None,
@@ -776,6 +777,7 @@ class Verdict:
         ):
             raise ValueError(f"unknown verdict status {status!r}")
         self.status = status
+        self.ode = ode
         self.conditions = frozenset(conditions)
         if bool(self.conditions) != (status == "characterising_with_conditions"):
             raise ValueError("conditions must be nonempty exactly for with-conditions")
@@ -837,23 +839,26 @@ def _apply_conjugate_trap(table: list) -> list[int]:
     return flipped
 
 
-def verdict_for_ode(
-    ode: CfOde,
-    moment_order: int,
+def characterisation_verdict(
+    op: SteinOperator,
+    moment_order: int | None = None,
     symmetric: bool = False,
     zero_mean: bool = False,
 ) -> Verdict:
-    """Run the full sufficiency analysis on a characteristic-function ODE.
+    """Run the full sufficiency analysis on the transform of a Stein operator.
 
     ``moment_order`` is the number of finite moments the argument may
-    assume; ``symmetric``/``zero_mean`` say which side conditions are
-    available (they are consumed only if needed and reported when consumed).
-    When several admissible directions remain, moment forcing reads the
-    operator ``psi_inverse(ode)``; an ODE outside the transform's image is
-    then inconclusive.  A negative ``moment_order`` raises ValueError.
+    assume, by default the operator's y-degree m (the order of its ODE); a
+    negative one raises ValueError.  ``symmetric``/``zero_mean`` say which
+    side conditions are available (they are consumed only if needed and
+    reported when consumed).  When several admissible directions remain,
+    moment forcing reads the recurrence of ``op``.
     """
+    if moment_order is None:
+        moment_order = op.m
     if moment_order < 0:
         raise ValueError(f"moment order {moment_order}; need moment_order >= 0")
+    ode = psi_transform(op)
     diagnostics: dict = {}
     sing = classify_singularity(ode)
 
@@ -863,7 +868,7 @@ def verdict_for_ode(
             "first-order ODE: the solution space is one-dimensional, so the "
             "characteristic function is the unique solution with phi(0) = 1"
         ]
-        return Verdict("characterising", (), table, sing, None, diagnostics)
+        return Verdict("characterising", ode, (), table, sing, None, diagnostics)
 
     indicial = None
     if sing.kind == "regular_singular":
@@ -872,10 +877,10 @@ def verdict_for_ode(
             diagnostics["notes"] = [
                 f"indicial polynomial has non-rational factor {indicial.residual}"
             ]
-            return Verdict("inconclusive", (), (), sing, indicial, diagnostics)
+            return Verdict("inconclusive", ode, (), (), sing, indicial, diagnostics)
         if indicial.undecided:
             diagnostics["notes"] = list(indicial.undecided)
-            return Verdict("inconclusive", (), (), sing, indicial, diagnostics)
+            return Verdict("inconclusive", ode, (), (), sing, indicial, diagnostics)
         branches = _branches_for_regular(indicial)
     else:
         # at an ordinary point every Newton-polygon edge has slope < 1, so
@@ -884,7 +889,7 @@ def verdict_for_ode(
             branches = dominant_balance(ode)
         except NoBalance as exc:
             diagnostics["notes"] = [f"dominant balance failed: {exc}"]
-            return Verdict("inconclusive", (), (), sing, None, diagnostics)
+            return Verdict("inconclusive", ode, (), (), sing, None, diagnostics)
     table = []
     correction_notes = []
     for b in branches:
@@ -913,7 +918,7 @@ def verdict_for_ode(
     surviving = [b.describe() for b, r in table if r == "not_excluded"]
     if surviving:
         diagnostics["surviving_branches"] = surviving
-        return Verdict("inconclusive", (), table, sing, indicial, diagnostics)
+        return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
 
     conditions = set()
     if any(r == "excluded_by_symmetry" for _, r in table):
@@ -925,16 +930,8 @@ def verdict_for_ode(
             "no admissible direction found; the target's characteristic "
             "function should occupy one — check the operator/target pairing"
         ]
-        return Verdict("inconclusive", (), table, sing, indicial, diagnostics)
+        return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
     if candidates > 1:
-        try:
-            op = psi_inverse(ode)
-        except NotInImage as exc:
-            diagnostics["notes"] = [
-                f"{candidates} admissible directions remain and moment forcing "
-                f"has no operator: {exc}"
-            ]
-            return Verdict("inconclusive", (), table, sing, indicial, diagnostics)
         options = [set()]
         if zero_mean:
             options.append({"zero_mean"})
@@ -962,16 +959,8 @@ def verdict_for_ode(
                 f"{candidates} admissible directions and the recurrence "
                 f"leaves E[W^n] free for n in {free}"
             ]
-            return Verdict("inconclusive", (), table, sing, indicial, diagnostics)
+            return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
 
     status = "characterising_with_conditions" if conditions else "characterising"
-    return Verdict(status, conditions, table, sing, indicial, diagnostics)
-
-
-def characterisation_verdict(op: SteinOperator, target_meta=None) -> Verdict:
-    """Verdict for a Stein operator against its target's metadata, the
-    keyword arguments of ``verdict_for_ode``; moment_order defaults to the
-    operator's y-degree m, the order of the transformed ODE."""
-    meta = {"moment_order": op.m, **(target_meta or {})}
-    return verdict_for_ode(psi_transform(op), **meta)
+    return Verdict(status, ode, conditions, table, sing, indicial, diagnostics)
 

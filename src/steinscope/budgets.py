@@ -20,10 +20,11 @@ past it is reported as undecided and leaves the verdict inconclusive.
 """
 
 # PN's p and the p of a target H<p>: PN's operator needs the O(p^2)
-# Stirling row.  At p = 1000: analyze PN:p=1000 2.7 s (peak RSS 184 MB),
-# transform 2.6 s, the exact verify of PN:p=1000 at --orders 256 4.6 s and
-# of H1000 at --orders 1 3.9 s.  discover --target PN:p=1000 --order 15
-# --degree 7 took 220 s: no discovery budget counts the size of PN's moments.
+# Stirling row.  At p = 1000: analyze PN:p=1000 0.97-1.52 s over 8 runs
+# (peak RSS 122.8 MB), transform 0.94-1.45 s (119.5 MB), the exact verify
+# of PN:p=1000 at --orders 256 4.6 s and of H1000 at --orders 1 3.9 s.
+# discover --target PN:p=1000 --order 15 --degree 7 took 220 s: no
+# discovery budget counts the size of PN's moments.
 MAX_INDEX = 1000
 
 # Rows of the moment relation: an exact check reads rows k = 0..K

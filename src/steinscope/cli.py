@@ -31,8 +31,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-# benchmarks/selftest.py traces characterisation_verdict through this module
-from .asymptotics import characterisation_verdict, verdict_for_ode
+from .asymptotics import characterisation_verdict
 from .budgets import MAX_CONSTRAINTS, MAX_SAMPLES, MAX_UNKNOWNS
 from .discovery import DiscoveryProblem, find_stein_operators
 from .distributions import (
@@ -195,14 +194,13 @@ def _cmd_analyze(args) -> tuple[dict, int]:
         meta["zero_mean"] = True
     if args.moments is not None:
         meta["moment_order"] = args.moments
-    ode = psi_transform(op)
     try:
-        verdict = verdict_for_ode(ode, **meta)
+        verdict = characterisation_verdict(op, **meta)
     except ValueError as exc:  # --moments < 0
         raise UsageError(str(exc)) from None
     result = {
         "operator": op.to_json_dict(),
-        "ode": _ode_json(ode),
+        "ode": _ode_json(verdict.ode),
         "target_meta": meta,
         "verdict": verdict.as_json(),
     }
@@ -509,7 +507,11 @@ def main(argv=None) -> int:
         "result": result,
     }
     if args.output:
-        save_report(args.output, report)
+        try:
+            save_report(args.output, report)
+        except OSError as exc:  # a directory, or a missing parent directory
+            print(f"steinscope: error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return 2
     if args.pretty:
         print("\n".join(_pretty_lines(report)))
     else:

@@ -14,9 +14,8 @@ phi(t) = E[e^{itY}]:
 
 where the power of y becomes the derivative order on phi and the derivative
 order becomes the power of t.  ``psi_transform`` computes this ODE exactly
-over the Gaussian rationals; ``psi_inverse`` undoes it.  Substituting
-f(y) = y^k instead yields an exact linear recurrence among the moments of Y
-(``MomentRecurrence``).
+over the Gaussian rationals.  Substituting f(y) = y^k instead yields an
+exact linear recurrence among the moments of Y (``MomentRecurrence``).
 
 ``catalog_get`` serves the bundled operators: the Hermite-target operators
 H3_T4m3, H3_T5m2, H4_T2m3, H4_T3m2, H5_T13m4, H6_T6m3 (suffix: maximal
@@ -60,10 +59,6 @@ class UnknownOperator(KeyError):
 
 class BadParameter(ValueError):
     """Catalog parameters are missing, malformed, or out of range."""
-
-
-class NotInImage(ValueError):
-    """ODE coefficients are not i-power-aligned with any rational operator."""
 
 
 class SteinOperator:
@@ -138,10 +133,16 @@ class SteinOperator:
             raise ValueError(f"malformed operator JSON: {exc}") from exc
         if type(T) is not int or type(m) is not int:  # not a bool, float or string
             raise ValueError(f"T and m must be JSON integers, got {_clip(f'{T!r}, {m!r}')}")
+        if type(name) is not str:
+            raise ValueError(f"name must be a JSON string, got {_clip(repr(name))}")
+        if type(rows) is not list:  # a string or an object would be read by its items
+            raise ValueError(f"coeff must be a JSON array of rows, got {_clip(repr(rows))}")
         if len(rows) != m + 1:
             raise ValueError(f"expected {m + 1} coefficient rows, got {len(rows)}")
         a = {}
         for i, row in enumerate(rows):
+            if type(row) is not list:
+                raise ValueError(f"row {i}: expected a JSON array, got {_clip(repr(row))}")
             if len(row) != T + 1:
                 raise ValueError(
                     f"row {i}: expected {T + 1} entries, got {len(row)}"
@@ -179,8 +180,8 @@ class CfOde:
     ODEs produced by ``psi_transform`` are normalised by the unit
     u in {1, i, -1, -i} that makes the top-degree coefficient of the leading
     polynomial c_n real and positive (coefficients off both axes are left
-    untouched); the applied unit is recorded in ``unit`` so the transform can
-    be inverted exactly.  Directly constructed ODEs carry ``unit=None``.
+    untouched); the applied unit is recorded in ``unit``, which reports
+    print.  Directly constructed ODEs carry ``unit=None``.
     """
 
     __slots__ = ("coeffs", "unit")
@@ -242,39 +243,6 @@ def psi_transform(op: SteinOperator) -> CfOde:
     coeffs = [GaussianRationalPoly(r) for r in rows]
     u = _normalising_unit(coeffs[-1])
     return CfOde([u * c for c in coeffs], unit=u)
-
-
-def psi_inverse(ode: CfOde) -> SteinOperator:
-    """Recover the Stein operator whose transform is the given ODE.
-
-    The coefficient of t^j in c_i must be a rational multiple of i^{j-i} up
-    to one global unit; otherwise the ODE is not the transform of any
-    rational operator and ``NotInImage`` is raised.  When the ODE records the
-    unit applied by ``psi_transform`` the exact preimage is returned;
-    otherwise units are tried in the order 1, i, -1, -i and the preimage is
-    determined up to overall sign.
-    """
-    units = []
-    if ode.unit is not None:
-        units.append(ode.unit.conjugate())  # inverse of an axis unit
-    units += [QI(1), QI(0, 1), QI(-1), QI(0, -1)]
-    for w in units:
-        a = {}
-        ok = True
-        for i, c in enumerate(ode.coeffs):
-            for d, v in (w * c).c.items():
-                av = v * unit_ipow(i - d)
-                if av.im:
-                    ok = False
-                    break
-                a[(i, d)] = av.re
-            if not ok:
-                break
-        if ok:
-            return SteinOperator(a)
-    raise NotInImage(
-        "ODE coefficients are not i-power-aligned with a rational operator"
-    )
 
 
 class MomentRecurrence:

@@ -19,7 +19,6 @@ from steinscope.asymptotics import (
     dominant_balance,
     indicial_roots,
     power_correction,
-    verdict_for_ode,
 )
 from steinscope.discovery import DiscoveryProblem, canonicalise, find_stein_operators
 from steinscope.distributions import get_target
@@ -40,7 +39,7 @@ from steinscope.operators import (
 from steinscope.verification import check_moment_recurrence, mc_stein_residual
 
 from cf_witness import BesselRatioCf, GaussianCf, ode_residual
-from ladder import H7_ODE, H8_ODE
+from ladder import H7_ODE, H7_T25m6, H8_ODE, H8_T10m4
 
 
 def ode_of(spec: str) -> CfOde:
@@ -277,9 +276,7 @@ def test_criterion_05_verdict_table():
             failures.append(f"{label}: expected {expected}, computed {got}")
 
     def verdict_of(spec, moment_order, **meta):
-        return characterisation_verdict(
-            catalog_get(spec), {"moment_order": moment_order, **meta}
-        )
+        return characterisation_verdict(catalog_get(spec), moment_order, **meta)
 
     for s in ("3/4", "1", "3/2", "2", "5"):
         check(f"PRR s={s}", verdict_of(f"PRR:s={s}", 2), "characterising")
@@ -303,12 +300,12 @@ def test_criterion_05_verdict_table():
     )
     check(
         "H7_T25m6",
-        verdict_for_ode(H7_ODE, 7, symmetric=True),
+        characterisation_verdict(H7_T25m6, 7, symmetric=True),
         "characterising_with_conditions",
         {"symmetry"},
     )
     check("H6_T6m3 mo=3", verdict_of("H6_T6m3", 3, zero_mean=True), "characterising")
-    check("H8_T10m4 mo=4", verdict_for_ode(H8_ODE, 4), "characterising")
+    check("H8_T10m4 mo=4", characterisation_verdict(H8_T10m4, 4), "characterising")
     for p in (3, 4):
         check(
             f"PN p={p}",

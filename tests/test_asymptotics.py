@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steinscope.algebra import QI
 from steinscope.asymptotics import (
@@ -17,11 +18,10 @@ from steinscope.asymptotics import (
     dominant_balance,
     indicial_roots,
     power_correction,
-    verdict_for_ode,
 )
-from steinscope.operators import CfOde, catalog_get, psi_transform
+from steinscope.operators import CfOde, SteinOperator, catalog_get, psi_transform
 
-from ladder import H7_ODE, H8_ODE
+from ladder import H7_ODE, H7_T25m6, H8_ODE, H8_T10m4
 
 
 def ode_of(spec: str) -> CfOde:
@@ -443,9 +443,7 @@ class TestClassifyBranch:
 
 class TestVerdicts:
     def check(self, spec, moment_order, status, conditions=frozenset(), **meta):
-        op = catalog_get(spec)
-        meta = {"moment_order": moment_order, **meta}
-        v = characterisation_verdict(op, meta)
+        v = characterisation_verdict(catalog_get(spec), moment_order, **meta)
         assert v.status == status, (spec, v.status, v.diagnostics)
         assert v.conditions == frozenset(conditions), (spec, v.conditions)
         return v
@@ -482,12 +480,12 @@ class TestVerdicts:
         self.check("H6_T6m3", 6, "characterising", zero_mean=True)
 
     def test_degree7_and_8_operators(self):
-        v = verdict_for_ode(H7_ODE, 7, symmetric=True)
+        v = characterisation_verdict(H7_T25m6, 7, symmetric=True)
         assert (v.status, v.conditions) == (
             "characterising_with_conditions",
             frozenset({"symmetry"}),
         )
-        v = verdict_for_ode(H8_ODE, 8)
+        v = characterisation_verdict(H8_T10m4, 8)
         assert (v.status, v.conditions) == ("characterising", frozenset())
 
     def test_product_normal_family(self):
@@ -548,12 +546,12 @@ class TestVerdicts:
 
     def test_default_moment_order_is_ode_order(self):
         op = catalog_get("H4_T2m3")
-        v = characterisation_verdict(op, {"zero_mean": True})
+        v = characterisation_verdict(op, zero_mean=True)
         assert v.status == "characterising_with_conditions"
 
     def test_verdict_json_shape(self):
         op = catalog_get("H5_T13m4")
-        v = characterisation_verdict(op, {"symmetric": True, "moment_order": 5})
+        v = characterisation_verdict(op, 5, symmetric=True)
         blob = v.as_json()
         assert blob["status"] == "characterising_with_conditions"
         assert blob["conditions"] == ["symmetry"]
@@ -562,17 +560,6 @@ class TestVerdicts:
         assert kinds == {"bounded", "exponential"}
         for row in blob["branch_table"]:
             assert "exclusion" in row
-
-    def test_ordinary_higher_order_needs_operator(self):
-        ode = CfOde([{0: 1}, {0: 1}, {0: 1}])  # analytic coefficients
-        v = verdict_for_ode(ode, 2)
-        assert v.status == "inconclusive"
-        # c_1 = 1 is not i-aligned with c_0 = c_2 = 1: no operator transforms
-        # to this ODE, so there is no moment recurrence to force
-        assert v.diagnostics["notes"] == [
-            "2 admissible directions remain and moment forcing has no operator: "
-            "ODE coefficients are not i-power-aligned with a rational operator"
-        ]
 
     @pytest.mark.parametrize("coeffs", [
         [{0: 1}, {0: 1}, {0: 1}],
@@ -585,50 +572,59 @@ class TestVerdicts:
         # dominant balance gives one bounded branch of multiplicity n
         ode = CfOde(coeffs)
         assert classify_singularity(ode).kind == "ordinary"
-        v = verdict_for_ode(ode, ode.order)
-        assert v.as_json()["branch_table"] == [{
+        table = [{**b.as_json(), "exclusion": classify_branch(b, ode.order)}
+                 for b in dominant_balance(ode)]
+        assert table == [{
             "kind": "bounded", "multiplicity": ode.order, "gamma": None,
             "magnitude": None, "phase_over_pi": None, "power_exponent": None,
             "log_coeff": None, "log_exponent": None, "exclusion": "candidate",
         }]
-
-    @pytest.mark.parametrize("spec, meta", [
-        ("H4_T2m3", {"zero_mean": True}),
-        ("gauss_semicircle_T5", {"symmetric": True, "zero_mean": True}),
-    ])
-    def test_moment_forcing_reads_the_operator_back_from_the_ode(self, spec, meta):
-        # an ODE built directly from the transform's coefficients records no
-        # unit; psi_inverse still recovers the operator up to sign, and the
-        # moment-forcing rows are homogeneous, so the verdict is the operator's
-        op = catalog_get(spec)
-        ode = CfOde(psi_transform(op).coeffs)
-        assert ode.unit is None
-        v = verdict_for_ode(ode, op.m, **meta)
-        expected = characterisation_verdict(op, meta)
-        assert v.as_json() == expected.as_json()
-        assert {"moment_forcing", "free_moments"} & set(v.diagnostics)
 
     @pytest.mark.parametrize("moment_order", [-1, -5])
     def test_negative_moment_order_is_an_error(self, moment_order):
         # a negative count of finite moments is meaningless; the first-order
         # Gaussian ODE would otherwise report "characterising"
         with pytest.raises(ValueError, match="moment_order >= 0"):
-            verdict_for_ode(psi_transform(catalog_get("gauss_classical")), moment_order)
-        with pytest.raises(ValueError, match="moment_order >= 0"):
-            characterisation_verdict(catalog_get("gauss_classical"),
-                                     {"moment_order": moment_order})
+            characterisation_verdict(catalog_get("gauss_classical"), moment_order)
 
     def test_default_moment_order_is_the_operator_degree(self):
         # H3_T4m3's verdict changes below moment order 3 = m
         op = catalog_get("H3_T4m3")
         assert op.m == 3
-        v = characterisation_verdict(op, {"symmetric": True}).as_json()
-        assert v == verdict_for_ode(psi_transform(op), 3, symmetric=True).as_json()
-        assert v != verdict_for_ode(psi_transform(op), 2, symmetric=True).as_json()
+        v = characterisation_verdict(op, symmetric=True).as_json()
+        assert v == characterisation_verdict(op, 3, symmetric=True).as_json()
+        assert v != characterisation_verdict(op, 2, symmetric=True).as_json()
 
     def test_unknown_target_meta_key_is_a_type_error(self):
         with pytest.raises(TypeError, match="moments"):
-            characterisation_verdict(catalog_get("H4_T2m3"), {"moments": 3})
+            characterisation_verdict(catalog_get("H4_T2m3"), **{"moments": 3})
+
+    def test_verdict_keeps_the_ode_it_analysed(self):
+        op = catalog_get("H4_T2m3")
+        v = characterisation_verdict(op, zero_mean=True)
+        assert v.ode == psi_transform(op)
+        assert v.ode.unit == psi_transform(op).unit
+
+
+# operators with y-degree m = 1: two rows of integer entries in [-4, 4] at
+# derivative orders 0..4, the y row not all zero
+_row = st.lists(st.integers(min_value=-4, max_value=4), min_size=5, max_size=5)
+linear_coefficient_operator_st = st.tuples(_row, _row.filter(any)).map(
+    lambda rows: SteinOperator(
+        {(i, j): a for i, row in enumerate(rows) for j, a in enumerate(row)}))
+
+
+class TestLinearCoefficientTheorem:
+    """The paper's linear-coefficient theorem: an operator whose coefficients
+    are at most linear in y characterises its target."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(linear_coefficient_operator_st)
+    def test_every_m1_operator_characterises(self, op):
+        assert op.m == 1 and op.T <= 4
+        for moment_order in range(4):
+            v = characterisation_verdict(op, moment_order)
+            assert (v.status, v.conditions) == ("characterising", frozenset()), v.diagnostics
 
 
 class TestNumericalCrossCheck:

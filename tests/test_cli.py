@@ -113,6 +113,17 @@ class TestEnvelope:
         _, out, _ = run_cli("catalog", "--output", str(path))
         assert path.read_text(encoding="utf-8") == out
 
+    @pytest.mark.parametrize("where", ["directory", "missing/report.json"])
+    def test_output_to_an_unwritable_path_exits_2(self, tmp_path, where):
+        path = tmp_path / where
+        if where == "directory":
+            path.mkdir()
+        code, out, err = run_cli("catalog", "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"steinscope: error: cannot write {path}: ")
+        assert err.count("\n") == 1
+
     def test_missing_subcommand_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -275,6 +286,18 @@ class TestOutsideNumbers:
         pytest.param(
             [_operator_file('{"T": 1' + "0" * 5000 + ', "m": 1, ' + _GAUSS_ROWS + "}")],
             "limit", id="json-integer-over-digit-limit"),
+        pytest.param(  # used to be split into the characters "0", "1"
+            [_operator_file('{"T": 1, "m": 1, "coeff": ["01", ["-1", "0"]]}')],
+            "row 0: expected a JSON array, got '01'", id="row-a-string"),
+        pytest.param(  # used to be read by its keys
+            [_operator_file('{"T": 1, "m": 1, "coeff": [{"0": 1, "1": 2}, ["-1", "0"]]}')],
+            "row 0: expected a JSON array", id="row-an-object"),
+        pytest.param(
+            [_operator_file('{"T": 1, "m": 1, "coeff": "01"}')],
+            "coeff must be a JSON array of rows, got '01'", id="coeff-a-string"),
+        pytest.param(  # used to give a report that fails report_schema.json
+            [_operator_file('{"name": 7, "T": 1, "m": 1, ' + _GAUSS_ROWS + "}")],
+            "name must be a JSON string, got 7", id="name-not-a-string"),
     ])
     def test_exits_2_promptly_with_one_line(self, tmp_path, make_argvs, message):
         for make_argv in make_argvs:

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinscope import discovery
-from steinscope.asymptotics import verdict_for_ode
+from steinscope.asymptotics import characterisation_verdict
 from steinscope.discovery import DiscoveryProblem, canonicalise, find_stein_operators
 from steinscope.distributions import TargetDistribution, get_target
 from steinscope.operators import SteinOperator, catalog_get
 from steinscope.verification import check_moment_recurrence
 
-from ladder import H7_T25m6, H8_ODE, H8_T10m4
+from ladder import H7_T25m6, H8_T10m4
 
 F = Fraction
 
@@ -181,7 +181,7 @@ class TestLadderOperators:
         assert prob.dimension_trail == [(71, 1), (79, 1)]
 
     def test_h8_ode_characterises_with_four_moments(self):
-        verdict = verdict_for_ode(H8_ODE, 4, **get_target("H8").meta)
+        verdict = characterisation_verdict(H8_T10m4, 4, **get_target("H8").meta)
         assert verdict.status == "characterising"
 
     def test_h7_file_satisfies_the_moment_recurrence(self):

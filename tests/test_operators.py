@@ -15,12 +15,10 @@ from steinscope.operators import (
     BadParameter,
     CfOde,
     MomentRecurrence,
-    NotInImage,
     SteinOperator,
     UnknownOperator,
     catalog_get,
     catalog_names,
-    psi_inverse,
     psi_transform,
     stirling2,
     _stirling_row,
@@ -216,24 +214,19 @@ _PARAM_EXAMPLES = {
 }
 
 
-class TestPsiInverse:
-    def test_catalog_round_trip(self):
-        for name in catalog_names():
-            spec = _PARAM_EXAMPLES.get(name, name)
-            op = catalog_get(spec)
-            assert psi_inverse(psi_transform(op)) == op
-
+class TestPsiTransformCoefficients:
     @settings(max_examples=200, deadline=None)
     @given(operator_st)
-    def test_random_round_trip(self, op):
-        assert psi_inverse(psi_transform(op)) == op
-
-    def test_rejects_ode_outside_image(self):
-        # c0 = 1 would need a (0, 0) term scaled by i^0 AND a nonzero
-        # imaginary part elsewhere that no Q-operator produces
-        ode = CfOde([{0: QI(1, 1)}, {1: 1}])
-        with pytest.raises(NotInImage):
-            psi_inverse(ode)
+    def test_each_entry_becomes_one_ode_term(self, op):
+        # a_ij y^i D^j becomes unit * a_ij * i^(j-i) t^j phi^(i), and the ODE
+        # has no other term
+        ode = psi_transform(op)
+        powers_of_i = [QI(1), QI(0, 1), QI(-1), QI(0, -1)]
+        assert ode.unit in powers_of_i
+        assert ode.order == op.m
+        terms = {(i, j): v for i, c in enumerate(ode.coeffs) for j, v in c.c.items()}
+        assert terms == {(i, j): ode.unit * powers_of_i[(j - i) % 4] * a
+                         for (i, j), a in op.a.items()}
 
 
 class TestMomentRecurrence:
