@@ -1,15 +1,13 @@
-"""Exact univariate polynomial arithmetic over the rationals and the
-Gaussian rationals, plus the monomial form of the Hermite polynomials and
-the Gaussian moments of polynomials.
+"""Exact univariate polynomial arithmetic over the rationals, plus the
+monomial form of the Hermite polynomials and the Gaussian moments of
+polynomials.
 
-Coefficients are :class:`fractions.Fraction` throughout.  Polynomials are
-stored sparsely as ``{degree: coefficient}`` dictionaries with zero
-coefficients pruned, so the zero polynomial is the empty dict.  Two
-coefficient domains appear:
-
-* :class:`RationalPoly` -- polynomials over Q,
-* :class:`GaussianRationalPoly` -- polynomials over Q(i), with each
-  coefficient a :class:`QI` pair (real, imaginary).
+Coefficients are :class:`fractions.Fraction` throughout.  Polynomials
+(:class:`RationalPoly`) are stored sparsely as ``{degree: coefficient}``
+dictionaries with zero coefficients pruned, so the zero polynomial is the
+empty dict.  No coefficient is complex: the characteristic-function ODE
+keeps its powers of i as quarter turns beside rational coefficients
+(``operators.CfOde``).
 
 ``_as_fraction`` is the one reader for exact numbers given as text: operator
 files, catalog and target specs and Hermite indices all go through it.
@@ -24,8 +22,7 @@ when called, so exact code never imports it.  ``float_horner`` evaluates
 such coefficients on a sample array with numpy polyval's exact roundings.
 
 ``rational_roots`` is the one exact root finder over Q (Sturm isolation on
-integers), ``primitive`` the one primitive part, and ``real_form`` takes a
-polynomial over Q(i) that is a unit times a real one back to Q.
+integers), and ``primitive`` the one primitive part.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ def accumulate(pairs, out=None) -> dict:
     """Add each (key, value) of ``pairs`` into ``out`` (a new dict if None).
 
     A key whose sum is zero is dropped, so the result holds only nonzero
-    values; values may be Fractions, QI or sparse polynomials.  Returns
+    values; values may be Fractions or sparse polynomials.  Returns
     ``out``.
     """
     out = {} if out is None else out
@@ -80,91 +77,6 @@ def _as_fraction(x) -> Fraction:
             raise ValueError(f"malformed rational {_clip(x)!r}")
         return Fraction(int(match[1]), int(match[2] or 1))
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
-
-
-class QI:
-    """A Gaussian rational a + b*i with exact Fraction parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, QI):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QI(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QI(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QI(-self.re, -self.im)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QI(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return QI._coerce(other).__sub__(self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QI(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = other.re * other.re + other.im * other.im
-        if not n:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return QI((self.re * other.re + self.im * other.im) / n,
-                  (self.im * other.re - self.re * other.im) / n)
-
-    def conjugate(self):
-        return QI(self.re, -self.im)
-
-    def __repr__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*i)"
-
-
-#: i**k as an exact QI, for any integer k (negative included).
-def unit_ipow(k: int) -> QI:
-    return (QI(1), QI(0, 1), QI(-1), QI(0, -1))[k % 4]
 
 
 class _SparseDict:
@@ -242,19 +154,16 @@ class _SparseDict:
     __rmul__ = __mul__
 
 
-class _SparsePoly(_SparseDict):
-    """Sparse polynomials in the monomial basis; subclasses fix the domain."""
+class RationalPoly(_SparseDict):
+    """Sparse polynomial over Q in the monomial basis."""
 
     __slots__ = ()
+    _zero = Fraction(0)
+    _coerce = staticmethod(_as_fraction)
 
     def valuation(self) -> int | None:
         """Order of vanishing at 0; None for the zero polynomial."""
         return min(self.c) if self.c else None
-
-    def leading(self):
-        if not self.c:
-            return self._zero
-        return self.c[max(self.c)]
 
     def _product(self, other) -> dict:
         return accumulate(
@@ -285,16 +194,6 @@ class _SparsePoly(_SparseDict):
             return "0"
         parts = [f"({v})*x^{d}" if d else f"({v})" for d, v in sorted(self.c.items())]
         return " + ".join(parts)
-
-
-class RationalPoly(_SparsePoly):
-    """Sparse polynomial over Q."""
-
-    _zero = Fraction(0)
-    _coerce = staticmethod(_as_fraction)
-
-    def to_gaussian(self) -> "GaussianRationalPoly":
-        return GaussianRationalPoly({d: QI(v) for d, v in self.c.items()})
 
     def float_coefficients(self):
         """Dense numpy float array of the coefficients, constant first.
@@ -329,34 +228,6 @@ def float_horner(x, coef):
         acc *= x
         acc += c
     return acc
-
-
-def _as_qi(x) -> QI:
-    if isinstance(x, QI):
-        return x
-    if isinstance(x, (int, Fraction, str)):
-        return QI(_as_fraction(x))
-    raise TypeError(f"expected a Gaussian rational, got {type(x).__name__}")
-
-
-class GaussianRationalPoly(_SparsePoly):
-    """Sparse polynomial over Q(i)."""
-
-    _zero = QI()
-    _coerce = staticmethod(_as_qi)
-
-    def real_form(self) -> RationalPoly | None:
-        """u * self as a polynomial over Q, for the unit u that makes it real.
-
-        u = 1 when every coefficient is real and u = -i when every one is
-        imaginary; None when the coefficients are mixed.  A unit factor
-        moves no root.
-        """
-        if not any(v.im for v in self.c.values()):
-            return RationalPoly({d: v.re for d, v in self.c.items()})
-        if not any(v.re for v in self.c.values()):
-            return RationalPoly({d: v.im for d, v in self.c.items()})
-        return None
 
 
 # --- integer and rational roots ------------------------------------------------

@@ -1,7 +1,8 @@
 """Asymptotic analysis of characteristic-function ODEs at t = 0.
 
-Every tool here works on a ``CfOde`` (sum_i c_i(t) phi^{(i)}(t) = 0 with
-Gaussian-rational polynomial coefficients) and asks one question: which
+Every tool here works on a ``CfOde`` (sum_k c_k(t) phi^{(k)}(t) = 0, kept as
+the operator's rational coefficients and the quarter turn i^(turns + d - k)
+of each t^d phi^{(k)} term) and asks one question: which
 solution directions near t = 0 are compatible with phi being a
 characteristic function?  A characteristic function satisfies phi(0) = 1,
 |phi| <= 1, is k-times differentiable at 0 when the k-th absolute moment is
@@ -27,8 +28,10 @@ The analysis is exact throughout:
   polygon of the points (derivative order k, valuation of c_k).  Edges of
   slope sigma > 1 give exponential branches S ~ A_S t^{-gamma} with
   gamma = sigma - 1, A_S = -A/gamma and A^d = rho = -l_{k1}/l_{k2}
-  (endpoint coefficients, with d = k2 - k1 directions), and each keeps rho
-  and its edge (k1, k2); slope-1 edges give power branches phi ~ t^alpha
+  (endpoint coefficients, with d = k2 - k1 directions); rho is a rational
+  times the quarter turn i^(-gamma d), which goes into the phase.  Each
+  branch keeps that rational and its edge (k1, k2); slope-1 edges give
+  power branches phi ~ t^alpha
   with alpha a root of the edge polynomial; edges of slope < 1 contribute
   bounded directions.  Magnitudes are stored as exact pairs
   (rational, root index) with |A_S| = pair[0]^(1/pair[1]), and phases as
@@ -39,9 +42,11 @@ The analysis is exact throughout:
   phi^{(k)}/phi = A^k t^{-k(1+gamma)}
   + A^{k-1} (k a - (1+gamma) k(k-1)/2) t^{-k(1+gamma)+gamma} + ...,
   each ODE monomial feeds at most the balance level and the level gamma
-  above it; the first must cancel in Q(i)[A]/(A^d - rho) and the second,
-  linear in a, fixes a.  Anything below the balance, between the two
-  levels, inconsistent, or unconstrained raises ``CorrectionNotLinear``.
+  above it.  With B = i^gamma A every term of one level carries one unit,
+  so both are read in Q[B]/(B^d - rho') with rho' rational: the first
+  must cancel and the second, linear in a, fixes a.  Anything below the
+  balance, between the two levels, inconsistent, or unconstrained raises
+  ``CorrectionNotLinear``.
 * ``classify_branch`` turns a branch into an exclusion: real-part signs of
   A_S t^{-gamma} on each side of 0 (principal continuation on t < 0, so the
   left-side phase is theta - gamma) detect blow-up; oscillatory branches
@@ -66,9 +71,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import (QI, GaussianRationalPoly, RationalPoly, accumulate, falling_poly,
-                      fraction_nth_root, rational_roots)
-from .budgets import LOG_WALK_TERMS
+from .algebra import RationalPoly, accumulate, falling_poly, fraction_nth_root, rational_roots
+from .budgets import LOG_WALK_TERMS, MAX_CONSTRAINTS
 from .operators import CfOde, MomentRecurrence, SteinOperator, psi_transform
 
 
@@ -220,33 +224,33 @@ class IndicialRoots:
         return f"IndicialRoots({list(self.roots)})"
 
 
-def _level_polynomials(ode: CfOde) -> dict[int, GaussianRationalPoly]:
-    """P_r(beta) = sum over monomials c_{k,d} t^d D^k at level r of c_{k,d} (beta)_k.
+def _level_polynomials(ode: CfOde) -> dict[int, RationalPoly]:
+    """Q_r(beta) = sum over monomials a_{k,d} t^d D^k at level r of a_{k,d} (beta)_k.
 
     Level r counts t-powers above the indicial level: a monomial sits at
-    r = (d - k) - (w - n) where w = val(c_n).  P_0 is the indicial
-    polynomial; the Frobenius series recurrence is
-    P_0(alpha + m) u_m = -sum_{r>=1} P_r(alpha + m - r) u_{m-r}.
+    r = (d - k) - (w - n) where w = val(c_n), so its quarter turn is
+    i^(turns + r + w - n) and the level polynomial of the ODE is
+    P_r = i^(turns + r + w - n) Q_r.  P_0 is the indicial polynomial; the
+    Frobenius recurrence P_0(alpha + m) u_m = -sum_{r>=1} P_r(alpha + m - r)
+    u_{m-r} becomes, with u_m = i^m v_m, the rational recurrence
+    Q_0(alpha + m) v_m = -sum_{r>=1} Q_r(alpha + m - r) v_{m-r}.
     """
     n = ode.order
     w = ode.coeffs[n].valuation()
     return accumulate(
-        ((d - k) - (w - n), falling_poly(k).to_gaussian() * v)
+        ((d - k) - (w - n), falling_poly(k) * v)
         for k, c in enumerate(ode.coeffs)
         for d, v in c.c.items()
     )
 
 
-def _qi_rational_roots(poly: GaussianRationalPoly) -> list[Fraction]:
-    """Distinct rational roots of a nonzero polynomial over Q(i).
+def _rational_form(poly: RationalPoly, turns: int) -> RationalPoly:
+    """The rational polynomial a report prints for i^turns * poly.
 
-    A rational beta is a root exactly when both the real and the imaginary
-    part vanish there.
+    A real one keeps its coefficients and an imaginary one gives its
+    imaginary parts: poly for turns 0 and 1 (mod 4), -poly for 2 and 3.
     """
-    re = RationalPoly({d: v.re for d, v in poly.c.items()})
-    im = RationalPoly({d: v.im for d, v in poly.c.items()})
-    first, other = (re, im) if not re.is_zero() else (im, re)
-    return [beta for beta in rational_roots(first)[0] if not other(beta)]
+    return poly if turns % 4 < 2 else -poly
 
 
 def _chain_log(alpha: Fraction, alphas: list, step: int, p_step) -> Fraction | None:
@@ -263,27 +267,27 @@ def _chain_log(alpha: Fraction, alphas: list, step: int, p_step) -> Fraction | N
         m = e - alpha
         return m > 0 and m.denominator == 1 and m % step == 0
 
-    ends = [beta + step for beta in _qi_rational_roots(p_step)]
+    ends = [beta + step for beta in rational_roots(p_step)[0]]
     dies = min(filter(on_chain, ends), default=None)
     return min((e for e in alphas if on_chain(e) and (dies is None or e < dies)), default=None)
 
 
 def _walk_log(alpha: Fraction, gap: int, p0, higher: list) -> Fraction | None:
-    """Log exponent of the simple root alpha from the series terms u_1 .. u_gap."""
-    u = [QI(1)]
+    """Log exponent of the simple root alpha from the rational series terms v_1 .. v_gap."""
+    v = [Fraction(1)]
     for m in range(1, gap + 1):
-        forcing = QI(0)
+        forcing = Fraction(0)
         for r, pr in higher:
             if r > m:
                 break
-            forcing = forcing + pr(alpha + m - r) * u[m - r]
+            forcing = forcing + pr(alpha + m - r) * v[m - r]
         head = p0(alpha + m)
         if head:
-            u.append(-forcing / head)
+            v.append(-forcing / head)
         elif forcing:
             return alpha + m
         else:
-            u.append(QI(0))  # free coefficient; fix the log-free choice
+            v.append(Fraction(0))  # free coefficient; fix the log-free choice
     return None
 
 
@@ -303,11 +307,7 @@ def indicial_roots(ode: CfOde) -> IndicialRoots:
         )
     levels = _level_polynomials(ode)
     p0 = levels[0]
-    poly = p0.real_form()
-    if poly is None:
-        # mixed real/imaginary indicial coefficients: no rational roots; the
-        # whole polynomial is surfaced as the unfactored residual
-        return IndicialRoots((), RationalPoly(), p0)
+    poly = _rational_form(p0, ode.turns + ode.coeffs[-1].valuation() - ode.order)
     roots, residual = rational_roots(poly)
     higher = sorted((r, p) for r, p in levels.items() if r > 0)
 
@@ -339,8 +339,9 @@ class AsymptoticBranch:
 
     kind "bounded": S' = O(1); ``multiplicity`` such directions.
     kind "exponential": S ~ A_S t^{-gamma} with |A_S| = mag_pow^(1/mag_root)
-    and arg(A_S) = phase * pi; A_S = -A/gamma with A^d = ``rho`` and
-    d = k2 - k1 for the Newton-polygon ``edge`` (k1, k2).
+    and arg(A_S) = phase * pi; A_S = -A/gamma with d = k2 - k1 for the
+    Newton-polygon ``edge`` (k1, k2), and ``rho`` is the rational
+    (i^gamma A)^d.
     ``power_exponent`` is the refinement exponent a in phi ~ t^a e^{S} once
     ``power_correction`` has run.
     kind "logarithmic": S ~ alpha log t, i.e. phi ~ t^alpha, with
@@ -474,16 +475,13 @@ def dominant_balance(ode: CfOde) -> list[AsymptoticBranch]:
         if slope == 1:
             # power balance: phi ~ t^alpha with sum l_k (alpha)_k = 0; the
             # factor (alpha)_{k1} common to every term is an artifact of
-            # lower-order terms, so the edge polynomial starts at k1
+            # lower-order terms, so the edge polynomial starts at k1.  Every
+            # edge term has the Euler weight v1 - k1, so one quarter turn.
             lead = sum(
-                (falling_poly(k, k1).to_gaussian() * ode.coeffs[k].coeff(v1 + (k - k1))
-                 for k in on_edge),
-                GaussianRationalPoly(),
+                (falling_poly(k, k1) * ode.coeffs[k].coeff(v1 + (k - k1)) for k in on_edge),
+                RationalPoly(),
             )
-            poly = lead.real_form()
-            if poly is None:
-                raise NoBalance("slope-1 edge with mixed-unit coefficients")
-            roots, residual = rational_roots(poly)
+            roots, residual = rational_roots(_rational_form(lead, ode.turns + v1 - k1))
             if residual.degree() > 0:
                 raise NoBalance(
                     f"slope-1 edge exponents are not rational (residual {residual})"
@@ -498,21 +496,12 @@ def dominant_balance(ode: CfOde) -> list[AsymptoticBranch]:
         if len(on_edge) > 2:
             raise NoBalance("multi-term exponential balance is not binomial")
         d = k2 - k1
-        l1 = ode.coeffs[k1].coeff(v1)
-        l2 = ode.coeffs[k2].coeff(v2)
-        rho = -l1 / l2
         gamma = slope - 1
-        if rho.re and rho.im:
-            raise NoBalance(
-                "exponential balance coefficient lies off the real/imaginary axes"
-            )
-        if rho.re:
-            theta_rho = Fraction(0) if rho.re > 0 else Fraction(1)
-            mag_rho = abs(rho.re)
-        else:
-            theta_rho = Fraction(1, 2) if rho.im > 0 else Fraction(3, 2)
-            mag_rho = abs(rho.im)
-        mag_pow, mag_root = _canonical_magnitude(mag_rho / gamma**d, d)
+        # rho = -l1/l2 = rho' i^(-gamma d): the endpoint terms differ in
+        # Euler weight by gamma d, an integer, and rho' = -a1/a2 is rational
+        rho = -ode.coeffs[k1].coeff(v1) / ode.coeffs[k2].coeff(v2)
+        theta_rho = (Fraction(-(v2 - v1 - d) % 4, 2) + (1 if rho < 0 else 0)) % 2
+        mag_pow, mag_root = _canonical_magnitude(abs(rho) / gamma**d, d)
         # A = rho^(1/d) e^{2 pi i j/d} and A_S = -A/gamma, so arg A_S = arg A + pi
         branches += [
             AsymptoticBranch(
@@ -547,8 +536,11 @@ def power_correction(ode: CfOde, branch: AsymptoticBranch) -> Fraction:
 
     so a monomial c t^d D^k of the ODE, with lead e = d - k(1+gamma), feeds
     the levels e and e + gamma of the residual and nothing below e + 2 gamma.
-    Powers of A are reduced in Q(i)[A]/(A^d - rho) with d = k2 - k1 from
-    the branch's edge.  The balance level e_bal must cancel identically
+    With c = i^(turns + d - k) a and B = i^gamma A, c A^k = i^(turns + e) a B^k
+    and c A^(k-1) = i^(turns + e + gamma) a B^(k-1): every term of one level
+    carries one unit, which is dropped.  Powers of B are reduced in
+    Q[B]/(B^d - rho) with d = k2 - k1 from the branch's edge and the
+    branch's rational rho = B^d.  The balance level e_bal must cancel identically
     (that is the dominant balance), no level may lie below it or strictly
     between it and e_bal + gamma, and the level e_bal + gamma, linear in a,
     must fix a consistently across all ring components.  The refined
@@ -566,12 +558,10 @@ def power_correction(ode: CfOde, branch: AsymptoticBranch) -> Fraction:
     e_bal = Fraction(ode.coeffs[k1].valuation()) - k1 * mu
     top = e_bal + gamma
 
-    def reduced(k: int, coeff) -> tuple[int, QI]:
-        """(u, c) with c A^u = coeff A^k modulo A^d = rho."""
+    def reduced(k: int, coeff: Fraction) -> tuple[int, Fraction]:
+        """(u, c) with c B^u = coeff B^k modulo B^d = rho."""
         q, u = divmod(k, k2 - k1)
-        for _ in range(q):
-            coeff = coeff * rho
-        return u, coeff
+        return u, coeff * rho**q
 
     terms: dict[Fraction, list] = {}  # level -> [(A-power, coefficient)]
     alpha_terms = []  # the coefficient of a at level top
@@ -602,15 +592,13 @@ def power_correction(ode: CfOde, branch: AsymptoticBranch) -> Fraction:
         raise CorrectionNotLinear(
             "correction balance places no constraint on the log coefficient"
         )
-    a = -beta_vec.get(pivot, QI(0)) / alpha_vec[pivot]
-    if a.im:
-        raise CorrectionNotLinear(f"log coefficient is not real ({a})")
+    a = -beta_vec.get(pivot, 0) / alpha_vec[pivot]
     for u in set(alpha_vec) | set(beta_vec):
-        if alpha_vec.get(u, QI(0)) * a + beta_vec.get(u, QI(0)):
+        if alpha_vec.get(u, 0) * a + beta_vec.get(u, 0):
             raise CorrectionNotLinear(
                 "correction balance is inconsistent across ring components"
             )
-    return a.re
+    return a
 
 
 # --- branch classification ----------------------------------------------------
@@ -678,20 +666,30 @@ def classify_branch(
 # --- symbolic moment forcing --------------------------------------------------
 
 
+def _forcing_rows(rec: MomentRecurrence) -> int:
+    """The last row k that moment forcing reads.
+
+    That is past every degenerate row (a nonnegative integer root of the
+    top coefficient) plus a safety margin.
+    """
+    top_roots, _ = rational_roots(rec.leading_coefficient_poly())
+    deg_rows = [int(r) for r in top_roots if r.denominator == 1 and r >= 0]
+    smax, smin = rec.max_shift, rec.min_shift
+    return (max(deg_rows) + 1 if deg_rows else 0) + (smax - smin) + abs(smax) + 8
+
+
 def _moment_forcing(op: SteinOperator, zero_mean: bool, symmetry: bool):
     """Do the recurrence rows E[S y^k] = 0 pin every moment of the target?
 
-    Processes rows until past every degenerate row (vanishing top coefficient)
-    plus a safety margin; returns (pinned: bool, free moment orders, rows).
-    Each moment is an exact linear expression {unknown: coefficient} (None is
-    the constant 1) in free unknowns created on first use; a row that cannot
-    solve for its top moment eliminates its newest unknown.
+    Processes the rows k = 0 .. ``_forcing_rows``; returns (pinned: bool,
+    free moment orders, rows).  Each moment is an exact linear expression
+    {unknown: coefficient} (None is the constant 1) in free unknowns created
+    on first use; a row that cannot solve for its top moment eliminates its
+    newest unknown.
     """
     rec = MomentRecurrence(op)
-    smax, smin = rec.max_shift, rec.min_shift
-    top_roots, _ = rational_roots(rec.leading_coefficient_poly())
-    deg_rows = [int(r) for r in top_roots if r.denominator == 1 and r >= 0]
-    rows = (max(deg_rows) + 1 if deg_rows else 0) + (smax - smin) + abs(smax) + 8
+    smax = rec.max_shift
+    rows = _forcing_rows(rec)
     moments: dict[int, dict] = {0: {None: Fraction(1)}}
     order: list[int] = []  # unknown u stands for E[W^order[u]]
 
@@ -932,6 +930,14 @@ def characterisation_verdict(
         ]
         return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
     if candidates > 1:
+        rows = _forcing_rows(MomentRecurrence(op))
+        if rows > MAX_CONSTRAINTS:
+            diagnostics["notes"] = [
+                f"{candidates} admissible directions and moment forcing undecided: "
+                f"its last row k = {rows} exceeds the row budget "
+                f"MAX_CONSTRAINTS = {MAX_CONSTRAINTS}"
+            ]
+            return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
         options = [set()]
         if zero_mean:
             options.append({"zero_mean"})

@@ -43,7 +43,6 @@ from .distributions import (
 from .operators import (
     FAMILIES,
     BadParameter,
-    CfOde,
     SteinOperator,
     UnknownOperator,
     catalog_get,
@@ -117,15 +116,6 @@ def _resolve_target(spec: str) -> TargetDistribution:
         ) from None
 
 
-def _ode_json(ode: CfOde) -> dict:
-    return {
-        "order": ode.order,
-        "unit": None if ode.unit is None else str(ode.unit),
-        "coefficients": [str(c) for c in ode.coeffs],
-        "display": repr(ode),
-    }
-
-
 def _installed_version(name: str) -> str:
     """The Version: header of the first ``<name>-*.dist-info`` on sys.path."""
     for entry in sys.path:
@@ -179,8 +169,7 @@ def _cmd_catalog(args) -> tuple[dict, int]:
 
 def _cmd_transform(args) -> tuple[dict, int]:
     op = _resolve_operator(args.op)
-    ode = psi_transform(op)
-    return {"operator": op.to_json_dict(), "ode": _ode_json(ode)}, 0
+    return {"operator": op.to_json_dict(), "ode": psi_transform(op).as_json()}, 0
 
 
 def _cmd_analyze(args) -> tuple[dict, int]:
@@ -200,7 +189,7 @@ def _cmd_analyze(args) -> tuple[dict, int]:
         raise UsageError(str(exc)) from None
     result = {
         "operator": op.to_json_dict(),
-        "ode": _ode_json(verdict.ode),
+        "ode": verdict.ode.as_json(),
         "target_meta": meta,
         "verdict": verdict.as_json(),
     }

@@ -13,8 +13,9 @@ phi(t) = E[e^{itY}]:
     sum_{i=0..m} c_i(t) phi^{(i)}(t) = 0,   c_i(t) = sum_j a_{i,j} i^{j-i} t^j,
 
 where the power of y becomes the derivative order on phi and the derivative
-order becomes the power of t.  ``psi_transform`` computes this ODE exactly
-over the Gaussian rationals.  Substituting f(y) = y^k instead yields an
+order becomes the power of t.  ``psi_transform`` computes this ODE exactly:
+each coefficient is the rational a_{i,j} times a quarter turn i^{j-i}, and
+``CfOde`` keeps the two apart until the ODE is printed.  Substituting f(y) = y^k instead yields an
 exact linear recurrence among the moments of Y (``MomentRecurrence``).
 
 ``catalog_get`` serves the bundled operators: the Hermite-target operators
@@ -40,15 +41,12 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .algebra import (
-    QI,
-    GaussianRationalPoly,
     RationalPoly,
     _as_fraction,
     _clip,
     accumulate,
     falling_factorials,
     falling_poly,
-    unit_ipow,
 )
 from .budgets import MAX_INDEX
 
@@ -174,33 +172,28 @@ class SteinOperator:
         return f"SteinOperator({label}{' + '.join(parts)})"
 
 
-class CfOde:
-    """Linear ODE sum_i c_i(t) phi^{(i)}(t) = 0 with Gaussian-rational c_i.
+def _gaussian_str(a: Fraction, turns: int) -> str:
+    """i^turns * a as text: a, a*i, -a or -a*i."""
+    text = str(a if turns % 4 < 2 else -a)
+    return f"{text}*i" if turns % 2 else text
 
-    ODEs produced by ``psi_transform`` are normalised by the unit
-    u in {1, i, -1, -i} that makes the top-degree coefficient of the leading
-    polynomial c_n real and positive (coefficients off both axes are left
-    untouched); the applied unit is recorded in ``unit``, which reports
-    print.  Directly constructed ODEs carry ``unit=None``.
+
+class CfOde:
+    """The ODE sum_k c_k(t) phi^{(k)}(t) = 0 of an operator's transform.
+
+    Its t^d phi^{(k)} coefficient is i^(turns + d - k) a_{k,d}, with a_{k,d}
+    the operator's rational y^k D^d coefficient: ``coeffs[k]`` is the
+    rational polynomial sum_d a_{k,d} t^d, and i^turns is the normalising
+    unit.  All terms of one Euler weight d - k share one quarter turn, so
+    the analysis reads rational polynomials and adds the turns to its
+    phases; the powers of i are applied only when the ODE is rendered.
     """
 
-    __slots__ = ("coeffs", "unit")
+    __slots__ = ("coeffs", "turns")
 
-    def __init__(self, coeffs, unit: QI | None = None):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, GaussianRationalPoly):
-                cs.append(c)
-            elif isinstance(c, RationalPoly):
-                cs.append(c.to_gaussian())
-            elif isinstance(c, dict):
-                cs.append(GaussianRationalPoly(c))
-            else:
-                raise TypeError(f"cannot build ODE coefficient from {type(c)}")
-        if not cs or cs[-1].is_zero():
-            raise ValueError("the leading ODE coefficient must be nonzero")
-        self.coeffs = tuple(cs)
-        self.unit = unit
+    def __init__(self, coeffs, turns: int):
+        self.coeffs = tuple(coeffs)
+        self.turns = turns % 4
 
     @property
     def order(self) -> int:
@@ -208,41 +201,44 @@ class CfOde:
 
     def __eq__(self, other):
         if isinstance(other, CfOde):
-            return self.coeffs == other.coeffs
+            return (self.coeffs, self.turns) == (other.coeffs, other.turns)
         return NotImplemented
 
+    def _coefficient_str(self, k: int) -> str:
+        """c_k over Q(i), printed as the sparse polynomials print."""
+        c = self.coeffs[k].c
+        parts = [f"({_gaussian_str(c[d], self.turns + d - k)})" + (f"*x^{d}" if d else "")
+                 for d in sorted(c)]
+        return " + ".join(parts) or "0"
+
+    def as_json(self) -> dict:
+        return {
+            "order": self.order,
+            "unit": _gaussian_str(Fraction(1), self.turns),
+            "coefficients": [self._coefficient_str(k) for k in range(self.order + 1)],
+            "display": repr(self),
+        }
+
     def __repr__(self):
-        terms = []
-        for i in range(self.order, -1, -1):
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            head = "phi" if i == 0 else f"phi^({i})"
-            terms.append(f"({c})*{head}")
+        terms = [
+            f"({self._coefficient_str(k)})*{'phi' if k == 0 else f'phi^({k})'}"
+            for k in range(self.order, -1, -1) if self.coeffs[k]
+        ]
         return f"CfOde({' + '.join(terms)} = 0)"
-
-
-def _normalising_unit(lead: GaussianRationalPoly) -> QI:
-    d = lead.leading()
-    if d.im == 0:
-        return QI(1) if d.re > 0 else QI(-1)
-    if d.re == 0:
-        return QI(0, -1) if d.im > 0 else QI(0, 1)
-    return QI(1)
 
 
 def psi_transform(op: SteinOperator) -> CfOde:
     """The ODE satisfied by characteristic functions of laws annihilated by op.
 
-    Maps a_{i,j} y^i D^j to a_{i,j} i^{j-i} t^j phi^{(i)}, with the
-    coefficients scaled by the normalising unit.
+    Maps a_{k,d} y^k D^d to a_{k,d} i^{d-k} t^d phi^{(k)}, times the unit
+    i^turns that makes the top-degree coefficient of c_m real and positive.
     """
     rows: list[dict] = [{} for _ in range(op.m + 1)]
-    for (i, j), v in op.a.items():
-        rows[i][j] = unit_ipow(j - i) * v
-    coeffs = [GaussianRationalPoly(r) for r in rows]
-    u = _normalising_unit(coeffs[-1])
-    return CfOde([u * c for c in coeffs], unit=u)
+    for (k, d), v in op.a.items():
+        rows[k][d] = v
+    top = max(rows[-1])
+    turns = op.m - top + (0 if rows[-1][top] > 0 else 2)
+    return CfOde([RationalPoly(r) for r in rows], turns)
 
 
 class MomentRecurrence:

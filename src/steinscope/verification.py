@@ -45,7 +45,7 @@ import math
 import os
 from fractions import Fraction
 
-from .algebra import RationalPoly, _as_fraction, accumulate, float_horner, unit_ipow
+from .algebra import RationalPoly, _as_fraction, accumulate, float_horner
 from .budgets import check
 from .operators import MomentRecurrence, SteinOperator
 
@@ -161,15 +161,19 @@ def _wave_images(op: SteinOperator, t):
     S e^{ity} = e^{ity} P(y) with P(y) = sum a_ij (it)^j y^i, so S cos(ty)
     is Re(e^{ity} P) = cos(ty) Re P - sin(ty) Im P and S sin(ty) is
     Im(e^{ity} P) = sin(ty) Re P + cos(ty) Im P.  P is read off the
-    operator once, and both parts become floats here, before any sample.
+    operator once: i^j is (-1)^(j//2) in Re P for even j and in Im P for
+    odd j.  Both parts become floats here, before any sample.
     Returns the two labels and ``evaluate(y, outs)``, which writes both
     images of the samples y into outs.
     """
     import numpy as np
 
-    p = accumulate((i, unit_ipow(j) * (v * Fraction(t)**j)) for (i, j), v in op.a.items())
-    re = RationalPoly({i: v.re for i, v in p.items()}).float_coefficients()
-    im = RationalPoly({i: v.im for i, v in p.items()}).float_coefficients()
+    re, im = (
+        RationalPoly(accumulate((i, (-1) ** (j // 2) * v * Fraction(t)**j)
+                                for (i, j), v in op.a.items() if j % 2 == odd)
+                     ).float_coefficients()
+        for odd in (0, 1)
+    )
     tf = float(t)
 
     def evaluate(y, outs):

@@ -1,4 +1,4 @@
-"""Closed-form characteristic functions: a float witness of ``psi_transform``.
+"""Closed-form characteristic functions: a float witness of the transform.
 
 No steinscope command evaluates a characteristic function: the sufficiency
 argument works on the transformed ODE alone.  The three closed forms here
@@ -14,7 +14,8 @@ powers of t; rational powers of 1 + sigma2 t^2 times monomials), so the j-th
 derivative is obtained by exact recursion on basis coefficients followed by
 a single floating-point evaluation.
 
-``ode_residual`` evaluates an ODE on a t-grid against one candidate and
+``ode_residual`` evaluates an ODE over the Gaussian rationals
+(``qi_witness.psi_transform``) on a t-grid against one candidate and
 returns the worst normalised residual
 |sum c_i phi^(i)| / (sum |c_i||phi^(i)| + 1).
 """
@@ -26,8 +27,10 @@ from scipy import special
 
 from steinscope.algebra import _as_fraction, accumulate, hermite_to_monomial
 
+from qi_witness import GaussianRationalPoly
 
-def eval_complex(poly, t: float) -> complex:
+
+def eval_complex(poly: GaussianRationalPoly, t: float) -> complex:
     """Evaluate a polynomial over Q(i) at a float point as a complex number."""
     # plain (non-Horner) evaluation is fine for the modest degrees here
     acc = 0j

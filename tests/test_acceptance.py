@@ -13,7 +13,6 @@ expected and the computed value.
 import time
 from fractions import Fraction as F
 
-from steinscope.algebra import QI
 from steinscope.asymptotics import (
     characterisation_verdict,
     dominant_balance,
@@ -40,6 +39,9 @@ from steinscope.verification import check_moment_recurrence, mc_stein_residual
 
 from cf_witness import BesselRatioCf, GaussianCf, ode_residual
 from ladder import H7_ODE, H7_T25m6, H8_ODE, H8_T10m4
+from qi_witness import QI, gaussian
+from qi_witness import CfOde as GaussianOde
+from qi_witness import psi_transform as gaussian_transform
 
 
 def ode_of(spec: str) -> CfOde:
@@ -75,7 +77,9 @@ def test_criterion_01_transform_fidelity():
     t0 = time.monotonic()
     failures = []
 
-    def check(label, got, expected):
+    def check(label, ode, expected):
+        # the ODE over Q(i) that the rational coefficients and turns stand for
+        got = gaussian(ode)
         if got != expected:
             failures.append(f"{label}: expected {expected!r}, computed {got!r}")
 
@@ -83,13 +87,13 @@ def test_criterion_01_transform_fidelity():
     check(
         "H3_T4m3 ode",
         ode_of("H3_T4m3"),
-        CfOde([{3: 1080, 1: -12}, {4: 324, 2: 207, 0: -5}, {3: 351, 1: 3}, {4: 81}]),
+        GaussianOde([{3: 1080, 1: -12}, {4: 324, 2: 207, 0: -5}, {3: 351, 1: 3}, {4: 81}]),
     )
     # degree-4 target, order-2 operator
     check(
         "H4_T2m3 ode",
         ode_of("H4_T2m3"),
-        CfOde(
+        GaussianOde(
             [
                 {2: QI(0, -1728), 1: 1008, 0: QI(0, 24)},
                 {2: 576, 1: QI(0, 72), 0: 50},
@@ -103,7 +107,7 @@ def test_criterion_01_transform_fidelity():
         check(
             f"PRR s={s} ode",
             ode_of(f"PRR:s={s}"),
-            CfOde([{1: 2 * s}, {2: s, 0: 2 * s - 1}, {1: 1}]),
+            GaussianOde([{1: 2 * s}, {2: s, 0: 2 * s - 1}, {1: 1}]),
         )
     # product-normal family
     for p in (1, 2, 3, 4, 5, 8):
@@ -112,12 +116,12 @@ def test_criterion_01_transform_fidelity():
             for k in range(1, p + 1):
                 coeffs[k - 1][k] = coeffs[k - 1].get(k, F(0)) + s2 * stirling2(p, k)
             coeffs[1][0] = coeffs[1].get(0, F(0)) + 1
-            check(f"PN p={p},s2={s2} ode", ode_of(f"PN:p={p},sigma2={s2}"), CfOde(coeffs))
+            check(f"PN p={p},s2={s2} ode", ode_of(f"PN:p={p},sigma2={s2}"), GaussianOde(coeffs))
     # shared Gaussian/semicircle operator
     check(
         "shared-operator ode",
         ode_of("gauss_semicircle_T5"),
-        CfOde(
+        GaussianOde(
             [
                 {5: 1, 3: -5},
                 {4: 4, 2: -21, 0: 9},
@@ -238,7 +242,8 @@ def test_criterion_04_power_corrections():
         if got != expected:
             failures.append(f"{label}: expected {expected}, computed {got}")
 
-    # template family: t^2 phi'' + (a i + b t + c i t^2) phi' + d phi = 0 -> 2 - b
+    # template family: t^2 phi'' + (a i + b t + c i t^2) phi' + d phi = 0 -> 2 - b,
+    # the transform of y^2 D^2 + y (-a + b D + c D^2) + d
     t0 = time.monotonic()
     for a, b, c, d in [
         (1, 3, 0, 2),
@@ -246,7 +251,9 @@ def test_criterion_04_power_corrections():
         (2, 2, 1, 5),
         (3, F(9, 2), F(-1, 3), F(7, 2)),
     ]:
-        ode = CfOde([{0: F(d)}, {0: QI(0, a), 1: F(b), 2: QI(0, c)}, {2: 1}])
+        ode = psi_transform(SteinOperator({(2, 2): 1, (1, 0): -a, (1, 1): b, (1, 2): c, (0, 0): d}))
+        if gaussian(ode) != GaussianOde([{0: F(d)}, {0: QI(0, a), 1: F(b), 2: QI(0, c)}, {2: 1}]):
+            failures.append(f"template b={b}: the operator's ODE is not the template")
         (branch,) = [x for x in dominant_balance(ode) if x.kind == "exponential"]
         got = power_correction(ode, branch)
         if got != 2 - F(b):
@@ -376,7 +383,7 @@ def test_criterion_07_shared_operator_necessity():
         ]
         if bad:
             failures.append(f"recurrence vs {tgt_spec}: nonzero residuals {bad}")
-    ode = psi_transform(op)
+    ode = gaussian_transform(op)
     for label, cf in (
         ("gaussian cf", GaussianCf(1)),
         ("semicircle cf", BesselRatioCf("J")),

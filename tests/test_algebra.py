@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from steinscope.algebra import (
-    QI,
-    GaussianRationalPoly,
     RationalPoly,
     _as_fraction,
     accumulate,
@@ -22,7 +20,6 @@ from steinscope.algebra import (
     gaussian_power_moments,
     hermite_to_monomial,
     primitive,
-    unit_ipow,
 )
 from steinscope.malliavin import hermite_product
 
@@ -33,39 +30,6 @@ fractions_st = st.fractions(
 poly_st = st.dictionaries(
     st.integers(min_value=0, max_value=8), fractions_st, max_size=6
 ).map(RationalPoly)
-
-qi_st = st.builds(QI, fractions_st, fractions_st)
-
-
-class TestQI:
-    def test_arithmetic(self):
-        z = QI(1, 2) * QI(3, -1)
-        assert z == QI(5, 5)
-        assert QI(5, 5) / QI(1, 2) == QI(3, -1)
-        assert QI(0, 1) * QI(0, 1) == QI(-1)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            QI(1) / QI(0)
-
-    def test_unit_powers(self):
-        assert unit_ipow(0) == QI(1)
-        assert unit_ipow(1) == QI(0, 1)
-        assert unit_ipow(2) == QI(-1)
-        assert unit_ipow(3) == QI(0, -1)
-        assert unit_ipow(-1) == QI(0, -1)
-        assert unit_ipow(7) == unit_ipow(3)
-
-    @given(qi_st, qi_st)
-    def test_conjugate_multiplicative(self, a, b):
-        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-
-    @given(qi_st)
-    def test_norm_via_conjugate(self, a):
-        n = a * a.conjugate()
-        assert not n.im
-        assert n.re >= 0
-
 
 class TestRationalPoly:
     def test_basics(self):
@@ -172,24 +136,6 @@ class TestPrimitive:
         scale = next(Fraction(p) / c for p, c in zip(prim, row) if c)
         assert scale > 0
         assert prim == [scale * c for c in row]
-
-
-class TestRealForm:
-    def test_real_coefficients(self):
-        poly = GaussianRationalPoly({0: QI(2), 3: QI(Fraction(-1, 3))})
-        assert poly.real_form() == RationalPoly({0: 2, 3: Fraction(-1, 3)})
-
-    def test_imaginary_axis_is_multiplied_by_minus_i(self):
-        poly = GaussianRationalPoly({1: QI(0, 5), 2: QI(0, -1)})
-        assert poly.real_form() == RationalPoly({1: 5, 2: -1})
-        assert poly * QI(0, -1) == poly.real_form().to_gaussian()
-
-    def test_mixed_coefficients_give_none(self):
-        assert GaussianRationalPoly({0: QI(1), 1: QI(0, 1)}).real_form() is None
-        assert GaussianRationalPoly({2: QI(1, 1)}).real_form() is None
-
-    def test_zero_polynomial(self):
-        assert GaussianRationalPoly().real_form() == RationalPoly()
 
 
 def gaussian_expectation(p):
@@ -314,16 +260,12 @@ class TestAccumulate:
         assert result is out
         assert out == {0: 1, 5: Fraction(1, 3)}
 
-    def test_gaussian_rational_values(self):
-        assert accumulate([("a", QI(1, 1)), ("a", QI(0, -1)), ("b", QI(0, 2)),
-                           ("b", QI(0, -2))]) == {"a": QI(1)}
-
     def test_polynomial_values(self):
         # _SparseDict.__bool__ makes a zero polynomial a zero sum
         x = RationalPoly({1: 1})
         out = accumulate([(0, x), (1, RationalPoly({0: 2})), (0, -x)])
         assert out == {1: RationalPoly({0: 2})}
-        assert not RationalPoly() and not GaussianRationalPoly({3: QI()})
+        assert not RationalPoly()
 
     @given(st.lists(st.tuples(st.integers(0, 4), fractions_st)))
     def test_matches_summing_then_pruning(self, pairs):

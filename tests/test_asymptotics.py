@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steinscope.algebra import QI
+from steinscope.algebra import RationalPoly
+from steinscope.budgets import MAX_CONSTRAINTS
 from steinscope.asymptotics import (
     _apply_conjugate_trap,
     AsymptoticBranch,
     CorrectionNotLinear,
     NoBalance,
     NotRegularSingular,
+    _rational_form,
     classify_branch,
     classify_singularity,
     characterisation_verdict,
@@ -26,6 +28,11 @@ from ladder import H7_ODE, H7_T25m6, H8_ODE, H8_T10m4
 
 def ode_of(spec: str) -> CfOde:
     return psi_transform(catalog_get(spec))
+
+
+def transform(coeffs: dict) -> CfOde:
+    """The transform of the operator with the coefficients {(k, d): a_kd}."""
+    return psi_transform(SteinOperator(coeffs))
 
 
 def exp_branches(ode):
@@ -66,11 +73,11 @@ class TestSingularityClassification:
             assert classify_singularity(ode_of(spec)).kind == "irregular_singular", spec
 
     def test_ordinary_point(self):
-        ode = CfOde([{1: 1}, {0: 1}])  # phi' + t phi = 0
+        ode = transform({(1, 0): 1, (0, 1): -1})  # y - D: phi' + t phi = 0
         assert classify_singularity(ode).kind == "ordinary"
 
     def test_zero_coefficient_never_blocks(self):
-        ode = CfOde([{}, {1: 1}, {2: 1}])  # t^2 phi'' + t phi'
+        ode = transform({(2, 2): 1, (1, 1): 1})  # t^2 phi'' + t phi'
         assert classify_singularity(ode).kind == "regular_singular"
 
     def test_valuations_recorded(self):
@@ -99,7 +106,7 @@ class TestIndicialRoots:
             assert {r.alpha for r in ind.roots} == {Fraction(0), 1 - a - b}
 
     def test_euler_double_root(self):
-        ode = CfOde([{}, {1: 1}, {2: 1}])
+        ode = transform({(2, 2): 1, (1, 1): 1})
         ind = indicial_roots(ode)
         assert [(r.alpha, r.multiplicity) for r in ind.roots] == [(Fraction(0), 2)]
 
@@ -121,10 +128,26 @@ class TestIndicialRoots:
 
     def test_irrational_roots_surface_residual(self):
         # t^2 phi'' + t phi' - 2 phi: indicial beta^2 - 2, no rational roots
-        ode = CfOde([{0: -2}, {1: 1}, {2: 1}])
+        ode = transform({(2, 2): 1, (1, 1): 1, (0, 0): -2})
         ind = indicial_roots(ode)
         assert {r.alpha for r in ind.roots} == set()
         assert not ind.fully_factored()
+
+
+class TestRationalForm:
+    """The printed rational form of a level polynomial P = i^turns * poly."""
+
+    def test_real_coefficients(self):
+        poly = RationalPoly({0: 2, 3: Fraction(-1, 3)})
+        assert _rational_form(poly, 0) == RationalPoly({0: 2, 3: Fraction(-1, 3)})
+
+    def test_imaginary_axis_gives_the_imaginary_parts(self):
+        # 5i x - i x^2, written as i * (5x - x^2) or as -i * (-5x + x^2)
+        assert _rational_form(RationalPoly({1: 5, 2: -1}), 1) == RationalPoly({1: 5, 2: -1})
+        assert _rational_form(RationalPoly({1: -5, 2: 1}), 3) == RationalPoly({1: 5, 2: -1})
+
+    def test_zero_polynomial(self):
+        assert _rational_form(RationalPoly(), 2) == RationalPoly()
 
 
 class TestNewtonPolygonBranches:
@@ -245,41 +268,38 @@ class TestNewtonPolygonBranches:
             assert sum(b.multiplicity for b in dominant_balance(ode)) == ode.order
 
     def test_balance_identity_exact(self):
-        # for every exponential branch, l_k1 + l_k2 * rho = 0 exactly
+        # for every exponential branch, a_k1 + a_k2 * rho = 0 exactly, with
+        # a_k the rational endpoint coefficients and rho = (i^gamma A)^d
         for spec in ("H3_T4m3", "H5_T13m4", "H6_T6m3", "PN:p=8", "G1G2:r=1,s=2,lam=3"):
             ode = ode_of(spec)
             for b in exp_branches(ode):
                 k1, k2 = b.edge
-                l1 = ode.coeffs[k1].coeff(ode.coeffs[k1].valuation())
-                l2 = ode.coeffs[k2].coeff(ode.coeffs[k2].valuation())
-                assert l1 + l2 * b.rho == QI(0)
+                a1 = ode.coeffs[k1].coeff(ode.coeffs[k1].valuation())
+                a2 = ode.coeffs[k2].coeff(ode.coeffs[k2].valuation())
+                assert a1 + a2 * b.rho == 0
 
     def test_interior_point_on_exponential_edge_rejected(self):
-        # c0 = 1, c1 = t^2, c2 = t^4: one edge of slope 2 carrying k = 0, 1, 2
-        ode = CfOde([{0: 1}, {2: 1}, {4: 1}])
-        with pytest.raises(NoBalance):
-            dominant_balance(ode)
-
-    def test_off_axis_ratio_rejected(self):
-        # exponential edge with A^2 = -(1+i): off both axes
-        ode = CfOde([{0: QI(1, 1)}, {}, {4: 1}])
+        # 1 + y D^2 + y^2 D^4: c0 = 1, c1 = -t^2, c2 = t^4 up to the unit,
+        # one edge of slope 2 carrying k = 0, 1, 2
+        ode = transform({(0, 0): 1, (1, 2): 1, (2, 4): 1})
         with pytest.raises(NoBalance):
             dominant_balance(ode)
 
     def test_slope_one_irrational_exponents_rejected(self):
         # t^2 phi'' + t phi' - 2 phi has edge polynomial beta^2 - 2 ... but is
         # regular singular; build an irregular variant with the same edge
-        ode = CfOde([{0: -2}, {1: 1}, {2: 1, 4: 1}, {5: 1}])
+        ode = transform({(0, 0): -2, (1, 1): 1, (2, 2): 1, (2, 4): -1, (3, 5): -1})
         with pytest.raises(NoBalance):
             dominant_balance(ode)
 
 
 class TestPowerCorrection:
     def template(self, a, b, c, d):
-        """t^2 phi'' + (a i + b t + c i t^2) phi' + d phi = 0."""
-        return CfOde(
-            [{0: Fraction(d)}, {0: QI(0, a), 1: Fraction(b), 2: QI(0, c)}, {2: 1}]
-        )
+        """t^2 phi'' + (a i + b t + c i t^2) phi' + d phi = 0.
+
+        It is the transform of y^2 D^2 + y (-a + b D + c D^2) + d.
+        """
+        return transform({(2, 2): 1, (1, 0): -a, (1, 1): b, (1, 2): c, (0, 0): d})
 
     def test_template_family_gives_two_minus_b(self):
         for a, b, c, d in [
@@ -342,9 +362,9 @@ class TestPowerCorrection:
             power_correction(ode, branch)
 
     def test_intermediate_level_raises(self):
-        # gamma = 3: the i t phi' term sits at t^-3, between the balance
+        # gamma = 3: the t phi' term sits at t^-3, between the balance
         # level t^-4 and the correction level t^-1
-        ode = CfOde([{}, {0: -3, 1: QI(0, -1)}, {4: -3}])
+        ode = transform({(1, 0): -3, (1, 1): -1, (2, 4): -3})
         (branch,) = exp_branches(ode)
         with pytest.raises(
             CorrectionNotLinear,
@@ -352,16 +372,10 @@ class TestPowerCorrection:
         ):
             power_correction(ode, branch)
 
-    def test_complex_log_coefficient_raises(self):
-        ode = CfOde([{}, {0: 1}, {2: 2, 3: QI(2, -2)}])
-        (branch,) = exp_branches(ode)
-        with pytest.raises(CorrectionNotLinear, match=r"not real \(\(5/2-1/2\*i\)\)"):
-            power_correction(ode, branch)
-
     def test_inconsistent_ring_components_raise(self):
-        # d = 2: the t^5 phi''' term lands in the A^1 component, which the
-        # log coefficient (fixed by the A^0 component) cannot balance
-        ode = CfOde([{}, {0: 2}, {}, {4: -2, 5: -1}])
+        # d = 2: the t^5 phi''' term lands in the B^1 component, which the
+        # log coefficient (fixed by the B^0 component) cannot balance
+        ode = transform({(1, 0): 2, (3, 4): -2, (3, 5): -1})
         branches = exp_branches(ode)
         assert len(branches) == 2
         for branch in branches:
@@ -375,7 +389,7 @@ class TestPowerCorrection:
 
     def test_branch_of_another_ode_without_its_edge_term_raises(self):
         (branch,) = exp_branches(ode_of("H4_T2m3"))  # edge (2, 3)
-        ode = CfOde([{}, {0: 2}, {}, {4: -2, 5: -1}])  # no D^2 term
+        ode = transform({(1, 0): 2, (3, 4): -2, (3, 5): -1})  # no D^2 term
         with pytest.raises(CorrectionNotLinear, match=r"no edge term in D\^2"):
             power_correction(ode, branch)
 
@@ -447,6 +461,25 @@ class TestVerdicts:
         assert v.status == status, (spec, v.status, v.diagnostics)
         assert v.conditions == frozenset(conditions), (spec, v.conditions)
         return v
+
+    def test_moment_forcing_reads_at_most_max_constraints_rows(self):
+        # y^2 D - N y: the top recurrence coefficient k - N vanishes at k = N,
+        # and moment forcing reads the rows k = 0..N + 10
+        def forcing(n):
+            return characterisation_verdict(SteinOperator({(1, 0): -n, (2, 1): 1}))
+
+        admitted = forcing(MAX_CONSTRAINTS - 10)
+        assert admitted.status == "characterising"
+        assert admitted.diagnostics["moment_forcing"] == (
+            f"all moments pinned by rows k=0..{MAX_CONSTRAINTS}")
+        over = forcing(MAX_CONSTRAINTS - 9)
+        assert over.status == "inconclusive"
+        assert over.diagnostics["notes"] == [
+            "2 admissible directions and moment forcing undecided: its last row "
+            f"k = {MAX_CONSTRAINTS + 1} exceeds the row budget MAX_CONSTRAINTS = {MAX_CONSTRAINTS}"
+        ]
+        assert [reason for _, reason in over.branch_table] == [
+            reason for _, reason in admitted.branch_table]
 
     def test_rayleigh_all_parameter_regimes(self):
         for s in ("3/4", "1", "6/5", "3/2", "2", "5"):
@@ -562,15 +595,15 @@ class TestVerdicts:
             assert "exclusion" in row
 
     @pytest.mark.parametrize("coeffs", [
-        [{0: 1}, {0: 1}, {0: 1}],
-        [{}, {1: 1}, {0: 1}],          # c_0 = 0
-        [{}, {}, {0: 1}],              # c_n is the only nonzero coefficient
-        [{2: 1}, {}, {5: QI(0, 1)}, {0: 3}],
+        {(0, 0): 1, (1, 0): 1, (2, 0): 1},
+        {(1, 1): 1, (2, 0): -1},       # c_0 = 0
+        {(2, 0): -1},                  # c_n is the only nonzero coefficient
+        {(0, 2): 1, (2, 5): 1, (3, 0): 3},
     ])
     def test_ordinary_point_is_one_bounded_branch_of_full_multiplicity(self, coeffs):
         # at an ordinary point every Newton-polygon edge has slope < 1, so
         # dominant balance gives one bounded branch of multiplicity n
-        ode = CfOde(coeffs)
+        ode = transform(coeffs)
         assert classify_singularity(ode).kind == "ordinary"
         table = [{**b.as_json(), "exclusion": classify_branch(b, ode.order)}
                  for b in dominant_balance(ode)]
@@ -603,7 +636,7 @@ class TestVerdicts:
         op = catalog_get("H4_T2m3")
         v = characterisation_verdict(op, zero_mean=True)
         assert v.ode == psi_transform(op)
-        assert v.ode.unit == psi_transform(op).unit
+        assert v.ode.turns == psi_transform(op).turns
 
 
 # operators with y-degree m = 1: two rows of integer entries in [-4, 4] at
@@ -648,9 +681,10 @@ class TestNumericalCrossCheck:
         from scipy.integrate import solve_ivp
 
         from cf_witness import eval_complex
+        from qi_witness import psi_transform as gaussian_transform
 
         for spec, order in self.CASES.items():
-            ode = ode_of(spec)
+            ode = gaussian_transform(catalog_get(spec))
             assert ode.order == order
 
             def rhs(t, y):

@@ -8,8 +8,9 @@ evaluates the normalised ODE residual
     R(t) = sum_k c_k(t) phi^(k)(t) / phi(t) = sum_k c_k(t) Y_k(S', ..., S^(k))
 
 in complex128, with S = A_S t^-gamma + a log t and Y_k the complete Bell
-polynomials built by their float recursion.  The c_k come from
-``psi_transform`` (checked exactly by criterion 01) of a catalog operator
+polynomials built by their float recursion.  The c_k come from the
+Gaussian-rational ``qi_witness.psi_transform`` (checked exactly against the
+package by criterion 01) of a catalog operator
 or of the H8 operator file ``tests/data/H8_T10m4.json``.  Nothing from the
 exact branch machinery in ``steinscope.asymptotics`` is used.
 
@@ -33,9 +34,12 @@ from math import comb, factorial, prod
 
 import numpy as np
 
-from steinscope.operators import catalog_get, psi_transform
+from steinscope.operators import catalog_get
 
-from ladder import H8_ODE
+from ladder import H8_T10m4
+from qi_witness import psi_transform
+
+H8_ODE = psi_transform(H8_T10m4)
 
 # fitted orders must land this close to the expected level; levels in every
 # case are at least 1/3 apart

@@ -18,7 +18,7 @@ import pytest
 import steinscope
 from steinscope import distributions
 from steinscope.asymptotics import _level_polynomials
-from steinscope.budgets import BUDGETS, LOG_WALK_TERMS
+from steinscope.budgets import BUDGETS, LOG_WALK_TERMS, MAX_CONSTRAINTS
 from steinscope.cli import (
     UsageError,
     _installed_version,
@@ -527,6 +527,24 @@ class TestAnalyzeBoundedWork:
         assert verdict["diagnostics"]["notes"] == [
             "log test for root -100000 undecided: its integer gap 100000 exceeds "
             f"the series budget LOG_WALK_TERMS = {LOG_WALK_TERMS}"
+        ]
+        assert elapsed < 1.0
+
+    def test_moment_forcing_over_budget_is_inconclusive(self, tmp_path):
+        # y^2 D - 10^12 y: the top recurrence coefficient k - 10^12 vanishes
+        # at k = 10^12, so moment forcing would read 10^12 rows
+        path = tmp_path / "forcing.json"
+        path.write_text(json.dumps(
+            {"T": 1, "m": 2, "coeff": [["0", "0"], ["-1000000000000", "0"], ["0", "1"]]}))
+        start = time.perf_counter()
+        code, report = run_report("analyze", "--op", path)
+        elapsed = time.perf_counter() - start
+        verdict = report["result"]["verdict"]
+        assert code == 1
+        assert verdict["status"] == "inconclusive"
+        assert verdict["diagnostics"]["notes"] == [
+            "2 admissible directions and moment forcing undecided: its last row "
+            f"k = 1000000000010 exceeds the row budget MAX_CONSTRAINTS = {MAX_CONSTRAINTS}"
         ]
         assert elapsed < 1.0
 

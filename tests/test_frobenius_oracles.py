@@ -3,11 +3,14 @@
 The trial-division ``_rational_roots`` and the dense series walk in
 ``indicial_roots`` below are the implementations the package used before it
 read rational roots off Sturm isolation and log terms off root sets, and
-``_factor_common_unit`` is the dense unit factoring they used before
-``GaussianRationalPoly.real_form``.  They are kept verbatim as reference
-oracles: hypothesis checks that the package (``algebra.rational_roots``,
-``GaussianRationalPoly.real_form`` and ``asymptotics.indicial_roots``) agrees
-with them on random polynomials and random regular singular ODEs.
+``_factor_common_unit`` is the dense unit factoring they used before the
+level polynomials were read as rational ones with quarter turns.  The walk
+runs over the Gaussian rationals, on the level polynomials
+``_level_polynomials`` of the ODE ``qi_witness.psi_transform`` builds.
+They are kept verbatim as reference oracles: hypothesis checks that the
+package (``algebra.rational_roots`` and ``asymptotics.indicial_roots`` on
+the rational ODE with quarter turns) agrees with them on random polynomials
+and on the transforms of random operators with regular singular points.
 """
 
 import math
@@ -16,17 +19,36 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 from steinscope import algebra, asymptotics
-from steinscope.algebra import QI, GaussianRationalPoly, RationalPoly
+from steinscope.algebra import RationalPoly, accumulate, falling_poly
 from steinscope.asymptotics import (
     IndicialRoot,
     IndicialRoots,
     NotRegularSingular,
-    _level_polynomials,
     classify_singularity,
 )
-from steinscope.operators import CfOde
+from steinscope.operators import SteinOperator, psi_transform
+
+import qi_witness
+from qi_witness import QI, CfOde, GaussianRationalPoly, to_gaussian
 
 # --- reference oracles, verbatim ----------------------------------------------
+
+
+def _level_polynomials(ode: CfOde) -> dict[int, GaussianRationalPoly]:
+    """P_r(beta) = sum over monomials c_{k,d} t^d D^k at level r of c_{k,d} (beta)_k.
+
+    Level r counts t-powers above the indicial level: a monomial sits at
+    r = (d - k) - (w - n) where w = val(c_n).  P_0 is the indicial
+    polynomial; the Frobenius series recurrence is
+    P_0(alpha + m) u_m = -sum_{r>=1} P_r(alpha + m - r) u_{m-r}.
+    """
+    n = ode.order
+    w = ode.coeffs[n].valuation()
+    return accumulate(
+        ((d - k) - (w - n), to_gaussian(falling_poly(k)) * v)
+        for k, c in enumerate(ode.coeffs)
+        for d, v in c.c.items()
+    )
 
 
 def _divisors(n: int) -> list[int]:
@@ -185,18 +207,18 @@ def falling_basis(coeffs) -> dict:
     return out
 
 
-def ode_from_levels(levels: dict) -> CfOde:
-    """ODE whose level-r Frobenius polynomial is ``levels[r]`` (dense in beta).
+def operator_from_levels(levels: dict, scale=1) -> SteinOperator:
+    """Operator whose level-r polynomial is ``scale * levels[r]`` (dense in beta).
 
-    Level r is carried by the monomials t^(k+r) D^k, so the ODE order is the
-    degree of levels[0], which is monic; no other level may exceed it.
+    Level r is carried by the monomials y^k D^(k+r), which the transform
+    maps to t^(k+r) phi^(k) times the quarter turn i^r, so the ODE order is
+    the degree of levels[0], which is monic; no other level may exceed it.
     """
-    n = len(levels[0]) - 1
-    coeffs = [{} for _ in range(n + 1)]
+    coeffs = {}
     for r, poly in levels.items():
         for k, b in falling_basis(poly).items():
-            coeffs[k][k + r] = b
-    return CfOde(coeffs)
+            coeffs[(k, k + r)] = scale * b
+    return SteinOperator(coeffs)
 
 
 def log_table(ind) -> list:
@@ -205,6 +227,8 @@ def log_table(ind) -> list:
 
 small = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 3))
 nonzero = small.filter(bool)
+# an overall factor, so that the transforms meet every normalising unit
+scales = st.sampled_from([1, -1, Fraction(1, 2), Fraction(-3, 2)])
 
 
 # --- rational roots -------------------------------------------------------------
@@ -250,15 +274,8 @@ class TestRationalRootsAgainstTrialDivision:
 
 @st.composite
 def level_poly(draw, n: int, roots=small):
-    """A real or Gaussian polynomial of degree <= n with roots drawn from ``roots``."""
-    re = [draw(nonzero) * c for c in product(draw(st.lists(roots, max_size=n)))]
-    if draw(st.booleans()):
-        return re
-    im = [draw(nonzero) * c for c in product(draw(st.lists(small, max_size=n)))]
-    unit = draw(st.sampled_from([QI(0, 1), QI(1, 1)]))
-    if draw(st.booleans()):  # proportional parts share every root
-        return [unit * c for c in re]
-    return [QI(a, b) for a, b in zip(re + [0] * len(im), im + [0] * len(re))]
+    """A rational polynomial of degree <= n with roots drawn from ``roots``."""
+    return [draw(nonzero) * c for c in product(draw(st.lists(roots, max_size=n)))]
 
 
 @st.composite
@@ -273,7 +290,7 @@ def indicial_with_gaps(draw, step: int = 1):
 
 
 @st.composite
-def two_level_odes(draw):
+def two_level_operators(draw):
     step = draw(st.integers(1, 3))
     alpha, roots = draw(indicial_with_gaps(step))
     if draw(st.booleans()):
@@ -283,82 +300,90 @@ def two_level_odes(draw):
         p_step = [draw(nonzero) * c for c in product(kills)]
     else:
         p_step = draw(level_poly(len(roots)))
-    return ode_from_levels({0: product(roots), step: p_step})
+    return operator_from_levels({0: product(roots), step: p_step}, draw(scales))
 
 
 @st.composite
-def three_level_odes(draw):
+def three_level_operators(draw):
     alpha, roots = draw(indicial_with_gaps())
     r1, r2 = sorted(draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True)))
     n = len(roots)
     # roots at alpha + integers can zero the forcing at a gap; a root at
     # alpha in every level keeps the whole series at u_0
     near = st.just(alpha) | st.integers(-2, 10).map(lambda j: alpha + j) | small
-    return ode_from_levels(
-        {0: product(roots), r1: draw(level_poly(n, near)), r2: draw(level_poly(n, near))}
+    return operator_from_levels(
+        {0: product(roots), r1: draw(level_poly(n, near)), r2: draw(level_poly(n, near))},
+        draw(scales),
     )
 
 
-KILLED = ode_from_levels({0: product([-4, 0]), 2: product([-4])})
-KILLED_AT_GAP = ode_from_levels({0: product([-4, 0]), 2: product([-2])})  # PRR's shape
-INTERMEDIATE = ode_from_levels({0: product([-4, -2, 0]), 2: [1]})
-FAR = ode_from_levels({0: product([-4, 0]), 2: product([-10])})
-SILENT = ode_from_levels({0: product([-4, -2, 0]), 1: product([-4]), 2: product([-4])})
+KILLED = operator_from_levels({0: product([-4, 0]), 2: product([-4])})
+KILLED_AT_GAP = operator_from_levels({0: product([-4, 0]), 2: product([-2])})  # PRR's shape
+INTERMEDIATE = operator_from_levels({0: product([-4, -2, 0]), 2: [1]})
+FAR = operator_from_levels({0: product([-4, 0]), 2: product([-10])})
+SILENT = operator_from_levels({0: product([-4, -2, 0]), 1: product([-4]), 2: product([-4])})
+
+
+def package_log_table(op: SteinOperator) -> list:
+    return log_table(asymptotics.indicial_roots(psi_transform(op)))
+
+
+def reference_log_table(op: SteinOperator) -> list:
+    return log_table(indicial_roots(qi_witness.psi_transform(op)))
 
 
 class TestLogTestAgainstDenseWalk:
     def test_chain_events(self):
         # P_2(beta) = beta + 4 vanishes at alpha + m - 2 for m = 2: the chain of
         # alpha = -4 dies before it reaches the root 0, so no log enters
-        assert log_table(asymptotics.indicial_roots(KILLED))[0] == (-4, 1, None)
+        assert package_log_table(KILLED)[0] == (-4, 1, None)
         # P_2(beta) = beta + 2 zeroes the forcing at the gap m = 4 itself
-        assert log_table(asymptotics.indicial_roots(KILLED_AT_GAP))[0] == (-4, 1, None)
+        assert package_log_table(KILLED_AT_GAP)[0] == (-4, 1, None)
         # the live chain of -4 reaches the intermediate root -2 first
-        assert log_table(asymptotics.indicial_roots(INTERMEDIATE))[0] == (-4, 1, -2)
-        assert log_table(asymptotics.indicial_roots(FAR))[0] == (-4, 1, 0)
+        assert package_log_table(INTERMEDIATE)[0] == (-4, 1, -2)
+        assert package_log_table(FAR)[0] == (-4, 1, 0)
         # P_1 and P_2 both vanish at -4, so the forcing is zero at every m:
         # the free coefficient at -2 is set to 0 and no log enters at 0 either
-        assert log_table(asymptotics.indicial_roots(SILENT))[0] == (-4, 1, None)
+        assert package_log_table(SILENT)[0] == (-4, 1, None)
 
     @settings(max_examples=150, deadline=None)
-    @given(two_level_odes())
+    @given(two_level_operators())
     @example(KILLED)
     @example(KILLED_AT_GAP)
     @example(INTERMEDIATE)
     @example(FAR)
-    def test_two_levels(self, ode):
+    def test_two_levels(self, op):
         try:
-            want = indicial_roots(ode)
+            want = reference_log_table(op)
         except NotRegularSingular:
             return
-        assert log_table(asymptotics.indicial_roots(ode)) == log_table(want)
+        assert package_log_table(op) == want
 
     @settings(max_examples=100, deadline=None)
-    @given(three_level_odes())
+    @given(three_level_operators())
     @example(SILENT)
-    def test_three_levels(self, ode):
+    def test_three_levels(self, op):
         try:
-            want = indicial_roots(ode)
+            want = reference_log_table(op)
         except NotRegularSingular:
             return
-        assert len(_level_polynomials(ode)) == 3
-        assert log_table(asymptotics.indicial_roots(ode)) == log_table(want)
+        assert len(asymptotics._level_polynomials(psi_transform(op))) == 3
+        assert package_log_table(op) == want
 
 
 # --- unit factoring -------------------------------------------------------------
 
 
-class TestRealFormAgainstUnitFactoring:
+class TestRationalFormAgainstUnitFactoring:
     @settings(max_examples=200, deadline=None)
-    @given(level_poly(4))
-    @example([QI(0, 2), 0, QI(0, -3)])
-    @example([Fraction(1), QI(0, 1)])
-    @example([])
-    def test_same_real_coefficients_or_none(self, coeffs):
-        values = [QI() + c for c in coeffs]
-        want = _factor_common_unit(values)
-        got = GaussianRationalPoly(dict(enumerate(values))).real_form()
-        if want is None:
-            assert got is None
-        else:
-            assert got == RationalPoly(dict(enumerate(want[1])))
+    @given(two_level_operators() | three_level_operators())
+    @example(operator_from_levels({0: [0, 2, 0, Fraction(-1, 3)]}))
+    @example(operator_from_levels({0: [-5, 0, 1], 1: [3]}, scale=-1))
+    def test_same_real_coefficients(self, op):
+        gaussian_ode = qi_witness.psi_transform(op)
+        if classify_singularity(gaussian_ode).kind != "regular_singular":
+            return
+        p0 = _level_polynomials(gaussian_ode)[0]
+        _, reals = _factor_common_unit([p0.coeff(d) for d in range(p0.degree() + 1)])
+        got = asymptotics.indicial_roots(psi_transform(op)).polynomial
+        assert got == RationalPoly(dict(enumerate(reals)))

@@ -6,7 +6,8 @@ their factors (t*y, cos and sin per frequency, the Gaussian weight, each
 image polynomial) and evaluated polynomials by an in-place Horner.
 ``_trig_image`` reads its wave polynomial off the raw characteristic-function
 transform, which the package no longer exposes; ``_raw_psi_transform`` is
-that transform as the package wrote it.  Each
+that transform as the package wrote it, over the Gaussian rationals of
+``qi_witness``.  Each
 image was evaluated on its own with numpy's ``polyval``.  They are kept
 verbatim as a reference oracle: every residual and standard error of
 ``mc_stein_residual`` must equal the oracle's bit for bit, for one thread
@@ -20,9 +21,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from steinscope.algebra import QI, GaussianRationalPoly, RationalPoly, unit_ipow
+from steinscope.algebra import RationalPoly
 from steinscope.distributions import get_target
-from steinscope.operators import CfOde, catalog_get
+from steinscope.operators import catalog_get
 from steinscope.verification import (
     _BLOCK,
     _CHUNK,
@@ -32,6 +33,8 @@ from steinscope.verification import (
     image_groups,
     mc_stein_residual,
 )
+
+from qi_witness import QI, CfOde, GaussianRationalPoly, unit_ipow
 
 # --- reference oracle, verbatim -------------------------------------------------
 

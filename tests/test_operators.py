@@ -5,15 +5,14 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from steinscope.algebra import QI, RationalPoly, gaussian_moment
+from steinscope.algebra import RationalPoly, gaussian_moment
 from steinscope.budgets import MAX_INDEX
 from steinscope.distributions import TARGET_BUILDERS, get_target
 from steinscope.operators import (
     FAMILIES,
     BadParameter,
-    CfOde,
     MomentRecurrence,
     SteinOperator,
     UnknownOperator,
@@ -23,6 +22,9 @@ from steinscope.operators import (
     stirling2,
     _stirling_row,
 )
+
+import qi_witness
+from qi_witness import QI, CfOde, gaussian
 
 fractions_st = st.fractions(min_value=-8, max_value=8, max_denominator=10)
 
@@ -71,10 +73,14 @@ class TestSteinOperator:
 
 
 class TestPsiTransformPrintedForms:
-    """The transform must reproduce the known closed-form ODEs exactly."""
+    """The transform must reproduce the known closed-form ODEs exactly.
+
+    Each expected ODE is written over Q(i) (``qi_witness.CfOde``), and
+    ``gaussian`` applies the quarter turns of the package's ODE to compare.
+    """
 
     def test_degree3_order3_ode(self):
-        ode = psi_transform(catalog_get("H3_T4m3"))
+        ode = gaussian(psi_transform(catalog_get("H3_T4m3")))
         target = CfOde(
             [
                 {3: 1080, 1: -12},
@@ -87,7 +93,7 @@ class TestPsiTransformPrintedForms:
         assert ode.unit == QI(0, -1)
 
     def test_degree4_order3_ode(self):
-        ode = psi_transform(catalog_get("H4_T2m3"))
+        ode = gaussian(psi_transform(catalog_get("H4_T2m3")))
         target = CfOde(
             [
                 {2: QI(0, -1728), 1: 1008, 0: QI(0, 24)},
@@ -100,7 +106,7 @@ class TestPsiTransformPrintedForms:
         assert ode.unit == QI(0, 1)
 
     def test_degree3_order2_ode(self):
-        ode = psi_transform(catalog_get("H3_T5m2"))
+        ode = gaussian(psi_transform(catalog_get("H3_T5m2")))
         target = CfOde(
             [
                 {1: 6, 3: 216, 5: 1944},
@@ -112,7 +118,7 @@ class TestPsiTransformPrintedForms:
         assert ode.unit == QI(0, 1)
 
     def test_degree4_order2_ode(self):
-        ode = psi_transform(catalog_get("H4_T3m2"))
+        ode = gaussian(psi_transform(catalog_get("H4_T3m2")))
         target = CfOde(
             [
                 {1: -24, 2: QI(0, 576), 3: 3456},
@@ -125,7 +131,7 @@ class TestPsiTransformPrintedForms:
 
     def test_rayleigh_ode(self):
         s = Fraction(3, 2)
-        ode = psi_transform(catalog_get(f"PRR:s={s}"))
+        ode = gaussian(psi_transform(catalog_get(f"PRR:s={s}")))
         target = CfOde([{1: 2 * s}, {2: s, 0: 2 * s - 1}, {1: 1}])
         assert ode == target
         assert ode.unit == QI(0, -1)
@@ -133,7 +139,7 @@ class TestPsiTransformPrintedForms:
     def test_product_normal_ode(self):
         for p in (1, 2, 3, 4, 5, 8):
             for s2 in (Fraction(1), Fraction(2), Fraction(1, 3)):
-                ode = psi_transform(catalog_get(f"PN:p={p},sigma2={s2}"))
+                ode = gaussian(psi_transform(catalog_get(f"PN:p={p},sigma2={s2}")))
                 coeffs = [{} for _ in range(max(p - 1, 1) + 1)]
                 for k in range(1, p + 1):
                     c = coeffs[k - 1]
@@ -143,7 +149,7 @@ class TestPsiTransformPrintedForms:
                 assert ode.unit == QI(0, -1)
 
     def test_gauss_semicircle_ode(self):
-        ode = psi_transform(catalog_get("gauss_semicircle_T5"))
+        ode = gaussian(psi_transform(catalog_get("gauss_semicircle_T5")))
         target = CfOde(
             [
                 {5: 1, 3: -5},
@@ -157,7 +163,7 @@ class TestPsiTransformPrintedForms:
 
     def test_beta_gamma_ode(self):
         a, b, r = Fraction(1, 2), Fraction(1), Fraction(2)
-        ode = psi_transform(catalog_get(f"BG1:a={a},b={b},r={r}"))
+        ode = gaussian(psi_transform(catalog_get(f"BG1:a={a},b={b},r={r}")))
         target = CfOde(
             [
                 {0: a * r},
@@ -170,7 +176,7 @@ class TestPsiTransformPrintedForms:
 
     def test_gamma_mixture_ode(self):
         r, lam, s2 = Fraction(2), Fraction(3), Fraction(1)
-        ode = psi_transform(catalog_get(f"G1X:r={r},lam={lam},sigma2={s2}"))
+        ode = gaussian(psi_transform(catalog_get(f"G1X:r={r},lam={lam},sigma2={s2}")))
         target = CfOde(
             [{1: r * (r + 1)}, {2: 2 * (r + 1), 0: lam / s2}, {3: 1}]
         )
@@ -178,7 +184,7 @@ class TestPsiTransformPrintedForms:
 
     def test_gamma_difference_ode(self):
         r, s, lam = Fraction(1, 3), Fraction(1, 4), Fraction(2)
-        ode = psi_transform(catalog_get(f"G1G2:r={r},s={s},lam={lam}"))
+        ode = gaussian(psi_transform(catalog_get(f"G1G2:r={r},s={s},lam={lam}")))
         target = CfOde(
             [{0: r * s}, {1: 1 + r + s, 0: QI(0, lam * lam)}, {2: 1}]
         )
@@ -186,7 +192,7 @@ class TestPsiTransformPrintedForms:
         assert ode.unit == QI(1)
 
     def test_degree5_leading_terms(self):
-        ode = psi_transform(catalog_get("H5_T13m4"))
+        ode = gaussian(psi_transform(catalog_get("H5_T13m4")))
         assert ode.order == 4
         lows = [(c.valuation(), c.coeff(c.valuation())) for c in ode.coeffs]
         assert lows == [
@@ -220,13 +226,43 @@ class TestPsiTransformCoefficients:
     def test_each_entry_becomes_one_ode_term(self, op):
         # a_ij y^i D^j becomes unit * a_ij * i^(j-i) t^j phi^(i), and the ODE
         # has no other term
-        ode = psi_transform(op)
+        ode = gaussian(psi_transform(op))
         powers_of_i = [QI(1), QI(0, 1), QI(-1), QI(0, -1)]
         assert ode.unit in powers_of_i
         assert ode.order == op.m
         terms = {(i, j): v for i, c in enumerate(ode.coeffs) for j, v in c.c.items()}
         assert terms == {(i, j): ode.unit * powers_of_i[(j - i) % 4] * a
                          for (i, j), a in op.a.items()}
+
+
+# one operator per normalising unit 1, i, -1, -i, with integer and p/q entries
+_UNIT_EXAMPLES = (
+    SteinOperator({(1, 1): 1, (0, 2): Fraction(-3, 7)}),
+    SteinOperator({(1, 0): 2, (0, 3): Fraction(5, 2)}),
+    SteinOperator({(2, 2): Fraction(-1, 3), (1, 0): 4, (0, 1): -1}),
+    SteinOperator({(2, 1): -6, (2, 0): Fraction(1, 9), (1, 3): 7}),
+)
+
+
+class TestTransformRendering:
+    """The report's ode block, printed from rational coefficients and quarter
+    turns, is the one the Gaussian-rational transform printed, byte for byte."""
+
+    def test_examples_cover_every_unit(self):
+        units = {psi_transform(op).as_json()["unit"] for op in _UNIT_EXAMPLES}
+        assert units == {"1", "1*i", "-1", "-1*i"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(operator_st)
+    @example(_UNIT_EXAMPLES[0])
+    @example(_UNIT_EXAMPLES[1])
+    @example(_UNIT_EXAMPLES[2])
+    @example(_UNIT_EXAMPLES[3])
+    def test_ode_block_is_the_gaussian_rendering(self, op):
+        reference = qi_witness.psi_transform(op)
+        ode = psi_transform(op)
+        assert ode.as_json() == qi_witness.rendered(reference)
+        assert gaussian(ode) == reference and gaussian(ode).unit == reference.unit
 
 
 class TestMomentRecurrence:

@@ -21,7 +21,9 @@ say which path:
   the two levels and inconsistent ring components;
 * moment forcing that pins every moment, leaves one or two free, finds the
   rows inconsistent, and walks 256 rows (``moment_row_N246``), together
-  with the symmetry exclusion and the conjugate-pair trap.
+  with the symmetry exclusion and the conjugate-pair trap;
+* a first-order ODE, an ordinary point, and the order-0 ODE of D
+  (``order_zero``).
 
 The transform reports cover all four normalising units.  Every report has
 its ``versions`` dropped and ``inputs.op`` set to the file name, so it

@@ -19,12 +19,7 @@ from steinscope import verification
 from steinscope.algebra import RationalPoly
 from steinscope.budgets import MAX_SAMPLES, OverBudget
 from steinscope.distributions import NoExactOracle, TargetDistribution, get_target
-from steinscope.operators import (
-    MomentRecurrence,
-    SteinOperator,
-    catalog_get,
-    psi_transform,
-)
+from steinscope.operators import MomentRecurrence, SteinOperator, catalog_get
 from steinscope.verification import (
     ResidualReport,
     _threads,
@@ -40,6 +35,7 @@ from cf_witness import (
     default_ode_grid,
     ode_residual,
 )
+from qi_witness import psi_transform
 
 F = Fraction
 
