@@ -528,23 +528,24 @@ def power_correction(ode: CfOde, branch: AsymptoticBranch) -> Fraction:
     """Log-correction coefficient a in S = A_S t^{-gamma} + a log t.
 
     With S' = A t^{-1-gamma} + a/t (A = -gamma A_S), the recursion
-    B_{k+1} = B_k' + S' B_k for phi^{(k)}/phi = B_k gives
+    Y_{k+1} = Y_k' + S' Y_k for phi^{(k)}/phi = Y_k gives
 
-        B_k = A^k t^{-k(1+gamma)}
+        Y_k = A^k t^{-k(1+gamma)}
               + A^{k-1} (k a - (1+gamma) k(k-1)/2) t^{-k(1+gamma)+gamma}
               + O(t^{-k(1+gamma)+2 gamma}),
 
     so a monomial c t^d D^k of the ODE, with lead e = d - k(1+gamma), feeds
     the levels e and e + gamma of the residual and nothing below e + 2 gamma.
-    With c = i^(turns + d - k) a and B = i^gamma A, c A^k = i^(turns + e) a B^k
-    and c A^(k-1) = i^(turns + e + gamma) a B^(k-1): every term of one level
+    With c = i^(turns + d - k) r for the rational r the ODE stores and
+    B = i^gamma A, c A^k = i^(turns + e) r B^k and
+    c A^(k-1) = i^(turns + e + gamma) r B^(k-1): every term of one level
     carries one unit, which is dropped.  Powers of B are reduced in
     Q[B]/(B^d - rho) with d = k2 - k1 from the branch's edge and the
-    branch's rational rho = B^d.  The balance level e_bal must cancel identically
-    (that is the dominant balance), no level may lie below it or strictly
-    between it and e_bal + gamma, and the level e_bal + gamma, linear in a,
-    must fix a consistently across all ring components.  The refined
-    solution is phi ~ t^a e^{A_S t^{-gamma}}.
+    branch's rational rho = B^d.  The balance level e_bal must cancel
+    identically (that is the dominant balance), no level may lie below it
+    or strictly between it and e_bal + gamma, and the level e_bal + gamma,
+    linear in a, must fix a consistently across all ring components.  The
+    refined solution is phi ~ t^a e^{A_S t^{-gamma}}.
     """
     if branch.kind != "exponential" or branch.rho is None:
         raise ValueError("power_correction needs an exponential branch")
@@ -563,7 +564,7 @@ def power_correction(ode: CfOde, branch: AsymptoticBranch) -> Fraction:
         q, u = divmod(k, k2 - k1)
         return u, coeff * rho**q
 
-    terms: dict[Fraction, list] = {}  # level -> [(A-power, coefficient)]
+    terms: dict[Fraction, list] = {}  # level -> [(B-power, coefficient)]
     alpha_terms = []  # the coefficient of a at level top
     for k, c in enumerate(ode.coeffs):
         for d, v in c.c.items():

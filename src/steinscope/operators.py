@@ -15,8 +15,9 @@ phi(t) = E[e^{itY}]:
 where the power of y becomes the derivative order on phi and the derivative
 order becomes the power of t.  ``psi_transform`` computes this ODE exactly:
 each coefficient is the rational a_{i,j} times a quarter turn i^{j-i}, and
-``CfOde`` keeps the two apart until the ODE is printed.  Substituting f(y) = y^k instead yields an
-exact linear recurrence among the moments of Y (``MomentRecurrence``).
+``CfOde`` keeps the two apart until the ODE is printed.  Substituting
+f(y) = y^k instead yields an exact linear recurrence among the moments of
+Y (``MomentRecurrence``).
 
 ``catalog_get`` serves the bundled operators: the Hermite-target operators
 H3_T4m3, H3_T5m2, H4_T2m3, H4_T3m2, H5_T13m4, H6_T6m3 (suffix: maximal

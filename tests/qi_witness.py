@@ -4,11 +4,11 @@ The package analyses the transform of an operator as rational coefficients
 with quarter turns (``operators.CfOde``).  This module keeps, as a test-side
 reference, the Gaussian-rational arithmetic it used before: ``QI``,
 ``GaussianRationalPoly`` and the ODE ``psi_transform`` built over them, as
-they were.  Tests compare the package with it, and the float witnesses
-(``cf_witness``, ``test_branch_witness``) evaluate its complex
-coefficients.  ``gaussian`` gives the ODE over Q(i) that a package ODE
-stands for, and ``rendered`` the ``ode`` block the reports printed from
-this form.
+they were (less ``real_form``, which no test needs).  Tests compare the
+package with it, and the float witnesses (``cf_witness``,
+``test_branch_witness``) evaluate its complex coefficients.  ``gaussian``
+gives the ODE over Q(i) that a package ODE stands for, and ``rendered`` the
+``ode`` block the reports printed from this form.
 """
 
 from __future__ import annotations
@@ -149,7 +149,6 @@ class _SparsePoly(_SparseDict):
         return " + ".join(parts)
 
 
-
 def _as_qi(x) -> QI:
     if isinstance(x, QI):
         return x
@@ -163,20 +162,6 @@ class GaussianRationalPoly(_SparsePoly):
 
     _zero = QI()
     _coerce = staticmethod(_as_qi)
-
-    def real_form(self) -> RationalPoly | None:
-        """u * self as a polynomial over Q, for the unit u that makes it real.
-
-        u = 1 when every coefficient is real and u = -i when every one is
-        imaginary; None when the coefficients are mixed.  A unit factor
-        moves no root.
-        """
-        if not any(v.im for v in self.c.values()):
-            return RationalPoly({d: v.re for d, v in self.c.items()})
-        if not any(v.re for v in self.c.values()):
-            return RationalPoly({d: v.im for d, v in self.c.items()})
-        return None
-
 
 
 def to_gaussian(poly: RationalPoly) -> GaussianRationalPoly:

@@ -251,7 +251,8 @@ def test_criterion_04_power_corrections():
         (2, 2, 1, 5),
         (3, F(9, 2), F(-1, 3), F(7, 2)),
     ]:
-        ode = psi_transform(SteinOperator({(2, 2): 1, (1, 0): -a, (1, 1): b, (1, 2): c, (0, 0): d}))
+        op = SteinOperator({(2, 2): 1, (1, 0): -a, (1, 1): b, (1, 2): c, (0, 0): d})
+        ode = psi_transform(op)
         if gaussian(ode) != GaussianOde([{0: F(d)}, {0: QI(0, a), 1: F(b), 2: QI(0, c)}, {2: 1}]):
             failures.append(f"template b={b}: the operator's ODE is not the template")
         (branch,) = [x for x in dominant_balance(ode) if x.kind == "exponential"]
