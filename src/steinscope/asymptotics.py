@@ -61,9 +61,10 @@ The analysis is exact throughout:
   ones through dominant balance plus corrections; if several admissible
   directions remain, the exact moment recurrence of the operator is
   solved symbolically to see whether the target's moments are pinned,
-  optionally consuming the side conditions zero_mean and/or symmetry.
-  Verdicts report exactly the conditions consumed, and keep the ODE they
-  analysed.
+  optionally consuming the side conditions zero_mean and/or symmetry; a
+  recurrence that needs more than ``budgets.MAX_CONSTRAINTS`` rows leaves
+  the verdict inconclusive.  Verdicts report exactly the conditions
+  consumed, and keep the ODE they analysed.
 """
 
 from __future__ import annotations
