@@ -668,30 +668,24 @@ def classify_branch(
 # --- symbolic moment forcing --------------------------------------------------
 
 
-def _forcing_rows(rec: MomentRecurrence) -> int:
-    """The last row k that moment forcing reads.
-
-    That is past every degenerate row (a nonnegative integer root of the
-    top coefficient) plus a safety margin.
-    """
-    top_roots, _ = rational_roots(rec.leading_coefficient_poly())
-    deg_rows = [int(r) for r in top_roots if r.denominator == 1 and r >= 0]
-    smax, smin = rec.max_shift, rec.min_shift
-    return (max(deg_rows) + 1 if deg_rows else 0) + (smax - smin) + abs(smax) + 8
-
-
 def _moment_forcing(op: SteinOperator, zero_mean: bool, symmetry: bool):
     """Do the recurrence rows E[S y^k] = 0 pin every moment of the target?
 
-    Processes the rows k = 0 .. ``_forcing_rows``; returns (pinned: bool,
-    free moment orders, rows).  Each moment is an exact linear expression
+    Processes rows until past every degenerate row (vanishing top coefficient)
+    plus a safety margin; returns (pinned: bool, free moment orders, rows).
+    When that last row exceeds MAX_CONSTRAINTS no row is read and the free
+    orders are None.  Each moment is an exact linear expression
     {unknown: coefficient} (None is the constant 1) in free unknowns created
     on first use; a row that cannot solve for its top moment eliminates its
     newest unknown.
     """
     rec = MomentRecurrence(op)
-    smax = rec.max_shift
-    rows = _forcing_rows(rec)
+    smax, smin = rec.max_shift, rec.min_shift
+    top_roots, _ = rational_roots(rec.leading_coefficient_poly())
+    deg_rows = [int(r) for r in top_roots if r.denominator == 1 and r >= 0]
+    rows = (max(deg_rows) + 1 if deg_rows else 0) + (smax - smin) + abs(smax) + 8
+    if rows > MAX_CONSTRAINTS:
+        return False, None, rows
     moments: dict[int, dict] = {0: {None: Fraction(1)}}
     order: list[int] = []  # unknown u stands for E[W^order[u]]
 
@@ -932,14 +926,6 @@ def characterisation_verdict(
         ]
         return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
     if candidates > 1:
-        rows = _forcing_rows(MomentRecurrence(op))
-        if rows > MAX_CONSTRAINTS:
-            diagnostics["notes"] = [
-                f"{candidates} admissible directions and moment forcing undecided: "
-                f"its last row k = {rows} exceeds the row budget "
-                f"MAX_CONSTRAINTS = {MAX_CONSTRAINTS}"
-            ]
-            return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
         options = [set()]
         if zero_mean:
             options.append({"zero_mean"})
@@ -953,6 +939,13 @@ def characterisation_verdict(
             ok, free, rows = _moment_forcing(
                 op, "zero_mean" in opt, "symmetry" in opt
             )
+            if free is None:
+                diagnostics["notes"] = [
+                    f"{candidates} admissible directions and moment forcing undecided: "
+                    f"its last row k = {rows} exceeds the row budget "
+                    f"MAX_CONSTRAINTS = {MAX_CONSTRAINTS}"
+                ]
+                return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
             if ok:
                 conditions |= opt
                 diagnostics["moment_forcing"] = (

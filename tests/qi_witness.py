@@ -4,11 +4,12 @@ The package analyses the transform of an operator as rational coefficients
 with quarter turns (``operators.CfOde``).  This module keeps, as a test-side
 reference, the Gaussian-rational arithmetic it used before: ``QI``,
 ``GaussianRationalPoly`` and the ODE ``psi_transform`` built over them, as
-they were (less ``real_form``, which no test needs).  Tests compare the
-package with it, and the float witnesses (``cf_witness``,
+they were (less ``real_form`` and ``QI.conjugate``, which no test needs).
+Tests compare the package with it, and the float witnesses (``cf_witness``,
 ``test_branch_witness``) evaluate its complex coefficients.  ``gaussian``
 gives the ODE over Q(i) that a package ODE stands for, and ``rendered`` the
-``ode`` block the reports printed from this form.
+``ode`` block the reports printed from this form.  ``test_qi_witness``
+checks the arithmetic itself.
 """
 
 from __future__ import annotations
@@ -86,9 +87,6 @@ class QI:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return QI((self.re * other.re + self.im * other.im) / n,
                   (self.im * other.re - self.re * other.im) / n)
-
-    def conjugate(self):
-        return QI(self.re, -self.im)
 
     def __repr__(self):
         if not self.im:

@@ -23,6 +23,8 @@ from steinscope.algebra import (
 )
 from steinscope.malliavin import hermite_product
 
+from qi_witness import QI, GaussianRationalPoly
+
 fractions_st = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
@@ -260,12 +262,16 @@ class TestAccumulate:
         assert result is out
         assert out == {0: 1, 5: Fraction(1, 3)}
 
+    def test_gaussian_rational_values(self):
+        assert accumulate([("a", QI(1, 1)), ("a", QI(0, -1)), ("b", QI(0, 2)),
+                           ("b", QI(0, -2))]) == {"a": QI(1)}
+
     def test_polynomial_values(self):
         # _SparseDict.__bool__ makes a zero polynomial a zero sum
         x = RationalPoly({1: 1})
         out = accumulate([(0, x), (1, RationalPoly({0: 2})), (0, -x)])
         assert out == {1: RationalPoly({0: 2})}
-        assert not RationalPoly()
+        assert not RationalPoly() and not GaussianRationalPoly({3: QI()})
 
     @given(st.lists(st.tuples(st.integers(0, 4), fractions_st)))
     def test_matches_summing_then_pruning(self, pairs):

@@ -4,7 +4,8 @@ Each ``tests/data/verdicts/<name>.json`` is an operator file, and
 ``reports/<name>.<command>.json`` holds the report the Gaussian-rational
 implementation of the analysis gave for it, recorded before the analysis
 moved to rational coefficients with quarter turns.  The commands are
-``transform``, ``analyze`` and ``analyze --symmetric --zero-mean``.  The
+``analyze`` and ``analyze --symmetric --zero-mean``; each report carries the
+operator's transform in its ``ode`` block.  The
 operators came from a seeded random search over small shapes, kept as the
 first that reached each path, plus a few written by hand; the file names
 say which path:
@@ -25,7 +26,7 @@ say which path:
 * a first-order ODE, an ordinary point, and the order-0 ODE of D
   (``order_zero``).
 
-The transform reports cover all four normalising units.  Every report has
+The ``ode`` blocks cover all four normalising units.  Every report has
 its ``versions`` dropped and ``inputs.op`` set to the file name, so it
 depends on nothing but the program.
 """
@@ -41,7 +42,6 @@ from steinscope.cli import main, report_json
 
 CORPUS = Path(__file__).parent / "data" / "verdicts"
 COMMANDS = {
-    "transform": ("transform",),
     "analyze": ("analyze",),
     "analyze-sym": ("analyze", "--symmetric", "--zero-mean"),
 }
