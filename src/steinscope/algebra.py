@@ -80,24 +80,20 @@ def _as_fraction(x) -> Fraction:
 
 
 class _SparseDict:
-    """Sparse ``{degree: coefficient}`` arithmetic shared by every basis.
+    """Sparse ``{degree: coefficient}`` arithmetic over Q shared by every basis.
 
-    Subclasses fix the coefficient domain (``_zero``, ``_coerce``) and the
-    product of two elements (``_product``); this class supplies the rest of
-    the ring: pruning construction, equality, +, -, and scalar *.
+    Coefficients are Fractions, read by ``_as_fraction``.  Subclasses fix
+    the product of two elements (``_product``); this class supplies the
+    rest of the ring: pruning construction, equality, +, -, and scalar *.
     """
 
     __slots__ = ("c",)
-
-    # subclasses set these
-    _zero = None
-    _coerce = None
 
     def __init__(self, coeffs=None):
         c = {}
         if coeffs:
             for d, v in coeffs.items():
-                v = self._coerce(v)
+                v = _as_fraction(v)
                 if v:
                     c[int(d)] = v
         self.c = c
@@ -118,8 +114,8 @@ class _SparseDict:
         """Degree, with the zero element given degree -1."""
         return max(self.c) if self.c else -1
 
-    def coeff(self, d: int):
-        return self.c.get(d, self._zero)
+    def coeff(self, d: int) -> Fraction:
+        return self.c.get(d, Fraction(0))
 
     def __eq__(self, other):
         if isinstance(other, type(self)):
@@ -146,7 +142,7 @@ class _SparseDict:
         if isinstance(other, type(self)):
             return self._new(self._product(other))
         try:
-            scalar = self._coerce(other)
+            scalar = _as_fraction(other)
         except TypeError:
             return NotImplemented
         return self._new({d: v * scalar for d, v in self.c.items()} if scalar else {})
@@ -158,8 +154,6 @@ class RationalPoly(_SparseDict):
     """Sparse polynomial over Q in the monomial basis."""
 
     __slots__ = ()
-    _zero = Fraction(0)
-    _coerce = staticmethod(_as_fraction)
 
     def valuation(self) -> int | None:
         """Order of vanishing at 0; None for the zero polynomial."""

@@ -74,7 +74,7 @@ from fractions import Fraction
 
 from .algebra import RationalPoly, accumulate, falling_poly, fraction_nth_root, rational_roots
 from .budgets import LOG_WALK_TERMS, MAX_CONSTRAINTS
-from .operators import CfOde, MomentRecurrence, SteinOperator, psi_transform
+from .operators import CfOde, MomentRecurrence, SteinOperator, psi_transform, quarter_turn
 
 
 class NotRegularSingular(ValueError):
@@ -249,9 +249,9 @@ def _rational_form(poly: RationalPoly, turns: int) -> RationalPoly:
     """The rational polynomial a report prints for i^turns * poly.
 
     A real one keeps its coefficients and an imaginary one gives its
-    imaginary parts: poly for turns 0 and 1 (mod 4), -poly for 2 and 3.
+    imaginary parts: the sign of i^turns times poly.
     """
-    return poly if turns % 4 < 2 else -poly
+    return quarter_turn(turns)[0] * poly
 
 
 def _chain_log(alpha: Fraction, alphas: list, step: int, p_step) -> Fraction | None:
@@ -674,10 +674,11 @@ def _moment_forcing(op: SteinOperator, zero_mean: bool, symmetry: bool):
     Processes rows until past every degenerate row (vanishing top coefficient)
     plus a safety margin; returns (pinned: bool, free moment orders, rows).
     When that last row exceeds MAX_CONSTRAINTS no row is read and the free
-    orders are None.  Each moment is an exact linear expression
-    {unknown: coefficient} (None is the constant 1) in free unknowns created
-    on first use; a row that cannot solve for its top moment eliminates its
-    newest unknown.
+    orders are None.  A row k that reduces to a nonzero constant stops the
+    walk, since no law satisfies the rows 0..k: the result is (False, [], k).
+    Each moment is an exact linear expression {unknown: coefficient} (None
+    is the constant 1) in free unknowns created on first use; a row that
+    cannot solve for its top moment eliminates its newest unknown.
     """
     rec = MomentRecurrence(op)
     smax, smin = rec.max_shift, rec.min_shift
@@ -718,7 +719,7 @@ def _moment_forcing(op: SteinOperator, zero_mean: bool, symmetry: bool):
         unknowns = [u for u in expr if u is not None]
         if not unknowns:
             if expr:
-                return False, [], rows  # inconsistent: no law satisfies the system
+                return False, [], k  # inconsistent: no law satisfies the system
             continue
         u = max(unknowns)
         sub = [(x, -w / expr[u]) for x, w in expr.items() if x != u]
@@ -933,13 +934,14 @@ def characterisation_verdict(
             options.append({"symmetry"})
         if zero_mean and symmetric:
             options.append({"zero_mean", "symmetry"})
-        pinned = False
-        free: list[int] = []
+        free = None
+        inconsistent = []
         for opt in options:
-            ok, free, rows = _moment_forcing(
+            ok, opt_free, rows = _moment_forcing(
                 op, "zero_mean" in opt, "symmetry" in opt
             )
-            if free is None:
+            using = f" using {sorted(opt)}" if opt else ""
+            if opt_free is None:
                 diagnostics["notes"] = [
                     f"{candidates} admissible directions and moment forcing undecided: "
                     f"its last row k = {rows} exceeds the row budget "
@@ -948,18 +950,21 @@ def characterisation_verdict(
                 return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
             if ok:
                 conditions |= opt
-                diagnostics["moment_forcing"] = (
-                    f"all moments pinned by rows k=0..{rows}"
-                    + (f" using {sorted(opt)}" if opt else "")
-                )
-                pinned = True
+                diagnostics["moment_forcing"] = f"all moments pinned by rows k=0..{rows}{using}"
                 break
-        if not pinned:
-            diagnostics["free_moments"] = free
-            diagnostics["notes"] = [
-                f"{candidates} admissible directions and the recurrence "
-                f"leaves E[W^n] free for n in {free}"
-            ]
+            if opt_free:
+                free = opt_free
+            else:
+                inconsistent.append(f"no law satisfies rows k=0..{rows}{using}")
+        else:
+            if inconsistent:
+                diagnostics["inconsistent_forcing"] = inconsistent
+            if free is None:
+                outcome = "no law with finite moments satisfies the operator's moment recurrence"
+            else:
+                diagnostics["free_moments"] = free
+                outcome = f"the recurrence leaves E[W^n] free for n in {free}"
+            diagnostics["notes"] = [f"{candidates} admissible directions and {outcome}"]
             return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
 
     status = "characterising_with_conditions" if conditions else "characterising"

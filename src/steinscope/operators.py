@@ -173,10 +173,15 @@ class SteinOperator:
         return f"SteinOperator({label}{' + '.join(parts)})"
 
 
+def quarter_turn(n: int) -> tuple[int, bool]:
+    """i^n as (sign, imaginary): i^n is sign * i when n is odd, sign otherwise."""
+    return (1 if n % 4 < 2 else -1), n % 2 == 1
+
+
 def _gaussian_str(a: Fraction, turns: int) -> str:
     """i^turns * a as text: a, a*i, -a or -a*i."""
-    text = str(a if turns % 4 < 2 else -a)
-    return f"{text}*i" if turns % 2 else text
+    sign, imaginary = quarter_turn(turns)
+    return f"{sign * a}*i" if imaginary else str(sign * a)
 
 
 class CfOde:

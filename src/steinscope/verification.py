@@ -47,7 +47,7 @@ from fractions import Fraction
 
 from .algebra import RationalPoly, _as_fraction, accumulate, float_horner
 from .budgets import check
-from .operators import MomentRecurrence, SteinOperator
+from .operators import MomentRecurrence, SteinOperator, quarter_turn
 
 _DEFAULT_N = 10**6
 # Samples per Monte-Carlo chunk, and the standard errors a residual may reach.
@@ -161,19 +161,18 @@ def _wave_images(op: SteinOperator, t):
     S e^{ity} = e^{ity} P(y) with P(y) = sum a_ij (it)^j y^i, so S cos(ty)
     is Re(e^{ity} P) = cos(ty) Re P - sin(ty) Im P and S sin(ty) is
     Im(e^{ity} P) = sin(ty) Re P + cos(ty) Im P.  P is read off the
-    operator once: i^j is (-1)^(j//2) in Re P for even j and in Im P for
-    odd j.  Both parts become floats here, before any sample.
+    operator once, each i^j as its quarter turn.  Both parts become floats
+    here, before any sample.
     Returns the two labels and ``evaluate(y, outs)``, which writes both
     images of the samples y into outs.
     """
     import numpy as np
 
-    re, im = (
-        RationalPoly(accumulate((i, (-1) ** (j // 2) * v * Fraction(t)**j)
-                                for (i, j), v in op.a.items() if j % 2 == odd)
-                     ).float_coefficients()
-        for odd in (0, 1)
-    )
+    parts = ({}, {})  # Re P, Im P
+    for (i, j), v in op.a.items():
+        sign, imaginary = quarter_turn(j)
+        accumulate([(i, sign * v * Fraction(t)**j)], parts[imaginary])
+    re, im = (RationalPoly(part).float_coefficients() for part in parts)
     tf = float(t)
 
     def evaluate(y, outs):

@@ -4,7 +4,9 @@ The package analyses the transform of an operator as rational coefficients
 with quarter turns (``operators.CfOde``).  This module keeps, as a test-side
 reference, the Gaussian-rational arithmetic it used before: ``QI``,
 ``GaussianRationalPoly`` and the ODE ``psi_transform`` built over them, as
-they were (less ``real_form`` and ``QI.conjugate``, which no test needs).
+they were (less ``real_form`` and ``QI.conjugate``, which no test needs),
+with its own copy of the sparse-dict ring, since the package's is over Q
+alone.
 Tests compare the package with it, and the float witnesses (``cf_witness``,
 ``test_branch_witness``) evaluate its complex coefficients.  ``gaussian``
 gives the ODE over Q(i) that a package ODE stands for, and ``rendered`` the
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from steinscope.algebra import RationalPoly, _as_fraction, _SparseDict, accumulate
+from steinscope.algebra import RationalPoly, _as_fraction, accumulate
 from steinscope.operators import SteinOperator
 
 
@@ -100,6 +102,83 @@ class QI:
 #: i**k as an exact QI, for any integer k (negative included).
 def unit_ipow(k: int) -> QI:
     return (QI(1), QI(0, 1), QI(-1), QI(0, -1))[k % 4]
+
+
+class _SparseDict:
+    """Sparse ``{degree: coefficient}`` arithmetic over any coefficient domain.
+
+    The package's ``algebra._SparseDict`` as it was before its domain
+    became Q alone.  Subclasses fix the coefficient domain (``_zero``,
+    ``_coerce``) and the product of two elements (``_product``); this class
+    supplies the rest of the ring: pruning construction, equality, +, -,
+    and scalar *.
+    """
+
+    __slots__ = ("c",)
+
+    # subclasses set these
+    _zero = None
+    _coerce = None
+
+    def __init__(self, coeffs=None):
+        c = {}
+        if coeffs:
+            for d, v in coeffs.items():
+                v = self._coerce(v)
+                if v:
+                    c[int(d)] = v
+        self.c = c
+
+    def _new(self, c: dict):
+        """An element of this type with the already-pruned coefficients ``c``."""
+        r = type(self).__new__(type(self))
+        r.c = c
+        return r
+
+    def is_zero(self) -> bool:
+        return not self.c
+
+    def __bool__(self):
+        return bool(self.c)
+
+    def degree(self) -> int:
+        """Degree, with the zero element given degree -1."""
+        return max(self.c) if self.c else -1
+
+    def coeff(self, d: int):
+        return self.c.get(d, self._zero)
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.c == other.c
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self.c.items()))
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._new(accumulate(other.c.items(), dict(self.c)))
+
+    def __neg__(self):
+        return self._new({d: -v for d, v in self.c.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            return self._new(self._product(other))
+        try:
+            scalar = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self._new({d: v * scalar for d, v in self.c.items()} if scalar else {})
+
+    __rmul__ = __mul__
 
 
 class _SparsePoly(_SparseDict):

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinscope import malliavin
-from steinscope.algebra import gaussian_power_moments
+from steinscope.algebra import gaussian_power_moments, primitive
+from steinscope.discovery import _nullspace
 from steinscope.malliavin import (
     ChaosElement,
     L_inverse,
@@ -307,3 +308,44 @@ class TestGammaCharacterisations:
                  - 99 * gamma_r(Y, 1) + gamma_r(Y, 3))
         assert combo.expectation() == 0
         assert (gamma_r(Y, 3) - 99 * gamma_r(Y, 1)).expectation() != 0
+
+
+def _relation_basis(p, R, J):
+    """The discovery engine's basis of the integer relations at Y = H_p(X).
+
+    The columns are the pairs (r, j), 0 <= r <= R and 0 <= j <= J, in lex
+    order: (0, j) is Y^j and (r, j) with r >= 1 is Y^j Gamma_r(Y).  There is
+    one row per Hermite level.  Each relation comes back as {(r, j): c}.
+    """
+    Y = H(p)
+    keys = [(r, j) for r in range(R + 1) for j in range(J + 1)]
+    columns = []
+    for r, j in keys:
+        column = ChaosElement({0: 1})
+        for _ in range(j):
+            column = column * Y
+        columns.append(column * gamma_r(Y, r) if r else column)
+    levels = sorted({q for column in columns for q in column.c})
+    rows = [primitive([column.c.get(q, F(0)) for column in columns]) for q in levels]
+    return [{k: v for k, v in zip(keys, vector) if v}
+            for vector in _nullspace(rows, len(keys))]
+
+
+class TestGammaRelationBasis:
+    """A second witness for the catalogued combinations: the relations among
+    Y^j and Y^j Gamma_r(Y) that the nullspace engine finds, not typed."""
+
+    @pytest.mark.parametrize("label, R, J, nullity", [("4.1", 5, 2, 3), ("4.3", 3, 2, 2)])
+    def test_catalogued_combination_is_a_basis_vector(self, label, R, J, nullity):
+        p, terms = malliavin._IDENTITIES[label]
+        basis = _relation_basis(p, R, J)
+        assert len(basis) == nullity
+        assert terms in basis
+
+    def test_second_h3_combination_is_found_with_gamma4_coefficient_four(self):
+        # the corrected form that the residual -3 Gamma_4(H3) above implies
+        p, printed = malliavin._IDENTITIES["4.2"]
+        basis = _relation_basis(p, 4, 3)
+        assert len(basis) == 3
+        assert {**printed, (4, 0): 4} in basis
+        assert printed not in basis

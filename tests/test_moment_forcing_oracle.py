@@ -3,9 +3,11 @@
 ``_LinearMoments`` and ``_moment_forcing`` below are the implementation the
 package used before the moment expressions became local state of
 ``asymptotics._moment_forcing`` built on ``algebra.accumulate``.  They are
-kept verbatim as a reference oracle: hypothesis checks that the package
-returns the same (pinned, free moments, rows) on random small operators under
-every combination of the side conditions zero_mean and symmetry.
+kept verbatim as a reference oracle, except that an inconsistent row k now
+gives (False, [], k) rather than (False, [], rows): hypothesis checks that the
+package returns the same (pinned, free moments, rows) on random small
+operators under every combination of the side conditions zero_mean and
+symmetry.
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ from steinscope import asymptotics
 from steinscope.algebra import rational_roots
 from steinscope.operators import MomentRecurrence, SteinOperator, catalog_get
 
-# --- reference oracle, verbatim -------------------------------------------------
+# --- reference oracle -----------------------------------------------------------
 
 
 class _LinearMoments:
@@ -108,7 +110,7 @@ def _moment_forcing(op: SteinOperator, zero_mean: bool, symmetry: bool):
         for sft, v in cs.items():
             state._add_scaled(expr, state.get(k + sft), v)
         if expr and not state.pin_symbol(expr):
-            return False, [], rows  # inconsistent: no law satisfies the system
+            return False, [], k  # inconsistent: no law satisfies the system
     free = state.free_moment_indices()
     return not free, free, rows
 

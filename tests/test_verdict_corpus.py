@@ -28,17 +28,23 @@ say which path:
 
 The ``ode`` blocks cover all four normalising units.  Every report has
 its ``versions`` dropped and ``inputs.op`` set to the file name, so it
-depends on nothing but the program.
+depends on nothing but the program.  Six reports were recorded again when
+moment forcing learned to name the side conditions under which no law
+satisfies the recurrence rows (``inconsistent_forcing``): both reports of
+``forcing_inconsistent`` and ``rho_turn1``, and the ``analyze-sym`` reports
+of ``forcing_two_free`` and ``ordinary``; only their diagnostics changed.
 """
 
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from math import perm
 from pathlib import Path
 
 import pytest
 
-from steinscope.cli import main, report_json
+from steinscope.cli import load_operator_file, main, report_json
 
 CORPUS = Path(__file__).parent / "data" / "verdicts"
 COMMANDS = {
@@ -73,3 +79,76 @@ def test_every_report_has_its_operator():
     assert len(stems) >= 30
     recorded = {p.name for p in (CORPUS / "reports").glob("*.json")}
     assert recorded == {f"{s}.{label}.json" for s in stems for label in COMMANDS}
+
+
+def _inconsistent_cases():
+    """(operator stem, diagnostic) for each inconsistent forcing a report names."""
+    cases = set()
+    for path in (CORPUS / "reports").glob("*.json"):
+        verdict = json.loads(path.read_text(encoding="utf-8"))["result"]["verdict"]
+        for entry in verdict["diagnostics"].get("inconsistent_forcing", ()):
+            cases.add((path.name.split(".")[0], entry))
+    return sorted(cases)
+
+
+def _moment_rows(op, k_max, vanishes):
+    """The rows E[S y^k] = sum a_ij (k)_j E[W^(k+i-j)] = 0 for k <= k_max.
+
+    Each row is ({n: coefficient of E[W^n]}, right-hand side), with E[W^0] = 1
+    moved to the right and the moments that ``vanishes`` names dropped.
+    """
+    rows = []
+    for k in range(k_max + 1):
+        row, rhs = {}, Fraction(0)
+        for (i, j), a in op.a.items():
+            n, c = k + i - j, a * perm(k, j)
+            if not c or vanishes(n):
+                continue
+            if n == 0:
+                rhs -= c
+            else:
+                row[n] = row.get(n, 0) + c
+        rows.append((row, rhs))
+    return rows
+
+
+def _solvable(rows) -> bool:
+    """Whether some moments satisfy every row, by Gaussian elimination."""
+    pivots = {}  # column -> (row scaled to 1 there, right-hand side)
+    for row, rhs in rows:
+        row = dict(row)
+        for col, (prow, prhs) in pivots.items():
+            factor = row.get(col, 0)
+            if factor:
+                for n, v in prow.items():
+                    row[n] = row.get(n, 0) - factor * v
+                rhs -= factor * prhs
+        row = {n: v for n, v in row.items() if v}
+        if not row:
+            if rhs:
+                return False
+            continue
+        col = min(row)
+        pivots[col] = ({n: v / row[col] for n, v in row.items()}, rhs / row[col])
+    return True
+
+
+@pytest.mark.parametrize("stem, entry", _inconsistent_cases())
+def test_inconsistent_forcing_rows_have_no_solution(stem, entry):
+    # "no law satisfies rows k=0..K [using [...]]": the rows 0..K under the
+    # named side conditions, solved in Fractions, have no solution, and
+    # the rows before K have one
+    k = int(entry.split("k=0..")[1].split()[0])
+    symmetry, zero_mean = "symmetry" in entry, "zero_mean" in entry
+
+    def vanishes(n):
+        return (symmetry and n % 2 == 1) or (zero_mean and n == 1)
+
+    op = load_operator_file(CORPUS / f"{stem}.json")
+    assert not _solvable(_moment_rows(op, k, vanishes))
+    assert _solvable(_moment_rows(op, k - 1, vanishes))
+
+
+def test_inconsistent_forcing_is_reported():
+    assert {stem for stem, _ in _inconsistent_cases()} == {
+        "forcing_inconsistent", "rho_turn1", "forcing_two_free", "ordinary"}
