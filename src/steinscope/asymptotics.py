@@ -61,10 +61,12 @@ The analysis is exact throughout:
   ones through dominant balance plus corrections; if several admissible
   directions remain, the exact moment recurrence of the operator is
   solved symbolically to see whether the target's moments are pinned,
-  optionally consuming the side conditions zero_mean and/or symmetry; a
-  recurrence that needs more than ``budgets.MAX_CONSTRAINTS`` rows leaves
-  the verdict inconclusive.  Verdicts report exactly the conditions
-  consumed, and keep the ODE they analysed.
+  walking its rows, built once, under no condition, then zero_mean, then
+  symmetry (which gives E[W] = 0), up to the first walk that pins; else
+  the free moments are the unconditioned walk's.  A recurrence that needs
+  more than ``budgets.MAX_CONSTRAINTS`` rows leaves the verdict
+  inconclusive.  Verdicts report exactly the conditions consumed, and keep
+  the ODE they analysed.
 """
 
 from __future__ import annotations
@@ -607,7 +609,7 @@ def power_correction(ode: CfOde, branch: AsymptoticBranch) -> Fraction:
 
 
 def classify_branch(
-    branch: AsymptoticBranch, moment_order: int, symmetric: bool = False
+    branch: AsymptoticBranch, moment_order: int, symmetric: bool = False, ode: CfOde | None = None
 ) -> str:
     """Exclusion verdict for one branch against characteristic-function laws.
 
@@ -615,7 +617,9 @@ def classify_branch(
     "derivative_blowup(k)" (k = 0 means the direction is not even continuous
     at 0), "excluded_by_symmetry", or "not_excluded".  Sides use the
     principal continuation onto t < 0: the left-side phase of t^{-gamma} is
-    (theta - gamma) pi.
+    (theta - gamma) pi.  A branch oscillatory on some side is judged by its
+    power t^a, which ``power_correction(ode, branch)`` sets if missing and
+    ``ode`` is given; its ``CorrectionNotLinear`` propagates.
     """
     if branch.kind == "bounded":
         return "candidate"
@@ -648,6 +652,8 @@ def classify_branch(
     real_phase = branch.phase in (Fraction(0), Fraction(1))
     if right == 0 or left == 0:
         # oscillatory approach on some side: needs the refined power t^a
+        if branch.power_exponent is None and ode is not None:
+            branch.power_exponent = power_correction(ode, branch)
         if branch.power_exponent is None:
             return "not_excluded"
         a = branch.power_exponent
@@ -668,17 +674,17 @@ def classify_branch(
 # --- symbolic moment forcing --------------------------------------------------
 
 
-def _moment_forcing(op: SteinOperator, zero_mean: bool, symmetry: bool):
-    """Do the recurrence rows E[S y^k] = 0 pin every moment of the target?
+def _moment_forcing(op: SteinOperator):
+    """The recurrence rows E[S y^k] = 0, k = 0..K, of ``op`` and a walk over them.
 
-    Processes rows until past every degenerate row (vanishing top coefficient)
-    plus a safety margin; returns (pinned: bool, free moment orders, rows).
-    When that last row exceeds MAX_CONSTRAINTS no row is read and the free
-    orders are None.  A row k that reduces to a nonzero constant stops the
-    walk, since no law satisfies the rows 0..k: the result is (False, [], k).
-    Each moment is an exact linear expression {unknown: coefficient} (None
-    is the constant 1) in free unknowns created on first use; a row that
-    cannot solve for its top moment eliminates its newest unknown.
+    K runs past every degenerate row (vanishing top coefficient) plus a
+    safety margin.  Returns (K, walk), walk None and no row read when K
+    exceeds MAX_CONSTRAINTS.  walk(zero_mean, symmetry) returns (pinned:
+    bool, free moment orders, K), or (False, [], k) when row k reduces to a
+    nonzero constant, since no law satisfies the rows 0..k.  Each moment is
+    an exact linear expression {unknown: coefficient} (None is the constant
+    1) in free unknowns created on first use; a row that cannot solve for
+    its top moment eliminates its newest unknown.
     """
     rec = MomentRecurrence(op)
     smax, smin = rec.max_shift, rec.min_shift
@@ -686,49 +692,51 @@ def _moment_forcing(op: SteinOperator, zero_mean: bool, symmetry: bool):
     deg_rows = [int(r) for r in top_roots if r.denominator == 1 and r >= 0]
     rows = (max(deg_rows) + 1 if deg_rows else 0) + (smax - smin) + abs(smax) + 8
     if rows > MAX_CONSTRAINTS:
-        return False, None, rows
-    moments: dict[int, dict] = {0: {None: Fraction(1)}}
-    order: list[int] = []  # unknown u stands for E[W^order[u]]
+        return rows, None
+    coefficient_rows = [(k, cs) for k in range(rows + 1) if (cs := rec.coefficients(k))]
 
-    def vanishes(nth: int) -> bool:
-        return (symmetry and nth % 2 == 1) or (zero_mean and nth == 1)
+    def walk(zero_mean: bool, symmetry: bool):
+        moments: dict[int, dict] = {0: {None: Fraction(1)}}
+        order: list[int] = []  # unknown u stands for E[W^order[u]]
 
-    def moment(nth: int) -> dict:
-        if nth not in moments:
-            moments[nth] = {}
-            if not vanishes(nth):
-                moments[nth][len(order)] = Fraction(1)
-                order.append(nth)
-        return moments[nth]
+        def vanishes(nth: int) -> bool:
+            return (symmetry and nth % 2 == 1) or (zero_mean and nth == 1)
 
-    for k in range(rows + 1):
-        cs = rec.coefficients(k)
-        if not cs:
-            continue
-        top = k + smax
-        solve = smax in cs and top not in moments and not vanishes(top)
-        expr = accumulate(
-            (u, v * w)
-            for sft, v in cs.items()
-            if not (solve and sft == smax)
-            for u, w in moment(k + sft).items()
-        )
-        if solve:
-            moments[top] = {u: -w / cs[smax] for u, w in expr.items()}
-            continue
-        unknowns = [u for u in expr if u is not None]
-        if not unknowns:
-            if expr:
-                return False, [], k  # inconsistent: no law satisfies the system
-            continue
-        u = max(unknowns)
-        sub = [(x, -w / expr[u]) for x, w in expr.items() if x != u]
-        for m_expr in moments.values():
-            if u in m_expr:
-                scale = m_expr.pop(u)
-                accumulate(((x, scale * w) for x, w in sub), m_expr)
-    free = sorted({order[u] for m_expr in moments.values() for u in m_expr if u is not None})
-    return not free, free, rows
+        def moment(nth: int) -> dict:
+            if nth not in moments:
+                moments[nth] = {}
+                if not vanishes(nth):
+                    moments[nth][len(order)] = Fraction(1)
+                    order.append(nth)
+            return moments[nth]
+
+        for k, cs in coefficient_rows:
+            top = k + smax
+            solve = smax in cs and top not in moments and not vanishes(top)
+            expr = accumulate(
+                (u, v * w)
+                for sft, v in cs.items()
+                if not (solve and sft == smax)
+                for u, w in moment(k + sft).items()
+            )
+            if solve:
+                moments[top] = {u: -w / cs[smax] for u, w in expr.items()}
+                continue
+            unknowns = [u for u in expr if u is not None]
+            if not unknowns:
+                if expr:
+                    return False, [], k  # inconsistent: no law satisfies the system
+                continue
+            u = max(unknowns)
+            sub = [(x, -w / expr[u]) for x, w in expr.items() if x != u]
+            for m_expr in moments.values():
+                if u in m_expr:
+                    scale = m_expr.pop(u)
+                    accumulate(((x, scale * w) for x, w in sub), m_expr)
+        free = sorted({order[u] for m_expr in moments.values() for u in m_expr if u is not None})
+        return not free, free, rows
+
+    return rows, walk
 
 
 # --- verdict pipeline ---------------------------------------------------------
@@ -888,18 +896,11 @@ def characterisation_verdict(
     table = []
     correction_notes = []
     for b in branches:
-        reason = classify_branch(b, moment_order, symmetric)
-        if (
-            reason == "not_excluded"
-            and b.kind == "exponential"
-            and b.power_exponent is None
-            and 0 in (_cos_pi_sign(b.phase), _cos_pi_sign(b.phase - b.gamma))
-        ):
-            try:
-                b.power_exponent = power_correction(ode, b)
-                reason = classify_branch(b, moment_order, symmetric)
-            except CorrectionNotLinear as exc:
-                correction_notes.append(f"{b.describe()}: {exc}")
+        try:
+            reason = classify_branch(b, moment_order, symmetric, ode)
+        except CorrectionNotLinear as exc:
+            reason = "not_excluded"
+            correction_notes.append(f"{b.describe()}: {exc}")
         table.append((b, reason))
     if correction_notes:
         diagnostics["correction_failures"] = correction_notes
@@ -927,43 +928,36 @@ def characterisation_verdict(
         ]
         return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
     if candidates > 1:
-        options = [set()]
-        if zero_mean:
-            options.append({"zero_mean"})
-        if symmetric:
-            options.append({"symmetry"})
-        if zero_mean and symmetric:
-            options.append({"zero_mean", "symmetry"})
-        free = None
+        rows, walk = _moment_forcing(op)
+        if walk is None:
+            diagnostics["notes"] = [
+                f"{candidates} admissible directions and moment forcing undecided: "
+                f"its last row k = {rows} exceeds the row budget "
+                f"MAX_CONSTRAINTS = {MAX_CONSTRAINTS}"
+            ]
+            return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
+        # symmetry gives E[W] = 0, so it walks alike with or without zero_mean
+        options = [()] + [("zero_mean",)] * zero_mean + [("symmetry",)] * symmetric
         inconsistent = []
         for opt in options:
-            ok, opt_free, rows = _moment_forcing(
-                op, "zero_mean" in opt, "symmetry" in opt
-            )
-            using = f" using {sorted(opt)}" if opt else ""
-            if opt_free is None:
-                diagnostics["notes"] = [
-                    f"{candidates} admissible directions and moment forcing undecided: "
-                    f"its last row k = {rows} exceeds the row budget "
-                    f"MAX_CONSTRAINTS = {MAX_CONSTRAINTS}"
-                ]
-                return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
-            if ok:
-                conditions |= opt
-                diagnostics["moment_forcing"] = f"all moments pinned by rows k=0..{rows}{using}"
+            pinned, free, k = walk("zero_mean" in opt, "symmetry" in opt)
+            using = f" using {list(opt)}" if opt else ""
+            if pinned:
+                conditions.update(opt)
+                diagnostics["moment_forcing"] = f"all moments pinned by rows k=0..{k}{using}"
                 break
-            if opt_free:
-                free = opt_free
-            else:
-                inconsistent.append(f"no law satisfies rows k=0..{rows}{using}")
+            if not opt:  # a condition only shrinks the solutions
+                unconditioned = free
+            if not free:
+                inconsistent.append(f"no law satisfies rows k=0..{k}{using}")
         else:
             if inconsistent:
                 diagnostics["inconsistent_forcing"] = inconsistent
-            if free is None:
-                outcome = "no law with finite moments satisfies the operator's moment recurrence"
+            if unconditioned:
+                diagnostics["free_moments"] = unconditioned
+                outcome = f"the recurrence leaves E[W^n] free for n in {unconditioned}"
             else:
-                diagnostics["free_moments"] = free
-                outcome = f"the recurrence leaves E[W^n] free for n in {free}"
+                outcome = "no law with finite moments satisfies the operator's moment recurrence"
             diagnostics["notes"] = [f"{candidates} admissible directions and {outcome}"]
             return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
 

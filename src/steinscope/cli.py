@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import sys
 from pathlib import Path
 
@@ -135,7 +134,7 @@ def _versions() -> dict:
     # neither the numeric stack nor importlib.metadata (with its email parser).
     return {
         "steinscope": __version__,
-        "python": platform.python_version(),
+        "python": sys.version.split()[0],  # what platform.python_version() parses
         "numpy": _installed_version("numpy"),
     }
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from steinscope import asymptotics
 from steinscope.algebra import RationalPoly
 from steinscope.budgets import MAX_CONSTRAINTS
 from steinscope.asymptotics import (
@@ -21,7 +22,7 @@ from steinscope.asymptotics import (
     indicial_roots,
     power_correction,
 )
-from steinscope.operators import CfOde, SteinOperator, catalog_get, psi_transform
+from steinscope.operators import CfOde, MomentRecurrence, SteinOperator, catalog_get, psi_transform
 
 from ladder import H7_ODE, H7_T25m6, H8_ODE, H8_T10m4
 
@@ -480,6 +481,22 @@ class TestVerdicts:
         ]
         assert [reason for _, reason in over.branch_table] == [
             reason for _, reason in admitted.branch_table]
+
+    def test_moment_recurrence_built_once_per_verdict(self, monkeypatch):
+        # gauss_semicircle_T5 pins under no option, so every forcing walk runs
+        # over the one recurrence
+        built = []
+
+        def counting(op):
+            built.append(op)
+            return MomentRecurrence(op)
+
+        monkeypatch.setattr(asymptotics, "MomentRecurrence", counting)
+        v = characterisation_verdict(
+            catalog_get("gauss_semicircle_T5"), symmetric=True, zero_mean=True)
+        assert v.status == "inconclusive"
+        assert v.diagnostics["free_moments"] == [2]
+        assert len(built) == 1
 
     def test_rayleigh_all_parameter_regimes(self):
         for s in ("3/4", "1", "6/5", "3/2", "2", "5"):

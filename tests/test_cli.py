@@ -412,6 +412,17 @@ class TestAnalyze:
         assert code_sym == 0
         assert report_sym["result"]["verdict"]["conditions"] == ["symmetry"]
 
+    def test_side_conditions_do_not_change_the_free_moments(self):
+        # the free moments come from the walk without side conditions; with
+        # zero_mean assumed, E[W] is no longer free, but that walk pins
+        # nothing, so the plain report's [1, 2] stands
+        path = Path(__file__).parent / "data" / "verdicts" / "forcing_two_free.json"
+        code, plain = run_report("analyze", "--op", path)
+        code_sym, sym = run_report("analyze", "--op", path, "--symmetric", "--zero-mean")
+        assert code == code_sym == 1
+        free = [r["result"]["verdict"]["diagnostics"]["free_moments"] for r in (plain, sym)]
+        assert free == [[1, 2], [1, 2]]
+
     def test_h7_operator_file_characterises_under_symmetry(self):
         code, report = run_report("analyze", "--op", DATA / "H7_T25m6.json",
                                   "--symmetric", "--moments", "7")
@@ -900,7 +911,8 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "scipy.special": "scipy.special" in sys.modules,
                   "concurrent.futures": "concurrent.futures" in sys.modules,
                   "importlib.metadata": "importlib.metadata" in sys.modules,
-                  "email": "email" in sys.modules}))
+                  "email": "email" in sys.modules,
+                  "platform": "platform" in sys.modules}))
 """
 # None in sys.modules makes every later import of scipy fail
 _BLOCK_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
@@ -941,6 +953,7 @@ class TestNumericStackImports:
         assert probe_imports(*argv) == {
             "code": 0, "numpy": False, "scipy": False, "scipy.special": False,
             "concurrent.futures": False, "importlib.metadata": False, "email": False,
+            "platform": False,
         }
 
     def test_monte_carlo_loads_numpy_but_not_scipy_special(self):
@@ -959,6 +972,11 @@ class TestNumericStackImports:
         import numpy
 
         assert _versions()["numpy"] == numpy.__version__
+
+    def test_python_version_is_the_one_platform_reads(self):
+        import platform
+
+        assert _versions()["python"] == platform.python_version()
 
     @pytest.mark.parametrize("name", ["numpy"])
     def test_versions_match_importlib_metadata(self, name):

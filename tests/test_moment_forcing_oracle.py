@@ -5,9 +5,11 @@ package used before the moment expressions became local state of
 ``asymptotics._moment_forcing`` built on ``algebra.accumulate``.  They are
 kept verbatim as a reference oracle, except that an inconsistent row k now
 gives (False, [], k) rather than (False, [], rows): hypothesis checks that the
-package returns the same (pinned, free moments, rows) on random small
-operators under every combination of the side conditions zero_mean and
-symmetry.
+package's walk over the rows it builds once returns the same (pinned, free
+moments, rows) on random small operators under every combination of the side
+conditions zero_mean and symmetry.  On the reference it also checks the two
+facts that let a verdict walk at most three options: zero_mean adds nothing to
+symmetry, and rows no law satisfies stay so under every side condition.
 """
 
 from fractions import Fraction
@@ -128,8 +130,9 @@ operators = st.dictionaries(
 
 
 def check_agrees(op: SteinOperator) -> None:
+    _, walk = asymptotics._moment_forcing(op)
     for zero_mean, symmetry in CONDITIONS:
-        assert asymptotics._moment_forcing(op, zero_mean, symmetry) == _moment_forcing(
+        assert walk(zero_mean, symmetry) == _moment_forcing(
             op, zero_mean, symmetry
         ), (op, zero_mean, symmetry)
 
@@ -152,3 +155,25 @@ class TestMomentForcingOracle:
         for spec in ("H3_T4m3", "H4_T2m3", "H6_T6m3", "gauss_semicircle_T5",
                      "PN:p=4", "PRR:s=3/2", "BG1:a=1/2,b=1,r=2", "G1G2:r=1,s=2,lam=1"):
             check_agrees(catalog_get(spec))
+
+
+class TestForcingOptions:
+    """What the verdict relies on to walk at most three options."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(operators)
+    @example(SteinOperator({(0, 1): 1, (2, 0): 1}))
+    def test_zero_mean_adds_nothing_to_symmetry(self, op):
+        # symmetry already gives E[W] = 0
+        assert _moment_forcing(op, True, True) == _moment_forcing(op, False, True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(operators)
+    @example(SteinOperator({(0, 0): 1}))
+    def test_inconsistent_rows_stay_inconsistent_under_every_option(self, op):
+        # a side condition only shrinks the solution set
+        pinned, free, _ = _moment_forcing(op, False, False)
+        if not pinned and not free:
+            for zero_mean, symmetry in CONDITIONS:
+                pinned, free, _ = _moment_forcing(op, zero_mean, symmetry)
+                assert (pinned, free) == (False, []), (op, zero_mean, symmetry)

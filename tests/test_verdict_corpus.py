@@ -33,6 +33,12 @@ moment forcing learned to name the side conditions under which no law
 satisfies the recurrence rows (``inconsistent_forcing``): both reports of
 ``forcing_inconsistent`` and ``rho_turn1``, and the ``analyze-sym`` reports
 of ``forcing_two_free`` and ``ordinary``; only their diagnostics changed.
+Four ``analyze-sym`` reports were recorded again, in their diagnostics only,
+when moment forcing stopped walking symmetry together with zero_mean (which
+walks as symmetry alone) and took the free moments from the walk without side
+conditions: ``forcing_two_free`` and ``ordinary`` (free moments [2] became
+[1, 2]), ``forcing_inconsistent`` and ``rho_turn1`` (one repeated
+``inconsistent_forcing`` line gone).
 """
 
 import io
