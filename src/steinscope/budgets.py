@@ -25,7 +25,7 @@ inconclusive.
 # Stirling row.  At p = 1000: analyze PN:p=1000 0.97-1.52 s over 8 runs
 # (peak RSS 122.8 MB), transform 0.94-1.45 s (119.5 MB), the exact verify
 # of PN:p=1000 at --orders 256 4.6 s and of H1000 at --orders 1 3.9 s.
-# discover --target PN:p=1000 --order 15 --degree 7 took 220 s: no
+# discover --target PN:p=1000 --order 15 --degree 7 took 205 s: no
 # discovery budget counts the size of PN's moments.
 MAX_INDEX = 1000
 
@@ -42,10 +42,10 @@ MAX_CONSTRAINTS = 256
 # Searched with MAX_CONSTRAINTS and MAX_HERMITE_DEGREE, which bound discover
 # with it: H6..H14 at the shapes (15, 7), (7, 15), (31, 3) and (63, 1), each
 # at the largest K the three admit, and gaussian, semicircle and PN:p=2, 10
-# and 100 at (15, 7) with K = 256.  Worst: H12 (7, 15) at K = 148, 23.3 s;
-# H12 (15, 7) at K = 156 22.4 s, and 19.1 s at the default K; H10 (15, 7)
-# at K = 190 18.4 s; H8 (15, 7) at K = 242 15.2 s; odd p at most 2.2 s;
-# PN:p=100 11.3 s.
+# and 100 at (15, 7) with K = 256.  Worst: H12 (7, 15) at K = 148, 17.8 s;
+# H12 (15, 7) at K = 156 17.4 s, and 17.2 s at the default K; H10 (15, 7)
+# at K = 190 15.1 s; H8 (15, 7) at K = 242 10.7 s; odd p at most 1.7 s
+# (H9 (7, 15) at K = 205); PN:p=100 9.7 s.
 MAX_UNKNOWNS = 128
 
 # The degree p*k of the expansion behind E[H_p^k], about (p k)^2 / 4

@@ -16,10 +16,18 @@ stabilisation tests the basis against eight extra rows and raises K
 until it satisfies them.  The (K, dimension) trail is kept on the
 problem, so any K-sensitivity is surfaced.
 
-The nullspace is computed multi-modularly.  Each row is cleared to
-coprime integers.  Moment matrices for high-order Hermite targets have
-entries of hundreds of digits (about 1260 bits for H5 at K = 94), while
-their nullspace vectors are far smaller: two primes recover the H5 basis.
+Each row is built over the integers: the moments it reads are put over
+one common denominator, their numerators multiply the integer falling
+factorials, and one gcd clears the row to coprime integers.  A column
+(i, j) has class (i - j) mod 2.  When every row touches one class only,
+as for a target whose odd moments vanish (gaussian, semicircle, odd H_p,
+PN), the two classes are solved as separate blocks, each about half the
+width; the split is read from the rows, so no target declares it.
+
+The nullspace is computed multi-modularly.  Moment matrices for
+high-order Hermite targets have entries of hundreds of digits (about 1260
+bits for H5 at K = 94), while their nullspace vectors are far smaller:
+two primes recover the H5 basis.
 Modulo a deterministic sequence of primes just below 2^62, the reduced
 row echelon form gives a rank, pivot columns and, at each free column,
 the entries of one basis vector; these are combined by the Chinese
@@ -88,13 +96,23 @@ class DiscoveryProblem:
 
 
 def _constraint_rows(prob, mus, start: int, stop: int) -> list[list[int]]:
-    """Rows k = start .. stop - 1 read from ``mus``, scaled to coprime integers."""
+    """Rows k = start .. stop - 1 read from ``mus``, scaled to coprime integers.
+
+    Row k reads the window mu_{k-T} .. mu_{k+m} (orders below 0 are never
+    read); its moments are put over one common denominator, their numerators
+    times the integer falling factorials give the row, and one gcd clears it.
+    """
     cols = prob.columns()
     rows = []
     for k in range(start, stop):
+        lo = max(k - prob.T, 0)
+        window = mus[lo:k + prob.m + 1]
+        scale = lcm(*(mu.denominator for mu in window))
+        nums = [mu.numerator * (scale // mu.denominator) for mu in window]
         ff = falling_factorials(k, prob.T)
-        rows.append(primitive([ff[j] * mus[k + i - j] if ff[j] else Fraction(0)
-                               for i, j in cols]))
+        row = [ff[j] * nums[k + i - j - lo] if ff[j] else 0 for i, j in cols]
+        g = gcd(*row)
+        rows.append([v // g for v in row] if g else row)
     return rows
 
 
@@ -246,6 +264,37 @@ def _nullspace(rows: list[list[int]], ncols: int) -> list[list[int]]:
         "multi-modular nullspace not certified within the Hadamard bound")
 
 
+def _parity_nullspace(rows: list[list[int]], cols: list[tuple[int, int]]):
+    """The ``_nullspace`` basis of ``rows``, one parity block at a time if it splits.
+
+    Column (i, j) has class (i - j) mod 2.  When every nonzero row touches
+    one class only, as each row does for a target whose odd moments vanish,
+    the matrix is block diagonal up to a column permutation: a column is
+    free in its block iff it is free in the whole, and the back-substitution
+    vector of a free column, zero on the other block, is the whole matrix's.
+    So each block is solved on its own (all-zero rows dropped) and the
+    vectors, placed back in the full columns, are ordered by their free
+    column, the last nonzero entry of each.  Otherwise the whole matrix is
+    solved at once.
+    """
+    blocks = ([], [])
+    for row in rows:
+        support = {(i - j) % 2 for (i, j), v in zip(cols, row) if v}
+        if len(support) > 1:
+            return _nullspace(rows, len(cols))
+        if support:
+            blocks[support.pop()].append(row)
+    basis = []
+    for parity, block in enumerate(blocks):
+        members = [c for c, (i, j) in enumerate(cols) if (i - j) % 2 == parity]
+        for sub in _nullspace([[row[c] for c in members] for row in block], len(members)):
+            v = [0] * len(cols)
+            for c, x in zip(members, sub):
+                v[c] = x
+            basis.append(v)
+    return sorted(basis, key=lambda v: max(c for c, x in enumerate(v) if x))
+
+
 def canonicalise(basis: list[SteinOperator]) -> list[SteinOperator]:
     """Deterministic representatives of the span of ``basis``.
 
@@ -296,13 +345,13 @@ def find_stein_operators(prob: DiscoveryProblem) -> list[SteinOperator]:
     empty); the visited (K, dimension) pairs are recorded on
     ``prob.dimension_trail`` and the stabilised K on ``prob.effective_K``.
     """
-    ncols = (prob.T + 1) * (prob.m + 1)
+    cols = prob.columns()
     K = prob.K
     prob.dimension_trail = []
     # rows k < K + 8 read orders up to K + 7 + m
     mus = prob.moments(K + 7 + prob.m)
     rows = _constraint_rows(prob, mus, 0, K)
-    vectors = _nullspace(rows, ncols)
+    vectors = _parity_nullspace(rows, cols)
     prob.dimension_trail.append((K, len(vectors)))
     while True:
         new_rows = _constraint_rows(prob, mus, K, K + 8)
@@ -310,12 +359,11 @@ def find_stein_operators(prob: DiscoveryProblem) -> list[SteinOperator]:
         if all(_annihilates(new_rows, v) for v in vectors):
             prob.dimension_trail.append((K + 8, len(vectors)))
             break
-        vectors = _nullspace(rows, ncols)
+        vectors = _parity_nullspace(rows, cols)
         prob.dimension_trail.append((K + 8, len(vectors)))
         K += 8
         mus = prob.moments(K + 7 + prob.m)
     prob.effective_K = K
-    cols = prob.columns()
     ops = [
         SteinOperator({cols[idx]: v for idx, v in enumerate(vec) if v})
         for vec in vectors

@@ -7,11 +7,13 @@ they are frozen here as regression oracles.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinscope import discovery
+from steinscope.algebra import falling_factorials, primitive
 from steinscope.asymptotics import characterisation_verdict
 from steinscope.discovery import DiscoveryProblem, canonicalise, find_stein_operators
 from steinscope.distributions import TargetDistribution, get_target
@@ -393,3 +395,120 @@ class TestMultiModularNullspace:
         # strong pseudoprimes to several small bases
         assert not discovery._is_prime(3215031751)
         assert not discovery._is_prime(3825123056546413051)
+
+
+def fraction_rows(prob, mus, start, stop):
+    """Constraint rows k = start .. stop - 1 built in Fractions and cleared by
+    ``primitive``: the reference the integer row builder must reproduce."""
+    rows = []
+    for k in range(start, stop):
+        ff = falling_factorials(k, prob.T)
+        rows.append(primitive([ff[j] * mus[k + i - j] if ff[j] else Fraction(0)
+                               for i, j in prob.columns()]))
+    return rows
+
+
+# semicircle, gaussian:sigma2=1/3 and PN:p=3,sigma2=2/3 have moments with
+# non-unit denominators, so each row is put over a common denominator
+RATIONAL_MOMENTS = ["semicircle", "gaussian:sigma2=1/3", "PN:p=3,sigma2=2/3"]
+
+
+class TestIntegerRows:
+    @pytest.mark.parametrize("target,T,m", [
+        ("H3", 5, 2), ("H4", 3, 2), ("H5", 13, 4), ("H6", 6, 3), ("H7", 9, 3),
+        ("H8", 10, 4), ("semicircle", 3, 2), ("gaussian:sigma2=1/3", 3, 2),
+        ("PN:p=3,sigma2=2/3", 5, 3), ("PN:p=4", 4, 3),
+    ])
+    def test_rows_equal_the_fraction_primitive_rows(self, target, T, m):
+        prob = DiscoveryProblem(get_target(target), T, m)
+        mus = prob.moments(prob.K + 7 + m)
+        # the first solve, a stabilisation block, and a window that starts
+        # inside the first T rows
+        for start, stop in ((0, prob.K), (prob.K, prob.K + 8), (3, 11)):
+            assert discovery._constraint_rows(prob, mus, start, stop) == \
+                fraction_rows(prob, mus, start, stop)
+
+    @pytest.mark.parametrize("target", RATIONAL_MOMENTS)
+    def test_rational_targets_have_non_unit_denominators(self, target):
+        prob = DiscoveryProblem(get_target(target), 3, 2)
+        assert any(mu.denominator > 1 for mu in prob.moments(8))
+
+
+def planted_rows(cols, blocks):
+    """Rows that each carry one list of values on the columns of one class."""
+    rows = []
+    for parity, values in blocks:
+        members = [c for c, (i, j) in enumerate(cols) if (i - j) % 2 == parity]
+        row = [0] * len(cols)
+        for c, x in zip(members, values):
+            row[c] = x
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def parity_matrices(draw):
+    T, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    cols = [(i, j) for i in range(m + 1) for j in range(T + 1)]
+    sizes = [sum((i - j) % 2 == parity for i, j in cols) for parity in (0, 1)]
+    blocks = draw(st.lists(st.integers(0, 1).flatmap(lambda parity: st.tuples(
+        st.just(parity), st.lists(st.integers(-3, 3), min_size=sizes[parity],
+                                  max_size=sizes[parity]))), max_size=10))
+    return cols, planted_rows(cols, blocks)
+
+
+def solve_counting_blocks(rows, cols):
+    """``_parity_nullspace`` and the column counts of the solves it ran."""
+    with mock.patch.object(discovery, "_nullspace", wraps=discovery._nullspace) as spy:
+        basis = discovery._parity_nullspace(rows, cols)
+    return basis, [call.args[1] for call in spy.call_args_list]
+
+
+class TestParityBlocks:
+    # (T, m) = (2, 1): class 0 holds (0, 0), (0, 2) and (1, 1), class 1
+    # holds (0, 1), (1, 0) and (1, 2)
+    COLS = [(i, j) for i in range(2) for j in range(3)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(parity_matrices())
+    def test_split_basis_is_the_unsplit_basis(self, matrix):
+        cols, rows = matrix
+        basis, solved = solve_counting_blocks(rows, cols)
+        assert solved == [sum((i - j) % 2 == parity for i, j in cols) for parity in (0, 1)]
+        assert basis == discovery._nullspace(rows, len(cols))
+        assert free_column_scaled(basis) == fraction_nullspace(rows, len(cols))
+
+    @pytest.mark.parametrize("blocks,nullity", [
+        # each block has nullity 0
+        ([(0, [1, 0, 0]), (0, [0, 1, 0]), (0, [1, 1, 2]), (1, [2, 1, 0]),
+          (1, [0, 1, 1]), (1, [1, 0, 5])], 0),
+        # class 0 has nullity 0 and class 1 nullity 2
+        ([(0, [1, 2, 3]), (1, [4, -5, 6]), (0, [0, 1, 1]), (0, [1, 0, 2])], 2),
+        # both blocks have nullity > 0; an all-zero row is dropped
+        ([(0, [2, 0, -3]), (1, [0, 0, 0]), (1, [1, 1, 1])], 4),
+        # the class-1 block is empty, so all its columns are free
+        ([(0, [1, 2, 3]), (0, [3, 2, 1])], 4),
+        # no row at all
+        ([], 6),
+    ])
+    def test_planted_blocks(self, blocks, nullity):
+        rows = planted_rows(self.COLS, blocks)
+        basis, solved = solve_counting_blocks(rows, self.COLS)
+        assert solved == [3, 3]
+        assert len(basis) == nullity
+        assert basis == discovery._nullspace(rows, 6)
+        assert free_column_scaled(basis) == fraction_nullspace(rows, 6)
+
+    def test_a_row_touching_both_classes_is_not_split(self):
+        rows = planted_rows(self.COLS, [(0, [1, 2, 3]), (1, [4, -5, 6])])
+        rows.append([1, 1, 0, 0, 0, 0])  # (0, 0) is class 0, (0, 1) class 1
+        basis, solved = solve_counting_blocks(rows, self.COLS)
+        assert solved == [6]
+        assert free_column_scaled(basis) == fraction_nullspace(rows, 6)
+
+    def test_h5_splits_into_two_blocks(self):
+        prob = DiscoveryProblem(get_target("H5"), 13, 4)
+        mus = prob.moments(prob.K + 7 + prob.m)
+        rows = discovery._constraint_rows(prob, mus, 0, prob.K)
+        basis, solved = solve_counting_blocks(rows, prob.columns())
+        assert solved == [35, 35] and len(basis) == 1
