@@ -201,14 +201,14 @@ def _semicircle_target() -> TargetDistribution:
         r = k // 2
         return Fraction(_catalan(r), 4**r)
 
-    return TargetDistribution(
-        "semicircle",
-        {},
-        symmetric=True,
-        zero_mean=True,
-        moment=moment,
-        sampler=lambda rng, n: 2.0 * rng.beta(1.5, 1.5, n) - 1.0,
-    )
+    def sampler(rng, n):  # 2 B - 1, in B's own array
+        y = rng.beta(1.5, 1.5, n)
+        y *= 2.0
+        y -= 1.0
+        return y
+
+    return TargetDistribution("semicircle", {}, symmetric=True, zero_mean=True,
+                              moment=moment, sampler=sampler)
 
 
 def _hermite_target(p: int) -> TargetDistribution:
@@ -240,7 +240,8 @@ def _hermite_target(p: int) -> TargetDistribution:
 # against ``FAMILIES[family].params`` and returns the law's capabilities;
 # ``get_target`` adds the canonical spec as name and the values.  Parameters
 # become floats inside the samplers, so a law whose parameters are beyond
-# float range still gives its metadata.
+# float range still gives its metadata.  The product samplers multiply each
+# later draw into the first one's array, so a sample holds at most two arrays.
 
 
 def _pn_law(p, sigma2) -> dict:
@@ -269,30 +270,30 @@ def _prr_law(s) -> dict:
 
 
 def _g1x_law(r, lam, sigma2) -> dict:
-    return dict(
-        symmetric=True,
-        zero_mean=True,
-        sampler=lambda rng, n: (
-            float(sigma2) ** 0.5 * rng.standard_normal(n)
-            * rng.gamma(float(r), 1.0 / float(lam) ** 0.5, n)
-        ),
-    )
+    def sampler(rng, n):
+        y = rng.standard_normal(n)
+        y *= float(sigma2) ** 0.5
+        y *= rng.gamma(float(r), 1.0 / float(lam) ** 0.5, n)
+        return y
+
+    return dict(symmetric=True, zero_mean=True, sampler=sampler)
 
 
 def _bg1_law(a, b, r) -> dict:
-    return dict(
-        symmetric=False,
-        zero_mean=False,
-        sampler=lambda rng, n: (
-            rng.beta(float(a), float(b), n) * rng.gamma(float(r), 1.0, n)
-        ),
-    )
+    def sampler(rng, n):
+        y = rng.beta(float(a), float(b), n)
+        y *= rng.gamma(float(r), 1.0, n)
+        return y
+
+    return dict(symmetric=False, zero_mean=False, sampler=sampler)
 
 
 def _g1g2_law(r, s, lam) -> dict:
     def sampler(rng, n):
         scale = 1.0 / float(lam)
-        return rng.gamma(float(r), scale, n) * rng.gamma(float(s), scale, n)
+        y = rng.gamma(float(r), scale, n)
+        y *= rng.gamma(float(s), scale, n)
+        return y
 
     return dict(symmetric=False, zero_mean=False, sampler=sampler)
 

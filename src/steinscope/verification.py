@@ -15,25 +15,24 @@ exp(-y^2/2) y^d for d <= 2.  Both classes are closed under d/dy, so each
 image S f is built exactly, once, before any sample is drawn:
 S e^{ity} = e^{ity} P(y), with P read off the coefficients as
 P_i = sum_j a_ij (it)^j, and S maps exp(-y^2/2) p(y) to exp(-y^2/2) q(y)
-with q built from p -> p' - y p.  The images fall into four fixed groups
-(``image_groups``) by what they share: the cos/sin pair at each t shares
-ty, cos(ty), sin(ty) and both parts of P, and the three weighted monomials
-share the weight exp(-y^2/2).  A chunk walks each group in blocks of _BLOCK
-samples, computes the group's factors once per block, evaluates each
-polynomial by ``algebra.float_horner``, and writes every image's values
-into its own chunk-length output array; only then is each array reduced to
-its mean and sum of squared deviations.  The factors live for one block,
-and each worker reuses three output arrays, one per image of the widest
-group, so a worker's memory does not grow with n.  Every step is an
-elementwise ufunc with the roundings of evaluating each image on its own
-with numpy's ``polyval``, and the reductions see whole chunks, so residuals
-and standard errors are bit-identical to that.
+with q built from p -> p' - y p.  The images fall into six fixed groups of
+at most two (``image_groups``): the cos/sin pair at each t shares ty,
+cos(ty), sin(ty) and both parts of P, and each weighted monomial has its
+own weight.  A chunk walks each group in blocks of _BLOCK samples,
+computing the group's factors once per block (at most three arrays) and
+polynomials by ``algebra.float_horner``, into one chunk-length output array
+per image, then reduces each array to its mean and sum of squared
+deviations.  Each worker reuses two output arrays, so its memory does not
+grow with n.  Every step is an elementwise ufunc with the roundings of
+evaluating each image on its own with numpy's ``polyval``, and the
+reductions see whole chunks, so residuals and standard errors are
+bit-identical to that.
 
 Monte-Carlo estimation is chunked; chunk i draws from a generator seeded
 with seed + i, so results are reproducible and independent of the number of
 worker threads (set by the STEIN_SCOPE_THREADS environment variable, at
-most the CPU count).  Chunk statistics are merged by exact pairwise Welford
-combination in chunk order.
+most the CPUs the process may run on).  Chunk statistics are merged by exact
+pairwise Welford combination in chunk order.
 
 numpy is imported inside the Monte-Carlo code, and concurrent.futures only
 where Monte-Carlo chunks run on threads, so exact mode loads neither.
@@ -176,57 +175,56 @@ def _wave_images(op: SteinOperator, t):
     tf = float(t)
 
     def evaluate(y, outs):
+        # three block arrays at a time: Re P is dropped before Im P is built
         cos_out, sin_out = outs
         ty = tf * y
         cos = np.cos(ty)
         sin = np.sin(ty, out=ty)
-        re_y, im_y = float_horner(y, re), float_horner(y, im)
-        np.multiply(cos, re_y, out=cos_out)
-        cos_out -= sin * im_y
-        np.multiply(sin, re_y, out=sin_out)
-        sin_out += cos * im_y
+        p = float_horner(y, re)
+        np.multiply(cos, p, out=cos_out)
+        np.multiply(sin, p, out=sin_out)
+        del p
+        p = float_horner(y, im)
+        cos_out -= np.multiply(sin, p, out=sin)
+        sin_out += np.multiply(cos, p, out=cos)
 
     return (f"cos({t}*y)", f"sin({t}*y)"), evaluate
 
 
-def _gaussian_images(op: SteinOperator):
-    """The images of exp(-y^2/2) y^d, d <= _MAX_POLY_DEGREE, from one weight per block.
+def _gaussian_image(op: SteinOperator, d: int):
+    """The image of exp(-y^2/2) y^d, in a group of its own with its own weight.
 
     d/dy maps exp(-y^2/2) p(y) to exp(-y^2/2) (p' - y p), so S maps
-    exp(-y^2/2) y^d to exp(-y^2/2) q_d(y) with q_d = sum_j a_j p_j,
-    p_0 = y^d; each q_d becomes floats here, before any sample.  Returns
-    the labels and ``evaluate(y, outs)``, as ``_wave_images`` does.
+    exp(-y^2/2) y^d to exp(-y^2/2) q(y) with q = sum_j a_j p_j, p_0 = y^d, in
+    floats before any sample.  Returns the label and ``evaluate(y, outs)``.
     """
     import numpy as np
 
-    labels, qs = [], []
-    for d in range(_MAX_POLY_DEGREE + 1):
-        labels.append("exp(-y^2/2)" if d == 0 else f"exp(-y^2/2)*y^{d}")
-        q, p_j = RationalPoly({}), RationalPoly({d: 1})
-        for j in range(op.T + 1):
-            q = q + op.coefficient_poly(j) * p_j
-            p_j = p_j.derivative() - RationalPoly({1: 1}) * p_j
-        qs.append(q.float_coefficients())
+    q, p_j = RationalPoly({}), RationalPoly({d: 1})
+    for j in range(op.T + 1):
+        q = q + op.coefficient_poly(j) * p_j
+        p_j = p_j.derivative() - RationalPoly({1: 1}) * p_j
+    q = q.float_coefficients()
 
     def evaluate(y, outs):
         # the roundings of np.exp(-0.5 * y * y), in one array
         w = np.multiply(y, -0.5)
         w *= y
         np.exp(w, out=w)
-        for q, out in zip(qs, outs):
-            np.multiply(float_horner(y, q), w, out=out)
+        np.multiply(float_horner(y, q), w, out=outs[0])
 
-    return tuple(labels), evaluate
+    return ("exp(-y^2/2)" if d == 0 else f"exp(-y^2/2)*y^{d}",), evaluate
 
 
 def image_groups(op: SteinOperator) -> list:
     """The test functions' images under op, as (labels, evaluate) groups.
 
-    One group per frequency of _T_GRID, then the weighted monomials; a
-    group's images share their factors (t*y, cos, sin and both parts of P;
-    the weight), which ``evaluate`` computes once per call.
+    One group per frequency of _T_GRID, then one per weighted monomial, so
+    no group has more than two images; a wave group's images share t*y,
+    cos, sin and both parts of P, which ``evaluate`` computes once per call.
     """
-    return [_wave_images(op, t) for t in _T_GRID] + [_gaussian_images(op)]
+    return ([_wave_images(op, t) for t in _T_GRID]
+            + [_gaussian_image(op, d) for d in range(_MAX_POLY_DEGREE + 1)])
 
 
 def _welford_merge(a, b):
@@ -240,13 +238,14 @@ def _welford_merge(a, b):
 
 
 def _threads() -> int:
-    """Worker threads from STEIN_SCOPE_THREADS, between 1 and the CPU count."""
-    raw = os.environ.get("STEIN_SCOPE_THREADS", "1")
+    """Worker threads from STEIN_SCOPE_THREADS, from 1 to the CPUs the process may use."""
     try:
-        wanted = int(raw)
+        wanted = int(os.environ.get("STEIN_SCOPE_THREADS", "1"))
     except ValueError:
         return 1
-    return max(1, min(wanted, os.cpu_count() or 1))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(wanted, cpus))
 
 
 def mc_stein_residual(op: SteinOperator, dist, n: int = _DEFAULT_N,

@@ -281,6 +281,30 @@ class TestSamplers:
         got = get_target(f"PN:p={p},sigma2=3/7").sample(n, seed=5)
         assert got.tobytes() == expected.tobytes()
 
+    # Each product sampler as one expression on the generator: the draw
+    # order and the product order a sampler must keep, bit for bit.
+    PRODUCT_STREAMS = {
+        "G1X:r=2,lam=3,sigma2=2": lambda rng, n, r=2, lam=3, sigma2=2: (
+            float(sigma2) ** 0.5 * rng.standard_normal(n)
+            * rng.gamma(float(r), 1.0 / float(lam) ** 0.5, n)
+        ),
+        "BG1:a=1/2,b=3/2,r=5/2": lambda rng, n, a=F(1, 2), b=F(3, 2), r=F(5, 2): (
+            rng.beta(float(a), float(b), n) * rng.gamma(float(r), 1.0, n)
+        ),
+        "G1G2:r=3/2,s=2,lam=3": lambda rng, n, r=F(3, 2), s=2, lam=3: (
+            rng.gamma(float(r), 1.0 / float(lam), n)
+            * rng.gamma(float(s), 1.0 / float(lam), n)
+        ),
+        "semicircle": lambda rng, n: 2.0 * rng.beta(1.5, 1.5, n) - 1.0,
+    }
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("n", [1, 5, 2**17 + 3])
+    @pytest.mark.parametrize("spec", list(PRODUCT_STREAMS))
+    def test_product_samples_keep_their_stream_bit_for_bit(self, spec, n, seed):
+        expected = self.PRODUCT_STREAMS[spec](np.random.default_rng(seed), n)
+        assert get_target(spec).sample(n, seed=seed).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("p", [1, 3, 6])
     def test_hermite_samples_are_polyval_of_normals_bit_for_bit(self, p):
         # H_p(X) is evaluated by algebra.float_horner, with numpy polyval's

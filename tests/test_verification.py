@@ -440,14 +440,18 @@ class TestMcMechanics:
         ("H3_T4m3", "H3"),
         # Re P = -y at every frequency: the waves still form three groups
         ("gauss_classical", "gaussian"),
+        # product samplers: the later draws are multiplied into the first
+        ("PN:p=4", "PN:p=4"),
+        ("BG1:a=1/2,b=1,r=2", "BG1:a=1/2,b=1,r=2"),
     ])
     def test_workspace_does_not_grow_with_n(self, op_spec, target_spec, monkeypatch):
-        # numpy reports its buffers to tracemalloc; one worker holds the
-        # chunk's samples, the sampler's transient and one output array per
-        # image of the widest group (3), while the shared factors live for
-        # one block
+        # numpy reports its buffers to tracemalloc; one worker holds one
+        # output array per image of the widest group (2) and the chunk's
+        # samples, plus either one draw of the sampler or at most three
+        # block-long factors of a wave group
         monkeypatch.setenv("STEIN_SCOPE_THREADS", "1")
         op, target = catalog_get(op_spec), get_target(target_spec)
+        assert max(len(labels) for labels, _ in image_groups(op)) == 2
         mc_stein_residual(op, target, n=10**3)  # imports and caches settle
         peaks = []
         for n in (10**6, 4 * 10**6):
@@ -458,16 +462,30 @@ class TestMcMechanics:
             finally:
                 tracemalloc.stop()
         chunk_bytes = verification._CHUNK * 8
-        assert max(peaks) < 6 * chunk_bytes + 2**16
+        assert max(peaks) < 4 * chunk_bytes + 2**16
         assert abs(peaks[1] - peaks[0]) < 2**14
 
     def test_thread_count_is_capped_at_cpu_count(self, monkeypatch):
+        # the CPUs this process may run on, where the platform reports them
         monkeypatch.setenv("STEIN_SCOPE_THREADS", str(10**9))
-        assert _threads() == (os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            assert _threads() == len(os.sched_getaffinity(0))
+        else:
+            assert _threads() == (os.cpu_count() or 1)
         monkeypatch.setenv("STEIN_SCOPE_THREADS", "0")
         assert _threads() == 1
         monkeypatch.setenv("STEIN_SCOPE_THREADS", "many")
         assert _threads() == 1
+
+    def test_thread_count_is_capped_at_the_affinity_set(self, monkeypatch):
+        # a process pinned to one CPU runs one worker, however many CPUs
+        # the machine has
+        monkeypatch.setenv("STEIN_SCOPE_THREADS", "4")
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert _threads() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _threads() == 4
 
     def test_threshold_is_four_standard_errors(self):
         reports = mc_stein_residual(
