@@ -16,7 +16,9 @@ The sparse-dict ring (``_SparseDict``) also carries the Hermite chaos
 expansions of ``malliavin.ChaosElement``.  ``hermite_to_monomial`` gives the
 probabilists' (monic) Hermite polynomial H_q in monomials: H_0 = 1,
 H_1 = x, H_3 = x^3 - 3x, and E[H_a(X) H_b(X)] = a! delta_{ab} for
-X ~ N(0,1).  ``gaussian_power_moments`` is the one engine for E[f(X)^k].
+X ~ N(0,1).  ``gaussian_power_moments`` is the one engine for E[f(X)^k];
+cumulants from those moments belong to the test witness
+``tests/chaos_witness.py``, as no command reads them.
 ``RationalPoly.float_coefficients`` is the one numpy entry; it loads numpy
 when called, so exact code never imports it.  ``float_horner`` evaluates
 such coefficients on a sample array with numpy polyval's exact roundings.
@@ -31,7 +33,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 
 
@@ -411,23 +413,6 @@ def gaussian_power_moments(f: RationalPoly):
             for d, pd in enumerate(power, i):
                 nxt[d] += gi * pd
         power = nxt
-
-
-def cumulants_from_moments(moment_oracle, r: int) -> Fraction:
-    """kappa_r from a moment oracle, by the standard recursion.
-
-    kappa_n = mu_n - sum_{m=1}^{n-1} C(n-1, m-1) kappa_m mu_{n-m}.
-    """
-    if r < 1:
-        raise ValueError("cumulant order must be >= 1")
-    mu = [Fraction(1)] + [_as_fraction(moment_oracle(n)) for n in range(1, r + 1)]
-    kappa = [Fraction(0)]
-    for n in range(1, r + 1):
-        k_n = mu[n] - sum(
-            comb(n - 1, m - 1) * kappa[m] * mu[n - m] for m in range(1, n)
-        )
-        kappa.append(k_n)
-    return kappa[r]
 
 
 @lru_cache(maxsize=None)

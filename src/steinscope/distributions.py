@@ -139,14 +139,6 @@ class TargetDistribution:
         """Side conditions for the sufficiency pipeline."""
         return {"symmetric": self.symmetric, "zero_mean": self.zero_mean}
 
-    @property
-    def has_exact_moments(self) -> bool:
-        return self._moment is not None
-
-    @property
-    def has_sampler(self) -> bool:
-        return self._sampler is not None
-
     def moment(self, k: int) -> Fraction:
         """E[Y^k], exact."""
         if k < 0:
@@ -184,8 +176,8 @@ class TargetDistribution:
         caps = [
             label
             for label, flag in (
-                ("moments", self.has_exact_moments),
-                ("sampler", self.has_sampler),
+                ("moments", self._moment is not None),
+                ("sampler", self._sampler is not None),
             )
             if flag
         ]

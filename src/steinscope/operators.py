@@ -274,14 +274,6 @@ class MomentRecurrence:
         ff = falling_factorials(k, self.operator.T)
         return accumulate((i - j, v * ff[j]) for (i, j), v in self.operator.a.items())
 
-    def residual(self, moment_oracle, k: int) -> Fraction:
-        """sum_s c_s(k) E[W^{k+s}] with moments from ``moment_oracle(order)``."""
-        return sum(
-            (v * _as_fraction(moment_oracle(k + s))
-             for s, v in self.coefficients(k).items()),
-            Fraction(0),
-        )
-
     def _poly(self, s: int) -> RationalPoly:
         """c_s(k) as a polynomial in k."""
         return sum((v * falling_poly(j) for (i, j), v in self.operator.a.items()

@@ -21,13 +21,7 @@ from steinscope.asymptotics import (
 )
 from steinscope.discovery import DiscoveryProblem, canonicalise, find_stein_operators
 from steinscope.distributions import get_target
-from steinscope.malliavin import (
-    ChaosElement,
-    check_cumulant_formula,
-    check_gamma_characterisation,
-    gamma_r,
-    identity_catalog,
-)
+from steinscope.malliavin import ChaosElement, check_gamma_characterisation, identity_catalog
 from steinscope.operators import (
     CfOde,
     SteinOperator,
@@ -38,6 +32,7 @@ from steinscope.operators import (
 from steinscope.verification import check_moment_recurrence, mc_stein_residual
 
 from cf_witness import BesselRatioCf, GaussianCf, ode_residual
+from chaos_witness import check_cumulant_formula, gamma_r
 from ladder import H7_ODE, H7_T25m6, H8_ODE, H8_T10m4
 from qi_witness import QI, gaussian
 from qi_witness import CfOde as GaussianOde

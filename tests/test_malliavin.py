@@ -3,9 +3,12 @@
 All Gamma expansions asserted coefficientwise below were derived once by
 an independent symbolic computation (iterating the definition by hand in
 the monomial basis and converting back) and are frozen here as oracles.
+The package's ``gamma_levels`` is checked against the definition-level
+calculus of ``chaos_witness``, which the remaining tests exercise.
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import factorial
 
 import pytest
@@ -16,17 +19,23 @@ from steinscope.algebra import gaussian_power_moments, primitive
 from steinscope.discovery import _nullspace
 from steinscope.malliavin import (
     ChaosElement,
-    L_inverse,
-    NotPureChaos,
-    carre_du_champ,
-    check_cumulant_formula,
     check_gamma_characterisation,
-    check_linverse_square,
-    gamma_r,
+    gamma_levels,
     hermite_product,
     identity_catalog,
+)
+
+import chaos_witness
+from chaos_witness import (
+    L_inverse,
+    carre_du_champ,
+    check_cumulant_formula,
+    expectation,
+    gamma_r,
     malliavin_D,
+    moment,
     ou_generator,
+    to_poly,
 )
 
 F = Fraction
@@ -34,6 +43,11 @@ F = Fraction
 
 def H(q):
     return ChaosElement({q: 1})
+
+
+def levels(el, R):
+    """Gamma_0(el) .. Gamma_R(el) from the package's ``gamma_levels``."""
+    return list(islice(gamma_levels(el), R + 1))
 
 
 chaos_st = st.dictionaries(
@@ -47,27 +61,27 @@ chaos_st = st.dictionaries(
 class TestChaosElement:
     def test_expectation_and_second_moment(self):
         el = ChaosElement({0: 2, 3: 1, 4: F(1, 2)})
-        assert el.expectation() == 2
+        assert expectation(el) == 2
         # E[F^2] = sum c_q^2 q! = 4 + 6 + 24/4
-        assert (el * el).expectation() == 16
-        assert (el * el).expectation() - el.expectation() ** 2 == 12
+        assert expectation(el * el) == 16
+        assert expectation(el * el) - expectation(el) ** 2 == 12
 
     def test_moment_method_matches_known_values(self):
-        assert H(3).moment(0) == 1
-        assert H(3).moment(1) == 0
-        assert H(3).moment(2) == 6
-        assert H(3).moment(4) == 3348
-        assert H(3).moment(6) == 11608920
-        assert H(4).moment(2) == 24
+        assert moment(H(3), 0) == 1
+        assert moment(H(3), 1) == 0
+        assert moment(H(3), 2) == 6
+        assert moment(H(3), 4) == 3348
+        assert moment(H(3), 6) == 11608920
+        assert moment(H(4), 2) == 24
 
     def test_moment_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            H(2).moment(-1)
+            moment(H(2), -1)
 
     def test_zero_element_moments(self):
         zero = ChaosElement()
-        assert zero.moment(0) == 1
-        assert zero.moment(3) == 0
+        assert moment(zero, 0) == 1
+        assert moment(zero, 3) == 0
 
     def test_has_no_monomial_operations(self):
         with pytest.raises(ValueError, match="Hermite degree"):
@@ -97,7 +111,7 @@ class TestHermiteProduct:
     @settings(max_examples=100, deadline=None)
     @given(chaos_st, chaos_st)
     def test_linearised_product_matches_monomials(self, a, b):
-        assert (a * b).to_poly() == a.to_poly() * b.to_poly()
+        assert to_poly(a * b) == to_poly(a) * to_poly(b)
 
 
 class TestBasicOperators:
@@ -110,8 +124,9 @@ class TestBasicOperators:
 
     def test_linverse_inverts_up_to_centering(self):
         el = ChaosElement({0: 1, 2: -1, 4: F(5, 7)})
-        assert ou_generator(L_inverse(el)) == \
-            el - ChaosElement({0: el.expectation()})
+        centred = el - ChaosElement({0: expectation(el)})
+        assert ou_generator(L_inverse(el)) == centred
+        assert L_inverse(ou_generator(el)) == centred
         assert L_inverse(ChaosElement({0: 3})).is_zero()
 
     def test_linverse_of_first_chaos_square(self):
@@ -137,10 +152,22 @@ class TestCarreDuChamp:
         assert carre_du_champ(a, b) == malliavin_D(a) * malliavin_D(b)
 
     def test_distinct_from_gamma_one_beyond_first_chaos(self):
-        # Gamma[F, F] = |DF|^2 is p * Gamma_1(F) on pure p-th chaos.
-        for p in (2, 3, 4):
+        # Gamma[F, F] = |DF|^2 is p * Gamma_1(F) on pure p-th chaos.  With
+        # L^{-1} L = id - E (above) this is the square identity
+        # L^{-1}(F^2) = L^{-1} Gamma_1(F) - (F^2 - E[F^2]) / 2p.
+        for p in range(1, 6):
             assert carre_du_champ(H(p), H(p)) == p * gamma_r(H(p), 1)
-        assert carre_du_champ(H(1), H(1)) == gamma_r(H(1), 1)
+        el = ChaosElement({3: F(2, 5)})
+        assert carre_du_champ(el, el) == 3 * gamma_r(el, 1)
+
+
+# (p, r) -> Gamma_r(H_p), frozen
+FROZEN_GAMMAS = {
+    (4, 1): {6: 4, 4: 36, 2: 72, 0: 24},
+    (4, 2): {8: 16, 6: 384, 4: 2544, 2: 4416, 0: 864},
+    (3, 3): {6: 27, 4: 486, 2: 1782, 0: 540},
+    (3, 4): {7: 81, 5: 2268, 3: 15714, 1: 19440},
+}
 
 
 class TestGammaOperators:
@@ -158,14 +185,9 @@ class TestGammaOperators:
             assert gamma_r(H(q), 1) == q * sq, q
 
     def test_frozen_gamma_expansions(self):
-        assert gamma_r(H(4), 1) == ChaosElement(
-            {6: 4, 4: 36, 2: 72, 0: 24})
-        assert gamma_r(H(4), 2) == ChaosElement(
-            {8: 16, 6: 384, 4: 2544, 2: 4416, 0: 864})
-        assert gamma_r(H(3), 3) == ChaosElement(
-            {6: 27, 4: 486, 2: 1782, 0: 540})
-        assert gamma_r(H(3), 4) == ChaosElement(
-            {7: 81, 5: 2268, 3: 15714, 1: 19440})
+        # by the definition and by the package's shift form
+        for (p, r), expansion in FROZEN_GAMMAS.items():
+            assert gamma_r(H(p), r) == levels(H(p), r)[r] == ChaosElement(expansion), (p, r)
 
     def test_top_degree_growth(self):
         for p in (3, 4):
@@ -175,8 +197,8 @@ class TestGammaOperators:
     @settings(max_examples=60, deadline=None)
     @given(chaos_st)
     def test_expectation_of_gamma_one_is_variance(self, el):
-        mean = el.expectation()
-        assert gamma_r(el, 1).expectation() == (el * el).expectation() - mean**2
+        mean = expectation(el)
+        assert expectation(gamma_r(el, 1)) == expectation(el * el) - mean**2
 
     @settings(max_examples=40, deadline=None)
     @given(chaos_st)
@@ -188,6 +210,19 @@ class TestGammaOperators:
             cur = gamma_r(el, r)
             assert cur == DF * -malliavin_D(L_inverse(prev))
             prev = cur
+
+
+class TestGammaLevels:
+    """The package's one-product shift form against Gamma_r by its definition."""
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_hermite_basis_to_level_eight(self, q):
+        assert levels(H(q), 8) == [gamma_r(H(q), r) for r in range(9)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(chaos_st)
+    def test_random_elements_with_constant_parts(self, el):
+        assert levels(el, 5) == [gamma_r(el, r) for r in range(6)]
 
 
 class TestCumulantFormula:
@@ -214,7 +249,7 @@ class TestCumulantFormula:
             runs.append(f)
             return gaussian_power_moments(f)
 
-        monkeypatch.setattr(malliavin, "gaussian_power_moments", counting)
+        monkeypatch.setattr(chaos_witness, "gaussian_power_moments", counting)
         assert check_cumulant_formula(H(3), 5) == (11314080, 11314080)
         assert len(runs) == 1
 
@@ -229,29 +264,6 @@ class TestCumulantFormula:
         for r in range(4):
             lhs, rhs = check_cumulant_formula(el, r)
             assert lhs == rhs
-
-
-class TestLinverseSquare:
-    def test_holds_on_pure_chaos(self):
-        for p in (1, 2, 3, 4, 5):
-            assert check_linverse_square(H(p)).is_zero()
-        assert check_linverse_square(ChaosElement({3: F(2, 5)})).is_zero()
-
-    def test_rejects_mixed_levels_and_constants(self):
-        for bad in (H(1) + H(3), ChaosElement({0: 2}), ChaosElement({})):
-            with pytest.raises(NotPureChaos):
-                check_linverse_square(bad)
-
-    def test_mixed_level_identity_really_fails(self):
-        # The restriction to pure chaos is not bureaucratic: evaluating
-        # both sides for F = H1 + H3 gives a nonzero difference.
-        el = H(1) + H(3)
-        F2 = el * el
-        lhs = L_inverse(F2)
-        for p in (1, 2, 3):
-            centred = F2 - ChaosElement({0: F2.expectation()})
-            rhs = L_inverse(gamma_r(el, 1)) - centred * F(1, 2 * p)
-            assert not (lhs - rhs).is_zero()
 
 
 class TestGammaCharacterisations:
@@ -306,8 +318,8 @@ class TestGammaCharacterisations:
         Y = H(3)
         combo = (27 * (ChaosElement({0: 8}) - Y * Y)
                  - 99 * gamma_r(Y, 1) + gamma_r(Y, 3))
-        assert combo.expectation() == 0
-        assert (gamma_r(Y, 3) - 99 * gamma_r(Y, 1)).expectation() != 0
+        assert expectation(combo) == 0
+        assert expectation(gamma_r(Y, 3) - 99 * gamma_r(Y, 1)) != 0
 
 
 def _relation_basis(p, R, J):

@@ -5,16 +5,19 @@ before ``MomentRecurrence`` read its coefficients from the integer falling
 factorials of ``algebra.falling_factorials``: it stored one polynomial in k
 per moment shift, built from ``algebra.falling_poly``, and evaluated it by
 Horner at Fraction(k).  It is kept verbatim as a reference oracle: for
-random operators, every coefficient row, residual, shift range, leading
-polynomial and repr for k <= 12 must equal the oracle's.
+random operators, every coefficient row, shift range, leading polynomial
+and repr for k <= 12 must equal the oracle's, and so must every residual
+``verification.check_moment_recurrence`` computes from those rows.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hypothesis import given, settings
 
 from steinscope.algebra import _as_fraction, accumulate, falling_poly, gaussian_moment
 from steinscope.operators import MomentRecurrence, SteinOperator, catalog_get
+from steinscope.verification import check_moment_recurrence
 
 from test_operators import operator_st
 
@@ -96,7 +99,9 @@ def _assert_same_relation(op: SteinOperator):
         row = rec.coefficients(k)
         assert row == ref.coefficients(k)
         assert all(type(v) is Fraction and v for v in row.values())
-        assert rec.residual(gaussian_moment, k) == ref.residual(gaussian_moment, k)
+    reports = check_moment_recurrence(op, SimpleNamespace(moment=gaussian_moment),
+                                      K=max(_ORDERS))
+    assert [r.residual for r in reports] == [ref.residual(gaussian_moment, k) for k in _ORDERS]
 
 
 class TestMomentRelationOracle:
