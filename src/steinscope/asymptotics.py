@@ -13,7 +13,8 @@ characterises its target.
 
 The analysis is exact throughout:
 
-* ``classify_singularity`` applies the valuation test to the c_i.
+* ``classify_singularity`` applies the valuation test to the c_i and
+  returns the kind of the point t = 0; the valuations stay on the ODE.
 * ``indicial_roots`` computes the Frobenius indicial polynomial at a regular
   singular point, extracts its rational roots with multiplicity
   (``algebra.rational_roots``), and decides the log cases:
@@ -65,8 +66,9 @@ The analysis is exact throughout:
   symmetry (which gives E[W] = 0), up to the first walk that pins; else
   the free moments are the unconditioned walk's.  A recurrence that needs
   more than ``budgets.MAX_CONSTRAINTS`` rows leaves the verdict
-  inconclusive.  Verdicts report exactly the conditions consumed, and keep
-  the ODE they analysed.
+  inconclusive.  Every verdict is built in one place, reports exactly the
+  conditions consumed, and keeps the ODE it analysed, from which its report
+  reads the valuations of the singularity.
 """
 
 from __future__ import annotations
@@ -125,45 +127,22 @@ def _canonical_magnitude(mag_pow: Fraction, root: int) -> tuple[Fraction, int]:
 # --- singularity classification ---------------------------------------------
 
 
-class SingularityClass:
-    """Classification of t = 0 plus the per-coefficient valuations.
+def classify_singularity(ode: CfOde) -> str:
+    """The kind of the point t = 0 of the ODE, by the standard valuation test.
 
-    kind is "ordinary" when val(c_i) >= val(c_n) for all i, "regular_singular"
-    when val(c_i) >= val(c_n) - (n - i) for all i (but not ordinary), and
+    "ordinary" when val(c_i) >= val(c_n) for all i, "regular_singular" when
+    val(c_i) >= val(c_n) - (n - i) for all i (but not ordinary), and
     "irregular_singular" otherwise.  Zero coefficients have valuation None
     (infinite) and never violate either test.
     """
-
-    __slots__ = ("kind", "pole_orders")
-
-    def __init__(self, kind: str, pole_orders):
-        self.kind = kind
-        self.pole_orders = tuple(pole_orders)
-
-    def __eq__(self, other):
-        if isinstance(other, SingularityClass):
-            return (self.kind, self.pole_orders) == (other.kind, other.pole_orders)
-        return NotImplemented
-
-    def as_json(self) -> dict:
-        return {"kind": self.kind, "valuations": list(self.pole_orders)}
-
-    def __repr__(self):
-        return f"SingularityClass({self.kind}, valuations={self.pole_orders})"
-
-
-def classify_singularity(ode: CfOde) -> SingularityClass:
-    """Classify the point t = 0 of the ODE by the standard valuation test."""
     n = ode.order
     vals = [c.valuation() for c in ode.coeffs]
     w = vals[n]
     if all(v is None or v >= w for v in vals):
-        kind = "ordinary"
-    elif all(v is None or v >= w - (n - i) for i, v in enumerate(vals)):
-        kind = "regular_singular"
-    else:
-        kind = "irregular_singular"
-    return SingularityClass(kind, vals)
+        return "ordinary"
+    if all(v is None or v >= w - (n - i) for i, v in enumerate(vals)):
+        return "regular_singular"
+    return "irregular_singular"
 
 
 # --- Frobenius indicial analysis ---------------------------------------------
@@ -247,15 +226,6 @@ def _level_polynomials(ode: CfOde) -> dict[int, RationalPoly]:
     )
 
 
-def _rational_form(poly: RationalPoly, turns: int) -> RationalPoly:
-    """The rational polynomial a report prints for i^turns * poly.
-
-    A real one keeps its coefficients and an imaginary one gives its
-    imaginary parts: the sign of i^turns times poly.
-    """
-    return quarter_turn(turns)[0] * poly
-
-
 def _chain_log(alpha: Fraction, alphas: list, step: int, p_step) -> Fraction | None:
     """Log exponent of the simple root alpha when P_step is the only level above P_0.
 
@@ -303,14 +273,14 @@ def indicial_roots(ode: CfOde) -> IndicialRoots:
     by term, up to LOG_WALK_TERMS terms.  A root whose gap exceeds that
     budget is listed in ``undecided``.
     """
-    sing = classify_singularity(ode)
-    if sing.kind != "regular_singular":
-        raise NotRegularSingular(
-            f"indicial analysis needs a regular singular point, got {sing.kind}"
-        )
+    kind = classify_singularity(ode)
+    if kind != "regular_singular":
+        raise NotRegularSingular(f"indicial analysis needs a regular singular point, got {kind}")
     levels = _level_polynomials(ode)
     p0 = levels[0]
-    poly = _rational_form(p0, ode.turns + ode.coeffs[-1].valuation() - ode.order)
+    # the rational form a report prints for P_0 = i^turns Q_0: real parts of
+    # a real P_0, imaginary parts of an imaginary one
+    poly = quarter_turn(ode.turns + ode.coeffs[-1].valuation() - ode.order)[0] * p0
     roots, residual = rational_roots(poly)
     higher = sorted((r, p) for r, p in levels.items() if r > 0)
 
@@ -484,7 +454,7 @@ def dominant_balance(ode: CfOde) -> list[AsymptoticBranch]:
                 (falling_poly(k, k1) * ode.coeffs[k].coeff(v1 + (k - k1)) for k in on_edge),
                 RationalPoly(),
             )
-            roots, residual = rational_roots(_rational_form(lead, ode.turns + v1 - k1))
+            roots, residual = rational_roots(quarter_turn(ode.turns + v1 - k1)[0] * lead)
             if residual.degree() > 0:
                 raise NoBalance(
                     f"slope-1 edge exponents are not rational (residual {residual})"
@@ -745,7 +715,8 @@ def _moment_forcing(op: SteinOperator):
 class Verdict:
     """Outcome of the sufficiency analysis for one operator.
 
-    ode is the operator's transform, the ODE the analysis read.  status is
+    ode is the operator's transform, the ODE the analysis read, and
+    singularity the kind of its point t = 0.  status is
     "characterising", "characterising_with_conditions" (conditions then
     list exactly the consumed assumptions, a subset of {"symmetry",
     "zero_mean"}), or "inconclusive".  branch_table pairs every analysed
@@ -754,13 +725,7 @@ class Verdict:
     """
 
     __slots__ = (
-        "status",
-        "ode",
-        "conditions",
-        "branch_table",
-        "singularity",
-        "indicial",
-        "diagnostics",
+        "status", "ode", "conditions", "branch_table", "singularity", "indicial", "diagnostics"
     )
 
     def __init__(
@@ -769,15 +734,11 @@ class Verdict:
         ode: CfOde,
         conditions=(),
         branch_table=(),
-        singularity: SingularityClass | None = None,
+        singularity: str | None = None,
         indicial: IndicialRoots | None = None,
         diagnostics: dict | None = None,
     ):
-        if status not in (
-            "characterising",
-            "characterising_with_conditions",
-            "inconclusive",
-        ):
+        if status not in ("characterising", "characterising_with_conditions", "inconclusive"):
             raise ValueError(f"unknown verdict status {status!r}")
         self.status = status
         self.ode = ode
@@ -793,14 +754,14 @@ class Verdict:
         return {
             "status": self.status,
             "conditions": sorted(self.conditions),
-            "singularity": None if self.singularity is None else self.singularity.as_json(),
+            "singularity": None
+            if self.singularity is None
+            else {"kind": self.singularity, "valuations": [c.valuation() for c in self.ode.coeffs]},
             "indicial_roots": None if self.indicial is None else self.indicial.as_json(),
             "branch_table": [
                 {**b.as_json(), "exclusion": reason} for b, reason in self.branch_table
             ],
-            "diagnostics": {
-                k: v for k, v in sorted(self.diagnostics.items())
-            },
+            "diagnostics": dict(sorted(self.diagnostics.items())),
         }
 
     def __repr__(self):
@@ -862,28 +823,30 @@ def characterisation_verdict(
     if moment_order < 0:
         raise ValueError(f"moment order {moment_order}; need moment_order >= 0")
     ode = psi_transform(op)
-    diagnostics: dict = {}
     sing = classify_singularity(ode)
+    indicial, table, diagnostics = None, (), {}
+
+    def verdict(status: str, conditions=(), notes=None) -> Verdict:
+        """The verdict with the ODE, singularity, indicial roots and branch table so far."""
+        if notes:
+            diagnostics["notes"] = notes
+        return Verdict(status, ode, conditions, table, sing, indicial, diagnostics)
 
     if ode.order == 1:
         table = ((AsymptoticBranch("bounded"), "candidate"),)
-        diagnostics["notes"] = [
+        return verdict("characterising", notes=[
             "first-order ODE: the solution space is one-dimensional, so the "
             "characteristic function is the unique solution with phi(0) = 1"
-        ]
-        return Verdict("characterising", ode, (), table, sing, None, diagnostics)
+        ])
 
-    indicial = None
-    if sing.kind == "regular_singular":
+    if sing == "regular_singular":
         indicial = indicial_roots(ode)
         if not indicial.fully_factored():
-            diagnostics["notes"] = [
+            return verdict("inconclusive", notes=[
                 f"indicial polynomial has non-rational factor {indicial.residual}"
-            ]
-            return Verdict("inconclusive", ode, (), (), sing, indicial, diagnostics)
+            ])
         if indicial.undecided:
-            diagnostics["notes"] = list(indicial.undecided)
-            return Verdict("inconclusive", ode, (), (), sing, indicial, diagnostics)
+            return verdict("inconclusive", notes=list(indicial.undecided))
         branches = _branches_for_regular(indicial)
     else:
         # at an ordinary point every Newton-polygon edge has slope < 1, so
@@ -891,8 +854,7 @@ def characterisation_verdict(
         try:
             branches = dominant_balance(ode)
         except NoBalance as exc:
-            diagnostics["notes"] = [f"dominant balance failed: {exc}"]
-            return Verdict("inconclusive", ode, (), (), sing, None, diagnostics)
+            return verdict("inconclusive", notes=[f"dominant balance failed: {exc}"])
     table = []
     correction_notes = []
     for b in branches:
@@ -914,7 +876,7 @@ def characterisation_verdict(
     surviving = [b.describe() for b, r in table if r == "not_excluded"]
     if surviving:
         diagnostics["surviving_branches"] = surviving
-        return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
+        return verdict("inconclusive")
 
     conditions = set()
     if any(r == "excluded_by_symmetry" for _, r in table):
@@ -922,20 +884,18 @@ def characterisation_verdict(
 
     candidates = sum(b.multiplicity for b, r in table if r == "candidate")
     if candidates == 0:
-        diagnostics["notes"] = [
+        return verdict("inconclusive", notes=[
             "no admissible direction found; the target's characteristic "
             "function should occupy one — check the operator/target pairing"
-        ]
-        return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
+        ])
     if candidates > 1:
         rows, walk = _moment_forcing(op)
         if walk is None:
-            diagnostics["notes"] = [
+            return verdict("inconclusive", notes=[
                 f"{candidates} admissible directions and moment forcing undecided: "
                 f"its last row k = {rows} exceeds the row budget "
                 f"MAX_CONSTRAINTS = {MAX_CONSTRAINTS}"
-            ]
-            return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
+            ])
         # symmetry gives E[W] = 0, so it walks alike with or without zero_mean
         options = [()] + [("zero_mean",)] * zero_mean + [("symmetry",)] * symmetric
         inconsistent = []
@@ -958,9 +918,8 @@ def characterisation_verdict(
                 outcome = f"the recurrence leaves E[W^n] free for n in {unconditioned}"
             else:
                 outcome = "no law with finite moments satisfies the operator's moment recurrence"
-            diagnostics["notes"] = [f"{candidates} admissible directions and {outcome}"]
-            return Verdict("inconclusive", ode, (), table, sing, indicial, diagnostics)
+            notes = [f"{candidates} admissible directions and {outcome}"]
+            return verdict("inconclusive", notes=notes)
 
-    status = "characterising_with_conditions" if conditions else "characterising"
-    return Verdict(status, ode, conditions, table, sing, indicial, diagnostics)
+    return verdict("characterising_with_conditions" if conditions else "characterising", conditions)
 

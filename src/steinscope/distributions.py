@@ -15,7 +15,8 @@ A TargetDistribution bundles up to two capabilities behind one name:
 
 The Beta/Gamma product laws (G1X, BG1, G1G2) ship samplers and metadata but
 no exact oracle; recurrence checks for them run in Monte-Carlo mode.  The
-Kummer-type law annihilated by the PRR operator ships metadata only: the
+PRR target ships metadata only, symmetric and zero-mean, and names no law:
+the operator's k = 0 moment row (1 - 2s) E[W] = 0 forces mean zero, and the
 sufficiency pipeline works from the operator alone, so it needs neither a
 sampler nor an oracle.
 

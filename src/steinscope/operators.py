@@ -24,8 +24,9 @@ H3_T4m3, H3_T5m2, H4_T2m3, H4_T3m2, H5_T13m4, H6_T6m3 (suffix: maximal
 derivative order T, maximal y-degree m), the degree-five operator
 gauss_semicircle_T5 annihilating both N(0,1) and the centered semicircle law,
 the classical Gaussian operator, and the parameterised families PN(p, sigma2)
-(product of p centered Gaussians), PRR(s) (Kummer-type law on (0, infinity)),
-and the product laws G1X(r, lam, sigma2), BG1(a, b, r), G1G2(r, s, lam).
+(product of p centered Gaussians), PRR(s) (its k = 0 moment row
+(1 - 2s) E[W] = 0 gives every law it annihilates mean zero), and the product
+laws G1X(r, lam, sigma2), BG1(a, b, r), G1G2(r, s, lam).
 
 Each family is declared once, in ``FAMILIES``: its ordered parameters with
 defaults and domain rules, and its operator builder.  ``parse_spec`` binds a

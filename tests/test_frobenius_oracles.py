@@ -126,11 +126,9 @@ def _rational_roots(poly: RationalPoly) -> tuple[dict[Fraction, int], RationalPo
 
 def indicial_roots(ode: CfOde) -> IndicialRoots:
     """Frobenius indicial roots at t = 0, with multiplicities and log flags."""
-    sing = classify_singularity(ode)
-    if sing.kind != "regular_singular":
-        raise NotRegularSingular(
-            f"indicial analysis needs a regular singular point, got {sing.kind}"
-        )
+    kind = classify_singularity(ode)
+    if kind != "regular_singular":
+        raise NotRegularSingular(f"indicial analysis needs a regular singular point, got {kind}")
     levels = _level_polynomials(ode)
     p0 = levels[0]
     factored = _factor_common_unit([p0.coeff(d) for d in range(p0.degree() + 1)])
@@ -381,7 +379,7 @@ class TestRationalFormAgainstUnitFactoring:
     @example(operator_from_levels({0: [-5, 0, 1], 1: [3]}, scale=-1))
     def test_same_real_coefficients(self, op):
         gaussian_ode = qi_witness.psi_transform(op)
-        if classify_singularity(gaussian_ode).kind != "regular_singular":
+        if classify_singularity(gaussian_ode) != "regular_singular":
             return
         p0 = _level_polynomials(gaussian_ode)[0]
         _, reals = _factor_common_unit([p0.coeff(d) for d in range(p0.degree() + 1)])

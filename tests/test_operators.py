@@ -280,6 +280,11 @@ class TestMomentRecurrence:
         rec = MomentRecurrence(catalog_get("H4_T2m3"))
         assert rec.coefficients(0) == {2: Fraction(-1), 1: Fraction(50), 0: Fraction(24)}
 
+    def test_prr_k0_row_forces_mean_zero(self):
+        # (1 - 2s) E[W] = 0 with s > 1/2: every law PRR(s) annihilates has
+        # mean zero, so none lives on (0, infinity)
+        assert MomentRecurrence(catalog_get("PRR:s=2")).coefficients(0) == {1: Fraction(-3)}
+
     def test_leading_coefficient_poly(self):
         rec = MomentRecurrence(catalog_get("gauss_semicircle_T5"))
         assert rec.max_shift == 1

@@ -21,8 +21,10 @@ say which path:
   the two ``CorrectionNotLinear`` exits a verdict can reach, a term between
   the two levels and inconsistent ring components;
 * moment forcing that pins every moment, leaves one or two free, finds the
-  rows inconsistent, and walks 256 rows (``moment_row_N246``), together
-  with the symmetry exclusion and the conjugate-pair trap;
+  rows inconsistent, walks 256 rows (``moment_row_N246``), and would need
+  rows past MAX_CONSTRAINTS (``forcing_budget``, y^2 D - 10^12 y, whose
+  rows run to k = 10^12 + 10), together with the symmetry exclusion and the
+  conjugate-pair trap;
 * a first-order ODE, an ordinary point, and the order-0 ODE of D
   (``order_zero``).
 
@@ -38,7 +40,9 @@ when moment forcing stopped walking symmetry together with zero_mean (which
 walks as symmetry alone) and took the free moments from the walk without side
 conditions: ``forcing_two_free`` and ``ordinary`` (free moments [2] became
 [1, 2]), ``forcing_inconsistent`` and ``rho_turn1`` (one repeated
-``inconsistent_forcing`` line gone).
+``inconsistent_forcing`` line gone).  The two ``forcing_budget`` reports
+were added later, the only ones to reach the row-budget exit, and recorded
+before the verdict's exits came to share one constructor.
 """
 
 import io
