@@ -12,6 +12,9 @@ keeps its powers of i as quarter turns beside rational coefficients
 ``_as_fraction`` is the one reader for exact numbers given as text: operator
 files, catalog and target specs and Hermite indices all go through it.
 ``accumulate`` is the package's one add-and-prune loop for sparse dicts.
+``echelon_insert``, built on it, is the one elimination over Q: a reduced
+echelon form grown a sparse row at a time, pivoting on the highest column
+or the lowest (discovery's nullspace is eliminated modulo primes).
 The sparse-dict ring (``_SparseDict``) also carries the Hermite chaos
 expansions of ``malliavin.ChaosElement``.  ``hermite_to_monomial`` gives the
 probabilists' (monic) Hermite polynomial H_q in monomials: H_0 = 1,
@@ -53,6 +56,33 @@ def accumulate(pairs, out=None) -> dict:
         else:
             out.pop(key, None)
     return out
+
+
+def echelon_insert(pivots: dict, row: dict, lead):
+    """Add the sparse row ``{column: Fraction}`` to the reduced echelon form ``pivots``.
+
+    ``pivots`` maps each pivot column to its row, scaled to 1 there and zero
+    at the other pivots.  The reduced row pivots on ``lead`` (``min`` or
+    ``max``) of its columns, which is cleared from the other rows and
+    returned; a row in the span returns None and changes nothing.  A span
+    has one such form for each ``lead``, whatever the order of its rows.
+    """
+    row = dict(row)
+    # pivot rows are zero at each other's pivots, so one pass reduces the row
+    for p in [p for p in row if p in pivots]:
+        factor = -row[p]
+        accumulate(((c, factor * v) for c, v in pivots[p].items()), row)
+    if not row:
+        return None
+    col = lead(row)
+    row = {c: v / row[col] for c, v in row.items()}
+    # a row's pivot is its lead, so only a row pivoted before col can hold it
+    if pivots and lead(lead(pivots), col) != col:
+        for other in pivots.values():
+            if factor := other.get(col):
+                accumulate(((c, -factor * v) for c, v in row.items()), other)
+    pivots[col] = row
+    return col
 
 
 # an optionally signed integer, or p/q with a nonzero denominator q

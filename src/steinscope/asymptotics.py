@@ -61,14 +61,15 @@ The analysis is exact throughout:
   points are handled through the indicial roots; ordinary and irregular
   ones through dominant balance plus corrections; if several admissible
   directions remain, the exact moment recurrence of the operator is
-  solved symbolically to see whether the target's moments are pinned,
-  walking its rows, built once, under no condition, then zero_mean, then
-  symmetry (which gives E[W] = 0), up to the first walk that pins; else
-  the free moments are the unconditioned walk's.  A recurrence that needs
-  more than ``budgets.MAX_CONSTRAINTS`` rows leaves the verdict
-  inconclusive.  Every verdict is built in one place, reports exactly the
-  conditions consumed, and keeps the ODE it analysed, from which its report
-  reads the valuations of the singularity.
+  solved to see whether the target's moments are pinned, walking its rows,
+  built once, under no condition, then zero_mean, then symmetry (which
+  gives E[W] = 0), up to the first walk that pins; a walk pivots on the
+  highest order first, so its free moments are the lowest orders the rows
+  leave undetermined, and if no walk pins they are the unconditioned
+  walk's.  A recurrence that needs more than ``budgets.MAX_CONSTRAINTS``
+  rows leaves the verdict inconclusive.  Every verdict is built in one
+  place, reports exactly the conditions consumed, and keeps the ODE it
+  analysed, from which its report reads the valuations of the singularity.
 """
 
 from __future__ import annotations
@@ -76,7 +77,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import RationalPoly, accumulate, falling_poly, fraction_nth_root, rational_roots
+from .algebra import (
+    RationalPoly, accumulate, echelon_insert, falling_poly, fraction_nth_root, rational_roots,
+)
 from .budgets import LOG_WALK_TERMS, MAX_CONSTRAINTS
 from .operators import CfOde, MomentRecurrence, SteinOperator, psi_transform, quarter_turn
 
@@ -540,7 +543,7 @@ def power_correction(ode: CfOde, branch: AsymptoticBranch) -> Fraction:
     terms: dict[Fraction, list] = {}  # level -> [(B-power, coefficient)]
     alpha_terms = []  # the coefficient of a at level top
     for k, c in enumerate(ode.coeffs):
-        for d, v in c.c.items():
+        for d, v in sorted(c.c.items()):  # by degree: one first level for any order
             lead = d - k * mu
             if lead < e_bal:
                 raise CorrectionNotLinear(f"terms below the balance level at t^{lead}")
@@ -641,7 +644,7 @@ def classify_branch(
     return "not_excluded"
 
 
-# --- symbolic moment forcing --------------------------------------------------
+# --- moment forcing -----------------------------------------------------------
 
 
 def _moment_forcing(op: SteinOperator):
@@ -649,12 +652,12 @@ def _moment_forcing(op: SteinOperator):
 
     K runs past every degenerate row (vanishing top coefficient) plus a
     safety margin.  Returns (K, walk), walk None and no row read when K
-    exceeds MAX_CONSTRAINTS.  walk(zero_mean, symmetry) returns (pinned:
-    bool, free moment orders, K), or (False, [], k) when row k reduces to a
-    nonzero constant, since no law satisfies the rows 0..k.  Each moment is
-    an exact linear expression {unknown: coefficient} (None is the constant
-    1) in free unknowns created on first use; a row that cannot solve for
-    its top moment eliminates its newest unknown.
+    exceeds MAX_CONSTRAINTS.  walk(zero_mean, symmetry) inserts each row
+    {k + s: c_s(k)}, over the orders the conditions leave (0 is the
+    constant E[W^0] = 1), into one reduced echelon form, highest order
+    pivoted first.  It returns (False, [], k) at the first row k to pivot at
+    order 0, which no law satisfies; else (pinned: bool, free moment orders,
+    K), the free moments being the lowest orders the rows leave undetermined.
     """
     rec = MomentRecurrence(op)
     smax, smin = rec.max_shift, rec.min_shift
@@ -663,47 +666,19 @@ def _moment_forcing(op: SteinOperator):
     rows = (max(deg_rows) + 1 if deg_rows else 0) + (smax - smin) + abs(smax) + 8
     if rows > MAX_CONSTRAINTS:
         return rows, None
-    coefficient_rows = [(k, cs) for k in range(rows + 1) if (cs := rec.coefficients(k))]
+    coefficient_rows = [(k, rec.coefficients(k)) for k in range(rows + 1)]
 
     def walk(zero_mean: bool, symmetry: bool):
-        moments: dict[int, dict] = {0: {None: Fraction(1)}}
-        order: list[int] = []  # unknown u stands for E[W^order[u]]
-
         def vanishes(nth: int) -> bool:
             return (symmetry and nth % 2 == 1) or (zero_mean and nth == 1)
 
-        def moment(nth: int) -> dict:
-            if nth not in moments:
-                moments[nth] = {}
-                if not vanishes(nth):
-                    moments[nth][len(order)] = Fraction(1)
-                    order.append(nth)
-            return moments[nth]
-
+        pivots, read = {}, set()
         for k, cs in coefficient_rows:
-            top = k + smax
-            solve = smax in cs and top not in moments and not vanishes(top)
-            expr = accumulate(
-                (u, v * w)
-                for sft, v in cs.items()
-                if not (solve and sft == smax)
-                for u, w in moment(k + sft).items()
-            )
-            if solve:
-                moments[top] = {u: -w / cs[smax] for u, w in expr.items()}
-                continue
-            unknowns = [u for u in expr if u is not None]
-            if not unknowns:
-                if expr:
-                    return False, [], k  # inconsistent: no law satisfies the system
-                continue
-            u = max(unknowns)
-            sub = [(x, -w / expr[u]) for x, w in expr.items() if x != u]
-            for m_expr in moments.values():
-                if u in m_expr:
-                    scale = m_expr.pop(u)
-                    accumulate(((x, scale * w) for x, w in sub), m_expr)
-        free = sorted({order[u] for m_expr in moments.values() for u in m_expr if u is not None})
+            row = {k + s: v for s, v in cs.items() if not vanishes(k + s)}
+            read.update(row)
+            if echelon_insert(pivots, row, max) == 0:
+                return False, [], k  # inconsistent: no law satisfies the system
+        free = sorted(read - pivots.keys() - {0})
         return not free, free, rows
 
     return rows, walk
@@ -728,16 +703,8 @@ class Verdict:
         "status", "ode", "conditions", "branch_table", "singularity", "indicial", "diagnostics"
     )
 
-    def __init__(
-        self,
-        status: str,
-        ode: CfOde,
-        conditions=(),
-        branch_table=(),
-        singularity: str | None = None,
-        indicial: IndicialRoots | None = None,
-        diagnostics: dict | None = None,
-    ):
+    def __init__(self, status: str, ode: CfOde, conditions, branch_table, singularity: str,
+                 indicial: IndicialRoots | None, diagnostics: dict):
         if status not in ("characterising", "characterising_with_conditions", "inconclusive"):
             raise ValueError(f"unknown verdict status {status!r}")
         self.status = status
@@ -748,15 +715,14 @@ class Verdict:
         self.branch_table = tuple(branch_table)
         self.singularity = singularity
         self.indicial = indicial
-        self.diagnostics = diagnostics or {}
+        self.diagnostics = diagnostics
 
     def as_json(self) -> dict:
         return {
             "status": self.status,
             "conditions": sorted(self.conditions),
-            "singularity": None
-            if self.singularity is None
-            else {"kind": self.singularity, "valuations": [c.valuation() for c in self.ode.coeffs]},
+            "singularity": {"kind": self.singularity,
+                            "valuations": [c.valuation() for c in self.ode.coeffs]},
             "indicial_roots": None if self.indicial is None else self.indicial.as_json(),
             "branch_table": [
                 {**b.as_json(), "exclusion": reason} for b, reason in self.branch_table

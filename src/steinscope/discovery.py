@@ -46,7 +46,7 @@ of primes ever needed.
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .algebra import _as_fraction, falling_factorials, primitive
+from .algebra import _as_fraction, echelon_insert, falling_factorials, primitive
 from .budgets import check
 from .operators import SteinOperator
 
@@ -298,39 +298,19 @@ def _parity_nullspace(rows: list[list[int]], cols: list[tuple[int, int]]):
 def canonicalise(basis: list[SteinOperator]) -> list[SteinOperator]:
     """Deterministic representatives of the span of ``basis``.
 
-    Coefficient vectors (columns in (i, j)-lex order over all slots the
-    basis touches) are put in reduced row echelon form, dependent members
-    are dropped, and each survivor is rescaled to coprime integers with a
-    positive leading coefficient.  Two bases of the same span therefore
-    canonicalise to the same list, which is how the tests decide span
-    membership and equality.
+    Each operator's coefficients {(i, j): a_ij} go into one reduced echelon
+    form, lowest slot in (i, j)-lex order pivoted first, so dependent members
+    drop out.  Its rows, in pivot order, are rescaled to coprime integers
+    with a positive leading coefficient.  A span has one such form, so two
+    bases of the same span canonicalise to the same list, which is how the
+    tests decide span membership and equality.
     """
-    if not basis:
-        return []
-    keys = sorted({key for op in basis for key in op.a})
-    rows = [[Fraction(op.a.get(key, 0)) for key in keys] for op in basis]
-    ncols = len(keys)
-    # Plain Fraction RREF: these matrices are tiny (one row per operator).
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        pivot_row = next((p for p in range(r, len(rows)) if rows[p][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for q in range(len(rows)):
-            if q != r and rows[q][c]:
-                f = rows[q][c]
-                rows[q] = [a - f * b for a, b in zip(rows[q], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
+    pivots = {}
+    for op in basis:
+        echelon_insert(pivots, op.a, min)
+    rows = [dict(sorted(pivots[col].items())) for col in sorted(pivots)]
     # each row's pivot is 1, so the positive rescaling keeps it positive
-    return [SteinOperator({key: v for key, v in zip(keys, primitive(row)) if v})
-            for row in rows[:r]]
+    return [SteinOperator(dict(zip(row, primitive(row.values())))) for row in rows]
 
 
 def find_stein_operators(prob: DiscoveryProblem) -> list[SteinOperator]:

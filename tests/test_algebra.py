@@ -6,12 +6,13 @@ from itertools import islice
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from steinscope.algebra import (
     RationalPoly,
     _as_fraction,
     accumulate,
+    echelon_insert,
     falling_factorials,
     falling_poly,
     float_horner,
@@ -279,6 +280,49 @@ class TestAccumulate:
         for key, value in pairs:
             sums[key] = sums.get(key, 0) + value
         assert accumulate(pairs) == {k: v for k, v in sums.items() if v}
+
+
+sparse_rows = st.lists(st.dictionaries(st.integers(0, 4), fractions_st.filter(bool)), max_size=6)
+
+
+class TestEchelonInsert:
+    @staticmethod
+    def row(**entries):
+        return {int(c[1:]): Fraction(v) for c, v in entries.items()}
+
+    def test_pivots_and_a_dependent_row(self):
+        pivots = {}
+        assert echelon_insert(pivots, self.row(c0=1, c2=2), max) == 2
+        assert echelon_insert(pivots, self.row(c1=3, c2=1), max) == 1
+        form = {2: {0: Fraction(1, 2), 2: 1}, 1: {0: Fraction(-1, 6), 1: 1}}
+        assert pivots == form
+        assert echelon_insert(pivots, self.row(c0=1, c1=3, c2=3), max) is None
+        assert echelon_insert(pivots, {}, max) is None
+        assert pivots == form
+        # a new pivot clears its column from the rows already there
+        assert echelon_insert(pivots, self.row(c0=4), max) == 0
+        assert pivots == {2: {2: 1}, 1: {1: 1}, 0: {0: 1}}
+
+    def test_the_lead_picks_the_pivot(self):
+        pivots = {}
+        assert echelon_insert(pivots, {(0, 1): Fraction(2), (1, 0): Fraction(-2)}, min) == (0, 1)
+        assert pivots == {(0, 1): {(0, 1): 1, (1, 0): -1}}
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_rows.flatmap(lambda rows: st.tuples(st.just(rows), st.permutations(rows))))
+    def test_the_form_is_reduced_and_ignores_row_order(self, rows_and_shuffle):
+        rows, shuffled = rows_and_shuffle
+        for lead in (min, max):
+            forms = []
+            for order in (rows, shuffled):
+                pivots = {}
+                found = [echelon_insert(pivots, row, lead) for row in order]
+                assert sorted(c for c in found if c is not None) == sorted(pivots)
+                for col, row in pivots.items():
+                    assert lead(row) == col and row[col] == 1
+                    assert not any(c in pivots for c in row if c != col)
+                forms.append(pivots)
+            assert forms[0] == forms[1]
 
 
 @pytest.mark.parametrize("k", range(7))

@@ -6,15 +6,20 @@ returned operator against the independent moment-recurrence verifier;
 they are frozen here as regression oracles.
 """
 
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinscope import discovery
-from steinscope.algebra import falling_factorials, primitive
+from steinscope.algebra import accumulate, falling_factorials, primitive
 from steinscope.asymptotics import characterisation_verdict
+from steinscope.cli import main, report_json
 from steinscope.discovery import DiscoveryProblem, canonicalise, find_stein_operators
 from steinscope.distributions import TargetDistribution, get_target
 from steinscope.operators import SteinOperator, catalog_get
@@ -117,6 +122,92 @@ class TestCanonicalise:
     def test_basis_order_does_not_matter(self):
         a, b = catalog_get("H4_T2m3"), catalog_get("H4_T3m2")
         assert canonicalise([a, b]) == canonicalise([b, a])
+
+
+def dense_canonicalise(basis: list[SteinOperator]) -> list[SteinOperator]:
+    """The dense Fraction RREF ``canonicalise`` ran before it shared the
+    package's one echelon form, kept verbatim as a reference."""
+    if not basis:
+        return []
+    keys = sorted({key for op in basis for key in op.a})
+    rows = [[Fraction(op.a.get(key, 0)) for key in keys] for op in basis]
+    ncols = len(keys)
+    # Plain Fraction RREF: these matrices are tiny (one row per operator).
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        pivot_row = next((p for p in range(r, len(rows)) if rows[p][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for q in range(len(rows)):
+            if q != r and rows[q][c]:
+                f = rows[q][c]
+                rows[q] = [a - f * b for a, b in zip(rows[q], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    # each row's pivot is 1, so the positive rescaling keeps it positive
+    return [SteinOperator({key: v for key, v in zip(keys, primitive(row)) if v})
+            for row in rows[:r]]
+
+
+small_operators = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(-6, 6, max_denominator=4).filter(bool), min_size=1, max_size=6,
+).map(SteinOperator)
+weights = st.fractions(-3, 3, max_denominator=3)
+
+
+@st.composite
+def redundant_bases(draw):
+    """Random operators, plus combinations and rescaled copies of them, shuffled."""
+    base = draw(st.lists(small_operators, min_size=1, max_size=5))
+    extra = []
+    for ws in draw(st.lists(st.lists(weights, min_size=len(base), max_size=len(base)),
+                            max_size=3)):
+        combo = accumulate((key, w * v) for w, op in zip(ws, base) for key, v in op.a.items())
+        if combo:
+            extra.append(SteinOperator(combo))
+    extra += [draw(weights.filter(bool)) * op for op in draw(st.lists(st.sampled_from(base),
+                                                                       max_size=3))]
+    return draw(st.permutations(base + extra))
+
+
+class TestCanonicaliseAgainstDenseRref:
+    @settings(max_examples=150, deadline=None)
+    @given(redundant_bases())
+    def test_matches_the_dense_reference(self, basis):
+        got = canonicalise(basis)
+        assert got == dense_canonicalise(basis)
+        assert [list(op.a) for op in got] == [sorted(op.a) for op in got]
+
+    def test_catalog_bases_match(self):
+        basis = [catalog_get(name) for name in ("H4_T2m3", "H4_T3m2", "H3_T5m2", "H6_T6m3")]
+        basis += [H3_FOURTH_ORDER, 3 * catalog_get("H4_T2m3") + catalog_get("H4_T3m2")]
+        assert canonicalise(basis) == dense_canonicalise(basis)
+
+
+DISCOVER_DATA = Path(__file__).parent / "data" / "discover"
+
+
+@pytest.mark.parametrize("path", sorted(DISCOVER_DATA.glob("*.json")), ids=lambda p: p.stem)
+def test_discovered_basis_is_the_recorded_one(path):
+    # the result blocks of discover for bases of nullity above 1, recorded
+    # before canonicalise shared the package's one echelon form
+    recorded = path.read_text(encoding="utf-8")
+    shape = json.loads(recorded)
+    assert shape["dimension"] > 1
+    argv = ["discover", "--target", shape["target"],
+            "--order", str(shape["order"]), "--degree", str(shape["degree"])]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    assert report_json(json.loads(out.getvalue())["result"]) == recorded
 
 
 class TestReproduction:

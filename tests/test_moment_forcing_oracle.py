@@ -1,23 +1,39 @@
-"""Second witness for the symbolic moment forcing.
+"""Witnesses for the moment forcing.
 
-``_LinearMoments`` and ``_moment_forcing`` below are the implementation the
-package used before the moment expressions became local state of
-``asymptotics._moment_forcing`` built on ``algebra.accumulate``.  They are
-kept verbatim as a reference oracle, except that an inconsistent row k now
-gives (False, [], k) rather than (False, [], rows): hypothesis checks that the
-package's walk over the rows it builds once returns the same (pinned, free
-moments, rows) on random small operators under every combination of the side
-conditions zero_mean and symmetry.  On the reference it also checks the two
-facts that let a verdict walk at most three options: zero_mean adds nothing to
-symmetry, and rows no law satisfies stay so under every side condition.
+``asymptotics._moment_forcing`` inserts each recurrence row into one reduced
+echelon form (``algebra.echelon_insert``), the highest moment order pivoted
+first.  Hypothesis checks it on random operators with i, j <= 5 and up to
+eight terms, under every combination of the side conditions zero_mean and
+symmetry, against two witnesses:
+
+* ``_LinearMoments`` and ``_moment_forcing`` below are the walk the package
+  used before: each moment an exact linear expression in unknowns created on
+  first use, and a row that cannot solve for its top moment eliminating its
+  newest unknown.  They are kept verbatim, except that an inconsistent row k
+  gives (False, [], k) rather than (False, [], rows).  They witness whether
+  every moment is pinned, the first inconsistent row and the number of free
+  moments.  Which moments they leave free follows the order in which an
+  operator's coefficient dict yields its shifts, so their free set is not
+  compared.
+* ``dense_free_orders`` witnesses the free set: an order n >= 1 that the rows
+  read is free iff its column of the rows, as a dense Fraction matrix, lies
+  in the span of the columns of the higher orders.
+
+On the reference it also checks the two facts that let a verdict walk at
+most three options: zero_mean adds nothing to symmetry, and rows no law
+satisfies stay so under every side condition.  Last, a verdict and each walk
+are the same for an operator's coefficients in file order and in reverse, down
+to the intermediate level a failed power correction names.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from steinscope import asymptotics
 from steinscope.algebra import rational_roots
+from steinscope.asymptotics import characterisation_verdict
 from steinscope.operators import MomentRecurrence, SteinOperator, catalog_get
 
 # --- reference oracle -----------------------------------------------------------
@@ -117,6 +133,40 @@ def _moment_forcing(op: SteinOperator, zero_mean: bool, symmetry: bool):
     return not free, free, rows
 
 
+# --- dense witness for the free set ---------------------------------------------------
+
+
+def dense_free_orders(op: SteinOperator, zero_mean: bool, symmetry: bool, K: int) -> list[int]:
+    """Orders n >= 1 read by rows 0..K whose column lies in the span of the higher ones.
+
+    The columns, one per moment order the rows read, are taken from the
+    highest order down; each is reduced against the columns kept so far and
+    kept if anything is left, so it is in their span iff it reduces to zero.
+    """
+    def vanishes(n):
+        return (symmetry and n % 2 == 1) or (zero_mean and n == 1)
+
+    rec = MomentRecurrence(op)
+    rows = [
+        {k + s: c for s, c in rec.coefficients(k).items() if not vanishes(k + s)}
+        for k in range(K + 1)
+    ]
+    kept = []  # (pivot index, reduced column)
+    free = []
+    for n in sorted({n for row in rows for n in row if n}, reverse=True):
+        col = [Fraction(row.get(n, 0)) for row in rows]
+        for p, vec in kept:
+            if col[p]:
+                f = col[p] / vec[p]
+                col = [a - f * b for a, b in zip(col, vec)]
+        pivot = next((i for i, x in enumerate(col) if x), None)
+        if pivot is None:
+            free.append(n)
+        else:
+            kept.append((pivot, col))
+    return sorted(free)
+
+
 # --- the comparison -----------------------------------------------------------------
 
 CONDITIONS = [(False, False), (True, False), (False, True), (True, True)]
@@ -125,16 +175,47 @@ coefficient = st.builds(
     Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3)
 )
 operators = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficient, min_size=1, max_size=6
+    st.tuples(st.integers(0, 5), st.integers(0, 5)), coefficient, min_size=1, max_size=8
 ).map(SteinOperator)
+
+# an operator file whose free moments the old walk named by coefficient order:
+# [1, 4] read in file order, [3, 4] in reverse
+ORDER_SENSITIVE = SteinOperator.from_json_dict({"T": 4, "m": 5, "coeff": [
+    ["0", "0", "-2/3", "0", "0"], ["0", "-1/2", "0", "0", "0"],
+    ["5/4", "0", "0", "-1/4", "0"], ["0", "0", "0", "0", "0"],
+    ["0", "0", "0", "0", "2/3"], ["0", "0", "-3/2", "0", "0"],
+]})
+
+# an operator file whose free moments the old walk named [2, 5] in file order;
+# E[W] is free once E[W^2] is pinned, so the rule gives [1, 5]
+FILE_ORDER_CHANGED = SteinOperator.from_json_dict({"T": 4, "m": 5, "coeff": [
+    ["0", "0", "0", "0", "0"], ["0", "0", "0", "4/3", "0"], ["0", "0", "-1/2", "0", "0"],
+    ["0", "1", "2", "0", "-3"], ["0", "0", "0", "0", "0"], ["0", "0", "0", "-1/2", "0"],
+]})
+# two intermediate levels of a power correction: the failure named t^-3 in
+# file order and t^-2 in reverse before the levels were read by degree
+TWO_INTERMEDIATE_LEVELS = SteinOperator.from_json_dict({"T": 5, "m": 2, "coeff": [
+    ["0", "0", "0", "0", "4/3", "-1"], ["-1", "1/2", "2", "0", "0", "0"],
+    ["0", "0", "0", "0", "-1/2", "0"],
+]})
+
+
+def reversed_coefficients(op: SteinOperator) -> SteinOperator:
+    """The same operator with its coefficients inserted in reverse order."""
+    return SteinOperator(dict(reversed(op.a.items())))
 
 
 def check_agrees(op: SteinOperator) -> None:
     _, walk = asymptotics._moment_forcing(op)
+    if walk is None:
+        return
     for zero_mean, symmetry in CONDITIONS:
-        assert walk(zero_mean, symmetry) == _moment_forcing(
-            op, zero_mean, symmetry
-        ), (op, zero_mean, symmetry)
+        got = walk(zero_mean, symmetry)
+        pinned, free, k = _moment_forcing(op, zero_mean, symmetry)
+        assert (got[0], len(got[1]), got[2]) == (pinned, len(free), k), (op, zero_mean, symmetry)
+        if pinned or free:  # the rows are consistent and k is their last
+            assert got[1] == dense_free_orders(op, zero_mean, symmetry, k), (
+                op, zero_mean, symmetry)
 
 
 class TestMomentForcingOracle:
@@ -148,6 +229,8 @@ class TestMomentForcingOracle:
     @example(SteinOperator({(1, 0): 1, (3, 1): 1}))
     # the constant operator 1: the row k = 0 reads 1 = 0
     @example(SteinOperator({(0, 0): 1}))
+    @example(ORDER_SENSITIVE)
+    @example(FILE_ORDER_CHANGED)
     def test_random_operators_agree(self, op):
         check_agrees(op)
 
@@ -177,3 +260,36 @@ class TestForcingOptions:
             for zero_mean, symmetry in CONDITIONS:
                 pinned, free, _ = _moment_forcing(op, zero_mean, symmetry)
                 assert (pinned, free) == (False, []), (op, zero_mean, symmetry)
+
+
+class TestCoefficientOrder:
+    """A report is a function of the operator, not of its coefficients' order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(operators)
+    @example(ORDER_SENSITIVE)
+    @example(TWO_INTERMEDIATE_LEVELS)
+    def test_verdicts_and_walks_ignore_coefficient_order(self, op):
+        back = reversed_coefficients(op)
+        for zero_mean, symmetric in CONDITIONS:
+            assert characterisation_verdict(
+                op, symmetric=symmetric, zero_mean=zero_mean
+            ).as_json() == characterisation_verdict(
+                back, symmetric=symmetric, zero_mean=zero_mean
+            ).as_json(), (op, zero_mean, symmetric)
+        _, walk = asymptotics._moment_forcing(op)
+        _, walk_back = asymptotics._moment_forcing(back)
+        if walk is not None:
+            for zero_mean, symmetry in CONDITIONS:
+                assert walk(zero_mean, symmetry) == walk_back(zero_mean, symmetry)
+
+    @pytest.mark.parametrize("op, free", [(ORDER_SENSITIVE, [1, 4]), (FILE_ORDER_CHANGED, [1, 5])],
+                             ids=["order_sensitive", "file_order_changed"])
+    def test_the_highest_orders_are_pivoted_first(self, op, free):
+        for each in (op, reversed_coefficients(op)):
+            assert characterisation_verdict(each).diagnostics["free_moments"] == free
+
+    def test_the_first_intermediate_level_is_the_lowest_degree(self):
+        for op in (TWO_INTERMEDIATE_LEVELS, reversed_coefficients(TWO_INTERMEDIATE_LEVELS)):
+            failure, = characterisation_verdict(op).diagnostics["correction_failures"]
+            assert "intermediate level t^-3 " in failure
