@@ -27,7 +27,8 @@ when called, so exact code never imports it.  ``float_horner`` evaluates
 such coefficients on a sample array with numpy polyval's exact roundings.
 
 ``rational_roots`` is the one exact root finder over Q (Sturm isolation on
-integers), and ``primitive`` the one primitive part.
+integers), ``primitive`` the one primitive part, and ``_horner`` the one
+exact Horner, which also evaluates a ``RationalPoly`` at an exact point.
 """
 
 from __future__ import annotations
@@ -200,20 +201,8 @@ class RationalPoly(_SparseDict):
         return self._new({d - 1: d * v for d, v in self.c.items() if d >= 1})
 
     def __call__(self, x):
-        """Evaluate by Horner; exact when x is exact, float/complex otherwise."""
-        acc = None
-        for d in sorted(self.c, reverse=True):
-            v = self.c[d]
-            if acc is None:
-                acc = v, d
-                continue
-            val, deg = acc
-            val = val * (x ** (deg - d)) + v
-            acc = val, d
-        if acc is None:
-            return 0 * x if not isinstance(x, (int, float, complex)) else 0
-        val, deg = acc
-        return val * x ** deg if deg else val
+        """Exact value at an exact x (an int or a Fraction), by Horner."""
+        return _horner([self.coeff(d) for d in range(self.degree() + 1)], x)
 
     def __repr__(self):
         if not self.c:
@@ -308,7 +297,8 @@ def _divmod(num: list, den: list) -> tuple[list, list]:
     return quot, rem
 
 
-def _horner(coeffs: list[int], y: int) -> int:
+def _horner(coeffs: list, y):
+    """Exact value at y of exact coefficients (ints or Fractions), constant first."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * y + c

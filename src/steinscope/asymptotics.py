@@ -310,6 +310,24 @@ def indicial_roots(ode: CfOde) -> IndicialRoots:
 # --- Newton polygon and dominant balance -------------------------------------
 
 
+def branch_text(row: dict) -> str:
+    """One branch's text, read off its report row (``AsymptoticBranch.as_json``);
+    the diagnostics and ``analyze --pretty`` name each branch by it."""
+    if row["kind"] == "bounded":
+        return f"bounded x{row['multiplicity']}"
+    if row["kind"] == "logarithmic":
+        s = f"phi ~ t^{row['power_exponent']}"
+        if row["log_exponent"] is not None:
+            s += f" with t^{row['log_exponent']} log t term"
+        return s
+    power, root = row["magnitude"]["power"], row["magnitude"]["root"]
+    mag = power if root == 1 else f"({power})^(1/{root})"
+    s = f"S ~ {mag} e^(i pi {row['phase_over_pi']}) t^(-{row['gamma']})"
+    if row["power_exponent"] is not None:
+        s += f", phi ~ t^{row['power_exponent']} e^S"
+    return s
+
+
 class AsymptoticBranch:
     """One leading solution behaviour near t = 0.
 
@@ -374,18 +392,7 @@ class AsymptoticBranch:
         return (self.mag_pow, self.mag_root)
 
     def describe(self) -> str:
-        if self.kind == "bounded":
-            return f"bounded x{self.multiplicity}"
-        if self.kind == "logarithmic":
-            s = f"phi ~ t^{self.power_exponent}"
-            if self.log_exponent is not None:
-                s += f" with t^{self.log_exponent} log t term"
-            return s
-        mag = f"{self.mag_pow}" if self.mag_root == 1 else f"({self.mag_pow})^(1/{self.mag_root})"
-        s = f"S ~ {mag} e^(i pi {self.phase}) t^(-{self.gamma})"
-        if self.power_exponent is not None:
-            s += f", phi ~ t^{self.power_exponent} e^S"
-        return s
+        return branch_text(self.as_json())
 
     def as_json(self) -> dict:
         return {

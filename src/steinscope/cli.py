@@ -16,13 +16,17 @@ files), which are reported on stderr.
 
 All randomness flows from ``--seed`` (default 0, echoed in the report), so a
 report is a pure function of its inputs.  ``--pretty`` renders the same data
-as aligned text instead of JSON.  The environment variable
+as aligned text instead of JSON, in the engine's own texts: each branch of
+``analyze`` as the verdict's diagnostics name it
+(``asymptotics.branch_text``), and the ``gamma`` residual as its
+``ChaosElement``.  The environment variable
 STEIN_SCOPE_THREADS caps Monte-Carlo worker threads; estimates are
 chunk-ordered, so the thread count never changes a reported value.
 
 Each command imports only the modules it runs, inside its handler, so
 ``import steinscope.cli`` loads no engine module: ``discover`` never loads
-the asymptotic analysis, nor ``gamma`` the operator catalog.
+the asymptotic analysis, nor ``gamma`` the operator catalog.  This holds
+under ``--pretty`` too, which imports only what each command's text needs.
 """
 
 from __future__ import annotations
@@ -304,8 +308,6 @@ _HANDLERS = {
 
 
 def _pretty_lines(report: dict) -> list[str]:
-    from .operators import SteinOperator
-
     command = report["command"]
     result = report["result"]
     lines = [f"steinscope {command} (seed {report['seed']})"]
@@ -324,6 +326,8 @@ def _pretty_lines(report: dict) -> list[str]:
         lines.append(f"  operator : {result['operator']['name'] or '(file)'}")
         lines.append(f"  ode      : {result['ode']['display']}")
     elif command == "analyze":
+        from .asymptotics import branch_text
+
         verdict = result["verdict"]
         lines.append(f"  operator    : {result['operator']['name'] or '(file)'}")
         lines.append(f"  ode         : {result['ode']['display']}")
@@ -335,23 +339,7 @@ def _pretty_lines(report: dict) -> list[str]:
             )
             lines.append(f"  indicial    : {roots}")
         for row in verdict["branch_table"]:
-            mag = row["magnitude"]
-            parts = [row["kind"]]
-            if row["multiplicity"] > 1:
-                parts.append(f"x{row['multiplicity']}")
-            if row["gamma"] not in (None, "0"):
-                parts.append(f"gamma={row['gamma']}")
-            if mag is not None:
-                root = "" if mag["root"] == 1 else f"^(1/{mag['root']})"
-                parts.append(f"magnitude={mag['power']}{root}")
-            if row["phase_over_pi"] is not None:
-                parts.append(f"phase={row['phase_over_pi']}*pi")
-            if row["power_exponent"] is not None:
-                parts.append(f"power={row['power_exponent']}")
-            if row["log_exponent"] is not None:
-                parts.append(f"log@t^{row['log_exponent']}")
-            desc = " ".join(parts)
-            lines.append(f"  branch      : {desc:<48} -> {row['exclusion']}")
+            lines.append(f"  branch      : {branch_text(row):<48} -> {row['exclusion']}")
         status = verdict["status"]
         if verdict["conditions"]:
             status += " under {" + ", ".join(verdict["conditions"]) + "}"
@@ -369,6 +357,8 @@ def _pretty_lines(report: dict) -> list[str]:
             )
         lines.append(f"  overall  : {'pass' if result['pass'] else 'FAIL'}")
     elif command == "discover":
+        from .operators import SteinOperator
+
         lines.append(f"  target     : {result['target']}")
         lines.append(f"  shape      : T={result['order']}, m={result['degree']}")
         lines.append(f"  dimension  : {result['dimension']}")
@@ -379,12 +369,11 @@ def _pretty_lines(report: dict) -> list[str]:
         for op_dict in result["operators"]:
             lines.append(f"  operator   : {SteinOperator.from_json_dict(op_dict)!r}")
     elif command == "gamma":
+        from .malliavin import ChaosElement
+
+        residual = ChaosElement(dict(result["residual"]))
         lines.append(f"  identity : {result['check']} for {result['target']}")
-        if result["is_zero"]:
-            lines.append("  residual : 0 (identity holds exactly)")
-        else:
-            terms = " + ".join(f"({c})*H{q}" for q, c in result["residual"])
-            lines.append(f"  residual : {terms}")
+        lines.append(f"  residual : {residual or '0 (identity holds exactly)'}")
     return lines
 
 
@@ -407,27 +396,21 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--output", metavar="FILE", help="also save the JSON report to FILE"
     )
+    operator = argparse.ArgumentParser(add_help=False)
+    operator.add_argument(
+        "--op", required=True, help="catalog spec or path to an operator JSON file"
+    )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     sub.add_parser(
         "catalog", parents=[common], help="list built-in operators and targets"
     )
 
-    p = sub.add_parser(
-        "transform",
-        parents=[common],
-        help="map an operator to its characteristic-function ODE",
-    )
-    p.add_argument(
-        "--op", required=True, help="catalog spec or path to an operator JSON file"
-    )
+    sub.add_parser("transform", parents=[common, operator],
+                   help="map an operator to its characteristic-function ODE")
 
-    p = sub.add_parser(
-        "analyze", parents=[common], help="run the sufficiency analysis on an operator"
-    )
-    p.add_argument(
-        "--op", required=True, help="catalog spec or path to an operator JSON file"
-    )
+    p = sub.add_parser("analyze", parents=[common, operator],
+                       help="run the sufficiency analysis on an operator")
     p.add_argument(
         "--moments",
         type=int,
@@ -445,12 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="allow the zero-mean side condition",
     )
 
-    p = sub.add_parser(
-        "verify", parents=[common], help="check an operator against a target law"
-    )
-    p.add_argument(
-        "--op", required=True, help="catalog spec or path to an operator JSON file"
-    )
+    p = sub.add_parser("verify", parents=[common, operator],
+                       help="check an operator against a target law")
     p.add_argument("--target", required=True, help="target law spec, e.g. H3")
     p.add_argument(
         "--mode",

@@ -122,9 +122,9 @@ def check_moment_recurrence(op: SteinOperator, dist, K: int = 12) -> list[Residu
     exact value of sum_s c_s(k) E[W^{k+s}]; pass means exactly zero.  The
     highest order any row reads is asked for first, so a moment budget
     refuses before any other work; each other order is asked once and kept
-    until no later row reads it.  K < 0, which would pass vacuously, raises
-    ValueError, and K > MAX_CONSTRAINTS, the moment relation's row budget,
-    OverBudget.
+    until no later row reads it.  K < 0, or rows that read no moment, which
+    would pass vacuously, raise ValueError, and K > MAX_CONSTRAINTS, the
+    moment relation's row budget, OverBudget.
     """
     if K < 0:
         raise ValueError(f"moment orders K = {K}; need K >= 0")
@@ -132,7 +132,9 @@ def check_moment_recurrence(op: SteinOperator, dist, K: int = 12) -> list[Residu
     rec = MomentRecurrence(op)
     rows = [rec.coefficients(k) for k in range(K + 1)]
     top = max((k + s for k, row in enumerate(rows) for s in row), default=None)
-    kept = {} if top is None else {top: _as_fraction(dist.moment(top))}
+    if top is None:
+        raise ValueError(f"no moment relation row k = 0..{K} reads a moment")
+    kept = {top: _as_fraction(dist.moment(top))}
 
     def moment(order: int) -> Fraction:
         if order not in kept:

@@ -81,6 +81,11 @@ class TestRationalPoly:
     def test_evaluation_is_ring_hom(self, a, x):
         assert (a * a)(x) == a(x) * a(x)
 
+    @given(poly_st, fractions_st)
+    def test_evaluation_is_the_sum_of_the_terms(self, a, x):
+        assert a(x) == sum((v * x**d for d, v in a.c.items()), Fraction(0))
+        assert a(int(x)) == sum((v * int(x) ** d for d, v in a.c.items()), Fraction(0))
+
 
 # coefficients with exact zeros of both signs, samples of both signs
 _floats_st = st.one_of(

@@ -16,7 +16,7 @@ import jsonschema
 import pytest
 
 import steinscope
-from steinscope import distributions
+from steinscope import asymptotics, distributions
 from steinscope.asymptotics import _level_polynomials
 from steinscope.budgets import BUDGETS, LOG_WALK_TERMS, MAX_CONSTRAINTS
 from steinscope.cli import (
@@ -594,6 +594,20 @@ class TestVerify:
         assert out == ""
         assert "K >= 0" in err
 
+    @pytest.mark.parametrize("target", ["gaussian", "BG1:a=1,b=1,r=1"])
+    def test_exact_mode_rows_reading_no_moment_exit_2(self, target, tmp_path):
+        # the operator D at --orders 0 checks the row E[0] = 0 alone, which
+        # used to report "pass": true, also for a law with no exact oracle
+        path = tmp_path / "order0.json"
+        path.write_text('{"T": 1, "m": 0, "coeff": [["0", "1"]]}')
+        code, out, err = run_cli(
+            "verify", "--op", path, "--target", target,
+            "--mode", "exact", "--orders", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "reads a moment" in err
+
     def test_exact_mode_orders_at_budget_runs(self):
         code, report = run_report(
             "verify", "--op", "gauss_classical", "--target", "gaussian",
@@ -896,6 +910,25 @@ class TestPretty:
         assert code == 1
         assert "(-243)*H7" in out
 
+    @pytest.mark.parametrize("spec", GOLDEN_SPECS + sorted(
+        str(p) for p in [*DATA.glob("*.json"), *DATA.glob("verdicts/*.json")]),
+        ids=lambda spec: spec.removeprefix(f"{DATA.parent}/"))
+    def test_branch_lines_are_the_diagnostics_texts(self, spec, monkeypatch):
+        # each branch is printed as describe() names it in the diagnostics
+        verdicts = []
+        analyse = asymptotics.characterisation_verdict
+
+        def recorded(*args, **kwargs):
+            verdicts.append(analyse(*args, **kwargs))
+            return verdicts[-1]
+
+        monkeypatch.setattr(asymptotics, "characterisation_verdict", recorded)
+        _, out, _ = run_cli("analyze", "--op", spec, "--pretty")
+        [verdict] = verdicts
+        assert [line for line in out.splitlines() if line.startswith("  branch ")] == [
+            f"  branch      : {branch.describe():<48} -> {reason}"
+            for branch, reason in verdict.branch_table]
+
 
 # Runs main() in a fresh interpreter and prints the exit code and which
 # parts of the numeric stack, of the thread pool and of the package
@@ -1017,6 +1050,13 @@ class TestCommandImports:
     def test_each_command_loads_only_what_it_runs(self, argv, loaded):
         assert _run_fresh(_MODULE_PROBE, *argv) == {
             "code": 0, "loaded": sorted(loaded | {"algebra", "budgets", "cli"})}
+
+    @pytest.mark.parametrize("argv", [
+        ("catalog",), ("gamma", "--target", "H3", "--check", "4.2"),
+    ], ids=["catalog", "gamma"])
+    def test_pretty_loads_no_more_than_the_plain_command(self, argv):
+        plain = _run_fresh(_MODULE_PROBE, *argv)
+        assert _run_fresh(_MODULE_PROBE, *argv, "--pretty") == plain
 
 
 def _fresh_import(module: str, expression: str):

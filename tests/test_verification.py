@@ -148,6 +148,13 @@ class TestExactMode:
         with pytest.raises(ValueError, match="K >= 0"):
             check_moment_recurrence(catalog_get("H3_T4m3"), get_target("H4"), K=K)
 
+    @pytest.mark.parametrize("target", ["gaussian", "BG1:a=1,b=1,r=1"])
+    def test_rows_that_read_no_moment_are_an_error(self, target):
+        # D sends y^0 to 0, so its one row at K = 0 reads no moment and would
+        # pass any law, even one with no exact moment oracle
+        with pytest.raises(ValueError, match="reads a moment"):
+            check_moment_recurrence(d(1), get_target(target), K=0)
+
 
 def d(j):
     """The operator D^j, whose image of f is the j-th derivative of f."""
