@@ -64,6 +64,14 @@ MAX_HERMITE_DEGREE = 2048
 # (n = 10^5) 2.1 s.
 MAX_SAMPLES = 10**8
 
+# Monte-Carlo Horner steps: verify --n times the summed degree of the
+# image polynomials each sample is run through (Re P and Im P at each
+# frequency, q for each weighted monomial), 75 for H5_T13m4 and 366 for
+# the T = 120, m = 1 operator file a_0j = 1, a_10 = -1.  One thread:
+# PN:p=9 (99 steps) on BG1 at n = 10^8 29.0 s, and H5_T13m4 there 28.3 s
+# on the same VM; the T = 120 file at n = 27322404 on BG1 12.5 s.
+MAX_HORNER_STEPS = 10**10
+
 # The integer gap the term-by-term Frobenius log test walks, used only when
 # two or more series levels lie above the indicial one.  An Euler-type
 # operator of shape (3, 3) with three levels and the gap 1000: 0.35 s

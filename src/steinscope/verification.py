@@ -22,20 +22,22 @@ own weight.  A chunk walks each group in blocks of _BLOCK samples,
 computing the group's factors once per block (at most three arrays) and
 polynomials by ``algebra.float_horner``, into one chunk-length output array
 per image, then reduces each array to its mean and sum of squared
-deviations.  Each worker reuses two output arrays, so its memory does not
-grow with n.  Every step is an elementwise ufunc with the roundings of
-evaluating each image on its own with numpy's ``polyval``, and the
-reductions see whole chunks, so residuals and standard errors are
+deviations.  A chunk makes its two output arrays after its draw and drops
+them when it is done, so a worker holds one chunk at a time and its memory
+does not grow with n.  Every step is an elementwise ufunc with the
+roundings of evaluating each image on its own with numpy's ``polyval``, and
+the reductions see whole chunks, so residuals and standard errors are
 bit-identical to that.
 
 Monte-Carlo estimation is chunked; chunk i draws from a generator seeded
 with seed + i, so results are reproducible and independent of the number of
 worker threads (set by the STEIN_SCOPE_THREADS environment variable, at
 most the CPUs the process may run on).  Chunk statistics are merged by exact
-pairwise Welford combination in chunk order.
+pairwise Welford combination in chunk order, each as it arrives.
 
-numpy is imported inside the Monte-Carlo code, and concurrent.futures only
-where Monte-Carlo chunks run on threads, so exact mode loads neither.
+numpy is imported inside the Monte-Carlo code, so exact mode does not load
+it.  The workers are plain threads, each running every W-th chunk, so no
+thread pool (concurrent.futures, and the logging it imports) is loaded.
 """
 
 from __future__ import annotations
@@ -190,6 +192,7 @@ def _wave_images(op: SteinOperator, t):
         cos_out -= np.multiply(sin, p, out=sin)
         sin_out += np.multiply(cos, p, out=cos)
 
+    evaluate.degree = len(re) + len(im) - 2
     return (f"cos({t}*y)", f"sin({t}*y)"), evaluate
 
 
@@ -215,6 +218,7 @@ def _gaussian_image(op: SteinOperator, d: int):
         np.exp(w, out=w)
         np.multiply(float_horner(y, q), w, out=outs[0])
 
+    evaluate.degree = len(q) - 1
     return ("exp(-y^2/2)" if d == 0 else f"exp(-y^2/2)*y^{d}",), evaluate
 
 
@@ -224,6 +228,8 @@ def image_groups(op: SteinOperator) -> list:
     One group per frequency of _T_GRID, then one per weighted monomial, so
     no group has more than two images; a wave group's images share t*y,
     cos, sin and both parts of P, which ``evaluate`` computes once per call.
+    Each ``evaluate`` carries ``degree``, the Horner steps it takes per
+    sample: the degrees of Re P and Im P, or of q.
     """
     return ([_wave_images(op, t) for t in _T_GRID]
             + [_gaussian_image(op, d) for d in range(_MAX_POLY_DEGREE + 1)])
@@ -263,9 +269,10 @@ def mc_stein_residual(op: SteinOperator, dist, n: int = _DEFAULT_N,
     pass vacuously, as do a negative seed and a mean or standard error that
     is not finite (the samples overflowed), since NaN or infinity is neither
     a pass nor a fail; the totals are checked as each chunk is merged, so
-    the first chunk that makes one non-finite ends the run.  n times
-    ``dist.draws`` (one if absent) above the budget MAX_SAMPLES raises
-    OverBudget before any sampling.
+    the first chunk that makes one non-finite ends the run, and no later
+    chunk is started.  n times ``dist.draws`` (one if absent) above the
+    budget MAX_SAMPLES, or n times the images' Horner steps per sample
+    above MAX_HORNER_STEPS, raises OverBudget before any sampling.
     """
     if n < 2:
         raise ValueError(f"Monte-Carlo sample size n = {n}; need n >= 2")
@@ -274,25 +281,25 @@ def mc_stein_residual(op: SteinOperator, dist, n: int = _DEFAULT_N,
           else f"Monte-Carlo draws n*{draws}", n * draws)
     if seed < 0:
         raise ValueError(f"Monte-Carlo seed = {seed}; need seed >= 0")
-    import threading
-
     import numpy as np
 
     groups = image_groups(op)
+    steps = sum(evaluate.degree for _, evaluate in groups)
+    check("MAX_HORNER_STEPS", f"Monte-Carlo Horner steps n*{steps}", n * steps)
     width = max(len(labels) for labels, _ in groups)
-    chunks = range(-(-n // _CHUNK))
-    worker = threading.local()
+    chunks = -(-n // _CHUNK)
 
     def run_chunk(i: int):
         y = dist.sample(min(_CHUNK, n - i * _CHUNK), seed=seed + i)
-        if not hasattr(worker, "outs"):  # one output array per image of a group
-            worker.outs = [np.empty(min(n, _CHUNK)) for _ in range(width)]
+        # one output array per image of a group, made after the draw and
+        # dropped with the chunk, so none sits beside a sampler's second draw
+        workspace = [np.empty(len(y)) for _ in range(width)]
         stats = []
         # an image that overflows on finite samples is reported as a
         # non-finite estimate when its chunk is merged
         with np.errstate(over="ignore", invalid="ignore"):
             for labels, evaluate in groups:
-                outs = [out[:len(y)] for out in worker.outs[:len(labels)]]
+                outs = workspace[:len(labels)]
                 for lo in range(0, len(y), _BLOCK):
                     block = slice(lo, lo + _BLOCK)
                     evaluate(y[block], [out[block] for out in outs])
@@ -323,16 +330,45 @@ def mc_stein_residual(op: SteinOperator, dist, n: int = _DEFAULT_N,
             reports = [report(label, *total) for label, total in zip(labels, totals)]
         return reports
 
-    workers = min(_threads(), len(chunks))
+    workers = min(_threads(), chunks)
     if workers == 1:
-        return merge(map(run_chunk, chunks))
-    from concurrent.futures import ThreadPoolExecutor
+        return merge(map(run_chunk, range(chunks)))
+    import threading
+    from queue import SimpleQueue
 
-    pool = ThreadPoolExecutor(max_workers=workers)
+    # worker w runs chunks w, w + workers, ... in turn and hands each one's
+    # statistics, or the exception that ended it, to its own queue, so the
+    # merge reads chunk i from queue i mod workers
+    done = [SimpleQueue() for _ in range(workers)]
+    stop = threading.Event()
+
+    def worker(w: int):
+        try:
+            for i in range(w, chunks, workers):
+                if stop.is_set():
+                    return
+                done[w].put(run_chunk(i))
+        except BaseException as exc:
+            done[w].put(exc)
+
+    def arrivals():
+        for i in range(chunks):
+            stats = done[i % workers].get()
+            if isinstance(stats, BaseException):
+                raise stats
+            yield stats
+
+    threads = []
     try:
-        return merge(pool.map(run_chunk, chunks))
+        for w in range(workers):
+            thread = threading.Thread(target=worker, args=(w,))
+            thread.start()
+            threads.append(thread)
+        return merge(arrivals())
     finally:
-        # pool.map submits every chunk at once; after a refusal, the chunks
-        # not yet started are cancelled rather than run
-        pool.shutdown(cancel_futures=True)
-
+        # after a refusal or an error no chunk is started, and the call
+        # returns only when every started worker has finished its chunk in
+        # hand
+        stop.set()
+        for thread in threads:
+            thread.join()

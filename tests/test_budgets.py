@@ -17,6 +17,7 @@ def test_the_limits():
         "MAX_UNKNOWNS": 128,
         "MAX_HERMITE_DEGREE": 2048,
         "MAX_SAMPLES": 10**8,
+        "MAX_HORNER_STEPS": 10**10,
         "LOG_WALK_TERMS": 1000,
     }
     assert all(getattr(budgets, name) == limit for name, limit in BUDGETS.items())

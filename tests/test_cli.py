@@ -720,8 +720,9 @@ class TestVerify:
     def test_mc_mode_overflowing_images_exit_2_at_the_first_chunk(
             self, tmp_path, monkeypatch, threads):
         # T = 250: the degree-250 weighted images overflow on the first
-        # chunk, and the refusal comes then, not after 10^8 samples; at two
-        # threads the chunks not yet started are dropped
+        # chunk, and the refusal comes then, not after 1.3*10^7 samples, the
+        # most MAX_HORNER_STEPS admits for their 756 steps; at two threads
+        # the chunks not yet started are dropped
         T = 250
         path = tmp_path / "deg250.json"
         save_report(path, {"T": T, "m": 1,
@@ -730,7 +731,7 @@ class TestVerify:
         start = time.monotonic()
         code, out, err = run_cli(
             "verify", "--op", str(path), "--target", "gaussian",
-            "--mode", "mc", "--n", "100000000",
+            "--mode", "mc", "--n", "13000000",
         )
         assert time.monotonic() - start < 5.0
         assert code == 2
@@ -827,6 +828,12 @@ OVER_BUDGET = {
          "--n", "1000000"),
         # each of 10^8 H149 samples evaluates a polynomial of degree 149
         ("verify", "--op", "gauss_classical", "--target", "H149", "--mode", "mc",
+         "--n", "100000000"),
+    ],
+    "MAX_HORNER_STEPS": [
+        # each of 10^8 samples runs through PN:p=10's images, whose
+        # polynomials have degrees summing to 111
+        ("verify", "--op", "PN:p=10", "--target", "gaussian", "--mode", "mc",
          "--n", "100000000"),
     ],
     "LOG_WALK_TERMS": [],
@@ -931,9 +938,9 @@ class TestPretty:
 
 
 # Runs main() in a fresh interpreter and prints the exit code and which
-# parts of the numeric stack, of the thread pool and of the package
-# metadata reader (importlib.metadata and its email parser) the command
-# loaded.
+# parts of the numeric stack, of the thread pool (and the logging it
+# imports) and of the package metadata reader (importlib.metadata and its
+# email parser) the command loaded.
 _IMPORT_PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -944,6 +951,7 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
                   "scipy": "scipy" in sys.modules,
                   "scipy.special": "scipy.special" in sys.modules,
                   "concurrent.futures": "concurrent.futures" in sys.modules,
+                  "logging": "logging" in sys.modules,
                   "importlib.metadata": "importlib.metadata" in sys.modules,
                   "email": "email" in sys.modules,
                   "platform": "platform" in sys.modules}))
@@ -986,8 +994,8 @@ class TestNumericStackImports:
     def test_exact_commands_load_neither_numpy_nor_scipy(self, argv):
         assert probe_imports(*argv) == {
             "code": 0, "numpy": False, "scipy": False, "scipy.special": False,
-            "concurrent.futures": False, "importlib.metadata": False, "email": False,
-            "platform": False,
+            "concurrent.futures": False, "logging": False, "importlib.metadata": False,
+            "email": False, "platform": False,
         }
 
     def test_monte_carlo_loads_numpy_but_not_scipy_special(self):
@@ -995,6 +1003,19 @@ class TestNumericStackImports:
         assert loaded["code"] == 0
         assert loaded["numpy"] is True
         assert loaded["scipy.special"] is False
+
+    def test_monte_carlo_threads_load_no_thread_pool(self, monkeypatch):
+        # the workers are plain threads: concurrent.futures, and the
+        # logging it imports, stay unloaded
+        from steinscope.verification import _threads
+
+        monkeypatch.setenv("STEIN_SCOPE_THREADS", "2")
+        if _threads() < 2:
+            pytest.skip("the affinity set has fewer than 2 CPUs")
+        loaded = probe_imports("verify", "--op", "PN:p=4", "--target", "PN:p=4",
+                               "--mode", "mc", "--n", "1000000")
+        assert (loaded["code"], loaded["concurrent.futures"], loaded["logging"]) == (
+            0, False, False)
 
     @pytest.mark.parametrize("argv", [*_EXACT_COMMANDS, _MC_COMMAND], ids=lambda argv: (
         f"{argv[0]}-{argv[argv.index('--mode') + 1]}" if "--mode" in argv else argv[0]))

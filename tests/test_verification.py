@@ -7,6 +7,7 @@ asserted here were recorded at fixed seeds and are deterministic.
 """
 
 import os
+import threading
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -454,10 +455,10 @@ class TestMcMechanics:
         ("BG1:a=1/2,b=1,r=2", "BG1:a=1/2,b=1,r=2"),
     ])
     def test_workspace_does_not_grow_with_n(self, op_spec, target_spec, monkeypatch):
-        # numpy reports its buffers to tracemalloc; one worker holds one
-        # output array per image of the widest group (2) and the chunk's
-        # samples, plus either one draw of the sampler or at most three
-        # block-long factors of a wave group
+        # numpy reports its buffers to tracemalloc; one worker holds either
+        # the sampler's draws, before the chunk's output arrays are made, or
+        # the chunk's samples, one output array per image of the widest
+        # group (2) and at most three block-long factors of a wave group
         monkeypatch.setenv("STEIN_SCOPE_THREADS", "1")
         op, target = catalog_get(op_spec), get_target(target_spec)
         assert max(len(labels) for labels, _ in image_groups(op)) == 2
@@ -470,8 +471,8 @@ class TestMcMechanics:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        chunk_bytes = verification._CHUNK * 8
-        assert max(peaks) < 4 * chunk_bytes + 2**16
+        chunk_bytes, block_bytes = verification._CHUNK * 8, verification._BLOCK * 8
+        assert max(peaks) < 3 * chunk_bytes + 3 * block_bytes + 2**16
         assert abs(peaks[1] - peaks[0]) < 2**14
 
     def test_thread_count_is_capped_at_cpu_count(self, monkeypatch):
@@ -520,6 +521,54 @@ class TestMcMechanics:
             mc_stein_residual(catalog_get("gauss_classical"), law,
                               n=10 * verification._CHUNK)
         assert seeds == [0]
+
+    def test_two_threads_end_a_non_finite_run_with_the_one_thread_message(
+            self, monkeypatch):
+        # chunk 0 overflows; no later chunk's refusal or result may come
+        # first, and every worker has stopped when the error arrives
+        monkeypatch.setattr(verification, "_CHUNK", 2**10)
+        law = SimpleNamespace(name="huge", sample=lambda size, seed: (
+            1e200 * np.random.default_rng(seed).standard_normal(size)))
+        messages = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("STEIN_SCOPE_THREADS", threads)
+            before = threading.active_count()
+            with pytest.raises(ValueError, match="not finite") as caught:
+                mc_stein_residual(catalog_get("gauss_classical"), law,
+                                  n=10 * verification._CHUNK)
+            assert threading.active_count() == before
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    def test_two_threads_pass_a_sampler_error_to_the_caller(self, monkeypatch):
+        monkeypatch.setattr(verification, "_CHUNK", 2**10)
+        monkeypatch.setenv("STEIN_SCOPE_THREADS", "2")
+
+        def sample(size, seed):
+            if seed == 3:
+                raise RuntimeError("sampler failed on chunk 3")
+            return np.random.default_rng(seed).standard_normal(size)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="sampler failed on chunk 3"):
+            mc_stein_residual(catalog_get("gauss_classical"),
+                              SimpleNamespace(name="flaky", sample=sample),
+                              n=10 * verification._CHUNK)
+        assert threading.active_count() == before
+
+    def test_the_budget_counts_the_horner_steps_of_the_images(self):
+        # n times the summed degree of the image polynomials, before any draw
+        def sample(n, seed):
+            raise AssertionError("sampled over the budget")
+
+        op = SteinOperator({**{(0, j): 1 for j in range(121)}, (1, 0): -1})
+        assert sum(evaluate.degree for _, evaluate in image_groups(op)) == 366
+        assert sum(evaluate.degree
+                   for _, evaluate in image_groups(catalog_get("H5_T13m4"))) == 75
+        with pytest.raises(OverBudget, match=r"Horner steps n\*366 = 36600000000 exceeds "
+                                             r"the budget MAX_HORNER_STEPS = 10000000000"):
+            mc_stein_residual(op, SimpleNamespace(name="never", sample=sample),
+                              n=MAX_SAMPLES)
 
 
 class TestOdeResidual:
