@@ -48,14 +48,15 @@ The analysis is exact throughout:
   must cancel and the second, linear in a, fixes a.  Anything below the
   balance, between the two levels, inconsistent, or unconstrained raises
   ``CorrectionNotLinear``.
-* ``classify_branch`` turns a branch into an exclusion: real-part signs of
-  A_S t^{-gamma} on each side of 0 (principal continuation on t < 0, so the
-  left-side phase is theta - gamma) detect blow-up; oscillatory branches
-  refined to phi ~ t^a e^{S} violate the k-th derivative at
-  k* = min{k >= 0 : a - k(gamma + 1) <= 0}; decaying complex branches are
-  excluded for symmetric targets, except when a surviving conjugate pair
-  (theta, 2 - theta) admits a real linear combination, which no symmetry
-  argument can exclude.
+* ``classify_branch`` turns a branch into its branch-table row
+  (branch, exclusion): real-part signs of A_S t^{-gamma} on each side of 0
+  (principal continuation on t < 0, so the left-side phase is
+  theta - gamma) detect blow-up; oscillatory branches refined to
+  phi ~ t^a e^{S} violate the k-th derivative at
+  k* = min{k >= 0 : a - k(gamma + 1) <= 0}, and their row holds the refined
+  copy; decaying complex branches are excluded for symmetric targets,
+  except when a surviving conjugate pair (theta, 2 - theta) admits a real
+  linear combination, which no symmetry argument can exclude.
 * ``characterisation_verdict`` runs the pipeline on an operator's
   transform: first-order ODEs characterise outright; regular singular
   points are handled through the indicial roots; ordinary and irregular
@@ -68,14 +69,20 @@ The analysis is exact throughout:
   leave undetermined, and if no walk pins they are the unconditioned
   walk's.  A recurrence that needs more than ``budgets.MAX_CONSTRAINTS``
   rows leaves the verdict inconclusive.  Every verdict is built in one
-  place, reports exactly the conditions consumed, and keeps the ODE it
-  analysed, from which its report reads the valuations of the singularity.
+  place, which derives its status from whether it is decided and which
+  conditions it consumed, and keeps the ODE it analysed, from which its
+  report reads the valuations of the singularity.
+
+The records passed between these steps (``AsymptoticBranch``,
+``IndicialRoot``, ``IndicialRoots``, ``Verdict``, and ``operators.CfOde``)
+are immutable named tuples: a refinement is a copy, never a write.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     RationalPoly, accumulate, echelon_insert, falling_poly, fraction_nth_root, rational_roots,
@@ -150,7 +157,7 @@ def classify_singularity(ode: CfOde) -> str:
 
 # --- Frobenius indicial analysis ---------------------------------------------
 
-class IndicialRoot:
+class IndicialRoot(NamedTuple):
     """One indicial root: exponent, multiplicity, and log obstruction.
 
     ``log_exponent`` is the t-exponent at which a log t factor enters the
@@ -159,12 +166,9 @@ class IndicialRoot:
     solutions carry log factors at the root itself.
     """
 
-    __slots__ = ("alpha", "multiplicity", "log_exponent")
-
-    def __init__(self, alpha: Fraction, multiplicity: int, log_exponent=None):
-        self.alpha = Fraction(alpha)
-        self.multiplicity = int(multiplicity)
-        self.log_exponent = None if log_exponent is None else Fraction(log_exponent)
+    alpha: Fraction
+    multiplicity: int
+    log_exponent: Fraction | None = None
 
     def as_json(self) -> dict:
         return {
@@ -173,12 +177,8 @@ class IndicialRoot:
             "log_exponent": _frac_str(self.log_exponent),
         }
 
-    def __repr__(self):
-        tail = "" if self.log_exponent is None else f", log@t^{self.log_exponent}"
-        return f"IndicialRoot({self.alpha}, mult={self.multiplicity}{tail})"
 
-
-class IndicialRoots:
+class IndicialRoots(NamedTuple):
     """Indicial roots of a regular singular point.
 
     ``residual`` is the part of the indicial polynomial that has no rational
@@ -187,13 +187,10 @@ class IndicialRoots:
     ``undecided`` names each root whose log test ran past LOG_WALK_TERMS.
     """
 
-    __slots__ = ("roots", "polynomial", "residual", "undecided")
-
-    def __init__(self, roots, polynomial: RationalPoly, residual: RationalPoly, undecided=()):
-        self.roots = tuple(roots)
-        self.polynomial = polynomial
-        self.residual = residual
-        self.undecided = tuple(undecided)
+    roots: tuple[IndicialRoot, ...]
+    polynomial: RationalPoly
+    residual: RationalPoly
+    undecided: tuple[str, ...] = ()
 
     def fully_factored(self) -> bool:
         return self.residual.degree() <= 0
@@ -204,9 +201,6 @@ class IndicialRoots:
             "polynomial": str(self.polynomial),
             "residual": None if self.fully_factored() else str(self.residual),
         }
-
-    def __repr__(self):
-        return f"IndicialRoots({list(self.roots)})"
 
 
 def _level_polynomials(ode: CfOde) -> dict[int, RationalPoly]:
@@ -304,7 +298,7 @@ def indicial_roots(ode: CfOde) -> IndicialRoots:
                     f"exceeds the series budget LOG_WALK_TERMS = {LOG_WALK_TERMS}"
                 )
         entries.append(IndicialRoot(alpha, roots[alpha], log_exp))
-    return IndicialRoots(entries, poly, residual, undecided)
+    return IndicialRoots(tuple(entries), poly, residual, tuple(undecided))
 
 
 # --- Newton polygon and dominant balance -------------------------------------
@@ -328,62 +322,32 @@ def branch_text(row: dict) -> str:
     return s
 
 
-class AsymptoticBranch:
+class AsymptoticBranch(NamedTuple):
     """One leading solution behaviour near t = 0.
 
     kind "bounded": S' = O(1); ``multiplicity`` such directions.
     kind "exponential": S ~ A_S t^{-gamma} with |A_S| = mag_pow^(1/mag_root)
-    and arg(A_S) = phase * pi; A_S = -A/gamma with d = k2 - k1 for the
-    Newton-polygon ``edge`` (k1, k2), and ``rho`` is the rational
-    (i^gamma A)^d.
-    ``power_exponent`` is the refinement exponent a in phi ~ t^a e^{S} once
-    ``power_correction`` has run.
+    and arg(A_S) = phase * pi, 0 <= phase < 2; A_S = -A/gamma with
+    d = k2 - k1 for the Newton-polygon ``edge`` (k1, k2), and ``rho`` is the
+    rational (i^gamma A)^d.
+    ``power_exponent`` is the refinement exponent a in phi ~ t^a e^{S} on
+    the copy ``classify_branch`` returns once ``power_correction`` has run.
     kind "logarithmic": S ~ alpha log t, i.e. phi ~ t^alpha, with
     alpha = ``power_exponent`` (reported again as ``log_coeff``);
     ``log_exponent`` marks a t^e log t term when the series carries one
     (regular singular roots).
     """
 
-    __slots__ = (
-        "kind",
-        "multiplicity",
-        "gamma",
-        "mag_pow",
-        "mag_root",
-        "phase",
-        "power_exponent",
-        "log_exponent",
-        "rho",
-        "edge",
-    )
-
-    def __init__(
-        self,
-        kind: str,
-        multiplicity: int = 1,
-        gamma=None,
-        mag_pow=None,
-        mag_root=None,
-        phase=None,
-        power_exponent=None,
-        log_exponent=None,
-        rho=None,
-        edge=None,
-    ):
-        if kind not in ("bounded", "exponential", "logarithmic"):
-            raise ValueError(f"unknown branch kind {kind!r}")
-        self.kind = kind
-        self.multiplicity = int(multiplicity)
-        self.gamma = None if gamma is None else Fraction(gamma)
-        self.mag_pow = None if mag_pow is None else Fraction(mag_pow)
-        self.mag_root = None if mag_root is None else int(mag_root)
-        self.phase = None if phase is None else Fraction(phase) % 2
-        self.power_exponent = (
-            None if power_exponent is None else Fraction(power_exponent)
-        )
-        self.log_exponent = None if log_exponent is None else Fraction(log_exponent)
-        self.rho = rho
-        self.edge = edge
+    kind: str
+    multiplicity: int = 1
+    gamma: Fraction | None = None
+    mag_pow: Fraction | None = None
+    mag_root: int | None = None
+    phase: Fraction | None = None
+    power_exponent: Fraction | None = None
+    log_exponent: Fraction | None = None
+    rho: Fraction | None = None
+    edge: tuple[int, int] | None = None
 
     @property
     def magnitude_pair(self) -> tuple[Fraction, int] | None:
@@ -409,9 +373,6 @@ class AsymptoticBranch:
             else None,
             "log_exponent": _frac_str(self.log_exponent),
         }
-
-    def __repr__(self):
-        return f"AsymptoticBranch({self.describe()})"
 
 
 def _newton_hull(points: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -590,65 +551,67 @@ def power_correction(ode: CfOde, branch: AsymptoticBranch) -> Fraction:
 
 def classify_branch(
     branch: AsymptoticBranch, moment_order: int, symmetric: bool = False, ode: CfOde | None = None
-) -> str:
+) -> tuple[AsymptoticBranch, str]:
     """Exclusion verdict for one branch against characteristic-function laws.
 
-    Returns one of "candidate" (an admissible direction), "unbounded(side)",
+    Returns the branch-table row (branch, reason), the reason one of
+    "candidate" (an admissible direction), "unbounded(side)",
     "derivative_blowup(k)" (k = 0 means the direction is not even continuous
     at 0), "excluded_by_symmetry", or "not_excluded".  Sides use the
     principal continuation onto t < 0: the left-side phase of t^{-gamma} is
     (theta - gamma) pi.  A branch oscillatory on some side is judged by its
-    power t^a, which ``power_correction(ode, branch)`` sets if missing and
-    ``ode`` is given; its ``CorrectionNotLinear`` propagates.
+    power t^a; if that is missing and ``ode`` is given, the row holds the
+    copy refined by ``power_correction(ode, branch)``, whose
+    ``CorrectionNotLinear`` propagates.
     """
     if branch.kind == "bounded":
-        return "candidate"
+        return branch, "candidate"
     if branch.kind == "logarithmic":
         alpha = branch.power_exponent
         if alpha < 0:
-            return "unbounded(both)"
+            return branch, "unbounded(both)"
         if branch.log_exponent is not None and branch.log_exponent <= 0:
-            return "unbounded(both)"
+            return branch, "unbounded(both)"
         kstars = []
         if branch.log_exponent is not None:
             kstars.append(math.ceil(branch.log_exponent))
         if alpha.denominator != 1:
             kstars.append(math.floor(alpha) + 1)
         if not kstars:
-            return "candidate"
+            return branch, "candidate"
         kstar = min(kstars)
         if kstar <= moment_order:
-            return f"derivative_blowup({kstar})"
-        return "not_excluded"
+            return branch, f"derivative_blowup({kstar})"
+        return branch, "not_excluded"
     # exponential
     right = _cos_pi_sign(branch.phase)
     left = _cos_pi_sign(branch.phase - branch.gamma)
     if right > 0 and left > 0:
-        return "unbounded(both)"
+        return branch, "unbounded(both)"
     if right > 0:
-        return "unbounded(right)"
+        return branch, "unbounded(right)"
     if left > 0:
-        return "unbounded(left)"
+        return branch, "unbounded(left)"
     real_phase = branch.phase in (Fraction(0), Fraction(1))
     if right == 0 or left == 0:
         # oscillatory approach on some side: needs the refined power t^a
         if branch.power_exponent is None and ode is not None:
-            branch.power_exponent = power_correction(ode, branch)
+            branch = branch._replace(power_exponent=power_correction(ode, branch))
         if branch.power_exponent is None:
-            return "not_excluded"
+            return branch, "not_excluded"
         a = branch.power_exponent
         kstar = 0 if a <= 0 else math.ceil(a / (branch.gamma + 1))
         if kstar <= moment_order:
-            return f"derivative_blowup({kstar})"
+            return branch, f"derivative_blowup({kstar})"
         if symmetric and not real_phase:
-            return "excluded_by_symmetry"
-        return "not_excluded"
+            return branch, "excluded_by_symmetry"
+        return branch, "not_excluded"
     # strict decay on both sides
     if real_phase:
-        return "not_excluded"
+        return branch, "not_excluded"
     if symmetric:
-        return "excluded_by_symmetry"
-    return "not_excluded"
+        return branch, "excluded_by_symmetry"
+    return branch, "not_excluded"
 
 
 # --- moment forcing -----------------------------------------------------------
@@ -694,7 +657,7 @@ def _moment_forcing(op: SteinOperator):
 # --- verdict pipeline ---------------------------------------------------------
 
 
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of the sufficiency analysis for one operator.
 
     ode is the operator's transform, the ODE the analysis read, and
@@ -706,23 +669,13 @@ class Verdict:
     correction failures, and survivor notes.
     """
 
-    __slots__ = (
-        "status", "ode", "conditions", "branch_table", "singularity", "indicial", "diagnostics"
-    )
-
-    def __init__(self, status: str, ode: CfOde, conditions, branch_table, singularity: str,
-                 indicial: IndicialRoots | None, diagnostics: dict):
-        if status not in ("characterising", "characterising_with_conditions", "inconclusive"):
-            raise ValueError(f"unknown verdict status {status!r}")
-        self.status = status
-        self.ode = ode
-        self.conditions = frozenset(conditions)
-        if bool(self.conditions) != (status == "characterising_with_conditions"):
-            raise ValueError("conditions must be nonempty exactly for with-conditions")
-        self.branch_table = tuple(branch_table)
-        self.singularity = singularity
-        self.indicial = indicial
-        self.diagnostics = diagnostics
+    status: str
+    ode: CfOde
+    conditions: frozenset[str]
+    branch_table: tuple[tuple[AsymptoticBranch, str], ...]
+    singularity: str
+    indicial: IndicialRoots | None
+    diagnostics: dict
 
     def as_json(self) -> dict:
         return {
@@ -736,10 +689,6 @@ class Verdict:
             ],
             "diagnostics": dict(sorted(self.diagnostics.items())),
         }
-
-    def __repr__(self):
-        cond = f" {set(self.conditions)}" if self.conditions else ""
-        return f"Verdict({self.status}{cond})"
 
 
 def _branches_for_regular(ind: IndicialRoots) -> list[AsymptoticBranch]:
@@ -799,15 +748,19 @@ def characterisation_verdict(
     sing = classify_singularity(ode)
     indicial, table, diagnostics = None, (), {}
 
-    def verdict(status: str, conditions=(), notes=None) -> Verdict:
-        """The verdict with the ODE, singularity, indicial roots and branch table so far."""
+    def verdict(decided: bool, conditions=(), notes=None) -> Verdict:
+        """The verdict with the ODE, singularity, indicial roots and branch table
+        so far; an undecided one is inconclusive and consumed no condition."""
         if notes:
             diagnostics["notes"] = notes
-        return Verdict(status, ode, conditions, table, sing, indicial, diagnostics)
+        conditions = frozenset(conditions if decided else ())
+        status = "inconclusive" if not decided else (
+            "characterising_with_conditions" if conditions else "characterising")
+        return Verdict(status, ode, conditions, tuple(table), sing, indicial, diagnostics)
 
     if ode.order == 1:
         table = ((AsymptoticBranch("bounded"), "candidate"),)
-        return verdict("characterising", notes=[
+        return verdict(True, notes=[
             "first-order ODE: the solution space is one-dimensional, so the "
             "characteristic function is the unique solution with phi(0) = 1"
         ])
@@ -815,11 +768,11 @@ def characterisation_verdict(
     if sing == "regular_singular":
         indicial = indicial_roots(ode)
         if not indicial.fully_factored():
-            return verdict("inconclusive", notes=[
+            return verdict(False, notes=[
                 f"indicial polynomial has non-rational factor {indicial.residual}"
             ])
         if indicial.undecided:
-            return verdict("inconclusive", notes=list(indicial.undecided))
+            return verdict(False, notes=list(indicial.undecided))
         branches = _branches_for_regular(indicial)
     else:
         # at an ordinary point every Newton-polygon edge has slope < 1, so
@@ -827,16 +780,14 @@ def characterisation_verdict(
         try:
             branches = dominant_balance(ode)
         except NoBalance as exc:
-            return verdict("inconclusive", notes=[f"dominant balance failed: {exc}"])
-    table = []
-    correction_notes = []
+            return verdict(False, notes=[f"dominant balance failed: {exc}"])
+    table, correction_notes = [], []
     for b in branches:
         try:
-            reason = classify_branch(b, moment_order, symmetric, ode)
+            table.append(classify_branch(b, moment_order, symmetric, ode))
         except CorrectionNotLinear as exc:
-            reason = "not_excluded"
+            table.append((b, "not_excluded"))
             correction_notes.append(f"{b.describe()}: {exc}")
-        table.append((b, reason))
     if correction_notes:
         diagnostics["correction_failures"] = correction_notes
 
@@ -849,7 +800,7 @@ def characterisation_verdict(
     surviving = [b.describe() for b, r in table if r == "not_excluded"]
     if surviving:
         diagnostics["surviving_branches"] = surviving
-        return verdict("inconclusive")
+        return verdict(False)
 
     conditions = set()
     if any(r == "excluded_by_symmetry" for _, r in table):
@@ -857,14 +808,14 @@ def characterisation_verdict(
 
     candidates = sum(b.multiplicity for b, r in table if r == "candidate")
     if candidates == 0:
-        return verdict("inconclusive", notes=[
+        return verdict(False, notes=[
             "no admissible direction found; the target's characteristic "
             "function should occupy one — check the operator/target pairing"
         ])
     if candidates > 1:
         rows, walk = _moment_forcing(op)
         if walk is None:
-            return verdict("inconclusive", notes=[
+            return verdict(False, notes=[
                 f"{candidates} admissible directions and moment forcing undecided: "
                 f"its last row k = {rows} exceeds the row budget "
                 f"MAX_CONSTRAINTS = {MAX_CONSTRAINTS}"
@@ -892,7 +843,7 @@ def characterisation_verdict(
             else:
                 outcome = "no law with finite moments satisfies the operator's moment recurrence"
             notes = [f"{candidates} admissible directions and {outcome}"]
-            return verdict("inconclusive", notes=notes)
+            return verdict(False, notes=notes)
 
-    return verdict("characterising_with_conditions" if conditions else "characterising", conditions)
+    return verdict(True, conditions)
 

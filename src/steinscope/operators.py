@@ -99,15 +99,6 @@ class SteinOperator:
     def __hash__(self):
         return hash(frozenset(self.a.items()))
 
-    def __add__(self, other):
-        if not isinstance(other, SteinOperator):
-            return NotImplemented
-        return SteinOperator(accumulate(other.a.items(), dict(self.a)))
-
-    def __rmul__(self, scalar):
-        scalar = _as_fraction(scalar)
-        return SteinOperator({k: scalar * v for k, v in self.a.items()})
-
     def coefficient_poly(self, j: int) -> RationalPoly:
         """The y-polynomial multiplying D^j."""
         return RationalPoly({i: v for (i, jj), v in self.a.items() if jj == j})
@@ -185,31 +176,24 @@ def _gaussian_str(a: Fraction, turns: int) -> str:
     return f"{sign * a}*i" if imaginary else str(sign * a)
 
 
-class CfOde:
+class CfOde(NamedTuple):
     """The ODE sum_k c_k(t) phi^{(k)}(t) = 0 of an operator's transform.
 
     Its t^d phi^{(k)} coefficient is i^(turns + d - k) a_{k,d}, with a_{k,d}
     the operator's rational y^k D^d coefficient: ``coeffs[k]`` is the
     rational polynomial sum_d a_{k,d} t^d, and i^turns is the normalising
-    unit.  All terms of one Euler weight d - k share one quarter turn, so
-    the analysis reads rational polynomials and adds the turns to its
-    phases; the powers of i are applied only when the ODE is rendered.
+    unit, 0 <= turns < 4.  All terms of one Euler weight d - k share one
+    quarter turn, so the analysis reads rational polynomials and adds the
+    turns to its phases; the powers of i are applied only when the ODE is
+    rendered.
     """
 
-    __slots__ = ("coeffs", "turns")
-
-    def __init__(self, coeffs, turns: int):
-        self.coeffs = tuple(coeffs)
-        self.turns = turns % 4
+    coeffs: tuple[RationalPoly, ...]
+    turns: int
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        if isinstance(other, CfOde):
-            return (self.coeffs, self.turns) == (other.coeffs, other.turns)
-        return NotImplemented
 
     def _coefficient_str(self, k: int) -> str:
         """c_k over Q(i), printed as the sparse polynomials print."""
@@ -244,8 +228,8 @@ def psi_transform(op: SteinOperator) -> CfOde:
     for (k, d), v in op.a.items():
         rows[k][d] = v
     top = max(rows[-1])
-    turns = op.m - top + (0 if rows[-1][top] > 0 else 2)
-    return CfOde([RationalPoly(r) for r in rows], turns)
+    turns = (op.m - top + (0 if rows[-1][top] > 0 else 2)) % 4
+    return CfOde(tuple(RationalPoly(r) for r in rows), turns)
 
 
 class MomentRecurrence:

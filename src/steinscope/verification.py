@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import RationalPoly, _as_fraction, accumulate, float_horner
 from .budgets import check
@@ -62,28 +63,26 @@ _BLOCK = 1 << 15
 _SIGMA_MULT = 4.0
 
 
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """One verification test: residual, threshold, and pass/fail.
 
-    The invariant ``passed == (|residual| <= threshold)`` is enforced at
-    construction.  Exact-mode reports carry a Fraction residual and zero
-    threshold; Monte-Carlo reports carry float residual, standard error and
+    ``passed`` is |residual| <= threshold, read off the two.  Exact-mode
+    reports carry a Fraction residual and zero threshold; Monte-Carlo
+    reports carry float residual, standard error and
     threshold = _SIGMA_MULT * stderr.
     """
 
-    __slots__ = ("test_id", "mode", "residual", "stderr", "threshold",
-                 "passed", "n", "seed")
+    test_id: str
+    mode: str
+    residual: Fraction | float
+    threshold: Fraction | float
+    stderr: float | None = None
+    n: int | None = None
+    seed: int | None = None
 
-    def __init__(self, test_id, mode, residual, threshold, stderr=None,
-                 n=None, seed=None):
-        self.test_id = str(test_id)
-        self.mode = str(mode)
-        self.residual = residual
-        self.stderr = stderr
-        self.threshold = threshold
-        self.passed = abs(residual) <= threshold
-        self.n = n
-        self.seed = seed
+    @property
+    def passed(self) -> bool:
+        return abs(self.residual) <= self.threshold
 
     def as_json(self) -> dict:
         out = {

@@ -320,9 +320,9 @@ class TestPowerCorrection:
         # b = -2 gives phi ~ t^4 e^{S}: the 2nd derivative has no limit at 0
         ode = self.template(1, -2, 0, 1)
         (branch,) = exp_branches(ode)
-        branch.power_exponent = power_correction(ode, branch)
+        branch = branch._replace(power_exponent=power_correction(ode, branch))
         assert branch.power_exponent == 4
-        assert classify_branch(branch, 2) == "derivative_blowup(2)"
+        assert classify_branch(branch, 2)[1] == "derivative_blowup(2)"
 
     def test_degree4_order3_correction_vanishes(self):
         ode = ode_of("H4_T2m3")
@@ -360,7 +360,7 @@ class TestPowerCorrection:
         ode = ode_of("H4_T2m3")
         (branch,) = exp_branches(ode)
         k1, k2 = branch.edge
-        branch.rho = branch.rho * 2 ** (k2 - k1)
+        branch = branch._replace(rho=branch.rho * 2 ** (k2 - k1))
         with pytest.raises(CorrectionNotLinear, match="failed to cancel"):
             power_correction(ode, branch)
 
@@ -407,27 +407,41 @@ class TestClassifyBranch:
     def test_growing_branch_excluded(self):
         ode = ode_of("H3_T4m3")
         (branch,) = exp_branches(ode)  # S ~ +1/(54 t^2)
-        assert classify_branch(branch, 3) == "unbounded(both)"
+        assert classify_branch(branch, 3)[1] == "unbounded(both)"
 
     def test_one_sided_growth(self):
         # gamma = 1/2, so the left-side phase is (theta - 1/2) pi: the
         # 7/4 branch grows only for t > 0, the 3/4 branch only for t < 0.
         branches = {b.phase: b for b in exp_branches(ode_of("PN:p=6"))}
-        assert classify_branch(branches[Fraction(7, 4)], 5) == "unbounded(right)"
-        assert classify_branch(branches[Fraction(3, 4)], 5) == "unbounded(left)"
+        assert classify_branch(branches[Fraction(7, 4)], 5)[1] == "unbounded(right)"
+        assert classify_branch(branches[Fraction(3, 4)], 5)[1] == "unbounded(left)"
 
     def test_two_sided_growth_with_fractional_gamma(self):
         # gamma = 1/3 and theta = 1/6 give cos(pi/6) > 0 on the right and
         # cos(-pi/6) > 0 on the left: excluded in both directions.
         (b,) = [b for b in exp_branches(H8_ODE) if b.phase == Fraction(1, 6)]
-        assert classify_branch(b, 4) == "unbounded(both)"
+        assert classify_branch(b, 4)[1] == "unbounded(both)"
 
     def test_oscillating_branch_needs_refinement(self):
         ode = ode_of("H4_T2m3")
         (b,) = exp_branches(ode)
-        assert classify_branch(b, 3) == "not_excluded"
-        b.power_exponent = power_correction(ode, b)
-        assert classify_branch(b, 3) == "derivative_blowup(0)"
+        assert classify_branch(b, 3)[1] == "not_excluded"
+        b = b._replace(power_exponent=power_correction(ode, b))
+        assert classify_branch(b, 3)[1] == "derivative_blowup(0)"
+
+    def test_classification_returns_the_refined_copy(self):
+        # branches are values: two balances of one ODE are equal, and the
+        # refinement lands in the returned row, not in the branch passed in
+        ode = ode_of("H4_T2m3")
+        first, second = dominant_balance(ode), dominant_balance(ode)
+        assert first == second
+        assert [hash(b) for b in first] == [hash(b) for b in second]
+        (b,) = exp_branches(ode)
+        refined, reason = classify_branch(b, 3, ode=ode)
+        assert reason == "derivative_blowup(0)"
+        assert refined.power_exponent == 0
+        assert refined == b._replace(power_exponent=Fraction(0))
+        assert b.power_exponent is None
 
     def test_decaying_complex_branch_symmetry(self):
         (b,) = [
@@ -435,27 +449,27 @@ class TestClassifyBranch:
             for b in exp_branches(ode_of("H5_T13m4"))
             if b.phase == Fraction(4, 3)
         ]
-        assert classify_branch(b, 4, symmetric=False) == "not_excluded"
-        assert classify_branch(b, 4, symmetric=True) == "excluded_by_symmetry"
+        assert classify_branch(b, 4, symmetric=False)[1] == "not_excluded"
+        assert classify_branch(b, 4, symmetric=True)[1] == "excluded_by_symmetry"
 
     def test_negative_power_unbounded(self):
         b = AsymptoticBranch("logarithmic", power_exponent=Fraction(-1, 2))
-        assert classify_branch(b, 2) == "unbounded(both)"
+        assert classify_branch(b, 2)[1] == "unbounded(both)"
 
     def test_fractional_power_derivative_blowup(self):
         b = AsymptoticBranch("logarithmic", power_exponent=Fraction(8, 3))
-        assert classify_branch(b, 3) == "derivative_blowup(3)"
-        assert classify_branch(b, 2) == "not_excluded"
+        assert classify_branch(b, 3)[1] == "derivative_blowup(3)"
+        assert classify_branch(b, 2)[1] == "not_excluded"
 
     def test_log_at_zero_unbounded(self):
         b = AsymptoticBranch(
             "logarithmic", power_exponent=Fraction(0), log_exponent=Fraction(0)
         )
-        assert classify_branch(b, 2) == "unbounded(both)"
+        assert classify_branch(b, 2)[1] == "unbounded(both)"
 
     def test_analytic_root_is_candidate(self):
         b = AsymptoticBranch("logarithmic", power_exponent=Fraction(2))
-        assert classify_branch(b, 2) == "candidate"
+        assert classify_branch(b, 2)[1] == "candidate"
 
 
 class TestVerdicts:
@@ -624,7 +638,7 @@ class TestVerdicts:
         # dominant balance gives one bounded branch of multiplicity n
         ode = transform(coeffs)
         assert classify_singularity(ode) == "ordinary"
-        table = [{**b.as_json(), "exclusion": classify_branch(b, ode.order)}
+        table = [{**b.as_json(), "exclusion": classify_branch(b, ode.order)[1]}
                  for b in dominant_balance(ode)]
         assert table == [{
             "kind": "bounded", "multiplicity": ode.order, "gamma": None,

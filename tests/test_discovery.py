@@ -42,6 +42,11 @@ H3_FOURTH_ORDER = SteinOperator({
 CLASSICAL = SteinOperator({(0, 1): 1, (1, 0): -1})
 
 
+def combination(*terms):
+    """The operator sum of w * op over the (w, op) terms, from their coefficients."""
+    return SteinOperator(accumulate((key, w * v) for w, op in terms for key, v in op.a.items()))
+
+
 def in_span(basis, op):
     return canonicalise(basis + [op]) == canonicalise(basis)
 
@@ -97,7 +102,7 @@ class TestCanonicalise:
     def test_scaling_is_removed(self):
         assert canonicalise([SteinOperator({(0, 1): 2, (1, 0): -2})]) == \
             [CLASSICAL]
-        assert canonicalise([7 * catalog_get("H4_T2m3")]) == \
+        assert canonicalise([combination((7, catalog_get("H4_T2m3")))]) == \
             [catalog_get("H4_T2m3")]
 
     def test_leading_sign_is_positive(self):
@@ -111,7 +116,7 @@ class TestCanonicalise:
     def test_dependent_members_are_dropped(self):
         a = catalog_get("H4_T2m3")
         b = catalog_get("H4_T3m2")
-        reps = canonicalise([a, a + b, 3 * b])
+        reps = canonicalise([a, combination((1, a), (1, b)), combination((3, b))])
         assert len(reps) == 2
         assert in_span(reps, a) and in_span(reps, b)
 
@@ -172,8 +177,8 @@ def redundant_bases(draw):
         combo = accumulate((key, w * v) for w, op in zip(ws, base) for key, v in op.a.items())
         if combo:
             extra.append(SteinOperator(combo))
-    extra += [draw(weights.filter(bool)) * op for op in draw(st.lists(st.sampled_from(base),
-                                                                       max_size=3))]
+    extra += [combination((draw(weights.filter(bool)), op))
+              for op in draw(st.lists(st.sampled_from(base), max_size=3))]
     return draw(st.permutations(base + extra))
 
 
@@ -187,7 +192,8 @@ class TestCanonicaliseAgainstDenseRref:
 
     def test_catalog_bases_match(self):
         basis = [catalog_get(name) for name in ("H4_T2m3", "H4_T3m2", "H3_T5m2", "H6_T6m3")]
-        basis += [H3_FOURTH_ORDER, 3 * catalog_get("H4_T2m3") + catalog_get("H4_T3m2")]
+        basis += [H3_FOURTH_ORDER,
+              combination((3, catalog_get("H4_T2m3")), (1, catalog_get("H4_T3m2")))]
         assert canonicalise(basis) == dense_canonicalise(basis)
 
 

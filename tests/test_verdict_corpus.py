@@ -91,6 +91,22 @@ def test_every_report_has_its_operator():
     assert recorded == {f"{s}.{label}.json" for s in stems for label in COMMANDS}
 
 
+def test_recorded_statuses_list_conditions_exactly_when_conditional():
+    # every recorded verdict, golden or corpus: one of the three statuses,
+    # and conditions listed exactly for characterising_with_conditions
+    golden = sorted((Path(__file__).parent / "golden").glob("analyze_*.json"))
+    paths = golden + sorted((CORPUS / "reports").glob("*.json"))
+    seen = set()
+    for path in paths:
+        verdict = json.loads(path.read_text(encoding="utf-8"))["result"]["verdict"]
+        status = verdict["status"]
+        assert status in ("characterising", "characterising_with_conditions", "inconclusive")
+        assert bool(verdict["conditions"]) == (status == "characterising_with_conditions"), path
+        seen.add(status)
+    assert len(golden) == 15 and len(paths) == 81
+    assert len(seen) == 3
+
+
 def _inconsistent_cases():
     """(operator stem, diagnostic) for each inconsistent forcing a report names."""
     cases = set()
