@@ -705,13 +705,14 @@ def _branches_for_regular(ind: IndicialRoots) -> list[AsymptoticBranch]:
     ]
 
 
-def _apply_conjugate_trap(table: list) -> list[int]:
-    """Flip surviving symmetry-excluded conjugate pairs to not_excluded.
+def _conjugate_trap(table) -> list[int]:
+    """Indices of the symmetry-excluded branches that pair with a conjugate.
 
     A pair of decaying branches with phases theta and 2 - theta admits a
     real-valued linear combination at leading order, which the symmetry
-    argument cannot exclude.  A symmetry-excluded branch has no real phase,
-    so it is never its own conjugate.  Returns the flipped indices.
+    argument cannot exclude, so the verdict reads them as not_excluded.  A
+    symmetry-excluded branch has no real phase, so it is never its own
+    conjugate.
     """
     sym = [
         (i, b)
@@ -719,10 +720,7 @@ def _apply_conjugate_trap(table: list) -> list[int]:
         if reason == "excluded_by_symmetry" and b.kind == "exponential"
     ]
     keys = {(b.gamma, b.magnitude_pair, b.phase) for _, b in sym}
-    flipped = [i for i, b in sym if (b.gamma, b.magnitude_pair, -b.phase % 2) in keys]
-    for i in flipped:
-        table[i] = (table[i][0], "not_excluded")
-    return flipped
+    return [i for i, b in sym if (b.gamma, b.magnitude_pair, -b.phase % 2) in keys]
 
 
 def characterisation_verdict(
@@ -756,7 +754,7 @@ def characterisation_verdict(
         conditions = frozenset(conditions if decided else ())
         status = "inconclusive" if not decided else (
             "characterising_with_conditions" if conditions else "characterising")
-        return Verdict(status, ode, conditions, tuple(table), sing, indicial, diagnostics)
+        return Verdict(status, ode, conditions, table, sing, indicial, diagnostics)
 
     if ode.order == 1:
         table = ((AsymptoticBranch("bounded"), "candidate"),)
@@ -791,7 +789,8 @@ def characterisation_verdict(
     if correction_notes:
         diagnostics["correction_failures"] = correction_notes
 
-    flipped = _apply_conjugate_trap(table)
+    flipped = _conjugate_trap(table)
+    table = tuple((b, "not_excluded" if i in flipped else r) for i, (b, r) in enumerate(table))
     if flipped:
         diagnostics["conjugate_trap"] = [
             table[i][0].describe() for i in flipped

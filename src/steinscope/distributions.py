@@ -1,17 +1,18 @@
 """Target laws: exact moment oracles and seeded samplers.
 
-A TargetDistribution bundles up to two capabilities behind one name:
+A TargetDistribution is an immutable named tuple bundling up to two
+capabilities behind one name:
 
-* an exact moment oracle ``moment(k)`` returning a Fraction.  The laws that
-  carry one are the Hermite targets H_p(X) with X ~ N(0,1), the product
+* an exact moment ``oracle``, read by ``moment(k)`` as a Fraction.  The laws
+  that carry one are the Hermite targets H_p(X) with X ~ N(0,1), the product
   normal laws PN(p, sigma2), the centred Gaussian, and the centred
   semicircle; their moments are rational and computed exactly.  The H_p
   moments come from ``algebra.gaussian_power_moments`` (integer powers of
   H_p in monomials), extended on demand and kept per p, up to the degree
   budget ``budgets.MAX_HERMITE_DEGREE`` on p*k.
-* a seeded sampler ``sample(n, seed)`` drawing i.i.d. replicates with numpy.
-  Samplers are stateless: concurrent use derives per-task seeds as
-  ``seed + task_index``.
+* a seeded ``sampler``, read by ``sample(n, seed)``, drawing i.i.d.
+  replicates with numpy.  Samplers are stateless: concurrent use derives
+  per-task seeds as ``seed + task_index``.
 
 The Beta/Gamma product laws (G1X, BG1, G1G2) ship samplers and metadata but
 no exact oracle; recurrence checks for them run in Monte-Carlo mode.  The
@@ -20,12 +21,11 @@ the operator's k = 0 moment row (1 - 2s) E[W] = 0 forces mean zero, and the
 sufficiency pipeline works from the operator alone, so it needs neither a
 sampler nor an oracle.
 
-The parameters of the operator families (PN, PRR, G1X, BG1, G1G2) are those
-declared in ``operators.FAMILIES``, and ``get_target`` parses specs with the
-same ``operators.parse_spec`` as the catalog, so a family's target is named
-by the operator's canonical spec.  This module keeps only each family's law
-(``TARGET_BUILDERS``) and the laws outside the families: H_p, the Gaussian
-and the semicircle.
+Every target name but H<p> is one (parameters, law builder) entry of one
+table: the operator families (PN, PRR, G1X, BG1, G1G2) pair the parameters
+of ``operators.FAMILIES`` with their laws in ``TARGET_BUILDERS``, and
+``get_target`` parses specs with the same ``operators.parse_spec`` as the
+catalog, so a family's target is named by the operator's canonical spec.
 
 numpy is imported inside the sampling code that computes with it, so the
 exact moment oracles do not load it.
@@ -36,10 +36,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .algebra import (
-    _as_fraction,
     _clip,
     float_horner,
     gaussian_moment,
@@ -88,17 +87,13 @@ def hermite_poly_moment(p: int, k: int) -> Fraction:
     return known[k]
 
 
-def _catalan(r: int) -> int:
-    return comb(2 * r, r) // (r + 1)
-
-
 # --- the target type ----------------------------------------------------------
 
-class TargetDistribution:
+class TargetDistribution(NamedTuple):
     """A named target law bundling whichever capabilities it supports.
 
     Capabilities are optional: ``moment`` raises NoExactOracle when the law
-    has no exact oracle, and ``sample`` raises NotImplementedError for
+    has no exact ``oracle``, and ``sample`` raises NotImplementedError for
     analysis-only targets.  ``meta`` is the side-condition dictionary
     consumed by the sufficiency pipeline.  ``draws`` is what one sample
     counts against the Monte-Carlo budget: the p normal draws a PN:p sample
@@ -106,34 +101,13 @@ class TargetDistribution:
     one for every other law.
     """
 
-    __slots__ = (
-        "name",
-        "params",
-        "symmetric",
-        "zero_mean",
-        "draws",
-        "_moment",
-        "_sampler",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        params: dict | None,
-        *,
-        symmetric: bool,
-        zero_mean: bool,
-        moment=None,
-        sampler=None,
-        draws: int = 1,
-    ):
-        self.name = name
-        self.params = {k: _as_fraction(v) for k, v in (params or {}).items()}
-        self.symmetric = bool(symmetric)
-        self.zero_mean = bool(zero_mean)
-        self.draws = draws
-        self._moment = moment
-        self._sampler = sampler
+    name: str
+    params: dict
+    symmetric: bool
+    zero_mean: bool
+    oracle: Callable[[int], Fraction] | None = None
+    sampler: Callable | None = None
+    draws: int = 1
 
     @property
     def meta(self) -> dict:
@@ -144,9 +118,9 @@ class TargetDistribution:
         """E[Y^k], exact."""
         if k < 0:
             raise ValueError("moment order must be >= 0")
-        if self._moment is None:
+        if self.oracle is None:
             raise NoExactOracle(f"{self.name} has no exact moment oracle")
-        return self._moment(int(k))
+        return self.oracle(int(k))
 
     def sample(self, n: int, seed=0) -> np.ndarray:
         """n i.i.d. draws; reproducible for a fixed integer seed.
@@ -156,7 +130,7 @@ class TargetDistribution:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self._sampler is None:
+        if self.sampler is None:
             raise NotImplementedError(
                 f"{self.name} has no sampler; it is an analysis-only target"
             )
@@ -171,70 +145,17 @@ class TargetDistribution:
                                  f"but rounds to 0.0 in a float")
         import numpy as np
 
-        return self._sampler(np.random.default_rng(seed), int(n))
-
-    def __repr__(self):
-        caps = [
-            label
-            for label, flag in (
-                ("moments", self._moment is not None),
-                ("sampler", self._sampler is not None),
-            )
-            if flag
-        ]
-        return f"TargetDistribution({self.name!r}, capabilities={caps})"
+        return self.sampler(np.random.default_rng(seed), int(n))
 
 
 # --- registry -----------------------------------------------------------------
 
-def _semicircle_target() -> TargetDistribution:
-    def moment(k: int) -> Fraction:
-        if k % 2:
-            return Fraction(0)
-        r = k // 2
-        return Fraction(_catalan(r), 4**r)
-
-    def sampler(rng, n):  # 2 B - 1, in B's own array
-        y = rng.beta(1.5, 1.5, n)
-        y *= 2.0
-        y -= 1.0
-        return y
-
-    return TargetDistribution("semicircle", {}, symmetric=True, zero_mean=True,
-                              moment=moment, sampler=sampler)
-
-
-def _hermite_target(p: int) -> TargetDistribution:
-    def sampler(rng, n):
-        import numpy as np
-
-        try:
-            coef = hermite_to_monomial(p).float_coefficients()
-        except OverflowError as exc:
-            raise ValueError(f"H{p}: {exc}") from None
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = float_horner(rng.standard_normal(n), coef)
-        if not np.isfinite(y).all():
-            raise ValueError(f"H{p}: a sample overflows a float")
-        return y
-
-    return TargetDistribution(
-        f"H{p}",
-        {"p": p},
-        symmetric=(p % 2 == 1),
-        zero_mean=True,
-        moment=lambda k: hermite_poly_moment(p, k),
-        sampler=sampler,
-        draws=p,
-    )
-
-
-# The laws of the operator families.  Each builder takes the values parsed
-# against ``FAMILIES[family].params`` and returns the law's capabilities;
-# ``get_target`` adds the canonical spec as name and the values.  Parameters
-# become floats inside the samplers, so a law whose parameters are beyond
-# float range still gives its metadata.  The product samplers multiply each
-# later draw into the first one's array, so a sample holds at most two arrays.
+# The law builders.  Each takes the values parsed against its target's
+# parameters and returns the law's capabilities; ``get_target`` adds the
+# canonical spec as name and the values.  Parameters become floats inside the
+# samplers, so a law whose parameters are beyond float range still gives its
+# metadata.  The product samplers multiply each later draw into the first
+# one's array, so a sample holds at most two arrays.
 
 
 def _pn_law(p, sigma2) -> dict:
@@ -252,7 +173,7 @@ def _pn_law(p, sigma2) -> dict:
     return dict(
         symmetric=True,
         zero_mean=True,
-        moment=lambda k: gaussian_moment(k) ** p * sigma2 ** (k // 2),
+        oracle=lambda k: gaussian_moment(k) ** p * sigma2 ** (k // 2),
         sampler=sampler,
         draws=p,
     )
@@ -291,6 +212,49 @@ def _g1g2_law(r, s, lam) -> dict:
     return dict(symmetric=False, zero_mean=False, sampler=sampler)
 
 
+def _gaussian_law(sigma2) -> dict:
+    """N(0, sigma2) is PN at p = 1; it is named "gaussian" at sigma2 = 1."""
+    name = "gaussian" if sigma2 == 1 else f"gaussian:sigma2={sigma2}"
+    return dict(_pn_law(1, sigma2), name=name)
+
+
+def _semicircle_law() -> dict:
+    def oracle(k: int) -> Fraction:  # C_r / 4^r at k = 2r, for the Catalan number C_r
+        r = k // 2
+        return Fraction(0 if k % 2 else comb(k, r) // (r + 1), 4**r)
+
+    def sampler(rng, n):  # 2 B - 1, in B's own array
+        y = rng.beta(1.5, 1.5, n)
+        y *= 2.0
+        y -= 1.0
+        return y
+
+    return dict(symmetric=True, zero_mean=True, oracle=oracle, sampler=sampler)
+
+
+def _hermite_law(p: int) -> dict:
+    def sampler(rng, n):
+        import numpy as np
+
+        try:
+            coef = hermite_to_monomial(p).float_coefficients()
+        except OverflowError as exc:
+            raise ValueError(f"H{p}: {exc}") from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = float_horner(rng.standard_normal(n), coef)
+        if not np.isfinite(y).all():
+            raise ValueError(f"H{p}: a sample overflows a float")
+        return y
+
+    return dict(
+        symmetric=(p % 2 == 1),
+        zero_mean=True,
+        oracle=lambda k: hermite_poly_moment(p, k),
+        sampler=sampler,
+        draws=p,
+    )
+
+
 TARGET_BUILDERS = {
     "PN": _pn_law,
     "PRR": _prr_law,
@@ -299,19 +263,21 @@ TARGET_BUILDERS = {
     "G1G2": _g1g2_law,
 }
 
-_GAUSSIAN_NAMES = ("gaussian", "N01")
-_GAUSSIAN_PARAMS = (Param("sigma2", 1, POSITIVE),)
+# every target name but H<p>: (its ordered parameters, its law builder)
+_TARGETS = {
+    **{family: (FAMILIES[family].params, law) for family, law in TARGET_BUILDERS.items()},
+    **dict.fromkeys(("gaussian", "N01"), ((Param("sigma2", 1, POSITIVE),), _gaussian_law)),
+    "semicircle": ((), _semicircle_law),
+}
 
 _HERMITE_NAME = re.compile(r"^H(\d+)$")
 _HERMITE_INDEX = Param("p", None, INDEX)
 
 
 def _target_params(name: str) -> tuple[Param, ...]:
-    if name in FAMILIES:
-        return FAMILIES[name].params
-    if name in _GAUSSIAN_NAMES:
-        return _GAUSSIAN_PARAMS
-    if name == "semicircle" or _HERMITE_NAME.match(name):
+    if name in _TARGETS:
+        return _TARGETS[name][0]
+    if _HERMITE_NAME.match(name):
         return ()
     raise UnknownTarget(name)
 
@@ -330,14 +296,9 @@ def get_target(spec: str) -> TargetDistribution:
     unknown names and BadParameter for invalid parameters.
     """
     family, values, name = parse_spec(spec, _target_params)
-    if family in TARGET_BUILDERS:
-        law = TARGET_BUILDERS[family](**values)
-        return TargetDistribution(name, values, **law)
-    if family in _GAUSSIAN_NAMES:  # N(0, sigma2) is PN at p = 1
-        sigma2 = values["sigma2"]
-        name = "gaussian" if sigma2 == 1 else f"gaussian:sigma2={sigma2}"
-        return TargetDistribution(name, values, **_pn_law(1, sigma2))
-    if family == "semicircle":
-        return _semicircle_target()
+    if family in _TARGETS:  # a builder may rename its law
+        law = {"name": name, "params": values} | _TARGETS[family][1](**values)
+        return TargetDistribution(**law)
     # H<p>, admitted by _target_params
-    return _hermite_target(int(_HERMITE_INDEX.read("Hermite target", family[1:])))
+    p = _HERMITE_INDEX.read("Hermite target", family[1:])
+    return TargetDistribution(f"H{p}", {"p": p}, **_hermite_law(int(p)))

@@ -9,7 +9,7 @@ from steinscope import asymptotics
 from steinscope.algebra import RationalPoly
 from steinscope.budgets import MAX_CONSTRAINTS
 from steinscope.asymptotics import (
-    _apply_conjugate_trap,
+    _conjugate_trap,
     AsymptoticBranch,
     CorrectionNotLinear,
     NoBalance,
@@ -583,6 +583,7 @@ class TestVerdicts:
             (exp(Fraction(5, 3)), sym),  # 5: pairs with 0
             (exp(Fraction(7, 4)), sym),  # 6: no partner with magnitude 2
         ]
+        before = list(table)
         # the pairwise search the set lookup replaced
         pairs = [
             i for i, (bi, ri) in enumerate(table) if ri == sym
@@ -592,9 +593,20 @@ class TestVerdicts:
                    for j, (bj, rj) in enumerate(table))
         ]
         assert pairs == [0, 5]
-        assert _apply_conjugate_trap(table) == pairs
-        assert [reason for _, reason in table] == [
-            "not_excluded", sym, sym, "unbounded(right)", sym, "not_excluded", sym]
+        assert _conjugate_trap(table) == pairs
+        assert table == before  # the list it reads is left as it was
+        # the verdict rebuilds its table with not_excluded at exactly the
+        # returned indices: PN:p=9 under symmetry
+        op = catalog_get("PN:p=9")
+        ode = psi_transform(op)
+        rows = tuple(classify_branch(b, 8, True, ode) for b in dominant_balance(ode))
+        flipped = _conjugate_trap(rows)
+        v = characterisation_verdict(op, 8, symmetric=True)
+        assert flipped
+        assert [b for b, _ in v.branch_table] == [b for b, _ in rows]
+        assert [r for _, r in v.branch_table] == [
+            "not_excluded" if i in flipped else r for i, (_, r) in enumerate(rows)]
+        assert v.diagnostics["conjugate_trap"][:-1] == [rows[i][0].describe() for i in flipped]
 
     def test_gauss_semicircle_shared_operator_inconclusive(self):
         v = self.check("gauss_semicircle_T5", 2, "inconclusive", symmetric=True)

@@ -401,6 +401,28 @@ class TestCharacteristicFunctions:
         assert abs(GaussianCf(1)(2.0) - np.exp(-2.0)) < 1e-15
 
 
+# One row per target path: the family laws, the Gaussian under both names,
+# the semicircle and H<p>.  Each gives the spec, then the law's name, params,
+# symmetric, zero_mean and draws, then whether it has an oracle and a sampler.
+_TARGET_PATHS = [
+    ("PN:p=4", "PN:p=4,sigma2=1", {"p": 4, "sigma2": 1}, True, True, 4, True, True),
+    ("PRR:s=3/2", "PRR:s=3/2", {"s": F(3, 2)}, True, True, 1, False, False),
+    ("G1X:r=2,lam=1", "G1X:r=2,lam=1,sigma2=1", {"r": 2, "lam": 1, "sigma2": 1},
+     True, True, 1, False, True),
+    ("BG1:a=1/2,b=1,r=2", "BG1:a=1/2,b=1,r=2", {"a": F(1, 2), "b": 1, "r": 2},
+     False, False, 1, False, True),
+    ("G1G2:r=1,s=2,lam=1", "G1G2:r=1,s=2,lam=1", {"r": 1, "s": 2, "lam": 1},
+     False, False, 1, False, True),
+    ("gaussian", "gaussian", {"sigma2": 1}, True, True, 1, True, True),
+    ("N01", "gaussian", {"sigma2": 1}, True, True, 1, True, True),
+    ("gaussian:sigma2=2", "gaussian:sigma2=2", {"sigma2": 2}, True, True, 1, True, True),
+    ("semicircle", "semicircle", {}, True, True, 1, True, True),
+    ("H3", "H3", {"p": 3}, True, True, 3, True, True),
+    ("H4", "H4", {"p": 4}, False, True, 4, True, True),
+    ("H05", "H5", {"p": 5}, True, True, 5, True, True),
+]
+
+
 class TestRegistry:
     def test_target_names(self):
         names = target_names()
@@ -410,6 +432,18 @@ class TestRegistry:
 
     def test_aliases(self):
         assert get_target("N01").name == "gaussian"
+
+    @pytest.mark.parametrize("spec, name, params, symmetric, zero_mean, draws, oracle, sampler",
+                             _TARGET_PATHS, ids=[row[0] for row in _TARGET_PATHS])
+    def test_every_target_path_builds_its_law(
+            self, spec, name, params, symmetric, zero_mean, draws, oracle, sampler):
+        law = get_target(spec)
+        assert (law.name, law.params, law.symmetric, law.zero_mean, law.draws) == (
+            name, params, symmetric, zero_mean, draws)
+        assert all(type(v) is F for v in law.params.values())
+        assert (law.oracle is not None, law.sampler is not None) == (oracle, sampler)
+        with pytest.raises(AttributeError):
+            law.name = "other"
 
     def test_unknown(self):
         with pytest.raises(UnknownTarget):
