@@ -75,7 +75,8 @@ The analysis is exact throughout:
 
 The records passed between these steps (``AsymptoticBranch``,
 ``IndicialRoot``, ``IndicialRoots``, ``Verdict``, and ``operators.CfOde``)
-are immutable named tuples: a refinement is a copy, never a write.
+are immutable named tuples: a refinement is a copy, never a write.  They
+compare by value, but a ``Verdict`` does not hash: its ``diagnostics`` is a dict.
 """
 
 from __future__ import annotations
@@ -592,7 +593,6 @@ def classify_branch(
         return branch, "unbounded(right)"
     if left > 0:
         return branch, "unbounded(left)"
-    real_phase = branch.phase in (Fraction(0), Fraction(1))
     if right == 0 or left == 0:
         # oscillatory approach on some side: needs the refined power t^a
         if branch.power_exponent is None and ode is not None:
@@ -603,13 +603,8 @@ def classify_branch(
         kstar = 0 if a <= 0 else math.ceil(a / (branch.gamma + 1))
         if kstar <= moment_order:
             return branch, f"derivative_blowup({kstar})"
-        if symmetric and not real_phase:
-            return branch, "excluded_by_symmetry"
-        return branch, "not_excluded"
-    # strict decay on both sides
-    if real_phase:
-        return branch, "not_excluded"
-    if symmetric:
+    # bounded on both sides: only a non-real phase is left to exclude
+    if symmetric and branch.phase not in (Fraction(0), Fraction(1)):
         return branch, "excluded_by_symmetry"
     return branch, "not_excluded"
 

@@ -11,8 +11,8 @@ the three outcomes a caller must distinguish apart: 0 for success (an
 analysis that characterises, possibly under side conditions; a verification
 that passes; a completed discovery run), 1 for an analytic failure (an
 inconclusive verdict, a failed residual test, a nonzero identity residual),
-and 2 for usage errors (unknown names, bad parameters, malformed operator
-files), which are reported on stderr.
+and 2 for refused input: every refusal the engine raises leaves through
+``main`` as exit 2 with one stderr line, ``steinscope: error: <message>``.
 
 All randomness flows from ``--seed`` (default 0, echoed in the report), so a
 report is a pure function of its inputs.  ``--pretty`` renders the same data
@@ -107,7 +107,7 @@ def save_report(path, report: dict) -> None:
 
 def _resolve_operator(spec: str) -> SteinOperator:
     """A catalog spec like "PN:p=4", or a path to an operator JSON file."""
-    from .operators import BadParameter, UnknownOperator, catalog_get, catalog_names
+    from .operators import UnknownOperator, catalog_get, catalog_names
 
     if os.path.exists(spec) or spec.endswith(".json"):
         return load_operator_file(spec)
@@ -119,13 +119,10 @@ def _resolve_operator(spec: str) -> SteinOperator:
             + ", ".join(catalog_names())
             + " (or pass a path to an operator JSON file)"
         ) from None
-    except BadParameter as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _resolve_target(spec: str) -> TargetDistribution:
     from .distributions import UnknownTarget, get_target, target_names
-    from .operators import BadParameter
 
     try:
         return get_target(spec)
@@ -133,8 +130,6 @@ def _resolve_target(spec: str) -> TargetDistribution:
         raise UsageError(
             f"unknown target {spec!r}; known targets: " + ", ".join(target_names())
         ) from None
-    except BadParameter as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _installed_version(name: str) -> str:
@@ -211,10 +206,7 @@ def _cmd_analyze(args) -> tuple[dict, int]:
         meta["zero_mean"] = True
     if args.moments is not None:
         meta["moment_order"] = args.moments
-    try:
-        verdict = characterisation_verdict(op, **meta)
-    except ValueError as exc:  # --moments < 0
-        raise UsageError(str(exc)) from None
+    verdict = characterisation_verdict(op, **meta)
     result = {
         "operator": op.to_json_dict(),
         "ode": verdict.ode.as_json(),
@@ -229,14 +221,10 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
     op = _resolve_operator(args.op)
     target = _resolve_target(args.target)
-    try:
-        if args.mode == "exact":
-            reports = check_moment_recurrence(op, target, K=args.orders)
-        else:
-            reports = mc_stein_residual(op, target, n=args.n, seed=args.seed)
-    except (NotImplementedError, ValueError, OverflowError) as exc:
-        # no oracle or sampler, --orders or --n out of range, beyond float range
-        raise UsageError(str(exc)) from None
+    if args.mode == "exact":
+        reports = check_moment_recurrence(op, target, K=args.orders)
+    else:
+        reports = mc_stein_residual(op, target, n=args.n, seed=args.seed)
     passed = all(r.passed for r in reports)
     result = {
         "operator": op.name or "operator-file",
@@ -254,11 +242,8 @@ def _cmd_discover(args) -> tuple[dict, int]:
     from .discovery import DiscoveryProblem, find_stein_operators
 
     target = _resolve_target(args.target)
-    try:
-        prob = DiscoveryProblem(target, args.order, args.degree, K=args.constraints)
-        ops = find_stein_operators(prob)
-    except ValueError as exc:  # NoExactOracle, bad shape or budget
-        raise UsageError(str(exc)) from None
+    prob = DiscoveryProblem(target, args.order, args.degree, K=args.constraints)
+    ops = find_stein_operators(prob)
     result = {
         "target": target.name,
         "order": args.order,
@@ -489,15 +474,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result, code = _HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"steinscope: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # a result number too long to print
-        if "integer string conversion" not in str(exc):
-            raise
-        print("steinscope: error: the result has a number of more than "
-              f"{sys.get_int_max_str_digits()} digits, the limit of Python's "
-              "integer string conversion", file=sys.stderr)
+    except (ValueError, NotImplementedError, OverflowError) as exc:  # a refusal
+        message = str(exc)
+        # a bare one is a result too long to print; an input literal is a BadParameter
+        if type(exc) is ValueError and "integer string conversion" in message:
+            message = ("the result has a number of more than "
+                       f"{sys.get_int_max_str_digits()} digits, the limit of "
+                       "Python's integer string conversion")
+        print(f"steinscope: error: {message}", file=sys.stderr)
         return 2
     report = {
         "command": args.command,

@@ -26,6 +26,7 @@ table: the operator families (PN, PRR, G1X, BG1, G1G2) pair the parameters
 of ``operators.FAMILIES`` with their laws in ``TARGET_BUILDERS``, and
 ``get_target`` parses specs with the same ``operators.parse_spec`` as the
 catalog, so a family's target is named by the operator's canonical spec.
+Each ``get_target`` call makes fresh closures, so two laws from one spec are not equal.
 
 numpy is imported inside the sampling code that computes with it, so the
 exact moment oracles do not load it.

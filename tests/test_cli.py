@@ -18,7 +18,7 @@ import pytest
 import steinscope
 from steinscope import asymptotics, distributions
 from steinscope.asymptotics import _level_polynomials
-from steinscope.budgets import BUDGETS, LOG_WALK_TERMS, MAX_CONSTRAINTS
+from steinscope.budgets import BUDGETS, LOG_WALK_TERMS, MAX_CONSTRAINTS, OverBudget
 from steinscope.cli import (
     UsageError,
     _installed_version,
@@ -850,6 +850,44 @@ def test_over_budget_exits_2_promptly(name, argv):
     assert code == 2
     assert out == ""
     assert f"{name} = {BUDGETS[name]}" in err and len(err.splitlines()) == 1
+
+
+class TestRefusals:
+    """Every refusal an engine call raises leaves through ``main`` as exit 2
+    with one stderr line, whichever command raised it; any other exception
+    propagates."""
+
+    ENGINE_CALLS = [
+        pytest.param("steinscope.operators.psi_transform",
+                     ("transform", "--op", "gauss_classical"), id="transform"),
+        pytest.param("steinscope.malliavin.check_gamma_characterisation",
+                     ("gamma", "--target", "H3", "--check", "4.1"), id="gamma"),
+    ]
+
+    @staticmethod
+    def _raising(error_type, message):
+        def call(*args, **kwargs):
+            raise error_type(message)
+        return call
+
+    @pytest.mark.parametrize("target,argv", ENGINE_CALLS)
+    @pytest.mark.parametrize("error_type,message", [
+        (OverBudget, "work = 9 exceeds the budget MAX_WORK = 8"),
+        (ValueError, "a plain refusal"),
+        (NotImplementedError, "no sampler for this law"),
+        (OverflowError, "coefficient does not fit in a float"),
+    ])
+    def test_refusal_exits_2_with_one_line(self, monkeypatch, target, argv,
+                                           error_type, message):
+        monkeypatch.setattr(target, self._raising(error_type, message))
+        code, out, err = run_cli(*argv)
+        assert (code, out, err) == (2, "", f"steinscope: error: {message}\n")
+
+    @pytest.mark.parametrize("target,argv", ENGINE_CALLS)
+    def test_other_exceptions_propagate(self, monkeypatch, target, argv):
+        monkeypatch.setattr(target, self._raising(RuntimeError, "a bug"))
+        with pytest.raises(RuntimeError, match="a bug"):
+            run_cli(*argv)
 
 
 class TestGamma:
