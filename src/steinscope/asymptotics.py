@@ -89,7 +89,8 @@ from .algebra import (
     RationalPoly, accumulate, echelon_insert, falling_poly, fraction_nth_root, rational_roots,
 )
 from .budgets import LOG_WALK_TERMS, MAX_CONSTRAINTS
-from .operators import CfOde, MomentRecurrence, SteinOperator, psi_transform, quarter_turn
+from .operators import (CfOde, SteinOperator, moment_row, moment_shifts, psi_transform,
+                        quarter_turn, top_moment_poly)
 
 
 class NotRegularSingular(ValueError):
@@ -624,14 +625,13 @@ def _moment_forcing(op: SteinOperator):
     order 0, which no law satisfies; else (pinned: bool, free moment orders,
     K), the free moments being the lowest orders the rows leave undetermined.
     """
-    rec = MomentRecurrence(op)
-    smax, smin = rec.max_shift, rec.min_shift
-    top_roots, _ = rational_roots(rec.leading_coefficient_poly())
+    smin, smax = moment_shifts(op)
+    top_roots, _ = rational_roots(top_moment_poly(op))
     deg_rows = [int(r) for r in top_roots if r.denominator == 1 and r >= 0]
     rows = (max(deg_rows) + 1 if deg_rows else 0) + (smax - smin) + abs(smax) + 8
     if rows > MAX_CONSTRAINTS:
         return rows, None
-    coefficient_rows = [(k, rec.coefficients(k)) for k in range(rows + 1)]
+    coefficient_rows = [(k, moment_row(op, k)) for k in range(rows + 1)]
 
     def walk(zero_mean: bool, symmetry: bool):
         def vanishes(nth: int) -> bool:

@@ -17,7 +17,7 @@ order becomes the power of t.  ``psi_transform`` computes this ODE exactly:
 each coefficient is the rational a_{i,j} times a quarter turn i^{j-i}, and
 ``CfOde`` keeps the two apart until the ODE is printed.  Substituting
 f(y) = y^k instead yields an exact linear recurrence among the moments of
-Y (``MomentRecurrence``).
+Y (``moment_row``, ``moment_shifts``, ``top_moment_poly``).
 
 ``catalog_get`` serves the bundled operators: the Hermite-target operators
 H3_T4m3, H3_T5m2, H4_T2m3, H4_T3m2, H5_T13m4, H6_T6m3 (suffix: maximal
@@ -232,48 +232,32 @@ def psi_transform(op: SteinOperator) -> CfOde:
     return CfOde(tuple(RationalPoly(r) for r in rows), turns)
 
 
-class MomentRecurrence:
-    """The exact relation sum_s c_s(k) E[W^{k+s}] = 0 implied by an operator.
+def moment_row(op: SteinOperator, k: int) -> dict[int, Fraction]:
+    """Nonzero coefficients {s: c_s(k)} of op's order-k moment relation.
 
     Substituting f(y) = y^k into E[Sf(W)] = 0 gives
-    sum_{i,j} a_{i,j} (k)_j E[W^{k+i-j}] = 0 where (k)_j is the falling
-    factorial.  Terms are grouped by the moment shift s = i - j, between
-    ``min_shift`` and ``max_shift``.  ``coefficients(k)`` reads the integers
-    (k)_j from ``algebra.falling_factorials``; (k)_j = 0 for j > k, so a row
-    never references a moment of negative order.  Each c_s is a polynomial
-    in k; it is built, from ``algebra.falling_poly``, only where a
-    polynomial is needed: ``leading_coefficient_poly`` and the repr.
+    sum_{i,j} a_{i,j} (k)_j E[W^{k+i-j}] = 0, (k)_j the falling factorial
+    from ``algebra.falling_factorials``, and c_s(k) gathers the terms of
+    moment shift s = i - j.  (k)_j = 0 for j > k, so a row never
+    references a moment of negative order.
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    ff = falling_factorials(k, op.T)
+    return accumulate((i - j, v * ff[j]) for (i, j), v in op.a.items())
 
-    __slots__ = ("operator", "min_shift", "max_shift")
 
-    def __init__(self, op: SteinOperator):
-        self.operator = op
-        shifts = [i - j for i, j in op.a]
-        self.min_shift, self.max_shift = min(shifts), max(shifts)
+def moment_shifts(op: SteinOperator) -> tuple[int, int]:
+    """The least and greatest moment shift s = i - j of op's terms."""
+    shifts = [i - j for i, j in op.a]
+    return min(shifts), max(shifts)
 
-    def coefficients(self, k: int) -> dict[int, Fraction]:
-        """Nonzero coefficients {shift: c_s(k)} of the order-k relation."""
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        ff = falling_factorials(k, self.operator.T)
-        return accumulate((i - j, v * ff[j]) for (i, j), v in self.operator.a.items())
 
-    def _poly(self, s: int) -> RationalPoly:
-        """c_s(k) as a polynomial in k."""
-        return sum((v * falling_poly(j) for (i, j), v in self.operator.a.items()
-                    if i - j == s), RationalPoly())
-
-    def leading_coefficient_poly(self) -> RationalPoly:
-        """c_{s_max}(k): the polynomial multiplying the highest moment."""
-        return self._poly(self.max_shift)
-
-    def __repr__(self):
-        parts = [
-            f"({p}) * E[W^(k{s:+d})]" if s else f"({p}) * E[W^k]"
-            for s in range(self.max_shift, self.min_shift - 1, -1) if (p := self._poly(s))
-        ]
-        return f"MomentRecurrence({' + '.join(parts)} = 0)"
+def top_moment_poly(op: SteinOperator) -> RationalPoly:
+    """c_{s_max}(k) as a polynomial in k: the factor of the highest moment."""
+    smax = moment_shifts(op)[1]
+    return sum((v * falling_poly(j) for (i, j), v in op.a.items() if i - j == smax),
+               RationalPoly())
 
 
 def stirling2(p: int, k: int) -> int:

@@ -49,9 +49,8 @@ from typing import NamedTuple
 
 from .algebra import RationalPoly, _as_fraction, accumulate, float_horner
 from .budgets import check
-from .operators import MomentRecurrence, SteinOperator, quarter_turn
+from .operators import SteinOperator, moment_row, moment_shifts, quarter_turn
 
-_DEFAULT_N = 10**6
 # Samples per Monte-Carlo chunk, and the standard errors a residual may reach.
 _CHUNK = 1 << 17
 # Samples per block of a chunk's image evaluation, 256 KiB per factor array.
@@ -115,7 +114,7 @@ class ResidualReport(NamedTuple):
 
 # --- exact mode -----------------------------------------------------------------
 
-def check_moment_recurrence(op: SteinOperator, dist, K: int = 12) -> list[ResidualReport]:
+def check_moment_recurrence(op: SteinOperator, dist, K: int) -> list[ResidualReport]:
     """Evaluate the operator's moment relation exactly for k = 0..K.
 
     ``dist`` must expose an exact ``moment(order) -> Fraction`` oracle
@@ -130,8 +129,7 @@ def check_moment_recurrence(op: SteinOperator, dist, K: int = 12) -> list[Residu
     if K < 0:
         raise ValueError(f"moment orders K = {K}; need K >= 0")
     check("MAX_CONSTRAINTS", "moment orders K", K)
-    rec = MomentRecurrence(op)
-    rows = [rec.coefficients(k) for k in range(K + 1)]
+    rows = [moment_row(op, k) for k in range(K + 1)]
     top = max((k + s for k, row in enumerate(rows) for s in row), default=None)
     if top is None:
         raise ValueError(f"no moment relation row k = 0..{K} reads a moment")
@@ -142,10 +140,11 @@ def check_moment_recurrence(op: SteinOperator, dist, K: int = 12) -> list[Residu
             kept[order] = _as_fraction(dist.moment(order))
         return kept[order]
 
+    smin = moment_shifts(op)[0]
     out = []
     for k, row in enumerate(rows):
         r = sum((c * moment(k + s) for s, c in row.items()), Fraction(0))
-        kept.pop(k + rec.min_shift, None)
+        kept.pop(k + smin, None)
         out.append(ResidualReport(f"moment-k={k}", "exact", r, Fraction(0)))
     return out
 
@@ -255,8 +254,7 @@ def _threads() -> int:
     return max(1, min(wanted, cpus))
 
 
-def mc_stein_residual(op: SteinOperator, dist, n: int = _DEFAULT_N,
-                      seed: int = 0) -> list[ResidualReport]:
+def mc_stein_residual(op: SteinOperator, dist, n: int, seed: int = 0) -> list[ResidualReport]:
     """Estimate E[S f(W)] over the fixed test functions by seeded Monte-Carlo.
 
     The images are built once, before sampling (``image_groups``); each
@@ -267,11 +265,14 @@ def mc_stein_residual(op: SteinOperator, dist, n: int = _DEFAULT_N,
     thread count.  n < 2 (no standard error) raises ValueError rather than
     pass vacuously, as do a negative seed and a mean or standard error that
     is not finite (the samples overflowed), since NaN or infinity is neither
-    a pass nor a fail; the totals are checked as each chunk is merged, so
-    the first chunk that makes one non-finite ends the run, and no later
-    chunk is started.  n times ``dist.draws`` (one if absent) above the
-    budget MAX_SAMPLES, or n times the images' Horner steps per sample
-    above MAX_HORNER_STEPS, raises OverBudget before any sampling.
+    a pass nor a fail.  The totals are checked as each chunk is merged, in
+    chunk order, and the first non-finite one raises the one-worker run's
+    error; no worker starts a chunk once the merge has seen it, though at
+    two or more workers later chunks may be drawn already, and every worker
+    is joined before the call returns.  n times ``dist.draws`` (one if
+    absent) above the budget MAX_SAMPLES, or n times the images' Horner
+    steps per sample above MAX_HORNER_STEPS, raises OverBudget before any
+    sampling.
     """
     if n < 2:
         raise ValueError(f"Monte-Carlo sample size n = {n}; need n >= 2")

@@ -22,7 +22,7 @@ from steinscope.asymptotics import (
     power_correction,
 )
 from steinscope.operators import (
-    CfOde, MomentRecurrence, SteinOperator, catalog_get, psi_transform, quarter_turn,
+    CfOde, SteinOperator, catalog_get, moment_row, psi_transform, quarter_turn,
 )
 
 from ladder import H7_ODE, H7_T25m6, H8_ODE, H8_T10m4
@@ -500,19 +500,20 @@ class TestVerdicts:
 
     def test_moment_recurrence_built_once_per_verdict(self, monkeypatch):
         # gauss_semicircle_T5 pins under no option, so every forcing walk runs
-        # over the one recurrence
+        # over the one list of rows k = 0..K
+        op = catalog_get("gauss_semicircle_T5")
+        K, _ = asymptotics._moment_forcing(op)
         built = []
 
-        def counting(op):
-            built.append(op)
-            return MomentRecurrence(op)
+        def counting(op, k):
+            built.append(k)
+            return moment_row(op, k)
 
-        monkeypatch.setattr(asymptotics, "MomentRecurrence", counting)
-        v = characterisation_verdict(
-            catalog_get("gauss_semicircle_T5"), symmetric=True, zero_mean=True)
+        monkeypatch.setattr(asymptotics, "moment_row", counting)
+        v = characterisation_verdict(op, symmetric=True, zero_mean=True)
         assert v.status == "inconclusive"
         assert v.diagnostics["free_moments"] == [2]
-        assert len(built) == 1
+        assert built == list(range(K + 1))
 
     def test_rayleigh_all_parameter_regimes(self):
         for s in ("3/4", "1", "6/5", "3/2", "2", "5"):

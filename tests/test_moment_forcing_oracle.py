@@ -34,7 +34,9 @@ from hypothesis import example, given, settings, strategies as st
 from steinscope import asymptotics
 from steinscope.algebra import rational_roots
 from steinscope.asymptotics import characterisation_verdict
-from steinscope.operators import MomentRecurrence, SteinOperator, catalog_get
+from steinscope.operators import (
+    SteinOperator, catalog_get, moment_row, moment_shifts, top_moment_poly,
+)
 
 # --- reference oracle -----------------------------------------------------------
 
@@ -106,14 +108,13 @@ def _moment_forcing(op: SteinOperator, zero_mean: bool, symmetry: bool):
     Processes rows until past every degenerate row (vanishing top coefficient)
     plus a safety margin; returns (pinned: bool, free moment orders, rows).
     """
-    rec = MomentRecurrence(op)
-    smax, smin = rec.max_shift, rec.min_shift
-    top_roots, _ = rational_roots(rec.leading_coefficient_poly())
+    smin, smax = moment_shifts(op)
+    top_roots, _ = rational_roots(top_moment_poly(op))
     deg_rows = [int(r) for r in top_roots if r.denominator == 1 and r >= 0]
     rows = (max(deg_rows) + 1 if deg_rows else 0) + (smax - smin) + abs(smax) + 8
     state = _LinearMoments(zero_mean, symmetry)
     for k in range(rows + 1):
-        cs = rec.coefficients(k)
+        cs = moment_row(op, k)
         if not cs:
             continue
         top = k + smax
@@ -146,9 +147,8 @@ def dense_free_orders(op: SteinOperator, zero_mean: bool, symmetry: bool, K: int
     def vanishes(n):
         return (symmetry and n % 2 == 1) or (zero_mean and n == 1)
 
-    rec = MomentRecurrence(op)
     rows = [
-        {k + s: c for s, c in rec.coefficients(k).items() if not vanishes(k + s)}
+        {k + s: c for s, c in moment_row(op, k).items() if not vanishes(k + s)}
         for k in range(K + 1)
     ]
     kept = []  # (pivot index, reduced column)

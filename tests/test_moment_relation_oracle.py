@@ -1,12 +1,13 @@
 """Second witness for the moment relation E[S y^k] = 0.
 
 ``_ReferenceRecurrence`` below is the implementation the package used
-before ``MomentRecurrence`` read its coefficients from the integer falling
-factorials of ``algebra.falling_factorials``: it stored one polynomial in k
-per moment shift, built from ``algebra.falling_poly``, and evaluated it by
-Horner at Fraction(k).  It is kept verbatim as a reference oracle: for
-random operators, every coefficient row, shift range, leading polynomial
-and repr for k <= 12 must equal the oracle's, and so must every residual
+before ``operators.moment_row`` read its coefficients from the integer
+falling factorials of ``algebra.falling_factorials``: it stored one
+polynomial in k per moment shift, built from ``algebra.falling_poly``, and
+evaluated it by Horner at Fraction(k).  It is kept verbatim as a reference
+oracle: for random operators, every coefficient row for k <= 12, the shift
+range (``moment_shifts``) and the leading polynomial (``top_moment_poly``)
+must equal the oracle's, and so must every residual
 ``verification.check_moment_recurrence`` computes from those rows.
 """
 
@@ -16,7 +17,9 @@ from types import SimpleNamespace
 from hypothesis import given, settings
 
 from steinscope.algebra import _as_fraction, accumulate, falling_poly, gaussian_moment
-from steinscope.operators import MomentRecurrence, SteinOperator, catalog_get
+from steinscope.operators import (
+    SteinOperator, catalog_get, moment_row, moment_shifts, top_moment_poly,
+)
 from steinscope.verification import check_moment_recurrence
 
 from test_operators import operator_st
@@ -77,13 +80,6 @@ class _ReferenceRecurrence:
         """c_{s_max}(k): the polynomial multiplying the highest moment."""
         return self.terms[self.max_shift]
 
-    def __repr__(self):
-        parts = [
-            f"({p}) * E[W^(k{s:+d})]" if s else f"({p}) * E[W^k]"
-            for s, p in sorted(self.terms.items(), reverse=True)
-        ]
-        return f"MomentRecurrence({' + '.join(parts)} = 0)"
-
 
 # --- the comparison ---------------------------------------------------------------
 
@@ -91,12 +87,11 @@ _ORDERS = range(13)
 
 
 def _assert_same_relation(op: SteinOperator):
-    rec, ref = MomentRecurrence(op), _ReferenceRecurrence(op)
-    assert (rec.min_shift, rec.max_shift) == (ref.min_shift, ref.max_shift)
-    assert rec.leading_coefficient_poly() == ref.leading_coefficient_poly()
-    assert repr(rec) == repr(ref)
+    ref = _ReferenceRecurrence(op)
+    assert moment_shifts(op) == (ref.min_shift, ref.max_shift)
+    assert top_moment_poly(op) == ref.leading_coefficient_poly()
     for k in _ORDERS:
-        row = rec.coefficients(k)
+        row = moment_row(op, k)
         assert row == ref.coefficients(k)
         assert all(type(v) is Fraction and v for v in row.values())
     reports = check_moment_recurrence(op, SimpleNamespace(moment=gaussian_moment),

@@ -20,7 +20,7 @@ from steinscope import verification
 from steinscope.algebra import RationalPoly
 from steinscope.budgets import MAX_SAMPLES, OverBudget
 from steinscope.distributions import NoExactOracle, TargetDistribution, get_target
-from steinscope.operators import MomentRecurrence, SteinOperator, catalog_get
+from steinscope.operators import SteinOperator, catalog_get, moment_row
 from steinscope.verification import (
     ResidualReport,
     _threads,
@@ -135,12 +135,11 @@ class TestExactMode:
 
         K = 40
         reports = check_moment_recurrence(op, SimpleNamespace(moment=moment), K=K)
-        rec = MomentRecurrence(op)
-        read = {k + s for k in range(K + 1) for s in rec.coefficients(k)}
+        read = {k + s for k in range(K + 1) for s in moment_row(op, k)}
         assert sorted(calls) == sorted(read)  # every order read, each once
         assert calls[0] == max(read)  # the highest first, so a budget refuses at once
         assert [r.residual for r in reports] == [
-            sum(c * target.moment(k + s) for s, c in rec.coefficients(k).items())
+            sum(c * target.moment(k + s) for s, c in moment_row(op, k).items())
             for k in range(K + 1)]
 
     @pytest.mark.parametrize("K", [-1, -5])
