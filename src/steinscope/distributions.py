@@ -21,12 +21,13 @@ the operator's k = 0 moment row (1 - 2s) E[W] = 0 forces mean zero, and the
 sufficiency pipeline works from the operator alone, so it needs neither a
 sampler nor an oracle.
 
-Every target name but H<p> is one (parameters, law builder) entry of one
-table: the operator families (PN, PRR, G1X, BG1, G1G2) pair the parameters
-of ``operators.FAMILIES`` with their laws in ``TARGET_BUILDERS``, and
+Every target name but H<p> is one row of one table, ``_TARGETS``: its
+parameters, side conditions and capabilities.  The operator families (PN,
+PRR, G1X, BG1, G1G2) take the parameters of ``operators.FAMILIES``, and
 ``get_target`` parses specs with the same ``operators.parse_spec`` as the
 catalog, so a family's target is named by the operator's canonical spec.
-Each ``get_target`` call makes fresh closures, so two laws from one spec are not equal.
+The capabilities are module-level functions of the parameter values, so a
+law is a value: two laws built from one spec are equal and hash alike.
 
 numpy is imported inside the sampling code that computes with it, so the
 exact moment oracles do not load it.
@@ -96,17 +97,20 @@ class TargetDistribution(NamedTuple):
     Capabilities are optional: ``moment`` raises NoExactOracle when the law
     has no exact ``oracle``, and ``sample`` raises NotImplementedError for
     analysis-only targets.  ``meta`` is the side-condition dictionary
-    consumed by the sufficiency pipeline.  ``draws`` is what one sample
+    consumed by the sufficiency pipeline.  ``params`` holds the
+    ``(key, value)`` pairs in parameter order, and the capabilities are
+    called with the values after their own arguments, as ``oracle(k,
+    *values)`` and ``sampler(rng, n, *values)``.  ``draws`` is what one sample
     counts against the Monte-Carlo budget: the p normal draws a PN:p sample
     multiplies, the degree p of the polynomial an H_p sample evaluates, and
     one for every other law.
     """
 
     name: str
-    params: dict
+    params: tuple[tuple[str, Fraction], ...]
     symmetric: bool
     zero_mean: bool
-    oracle: Callable[[int], Fraction] | None = None
+    oracle: Callable[..., Fraction] | None = None
     sampler: Callable | None = None
     draws: int = 1
 
@@ -121,7 +125,7 @@ class TargetDistribution(NamedTuple):
             raise ValueError("moment order must be >= 0")
         if self.oracle is None:
             raise NoExactOracle(f"{self.name} has no exact moment oracle")
-        return self.oracle(int(k))
+        return self.oracle(int(k), *(value for _, value in self.params))
 
     def sample(self, n: int, seed=0) -> np.ndarray:
         """n i.i.d. draws; reproducible for a fixed integer seed.
@@ -135,7 +139,7 @@ class TargetDistribution(NamedTuple):
             raise NotImplementedError(
                 f"{self.name} has no sampler; it is an analysis-only target"
             )
-        for key, value in self.params.items():
+        for key, value in self.params:
             try:
                 as_float = float(value)
             except OverflowError:
@@ -146,129 +150,103 @@ class TargetDistribution(NamedTuple):
                                  f"but rounds to 0.0 in a float")
         import numpy as np
 
-        return self.sampler(np.random.default_rng(seed), int(n))
+        return self.sampler(np.random.default_rng(seed), int(n),
+                            *(value for _, value in self.params))
 
 
 # --- registry -----------------------------------------------------------------
 
-# The law builders.  Each takes the values parsed against its target's
-# parameters and returns the law's capabilities; ``get_target`` adds the
-# canonical spec as name and the values.  Parameters become floats inside the
-# samplers, so a law whose parameters are beyond float range still gives its
-# metadata.  The product samplers multiply each later draw into the first
-# one's array, so a sample holds at most two arrays.
+# Parameters become floats inside the samplers, so a law whose parameters are
+# beyond float range still gives its metadata.  The product samplers multiply
+# each later draw into the first one's array, so a sample holds at most two
+# arrays.
 
 
-def _pn_law(p, sigma2) -> dict:
+def _pn_oracle(k, p, sigma2):
+    return gaussian_moment(k) ** int(p) * sigma2 ** (k // 2)
+
+
+def _pn_sampler(rng, n, p, sigma2):
+    # the stream and product order of standard_normal((p, n)).prod(axis=0),
+    # with one row held at a time
+    y = rng.standard_normal(n)
+    for _ in range(int(p) - 1):
+        y *= rng.standard_normal(n)
+    y *= float(sigma2) ** 0.5
+    return y
+
+
+def _gaussian_oracle(k, sigma2):  # N(0, sigma2) is PN at p = 1
+    return _pn_oracle(k, 1, sigma2)
+
+
+def _gaussian_sampler(rng, n, sigma2):
+    return _pn_sampler(rng, n, 1, sigma2)
+
+
+def _g1x_sampler(rng, n, r, lam, sigma2):
+    y = rng.standard_normal(n)
+    y *= float(sigma2) ** 0.5
+    y *= rng.gamma(float(r), 1.0 / float(lam) ** 0.5, n)
+    return y
+
+
+def _bg1_sampler(rng, n, a, b, r):
+    y = rng.beta(float(a), float(b), n)
+    y *= rng.gamma(float(r), 1.0, n)
+    return y
+
+
+def _g1g2_sampler(rng, n, r, s, lam):
+    scale = 1.0 / float(lam)
+    y = rng.gamma(float(r), scale, n)
+    y *= rng.gamma(float(s), scale, n)
+    return y
+
+
+def _semicircle_oracle(k):  # C_r / 4^r at k = 2r, for the Catalan number C_r
+    r = k // 2
+    return Fraction(0 if k % 2 else comb(k, r) // (r + 1), 4**r)
+
+
+def _semicircle_sampler(rng, n):  # 2 B - 1, in B's own array
+    y = rng.beta(1.5, 1.5, n)
+    y *= 2.0
+    y -= 1.0
+    return y
+
+
+def _hermite_oracle(k, p):
+    return hermite_poly_moment(int(p), k)
+
+
+def _hermite_sampler(rng, n, p):
+    import numpy as np
+
     p = int(p)
-
-    def sampler(rng, n):
-        # the stream and product order of standard_normal((p, n)).prod(axis=0),
-        # with one row held at a time
-        y = rng.standard_normal(n)
-        for _ in range(p - 1):
-            y *= rng.standard_normal(n)
-        y *= float(sigma2) ** 0.5
-        return y
-
-    return dict(
-        symmetric=True,
-        zero_mean=True,
-        oracle=lambda k: gaussian_moment(k) ** p * sigma2 ** (k // 2),
-        sampler=sampler,
-        draws=p,
-    )
+    try:
+        coef = hermite_to_monomial(p).float_coefficients()
+    except OverflowError as exc:
+        raise ValueError(f"H{p}: {exc}") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = float_horner(rng.standard_normal(n), coef)
+    if not np.isfinite(y).all():
+        raise ValueError(f"H{p}: a sample overflows a float")
+    return y
 
 
-def _prr_law(s) -> dict:
-    return dict(symmetric=True, zero_mean=True)
-
-
-def _g1x_law(r, lam, sigma2) -> dict:
-    def sampler(rng, n):
-        y = rng.standard_normal(n)
-        y *= float(sigma2) ** 0.5
-        y *= rng.gamma(float(r), 1.0 / float(lam) ** 0.5, n)
-        return y
-
-    return dict(symmetric=True, zero_mean=True, sampler=sampler)
-
-
-def _bg1_law(a, b, r) -> dict:
-    def sampler(rng, n):
-        y = rng.beta(float(a), float(b), n)
-        y *= rng.gamma(float(r), 1.0, n)
-        return y
-
-    return dict(symmetric=False, zero_mean=False, sampler=sampler)
-
-
-def _g1g2_law(r, s, lam) -> dict:
-    def sampler(rng, n):
-        scale = 1.0 / float(lam)
-        y = rng.gamma(float(r), scale, n)
-        y *= rng.gamma(float(s), scale, n)
-        return y
-
-    return dict(symmetric=False, zero_mean=False, sampler=sampler)
-
-
-def _gaussian_law(sigma2) -> dict:
-    """N(0, sigma2) is PN at p = 1; it is named "gaussian" at sigma2 = 1."""
-    name = "gaussian" if sigma2 == 1 else f"gaussian:sigma2={sigma2}"
-    return dict(_pn_law(1, sigma2), name=name)
-
-
-def _semicircle_law() -> dict:
-    def oracle(k: int) -> Fraction:  # C_r / 4^r at k = 2r, for the Catalan number C_r
-        r = k // 2
-        return Fraction(0 if k % 2 else comb(k, r) // (r + 1), 4**r)
-
-    def sampler(rng, n):  # 2 B - 1, in B's own array
-        y = rng.beta(1.5, 1.5, n)
-        y *= 2.0
-        y -= 1.0
-        return y
-
-    return dict(symmetric=True, zero_mean=True, oracle=oracle, sampler=sampler)
-
-
-def _hermite_law(p: int) -> dict:
-    def sampler(rng, n):
-        import numpy as np
-
-        try:
-            coef = hermite_to_monomial(p).float_coefficients()
-        except OverflowError as exc:
-            raise ValueError(f"H{p}: {exc}") from None
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = float_horner(rng.standard_normal(n), coef)
-        if not np.isfinite(y).all():
-            raise ValueError(f"H{p}: a sample overflows a float")
-        return y
-
-    return dict(
-        symmetric=(p % 2 == 1),
-        zero_mean=True,
-        oracle=lambda k: hermite_poly_moment(p, k),
-        sampler=sampler,
-        draws=p,
-    )
-
-
-TARGET_BUILDERS = {
-    "PN": _pn_law,
-    "PRR": _prr_law,
-    "G1X": _g1x_law,
-    "BG1": _bg1_law,
-    "G1G2": _g1g2_law,
-}
-
-# every target name but H<p>: (its ordered parameters, its law builder)
+# every target name but H<p>: its ordered parameters, symmetric, zero_mean,
+# exact oracle and sampler; the operator families pair the parameters of
+# ``operators.FAMILIES`` with their laws, and N01 is an alias of gaussian
 _TARGETS = {
-    **{family: (FAMILIES[family].params, law) for family, law in TARGET_BUILDERS.items()},
-    **dict.fromkeys(("gaussian", "N01"), ((Param("sigma2", 1, POSITIVE),), _gaussian_law)),
-    "semicircle": ((), _semicircle_law),
+    "PN": (FAMILIES["PN"].params, True, True, _pn_oracle, _pn_sampler),
+    "PRR": (FAMILIES["PRR"].params, True, True, None, None),
+    "G1X": (FAMILIES["G1X"].params, True, True, None, _g1x_sampler),
+    "BG1": (FAMILIES["BG1"].params, False, False, None, _bg1_sampler),
+    "G1G2": (FAMILIES["G1G2"].params, False, False, None, _g1g2_sampler),
+    **dict.fromkeys(("gaussian", "N01"), ((Param("sigma2", 1, POSITIVE),), True, True,
+                                          _gaussian_oracle, _gaussian_sampler)),
+    "semicircle": ((), True, True, _semicircle_oracle, _semicircle_sampler),
 }
 
 _HERMITE_NAME = re.compile(r"^H(\d+)$")
@@ -285,9 +263,8 @@ def _target_params(name: str) -> tuple[Param, ...]:
 
 def target_names() -> list[str]:
     """Accepted target names; parameterised families by family name."""
-    return sorted(
-        [f"H{p}" for p in range(1, 9)] + ["gaussian", "semicircle", *FAMILIES]
-    )
+    return sorted([f"H{p}" for p in range(1, 9)]
+                  + [name for name in _TARGETS if name != "N01"])
 
 
 def get_target(spec: str) -> TargetDistribution:
@@ -297,9 +274,16 @@ def get_target(spec: str) -> TargetDistribution:
     unknown names and BadParameter for invalid parameters.
     """
     family, values, name = parse_spec(spec, _target_params)
-    if family in _TARGETS:  # a builder may rename its law
-        law = {"name": name, "params": values} | _TARGETS[family][1](**values)
-        return TargetDistribution(**law)
-    # H<p>, admitted by _target_params
-    p = _HERMITE_INDEX.read("Hermite target", family[1:])
-    return TargetDistribution(f"H{p}", {"p": p}, **_hermite_law(int(p)))
+    if family in _TARGETS:
+        symmetric, zero_mean, oracle, sampler = _TARGETS[family][1:]
+    else:  # H<p>, admitted by _target_params
+        p = _HERMITE_INDEX.read("Hermite target", family[1:])
+        name, values = f"H{p}", {"p": p}
+        symmetric, zero_mean, oracle, sampler = p % 2 == 1, True, _hermite_oracle, _hermite_sampler
+    if family in ("gaussian", "N01"):  # N(0, sigma2) is named "gaussian" at sigma2 = 1
+        sigma2 = values["sigma2"]
+        name = "gaussian" if sigma2 == 1 else f"gaussian:sigma2={sigma2}"
+    # a PN:p sample multiplies p normal draws, and an H<p> sample evaluates
+    # a degree-p polynomial
+    return TargetDistribution(name, tuple(values.items()), symmetric, zero_mean,
+                              oracle, sampler, int(values.get("p", 1)))

@@ -1,6 +1,7 @@
 """Tests for target laws (oracles, samplers) and the closed-form
 characteristic functions of ``cf_witness``."""
 
+import pickle
 from fractions import Fraction
 from math import factorial
 
@@ -137,7 +138,7 @@ class TestMomentOracles:
         pn = get_target(f"PN:p=1,sigma2={sigma2}")
         assert g.name == ("gaussian" if sigma2 == "1" else f"gaussian:sigma2={sigma2}")
         assert get_target(f"N01:sigma2={sigma2}").name == g.name
-        assert g.params == {"sigma2": F(sigma2)}
+        assert dict(g.params) == {"sigma2": F(sigma2)}
         assert g.meta == {"symmetric": True, "zero_mean": True}
         assert [g.moment(k) for k in range(30)] == [pn.moment(k) for k in range(30)]
         assert [g.moment(k) for k in range(30)] == [
@@ -149,8 +150,8 @@ class TestMomentOracles:
             assert x.tobytes() == pn.sample(100003, seed=seed).tobytes()
         for t in (0.0, 0.5, 2.0):
             for j in range(3):
-                assert (GaussianCf(g.params["sigma2"])(t, j)
-                        == GaussianCf(pn.params["sigma2"])(t, j)
+                assert (GaussianCf(dict(g.params)["sigma2"])(t, j)
+                        == GaussianCf(dict(pn.params)["sigma2"])(t, j)
                         == GaussianCf(F(sigma2))(t, j))
 
     def test_semicircle_catalan(self):
@@ -438,12 +439,29 @@ class TestRegistry:
     def test_every_target_path_builds_its_law(
             self, spec, name, params, symmetric, zero_mean, draws, oracle, sampler):
         law = get_target(spec)
-        assert (law.name, law.params, law.symmetric, law.zero_mean, law.draws) == (
+        assert (law.name, dict(law.params), law.symmetric, law.zero_mean, law.draws) == (
             name, params, symmetric, zero_mean, draws)
-        assert all(type(v) is F for v in law.params.values())
+        assert all(type(v) is F for v in dict(law.params).values())
         assert (law.oracle is not None, law.sampler is not None) == (oracle, sampler)
         with pytest.raises(AttributeError):
             law.name = "other"
+
+    def test_laws_are_values(self):
+        # the capabilities are module-level functions and the parameters a
+        # tuple of pairs, so laws compare and hash by value
+        for spec, *_ in _TARGET_PATHS:
+            assert get_target(spec) == get_target(spec)
+            assert hash(get_target(spec)) == hash(get_target(spec))
+        same = [("PN:p=4", "PN:p=4,sigma2=1"), ("N01", "gaussian"), ("H3", "H3")]
+        for left, right in same:
+            assert get_target(left) == get_target(right)
+            assert hash(get_target(left)) == hash(get_target(right))
+        assert get_target("PN:p=4") != get_target("PN:p=5")
+        assert get_target("gaussian") != get_target("gaussian:sigma2=2")
+        laws = [get_target(spec) for pair in same for spec in pair]
+        for law in laws:
+            assert pickle.loads(pickle.dumps(law)) == law
+        assert len(set(laws)) == 3
 
     def test_unknown(self):
         with pytest.raises(UnknownTarget):
