@@ -76,7 +76,7 @@ The analysis is exact throughout:
 The records passed between these steps (``AsymptoticBranch``,
 ``IndicialRoot``, ``IndicialRoots``, ``Verdict``, and ``operators.CfOde``)
 are immutable named tuples: a refinement is a copy, never a write.  They
-compare by value, but a ``Verdict`` does not hash: its ``diagnostics`` is a dict.
+compare and hash by value; a ``Verdict`` holds its diagnostics as sorted pairs.
 """
 
 from __future__ import annotations
@@ -660,8 +660,8 @@ class Verdict(NamedTuple):
     "characterising", "characterising_with_conditions" (conditions then
     list exactly the consumed assumptions, a subset of {"symmetry",
     "zero_mean"}), or "inconclusive".  branch_table pairs every analysed
-    branch with its exclusion reason; diagnostics carries free moments,
-    correction failures, and survivor notes.
+    branch with its exclusion reason; diagnostics holds free moments,
+    correction failures and survivor notes as sorted (key, value) pairs.
     """
 
     status: str
@@ -670,7 +670,7 @@ class Verdict(NamedTuple):
     branch_table: tuple[tuple[AsymptoticBranch, str], ...]
     singularity: str
     indicial: IndicialRoots | None
-    diagnostics: dict
+    diagnostics: tuple[tuple[str, object], ...]
 
     def as_json(self) -> dict:
         return {
@@ -682,7 +682,7 @@ class Verdict(NamedTuple):
             "branch_table": [
                 {**b.as_json(), "exclusion": reason} for b, reason in self.branch_table
             ],
-            "diagnostics": dict(sorted(self.diagnostics.items())),
+            "diagnostics": {k: list(v) if type(v) is tuple else v for k, v in self.diagnostics},
         }
 
 
@@ -749,7 +749,8 @@ def characterisation_verdict(
         conditions = frozenset(conditions if decided else ())
         status = "inconclusive" if not decided else (
             "characterising_with_conditions" if conditions else "characterising")
-        return Verdict(status, ode, conditions, table, sing, indicial, diagnostics)
+        return Verdict(status, ode, conditions, table, sing, indicial, tuple(sorted(
+            (k, tuple(v) if type(v) is list else v) for k, v in diagnostics.items())))
 
     if ode.order == 1:
         table = ((AsymptoticBranch("bounded"), "candidate"),)

@@ -21,10 +21,11 @@ rows run past the second, is reported as undecided and leaves the verdict
 inconclusive.
 """
 
-# PN's p and the p of a target H<p>: PN's operator needs the O(p^2)
-# Stirling row.  At p = 1000: analyze PN:p=1000 0.97-1.52 s over 8 runs
-# (peak RSS 122.8 MB), transform 0.94-1.45 s (119.5 MB), the exact verify
-# of PN:p=1000 at --orders 256 4.6 s and of H1000 at --orders 1 3.9 s.
+# PN's p and the p of a target H<p>: PN's operator needs the theta^p
+# expansion, O(p^2) integers.  At p = 1000: analyze PN:p=1000 0.83-1.39 s
+# over 8 runs (peak RSS 122.0 MB), transform 0.77-1.14 s (118.6 MB); at
+# sigma2 = 3/7 analyze 1.08-1.90 s (137.4 MB), transform 0.75-1.22 s; the
+# exact verify of PN:p=1000 at --orders 256 4.6 s and of H1000 at --orders 1 3.9 s.
 # discover --target PN:p=1000 --order 15 --degree 7 took 205 s: no
 # discovery budget counts the size of PN's moments.
 MAX_INDEX = 1000

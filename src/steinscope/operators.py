@@ -29,17 +29,18 @@ the classical Gaussian operator, and the parameterised families PN(p, sigma2)
 laws G1X(r, lam, sigma2), BG1(a, b, r), G1G2(r, s, lam).
 
 Each family is declared once, in ``FAMILIES``: its ordered parameters with
-defaults and domain rules, and its operator builder.  ``parse_spec`` binds a
-spec such as "PN:p=4" to those parameters and renders the canonical spec
-"PN:p=4,sigma2=1"; the catalog, the target registry in ``distributions``
-and the CLI listing all go through it.  PN's index p is held to the work
-budget ``budgets.MAX_INDEX``.
+defaults and domain rules, and its operator, one theta-form (A, d, B) that
+``theta_operator`` expands into y^-e (A(theta) - y^d B(theta)), theta = yD.
+``parse_spec`` binds a spec such as "PN:p=4" to those parameters and
+renders the canonical spec "PN:p=4,sigma2=1"; the catalog, the target
+registry in ``distributions`` and the CLI listing all go through it.  PN's
+index p is held to the work budget ``budgets.MAX_INDEX``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import lcm
 from typing import Callable, NamedTuple
 
 from .algebra import (
@@ -260,20 +261,25 @@ def top_moment_poly(op: SteinOperator) -> RationalPoly:
                RationalPoly())
 
 
-def stirling2(p: int, k: int) -> int:
-    """Stirling number of the second kind {p, k}, for 1 <= k <= p."""
-    if not (1 <= k <= p):
-        raise ValueError(f"stirling2 requires 1 <= k <= p, got ({p}, {k})")
-    return _stirling_row(p)[k]
+def theta_operator(A, d: int, B) -> dict:
+    """The coefficients {(i, j): a_ij} of y^-e (A(theta) - y^d B(theta)), theta = yD.
 
-
-@lru_cache(maxsize=None)
-def _stirling_row(p: int) -> tuple[int, ...]:
-    """({p, 0}, ..., {p, p}), built row by row: {q, k} = k{q-1, k} + {q-1, k-1}."""
-    row = [1]
-    for q in range(1, p + 1):
-        row = [0] + [k * row[k] + row[k - 1] for k in range(1, q)] + [1]
-    return tuple(row)
+    A and B are theta-polynomials given as coefficient lists, constant
+    first, and e is the largest power of y that divides every term.  Each
+    is expanded by Horner on integers, its coefficients cleared by the lcm
+    of their denominators: theta y^j D^j = j y^j D^j + y^{j+1} D^{j+1}.
+    """
+    terms = []
+    for poly, sign, shift in ((A, 1, 0), (B, -1, d)):
+        poly = [_as_fraction(c) for c in poly]
+        scale = lcm(*(c.denominator for c in poly))
+        b: list[int] = []
+        for n in reversed([c.numerator * (scale // c.denominator) for c in poly]):
+            b = [n] + [j * b[j] + b[j - 1] for j in range(1, len(b))] + b[-1:]
+        terms += [((j + shift, j), Fraction(sign * v, scale)) for j, v in enumerate(b)]
+    terms = accumulate(terms)
+    e = min((i for i, _ in terms), default=0)
+    return {(i - e, j): v for (i, j), v in terms.items()}
 
 
 # --- catalog ---------------------------------------------------------------
@@ -398,7 +404,7 @@ class Family(NamedTuple):
     """A parameterised operator family: its ordered parameters and builder.
 
     ``operator`` maps the parsed values, by parameter name, to the sparse
-    coefficients ``{(i, j): a_ij}``.
+    coefficients ``{(i, j): a_ij}`` by one ``theta_operator`` call.
     """
 
     params: tuple[Param, ...]
@@ -411,41 +417,31 @@ INDEX = (f"integer 1 <= {{}} <= MAX_INDEX = {MAX_INDEX}",
          lambda v: v.denominator == 1 and 1 <= v <= MAX_INDEX)
 
 
-def _pn_operator(p, sigma2) -> dict:
-    p = int(p)
-    coeffs = {(k - 1, k): sigma2 * stirling2(p, k) for k in range(1, p + 1)}
-    coeffs[(1, 0)] = coeffs.get((1, 0), Fraction(0)) - 1
-    return coeffs
-
-
 #: The parameterised families, in catalog order.  The catalog, the target
 #: registry in ``distributions`` and the CLI listing all read this table.
 FAMILIES = {
     "PN": Family(
         (Param("p", None, INDEX), Param("sigma2", 1, POSITIVE)),
-        _pn_operator,
+        lambda p, sigma2: theta_operator([0] * int(p) + [sigma2], 2, [1]),
     ),
     "PRR": Family(
         (Param("s", None, ("{} > 1/2", lambda v: v > Fraction(1, 2))),),
-        lambda s: {(1, 2): s, (0, 1): 2 * s, (2, 1): -1, (1, 0): 1 - 2 * s},
+        lambda s: theta_operator([0, s, s], 2, [2 * s - 1, 1]),
     ),
     "G1X": Family(
         (Param("r", None, POSITIVE), Param("lam", None, POSITIVE),
          Param("sigma2", 1, POSITIVE)),
-        lambda r, lam, sigma2: {(2, 3): 1, (1, 2): 2 * (r + 1), (0, 1): r * (r + 1),
-                                (1, 0): -lam / sigma2},
+        lambda r, lam, sigma2: theta_operator([0, r * (r - 1), 2 * r - 1, 1], 2, [lam / sigma2]),
     ),
     "BG1": Family(
         (Param("a", None, POSITIVE), Param("b", None, POSITIVE),
          Param("r", None, POSITIVE)),
-        lambda a, b, r: {(2, 2): 1, (1, 1): a + r - 1, (2, 1): -1, (0, 0): a * r,
-                         (1, 0): -(a + b)},
+        lambda a, b, r: theta_operator([a * r, a + r - 2, 1], 1, [a + b, 1]),
     ),
     "G1G2": Family(
         (Param("r", None, POSITIVE), Param("s", None, POSITIVE),
          Param("lam", None, POSITIVE)),
-        lambda r, s, lam: {(2, 2): 1, (1, 1): 1 + r + s, (0, 0): r * s,
-                           (1, 0): -lam * lam},
+        lambda r, s, lam: theta_operator([r * s, r + s, 1], 1, [lam * lam]),
     ),
 }
 

@@ -27,12 +27,12 @@ from steinscope.operators import (
     SteinOperator,
     catalog_get,
     psi_transform,
-    stirling2,
 )
 from steinscope.verification import check_moment_recurrence, mc_stein_residual
 
 from cf_witness import BesselRatioCf, GaussianCf, ode_residual
 from chaos_witness import check_cumulant_formula, gamma_r
+from family_witness import stirling2
 from ladder import H7_ODE, H7_T25m6, H8_ODE, H8_T10m4
 from qi_witness import QI, gaussian
 from qi_witness import CfOde as GaussianOde

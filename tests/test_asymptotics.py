@@ -479,6 +479,17 @@ class TestVerdicts:
         assert v.conditions == frozenset(conditions), (spec, v.conditions)
         return v
 
+    def test_verdicts_hash_and_compare_by_value(self):
+        first, again = (characterisation_verdict(catalog_get("H4_T2m3")) for _ in range(2))
+        assert first == again and hash(first) == hash(again)
+        assert len({first, again, characterisation_verdict(catalog_get("H4_T3m2"))}) == 2
+        assert dict(first.diagnostics)["free_moments"] == (1,)
+        # the report renders the pairs as an object of lists
+        assert first.as_json()["diagnostics"] == {
+            "free_moments": [1],
+            "notes": ["2 admissible directions and the recurrence leaves E[W^n] free for n in [1]"],
+        }
+
     def test_moment_forcing_reads_at_most_max_constraints_rows(self):
         # y^2 D - N y: the top recurrence coefficient k - N vanishes at k = N,
         # and moment forcing reads the rows k = 0..N + 10
@@ -487,14 +498,14 @@ class TestVerdicts:
 
         admitted = forcing(MAX_CONSTRAINTS - 10)
         assert admitted.status == "characterising"
-        assert admitted.diagnostics["moment_forcing"] == (
+        assert dict(admitted.diagnostics)["moment_forcing"] == (
             f"all moments pinned by rows k=0..{MAX_CONSTRAINTS}")
         over = forcing(MAX_CONSTRAINTS - 9)
         assert over.status == "inconclusive"
-        assert over.diagnostics["notes"] == [
+        assert dict(over.diagnostics)["notes"] == (
             "2 admissible directions and moment forcing undecided: its last row "
-            f"k = {MAX_CONSTRAINTS + 1} exceeds the row budget MAX_CONSTRAINTS = {MAX_CONSTRAINTS}"
-        ]
+            f"k = {MAX_CONSTRAINTS + 1} exceeds the row budget MAX_CONSTRAINTS = {MAX_CONSTRAINTS}",
+        )
         assert [reason for _, reason in over.branch_table] == [
             reason for _, reason in admitted.branch_table]
 
@@ -512,7 +523,7 @@ class TestVerdicts:
         monkeypatch.setattr(asymptotics, "moment_row", counting)
         v = characterisation_verdict(op, symmetric=True, zero_mean=True)
         assert v.status == "inconclusive"
-        assert v.diagnostics["free_moments"] == [2]
+        assert dict(v.diagnostics)["free_moments"] == (2,)
         assert built == list(range(K + 1))
 
     def test_rayleigh_all_parameter_regimes(self):
@@ -566,8 +577,7 @@ class TestVerdicts:
 
     def test_product_normal_nine_is_inconclusive(self):
         v = self.check("PN:p=9", 8, "inconclusive", symmetric=True)
-        assert "surviving_branches" in v.diagnostics
-        assert "conjugate_trap" in v.diagnostics
+        assert {"surviving_branches", "conjugate_trap"} <= dict(v.diagnostics).keys()
 
     def test_conjugate_trap_flips_exactly_the_conjugate_pairs(self):
         def exp(phase, gamma=Fraction(1, 2), mag=Fraction(2)):
@@ -607,11 +617,12 @@ class TestVerdicts:
         assert [b for b, _ in v.branch_table] == [b for b, _ in rows]
         assert [r for _, r in v.branch_table] == [
             "not_excluded" if i in flipped else r for i, (_, r) in enumerate(rows)]
-        assert v.diagnostics["conjugate_trap"][:-1] == [rows[i][0].describe() for i in flipped]
+        assert dict(v.diagnostics)["conjugate_trap"][:-1] == tuple(
+            rows[i][0].describe() for i in flipped)
 
     def test_gauss_semicircle_shared_operator_inconclusive(self):
         v = self.check("gauss_semicircle_T5", 2, "inconclusive", symmetric=True)
-        assert v.diagnostics.get("free_moments") == [2]
+        assert dict(v.diagnostics).get("free_moments") == (2,)
 
     def test_first_order_always_characterises(self):
         self.check("gauss_classical", 2, "characterising")

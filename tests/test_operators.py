@@ -19,13 +19,14 @@ from steinscope.operators import (
     catalog_names,
     moment_row,
     moment_shifts,
+    parse_spec,
     psi_transform,
-    stirling2,
+    theta_operator,
     top_moment_poly,
-    _stirling_row,
 )
 
 import qi_witness
+from family_witness import BUILDERS, stirling2
 from qi_witness import QI, CfOde, gaussian
 
 fractions_st = st.fractions(min_value=-8, max_value=8, max_denominator=10)
@@ -397,35 +398,92 @@ class TestFamilyRegistry:
                 lookup(spec)
 
     def test_pn_index_is_bounded_before_any_work(self):
-        # the Stirling row of p is O(p^2) integers; p = 10^8 must fail at parse
+        # the theta^p expansion is O(p^2) integers; p = 10^8 must fail at parse
         assert MAX_INDEX == 1000
         for p in ("0", "1001", "99999999", "3/2"):
             with pytest.raises(BadParameter, match=r"1 <= p <= MAX_INDEX = 1000"):
                 catalog_get(f"PN:p={p}")
 
 
-def test_stirling2_values():
-    assert stirling2(4, 2) == 7
-    assert stirling2(8, 2) == 127
-    assert stirling2(5, 5) == 1
-    assert [stirling2(4, k) for k in range(1, 5)] == [1, 7, 6, 1]
-    with pytest.raises(ValueError):
-        stirling2(3, 0)
-    with pytest.raises(ValueError):
-        stirling2(3, 4)
+_POINTS = ("1/3", "1/2", "1", "3/2", "2", "7")
+#: PN up to p = 1000, PRR up to s = 10^12 + 1, and 216 rational points of each product law
+_FAMILY_GRID = (
+    [f"PN:p={p},sigma2={s2}" for p in [*range(1, 41), 100, 500] for s2 in ("1", "3/7", "2")]
+    + ["PN:p=1000,sigma2=3/7"]
+    + [f"PRR:s={s}" for s in ("3/4", "1", "3/2", "2", "7/3", "1000000000001")]
+    + [f"{family}:{keys[0]}={u},{keys[1]}={v},{keys[2]}={w}"
+       for family, keys in (("G1X", ("r", "lam", "sigma2")), ("BG1", ("a", "b", "r")),
+                            ("G1G2", ("r", "s", "lam")))
+       for u in _POINTS for v in _POINTS for w in _POINTS]
+)
 
 
-def test_stirling2_recurrence_property():
+class TestThetaForm:
+    """Each family is one theta-form (A, d, B): y^-e (A(theta) - y^d B(theta)), theta = yD."""
+
+    #: family -> its values -> (A(k), d, B(k), e), written out by hand
+    FORMS = {
+        "PN": lambda p, sigma2: (lambda k: sigma2 * k ** int(p), 2, lambda k: 1, 1),
+        "PRR": lambda s: (lambda k: s * k * (k + 1), 2, lambda k: k + 2 * s - 1, 1),
+        "G1X": lambda r, lam, sigma2: (lambda k: k * (k + r - 1) * (k + r), 2,
+                                       lambda k: lam / sigma2, 1),
+        # the catalogued drift a + r - 1 of yD: the product law's rows would
+        # read (k + a)(k + r) = k^2 + (a + r) k + ar (TestBetaGammaDriftCoefficient)
+        "BG1": lambda a, b, r: (lambda k: k * k + (a + r - 2) * k + a * r, 1,
+                                lambda k: k + a + b, 0),
+        "G1G2": lambda r, s, lam: (lambda k: (k + r) * (k + s), 1, lambda k: lam * lam, 0),
+    }
+
+    @staticmethod
+    def parsed(spec):
+        return parse_spec(spec, lambda family: FAMILIES[family].params)
+
+    def test_grid_matches_the_former_builders(self):
+        assert {spec.partition(":")[0] for spec in _FAMILY_GRID} == set(FAMILIES)
+        for spec in _FAMILY_GRID:
+            family, values, _ = self.parsed(spec)
+            reference = {key: v for key, v in BUILDERS[family](**values).items() if v}
+            assert FAMILIES[family].operator(**values) == reference, spec
+
+    def test_moment_rows_have_two_terms(self):
+        # A(theta) y^k = A(k) y^k, so y^-e (A(theta) - y^d B(theta)) has the
+        # row A(k) mu_{k-e} - B(k) mu_{k+d-e}; this reads theta through the
+        # falling factorials of moment_row, not through theta_operator
+        for spec in _FAMILY_GRID:
+            family, values, _ = self.parsed(spec)
+            A, d, B, e = self.FORMS[family](**values)
+            op = catalog_get(spec)
+            for k in range(21):
+                expected = {s: v for s, v in ((-e, A(k)), (d - e, -B(k))) if v}
+                assert moment_row(op, k) == expected, (spec, k)
+
+
+def theta_power(p: int) -> dict[int, int]:
+    """{k: c_k} with theta^p = sum_k c_k y^k D^k, read off ``theta_operator``."""
+    op = theta_operator([0] * p + [1], 1, [])
+    assert all(i == j - 1 for i, j in op)
+    return {j: v for (_, j), v in op.items()}
+
+
+def test_theta_power_values():
+    # Stirling numbers of the second kind
+    assert theta_power(4) == {1: 1, 2: 7, 3: 6, 4: 1}
+    assert theta_power(8)[2] == 127
+    assert theta_power(5)[5] == 1
+    assert theta_power(1) == {1: 1}
+
+
+def test_theta_power_recurrence_property():
     rng = random.Random(7)
     for _ in range(50):
         p = rng.randint(2, 12)
         k = rng.randint(1, p - 1) + 1
-        assert stirling2(p + 1, k) == k * stirling2(p, k) + stirling2(p, k - 1)
+        row, next_row = theta_power(p), theta_power(p + 1)
+        assert next_row[k] == k * row[k] + row[k - 1]
 
 
-def test_stirling2_large_p_on_a_cleared_cache():
+def test_theta_power_large_p_against_the_explicit_sum():
     # the explicit sum {p, k} = (1/k!) sum_j (-1)^j C(k, j) (k - j)^p
-    _stirling_row.cache_clear()
     p, k = 600, 300
     explicit = sum((-1) ** j * comb(k, j) * (k - j) ** p for j in range(k + 1))
-    assert stirling2(p, k) == explicit // factorial(k)
+    assert theta_power(p)[k] == explicit // factorial(k)
