@@ -120,20 +120,20 @@ def _frac_str(x) -> str | None:
     return None if x is None else str(Fraction(x))
 
 
-def _canonical_magnitude(mag_pow: Fraction, root: int) -> tuple[Fraction, int]:
-    """Reduce (mag_pow, root) so that the root index is minimal.
+def _canonical_magnitude(power: Fraction, root: int) -> tuple[Fraction, int]:
+    """Reduce (power, root) so that the root index is minimal.
 
-    The represented magnitude is mag_pow^(1/root); e.g. (27/4096, 3)
+    The represented magnitude is power^(1/root); e.g. (27/4096, 3)
     reduces to (3/16, 1) and (16, 4) to (2, 1), while (1/54, 2) is already
     minimal.
     """
     for e in range(1, root + 1):
         if root % e:
             continue
-        r = fraction_nth_root(mag_pow, root // e)
+        r = fraction_nth_root(power, root // e)
         if r is not None:
             return (r, e)
-    return (mag_pow, root)
+    return (power, root)
 
 
 # --- singularity classification ---------------------------------------------
@@ -328,8 +328,9 @@ class AsymptoticBranch(NamedTuple):
     """One leading solution behaviour near t = 0.
 
     kind "bounded": S' = O(1); ``multiplicity`` such directions.
-    kind "exponential": S ~ A_S t^{-gamma} with |A_S| = mag_pow^(1/mag_root)
-    and arg(A_S) = phase * pi, 0 <= phase < 2; A_S = -A/gamma with
+    kind "exponential": S ~ A_S t^{-gamma} with |A_S| = power^(1/root) for
+    the exact pair ``magnitude`` = (power, root), root minimal, and
+    arg(A_S) = phase * pi, 0 <= phase < 2; A_S = -A/gamma with
     d = k2 - k1 for the Newton-polygon ``edge`` (k1, k2), and ``rho`` is the
     rational (i^gamma A)^d.
     ``power_exponent`` is the refinement exponent a in phi ~ t^a e^{S} on
@@ -343,19 +344,12 @@ class AsymptoticBranch(NamedTuple):
     kind: str
     multiplicity: int = 1
     gamma: Fraction | None = None
-    mag_pow: Fraction | None = None
-    mag_root: int | None = None
+    magnitude: tuple[Fraction, int] | None = None
     phase: Fraction | None = None
     power_exponent: Fraction | None = None
     log_exponent: Fraction | None = None
     rho: Fraction | None = None
     edge: tuple[int, int] | None = None
-
-    @property
-    def magnitude_pair(self) -> tuple[Fraction, int] | None:
-        if self.mag_pow is None:
-            return None
-        return (self.mag_pow, self.mag_root)
 
     def describe(self) -> str:
         return branch_text(self.as_json())
@@ -366,8 +360,8 @@ class AsymptoticBranch(NamedTuple):
             "multiplicity": self.multiplicity,
             "gamma": _frac_str(self.gamma),
             "magnitude": None
-            if self.mag_pow is None
-            else {"power": str(self.mag_pow), "root": self.mag_root},
+            if self.magnitude is None
+            else {"power": str(self.magnitude[0]), "root": self.magnitude[1]},
             "phase_over_pi": _frac_str(self.phase),
             "power_exponent": _frac_str(self.power_exponent),
             "log_coeff": _frac_str(self.power_exponent)
@@ -447,14 +441,13 @@ def dominant_balance(ode: CfOde) -> list[AsymptoticBranch]:
         # Euler weight by gamma d, an integer, and rho' = -a1/a2 is rational
         rho = -ode.coeffs[k1].coeff(v1) / ode.coeffs[k2].coeff(v2)
         theta_rho = (Fraction(-(v2 - v1 - d) % 4, 2) + (1 if rho < 0 else 0)) % 2
-        mag_pow, mag_root = _canonical_magnitude(abs(rho) / gamma**d, d)
+        magnitude = _canonical_magnitude(abs(rho) / gamma**d, d)
         # A = rho^(1/d) e^{2 pi i j/d} and A_S = -A/gamma, so arg A_S = arg A + pi
         branches += [
             AsymptoticBranch(
                 "exponential",
                 gamma=gamma,
-                mag_pow=mag_pow,
-                mag_root=mag_root,
+                magnitude=magnitude,
                 phase=(Fraction(theta_rho + 2 * j, d) + 1) % 2,
                 rho=rho,
                 edge=(k1, k2),
@@ -714,8 +707,8 @@ def _conjugate_trap(table) -> list[int]:
         for i, (b, reason) in enumerate(table)
         if reason == "excluded_by_symmetry" and b.kind == "exponential"
     ]
-    keys = {(b.gamma, b.magnitude_pair, b.phase) for _, b in sym}
-    return [i for i, b in sym if (b.gamma, b.magnitude_pair, -b.phase % 2) in keys]
+    keys = {(b.gamma, b.magnitude, b.phase) for _, b in sym}
+    return [i for i, b in sym if (b.gamma, b.magnitude, -b.phase % 2) in keys]
 
 
 def characterisation_verdict(

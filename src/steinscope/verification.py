@@ -66,9 +66,10 @@ class ResidualReport(NamedTuple):
     """One verification test: residual, threshold, and pass/fail.
 
     ``passed`` is |residual| <= threshold, read off the two.  Exact-mode
-    reports carry a Fraction residual and zero threshold; Monte-Carlo
-    reports carry float residual, standard error and
-    threshold = _SIGMA_MULT * stderr.
+    reports carry a Fraction residual and zero threshold, and render them as
+    exact strings; Monte-Carlo reports carry float residual, standard error
+    and threshold = _SIGMA_MULT * stderr, and render them as floats followed
+    by ``stderr``, ``n`` and ``seed``.
     """
 
     test_id: str
@@ -84,32 +85,17 @@ class ResidualReport(NamedTuple):
         return abs(self.residual) <= self.threshold
 
     def as_json(self) -> dict:
+        value = str if self.mode == "exact" else float
         out = {
             "test_id": self.test_id,
             "mode": self.mode,
-            "residual": (
-                str(self.residual)
-                if isinstance(self.residual, Fraction)
-                else float(self.residual)
-            ),
-            "threshold": (
-                str(self.threshold)
-                if isinstance(self.threshold, Fraction)
-                else float(self.threshold)
-            ),
-            "passed": bool(self.passed),
+            "residual": value(self.residual),
+            "threshold": value(self.threshold),
+            "passed": self.passed,
         }
-        if self.stderr is not None:
-            out["stderr"] = float(self.stderr)
-        if self.n is not None:
-            out["n"] = int(self.n)
-        if self.seed is not None:
-            out["seed"] = int(self.seed)
+        if self.mode == "mc":
+            out.update(stderr=float(self.stderr), n=int(self.n), seed=int(self.seed))
         return out
-
-    def __repr__(self):
-        flag = "pass" if self.passed else "FAIL"
-        return f"ResidualReport({self.test_id}: {self.residual} [{flag}])"
 
 
 # --- exact mode -----------------------------------------------------------------

@@ -54,7 +54,7 @@ def branch_signature(ode):
         elif b.kind == "logarithmic":
             powers.append(b.power_exponent)
         else:
-            exps.add((b.gamma, b.magnitude_pair, b.phase))
+            exps.add((b.gamma, b.magnitude, b.phase))
     return bounded, sorted(powers), exps
 
 

@@ -9,6 +9,7 @@ from steinscope import asymptotics
 from steinscope.algebra import RationalPoly
 from steinscope.budgets import MAX_CONSTRAINTS
 from steinscope.asymptotics import (
+    _canonical_magnitude,
     _conjugate_trap,
     AsymptoticBranch,
     CorrectionNotLinear,
@@ -52,7 +53,7 @@ def branch_signature(ode):
         elif b.kind == "logarithmic":
             powers.append(b.power_exponent)
         else:
-            exps.add((b.gamma, b.magnitude_pair, b.phase))
+            exps.add((b.gamma, b.magnitude, b.phase))
     return bounded, sorted(powers), exps
 
 
@@ -151,6 +152,48 @@ class TestRationalForm:
 
     def test_zero_polynomial(self):
         assert quarter_turn(2)[0] * RationalPoly() == RationalPoly()
+
+
+def _is_kth_power(n: int, k: int) -> bool:
+    return any(i**k == n for i in range(n + 1))
+
+
+class TestCanonicalMagnitude:
+    """(power, root) stands for power^(1/root); the pair has the least root."""
+
+    def test_docstring_examples(self):
+        assert _canonical_magnitude(Fraction(27, 4096), 3) == (Fraction(3, 16), 1)
+        assert _canonical_magnitude(Fraction(16), 4) == (Fraction(2), 1)
+        assert _canonical_magnitude(Fraction(1, 54), 2) == (Fraction(1, 54), 2)
+        assert _canonical_magnitude(Fraction(4), 4) == (Fraction(2), 2)
+        assert _canonical_magnitude(Fraction(8), 6) == (Fraction(2), 2)
+
+    def test_least_root_index_on_a_grid(self):
+        for u in range(1, 13):
+            for v in range(1, 13):
+                q = Fraction(u, v)
+                for root in range(1, 7):
+                    p, e = _canonical_magnitude(q, root)
+                    assert p**root == q**e
+                    assert root % e == 0
+                    # a rational is a k-th power iff its reduced numerator
+                    # and denominator both are
+                    assert not any(
+                        _is_kth_power(q.numerator, root // f)
+                        and _is_kth_power(q.denominator, root // f)
+                        for f in range(1, e) if root % f == 0
+                    )
+
+    def test_exponential_branches_carry_one_exact_pair(self):
+        for spec, mag in (
+            ("H5_T13m4", (Fraction(27, 25000), 3)),
+            ("H6_T6m3", (Fraction(1, 54), 2)),
+        ):
+            branches = exp_branches(ode_of(spec))
+            assert branches
+            assert {b.magnitude for b in branches} == {mag}
+            for b in branches:
+                assert b.as_json()["magnitude"] == {"power": str(mag[0]), "root": mag[1]}
 
 
 class TestNewtonPolygonBranches:
@@ -581,8 +624,8 @@ class TestVerdicts:
 
     def test_conjugate_trap_flips_exactly_the_conjugate_pairs(self):
         def exp(phase, gamma=Fraction(1, 2), mag=Fraction(2)):
-            return AsymptoticBranch("exponential", gamma=gamma, mag_pow=mag,
-                                    mag_root=1, phase=phase)
+            return AsymptoticBranch("exponential", gamma=gamma, magnitude=(mag, 1),
+                                    phase=phase)
 
         sym = "excluded_by_symmetry"
         table = [
@@ -599,7 +642,7 @@ class TestVerdicts:
         pairs = [
             i for i, (bi, ri) in enumerate(table) if ri == sym
             if any(j != i and rj == sym and bi.gamma == bj.gamma
-                   and bi.magnitude_pair == bj.magnitude_pair
+                   and bi.magnitude == bj.magnitude
                    and (bi.phase + bj.phase) % 2 == 0
                    for j, (bj, rj) in enumerate(table))
         ]

@@ -56,28 +56,32 @@ class TestResidualReport:
     def test_as_json_exact_mode(self):
         rep = ResidualReport("moment-k=3", "exact", F(2, 3), F(0))
         js = rep.as_json()
-        assert js == {
-            "test_id": "moment-k=3",
-            "mode": "exact",
-            "residual": "2/3",
-            "threshold": "0",
-            "passed": False,
-        }
+        assert list(js.items()) == [
+            ("test_id", "moment-k=3"),
+            ("mode", "exact"),
+            ("residual", "2/3"),
+            ("threshold", "0"),
+            ("passed", False),
+        ]
 
     def test_as_json_mc_mode(self):
         rep = ResidualReport("cos(1*y)", "mc", 0.001, 0.004,
                              stderr=0.001, n=1000, seed=7)
         js = rep.as_json()
+        # the key order is the order report_json prints
+        assert list(js.items()) == [
+            ("test_id", "cos(1*y)"),
+            ("mode", "mc"),
+            ("residual", 0.001),
+            ("threshold", 0.004),
+            ("passed", True),
+            ("stderr", 0.001),
+            ("n", 1000),
+            ("seed", 7),
+        ]
         assert js["passed"] is True
         assert isinstance(js["residual"], float)
         assert isinstance(js["threshold"], float)
-        assert js["stderr"] == 0.001
-        assert js["n"] == 1000
-        assert js["seed"] == 7
-
-    def test_repr_mentions_outcome(self):
-        assert "pass" in repr(ResidualReport("t", "exact", F(0), F(0)))
-        assert "FAIL" in repr(ResidualReport("t", "exact", F(1), F(0)))
 
 
 class TestExactMode:
@@ -317,8 +321,9 @@ class TestBetaGammaDriftCoefficient:
     """The catalogued beta-gamma operator does not annihilate the product law.
 
     For W = B * X with B ~ Beta(a, b) and X ~ Gamma(r, 1) independent, the
-    exact moment relation is (k + a + b) m_{k+1} = (k^2 + (a + r - 1) k
-    + a r) m_k, so the first-order coefficient of the annihilating operator
+    exact moment relation is (k + a + b) m_{k+1} = (k + a)(k + r) m_k
+    = (k^2 + (a + r) k + a r) m_k, since E[W^k] = (a)_k (r)_k / (a + b)_k,
+    so the first-order coefficient of the annihilating operator
     must be a + r + 1, not the catalogued a + r - 1 (the two differ by the
     product rule term from y^2 D).  Monte Carlo separates the two cleanly.
     """
