@@ -32,6 +32,7 @@ under ``--pretty`` too, which imports only what each command's text needs.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import os
@@ -503,5 +504,21 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """The process entry, for ``python -m steinscope.cli`` and the ``steinscope`` script.
+
+    No code here calls BLAS, so numpy starts one OpenBLAS thread rather than
+    a pool that spins beside the Monte-Carlo workers; an explicit
+    ``OPENBLAS_NUM_THREADS`` still wins.  Freezing the collector before exit
+    spares finalisation a walk over every object the imports made; atexit
+    handlers, flushes and destructors still run.  ``main`` touches neither
+    setting, for in-process callers.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read when numpy loads
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,5 +1,6 @@
 """CLI behaviour: report envelopes, exit codes, operator files, golden runs."""
 
+import gc
 import io
 import json
 import os
@@ -1153,3 +1154,57 @@ class TestModuleImports:
         assert cli.mc_stein_residual is verification.mc_stein_residual
         with pytest.raises(AttributeError):
             cli.psi_transform
+
+
+class TestProcessEntry:
+    """``cli.run``: what a whole process does around ``main``."""
+
+    @pytest.fixture
+    def entry(self, monkeypatch):
+        """Stub ``main`` to record the BLAS thread setting it starts under and
+        exit with 1; yield a call of ``run`` that returns the exit code."""
+        import steinscope.cli as cli
+
+        seen = []
+
+        def fake_main():
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+            return 1
+
+        monkeypatch.setattr(cli, "main", fake_main)
+
+        def call():
+            with pytest.raises(SystemExit) as exit_info:
+                cli.run()
+            return exit_info.value.code, seen
+
+        yield call
+        gc.unfreeze()
+
+    def test_sets_one_blas_thread_when_unset(self, entry, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert entry() == (1, ["1"])
+
+    def test_leaves_an_explicit_blas_thread_count(self, entry, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert entry() == (1, ["3"])
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+    def test_freezes_the_collector_before_exit(self, entry, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        entry()
+        assert gc.get_freeze_count() > 0
+
+    def test_mc_report_does_not_depend_on_the_blas_threads(self):
+        src = str(Path(steinscope.__file__).parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "steinscope.cli", "verify", "--op", "PN:p=4",
+                "--target", "PN:p=4", "--mode", "mc", "--n", "100000"]
+        reports = [
+            subprocess.run(argv, capture_output=True, env=run_env, timeout=120,
+                           check=True).stdout
+            for run_env in (env, {**env, "OPENBLAS_NUM_THREADS": "2"})
+        ]
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["result"]["pass"] is True
