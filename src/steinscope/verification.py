@@ -36,8 +36,10 @@ most the CPUs the process may run on).  Chunk statistics are merged by exact
 pairwise Welford combination in chunk order, each as it arrives.
 
 numpy is imported inside the Monte-Carlo code, so exact mode does not load
-it.  The workers are plain threads, each running every W-th chunk, so no
-thread pool (concurrent.futures, and the logging it imports) is loaded.
+it.  Two or more workers run the chunks on a ``concurrent.futures`` thread
+pool, which hands each free worker the next chunk, so a short last chunk
+leaves no worker idle for long.  The pool, and the logging it imports, is
+loaded only then: never by exact mode or a one-worker run.
 """
 
 from __future__ import annotations
@@ -253,9 +255,9 @@ def mc_stein_residual(op: SteinOperator, dist, n: int, seed: int = 0) -> list[Re
     is not finite (the samples overflowed), since NaN or infinity is neither
     a pass nor a fail.  The totals are checked as each chunk is merged, in
     chunk order, and the first non-finite one raises the one-worker run's
-    error; no worker starts a chunk once the merge has seen it, though at
-    two or more workers later chunks may be drawn already, and every worker
-    is joined before the call returns.  n times ``dist.draws`` (one if
+    error.  One worker draws no later chunk; a pool of two or more cancels
+    every chunk not yet started, and finishes the chunks in hand and joins
+    its workers before the call returns.  n times ``dist.draws`` (one if
     absent) above the budget MAX_SAMPLES, or n times the images' Horner
     steps per sample above MAX_HORNER_STEPS, raises OverBudget before any
     sampling.
@@ -319,42 +321,14 @@ def mc_stein_residual(op: SteinOperator, dist, n: int, seed: int = 0) -> list[Re
     workers = min(_threads(), chunks)
     if workers == 1:
         return merge(map(run_chunk, range(chunks)))
-    import threading
-    from queue import SimpleQueue
+    from concurrent.futures import ThreadPoolExecutor
 
-    # worker w runs chunks w, w + workers, ... in turn and hands each one's
-    # statistics, or the exception that ended it, to its own queue, so the
-    # merge reads chunk i from queue i mod workers
-    done = [SimpleQueue() for _ in range(workers)]
-    stop = threading.Event()
-
-    def worker(w: int):
-        try:
-            for i in range(w, chunks, workers):
-                if stop.is_set():
-                    return
-                done[w].put(run_chunk(i))
-        except BaseException as exc:
-            done[w].put(exc)
-
-    def arrivals():
-        for i in range(chunks):
-            stats = done[i % workers].get()
-            if isinstance(stats, BaseException):
-                raise stats
-            yield stats
-
-    threads = []
+    # map yields the statistics in chunk order and raises a chunk's error at
+    # its place; shutdown cancels the chunks not started and joins the
+    # workers.  Not a with block: the error's traceback keeps map's generator
+    # alive, so the block's exit would run every remaining chunk first.
+    pool = ThreadPoolExecutor(workers)
     try:
-        for w in range(workers):
-            thread = threading.Thread(target=worker, args=(w,))
-            thread.start()
-            threads.append(thread)
-        return merge(arrivals())
+        return merge(pool.map(run_chunk, range(chunks)))
     finally:
-        # after a refusal or an error no chunk is started, and the call
-        # returns only when every started worker has finished its chunk in
-        # hand
-        stop.set()
-        for thread in threads:
-            thread.join()
+        pool.shutdown(cancel_futures=True)

@@ -207,6 +207,16 @@ class TestOperatorFiles:
         assert out == ""
         assert "invalid JSON" in err
 
+    @pytest.mark.parametrize("name", ["missing.json", "a_directory"])
+    def test_unreadable_file_exits_2_with_one_line(self, tmp_path, name):
+        # --op names a file that is missing, or a directory: neither can be read
+        (tmp_path / "a_directory").mkdir()
+        path = tmp_path / name
+        code, out, err = run_cli("analyze", "--op", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"steinscope: error: cannot read {path}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_unknown_operator_exits_2(self):
         code, out, err = run_cli("analyze", "--op", "nonsense")
         assert code == 2
@@ -1043,14 +1053,11 @@ class TestNumericStackImports:
         assert loaded["numpy"] is True
         assert loaded["scipy.special"] is False
 
-    def test_monte_carlo_threads_load_no_thread_pool(self, monkeypatch):
-        # the workers are plain threads: concurrent.futures, and the
-        # logging it imports, stay unloaded
-        from steinscope.verification import _threads
-
-        monkeypatch.setenv("STEIN_SCOPE_THREADS", "2")
-        if _threads() < 2:
-            pytest.skip("the affinity set has fewer than 2 CPUs")
+    def test_one_worker_monte_carlo_loads_no_thread_pool(self, monkeypatch):
+        # only two or more workers run on a thread pool: at one, a run of
+        # several chunks loads neither concurrent.futures nor the logging
+        # it imports
+        monkeypatch.setenv("STEIN_SCOPE_THREADS", "1")
         loaded = probe_imports("verify", "--op", "PN:p=4", "--target", "PN:p=4",
                                "--mode", "mc", "--n", "1000000")
         assert (loaded["code"], loaded["concurrent.futures"], loaded["logging"]) == (

@@ -8,6 +8,7 @@ asserted here were recorded at fixed seeds and are deterministic.
 
 import os
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -543,6 +544,57 @@ class TestMcMechanics:
             assert threading.active_count() == before
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
+
+    def test_two_threads_refused_at_chunk_0_draw_only_the_chunks_started(
+            self, monkeypatch):
+        # chunk 0 overflows while the other worker runs on, slowed on every
+        # other chunk; the refusal cancels every chunk not yet started, so
+        # most of the 200 are never drawn, and the workers are joined
+        monkeypatch.setattr(verification, "_CHUNK", 2**10)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("STEIN_SCOPE_THREADS", "2")
+        drawn = []
+
+        def sample(size, seed):
+            drawn.append(seed)
+            if seed % 2:
+                time.sleep(0.005)
+            scale = 1e200 if seed == 0 else 1.0
+            return scale * np.random.default_rng(seed).standard_normal(size)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="not finite"):
+            mc_stein_residual(catalog_get("gauss_classical"),
+                              SimpleNamespace(name="huge", sample=sample),
+                              n=200 * verification._CHUNK)
+        assert len(drawn) < 100
+        assert threading.active_count() == before
+
+    def test_chunks_finishing_out_of_order_merge_in_chunk_order(self, monkeypatch):
+        # at two workers chunk 0's draw waits until the last chunk is drawn,
+        # so every later chunk finishes first; the merge still reads them in
+        # chunk order and gives the one-worker estimates bit for bit
+        monkeypatch.setattr(verification, "_CHUNK", 2**10)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        chunks = 8
+        last_drawn = threading.Event()
+
+        def sample(size, seed):
+            if seed == chunks - 1:
+                last_drawn.set()
+            elif seed == 0 and os.environ["STEIN_SCOPE_THREADS"] == "2":
+                assert last_drawn.wait(timeout=30)
+            return np.random.default_rng(seed).standard_normal(size)
+
+        law = SimpleNamespace(name="held", sample=sample)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("STEIN_SCOPE_THREADS", threads)
+            last_drawn.clear()
+            reports = mc_stein_residual(catalog_get("gauss_classical"), law,
+                                        n=chunks * verification._CHUNK - 300)
+            runs.append([(r.residual.hex(), r.stderr.hex()) for r in reports])
+        assert runs[0] == runs[1]
 
     def test_two_threads_pass_a_sampler_error_to_the_caller(self, monkeypatch):
         monkeypatch.setattr(verification, "_CHUNK", 2**10)
