@@ -11,10 +11,13 @@ violate one of these properties are excluded; if at most one admissible
 direction remains (or the moment recurrence pins every moment), the operator
 characterises its target.
 
-The analysis is exact throughout:
+The analysis is exact throughout.  It reads the ODE through one table,
+``_weights(ode, slope)``: the monomials a t^d D^k grouped by their weight
+d - slope k, lowest first, the lowest group lying on the Newton polygon's
+supporting line of that slope.
 
-* ``classify_singularity`` applies the valuation test to the c_i and
-  returns the kind of the point t = 0; the valuations stay on the ODE.
+* ``classify_singularity`` reads the kind of t = 0 off the lowest groups at
+  slopes 0 and 1.
 * ``indicial_roots`` computes the Frobenius indicial polynomial at a regular
   singular point, extracts its rational roots with multiplicity
   (``algebra.rational_roots``), and decides the log cases:
@@ -26,28 +29,28 @@ The analysis is exact throughout:
   inconclusive.
 * ``dominant_balance`` substitutes the ansatz phi = e^{S(t)},
   S'(t) = A t^{-1-gamma}, and reads the balances off the lower Newton
-  polygon of the points (derivative order k, valuation of c_k).  Edges of
-  slope sigma > 1 give exponential branches S ~ A_S t^{-gamma} with
+  polygon of the points (derivative order k, valuation of c_k), an edge's
+  terms being the lowest group at its slope sigma.  Edges of slope
+  sigma > 1 give exponential branches S ~ A_S t^{-gamma} with
   gamma = sigma - 1, A_S = -A/gamma and A^d = rho = -l_{k1}/l_{k2}
   (endpoint coefficients, with d = k2 - k1 directions); rho is a rational
   times the quarter turn i^(-gamma d), which goes into the phase.  Each
   branch keeps that rational and its edge (k1, k2); slope-1 edges give
-  power branches phi ~ t^alpha
-  with alpha a root of the edge polynomial; edges of slope < 1 contribute
-  bounded directions.  Magnitudes are stored as exact pairs
-  (rational, root index) with |A_S| = pair[0]^(1/pair[1]), and phases as
-  exact rational multiples of pi, using the principal root
+  power branches phi ~ t^alpha with alpha a root of the edge polynomial;
+  edges of slope < 1 contribute bounded directions.  Magnitudes are stored
+  as exact pairs (rational, root index) with |A_S| = pair[0]^(1/pair[1]),
+  and phases as exact rational multiples of pi, using the principal root
   (-1)^(1/d) = e^{i pi/d}.
 * ``power_correction`` refines an exponential branch with the two-term
   ansatz S = A_S t^{-gamma} + a log t.  By the closed form
   phi^{(k)}/phi = A^k t^{-k(1+gamma)}
   + A^{k-1} (k a - (1+gamma) k(k-1)/2) t^{-k(1+gamma)+gamma} + ...,
   each ODE monomial feeds at most the balance level and the level gamma
-  above it.  With B = i^gamma A every term of one level carries one unit,
-  so both are read in Q[B]/(B^d - rho') with rho' rational: the first
-  must cancel and the second, linear in a, fixes a.  Anything below the
-  balance, between the two levels, inconsistent, or unconstrained raises
-  ``CorrectionNotLinear``.
+  above it, weight groups at slope 1 + gamma.  With B = i^gamma A every
+  term of one level carries one unit, so both are read in
+  Q[B]/(B^d - rho') with rho' rational: the first must cancel and the
+  second, linear in a, fixes a.  Anything below the balance, between the
+  two levels, inconsistent, or unconstrained raises ``CorrectionNotLinear``.
 * ``classify_branch`` turns a branch into its branch-table row
   (branch, exclusion): real-part signs of A_S t^{-gamma} on each side of 0
   (principal continuation on t < 0, so the left-side phase is
@@ -71,7 +74,7 @@ The analysis is exact throughout:
   rows leaves the verdict inconclusive.  Every verdict is built in one
   place, which derives its status from whether it is decided and which
   conditions it consumed, and keeps the ODE it analysed, from which its
-  report reads the valuations of the singularity.
+  report reads the kind and the valuations of the singularity.
 
 The records passed between these steps (``AsymptoticBranch``,
 ``IndicialRoot``, ``IndicialRoots``, ``Verdict``, and ``operators.CfOde``)
@@ -136,24 +139,33 @@ def _canonical_magnitude(power: Fraction, root: int) -> tuple[Fraction, int]:
     return (power, root)
 
 
-# --- singularity classification ---------------------------------------------
+# --- Newton-polygon weights and singularity classification -------------------
+
+
+def _weights(ode: CfOde, slope: Fraction | int) -> dict[int, dict[int, object]]:
+    """The ODE's monomials a t^d D^k as {weight: {k: a}}, lowest weight first.
+
+    The weight of t^d D^k at the rational slope p/q is the integer d q - p k,
+    q times d - slope k.  One weight and one k fix d.
+    """
+    p, q = slope.numerator, slope.denominator
+    groups: dict[int, dict[int, object]] = {}
+    for k, c in enumerate(ode.coeffs):
+        for d, a in c.c.items():
+            groups.setdefault(d * q - p * k, {})[k] = a
+    return dict(sorted(groups.items()))
 
 
 def classify_singularity(ode: CfOde) -> str:
     """The kind of the point t = 0 of the ODE, by the standard valuation test.
 
-    "ordinary" when val(c_i) >= val(c_n) for all i, "regular_singular" when
-    val(c_i) >= val(c_n) - (n - i) for all i (but not ordinary), and
-    "irregular_singular" otherwise.  Zero coefficients have valuation None
-    (infinite) and never violate either test.
+    "ordinary" when c_n holds a term of the lowest weight at slope 0, that
+    is val(c_i) >= val(c_n) for all i; else "regular_singular" when it holds
+    one at slope 1, val(c_i) >= val(c_n) - (n - i); else "irregular_singular".
     """
-    n = ode.order
-    vals = [c.valuation() for c in ode.coeffs]
-    w = vals[n]
-    if all(v is None or v >= w for v in vals):
-        return "ordinary"
-    if all(v is None or v >= w - (n - i) for i, v in enumerate(vals)):
-        return "regular_singular"
+    for slope, kind in ((0, "ordinary"), (1, "regular_singular")):
+        if ode.order in next(iter(_weights(ode, slope).values())):
+            return kind
     return "irregular_singular"
 
 
@@ -208,21 +220,18 @@ class IndicialRoots(NamedTuple):
 def _level_polynomials(ode: CfOde) -> dict[int, RationalPoly]:
     """Q_r(beta) = sum over monomials a_{k,d} t^d D^k at level r of a_{k,d} (beta)_k.
 
-    Level r counts t-powers above the indicial level: a monomial sits at
-    r = (d - k) - (w - n) where w = val(c_n), so its quarter turn is
-    i^(turns + r + w - n) and the level polynomial of the ODE is
-    P_r = i^(turns + r + w - n) Q_r.  P_0 is the indicial polynomial; the
-    Frobenius recurrence P_0(alpha + m) u_m = -sum_{r>=1} P_r(alpha + m - r)
-    u_{m-r} becomes, with u_m = i^m v_m, the rational recurrence
+    The monomials at level r are the slope-1 weight group r above the lowest
+    one, w = val(c_n) - n at a regular singular point, so the level
+    polynomial of the ODE is P_r = i^(turns + r + w) Q_r.  P_0 is the
+    indicial polynomial; the Frobenius recurrence
+    P_0(alpha + m) u_m = -sum_{r>=1} P_r(alpha + m - r) u_{m-r} becomes,
+    with u_m = i^m v_m, the rational recurrence
     Q_0(alpha + m) v_m = -sum_{r>=1} Q_r(alpha + m - r) v_{m-r}.
     """
-    n = ode.order
-    w = ode.coeffs[n].valuation()
-    return accumulate(
-        ((d - k) - (w - n), falling_poly(k) * v)
-        for k, c in enumerate(ode.coeffs)
-        for d, v in c.c.items()
-    )
+    table = _weights(ode, 1)
+    low = next(iter(table))
+    return {w - low: sum((falling_poly(k) * a for k, a in group.items()), RationalPoly())
+            for w, group in table.items()}
 
 
 def _chain_log(alpha: Fraction, alphas: list, step: int, p_step) -> Fraction | None:
@@ -394,34 +403,25 @@ def dominant_balance(ode: CfOde) -> list[AsymptoticBranch]:
     with binomial balance l_{k1} + l_{k2} A^d = 0.  The branch multiplicities
     sum to the ODE order whenever c_0 != 0.
     """
-    n = ode.order
     points = [(k, c.valuation()) for k, c in enumerate(ode.coeffs) if not c.is_zero()]
     if len(points) < 1:
         raise NoBalance("empty ODE")
     hull = _newton_hull(points)
-    vals = {k: v for k, v in points}
     branches: list[AsymptoticBranch] = []
     bounded = points[0][0]  # orders below the first nonzero coefficient
     for (k1, v1), (k2, v2) in zip(hull, hull[1:]):
         slope = Fraction(v2 - v1, k2 - k1)
-        on_edge = [
-            k
-            for k in range(k1, k2 + 1)
-            if k in vals and Fraction(vals[k] - v1) == slope * (k - k1)
-        ]
         if slope < 1:
             bounded += k2 - k1
             continue
+        weight, edge = next(iter(_weights(ode, slope).items()))
         if slope == 1:
             # power balance: phi ~ t^alpha with sum l_k (alpha)_k = 0; the
             # factor (alpha)_{k1} common to every term is an artifact of
             # lower-order terms, so the edge polynomial starts at k1.  Every
             # edge term has the Euler weight v1 - k1, so one quarter turn.
-            lead = sum(
-                (falling_poly(k, k1) * ode.coeffs[k].coeff(v1 + (k - k1)) for k in on_edge),
-                RationalPoly(),
-            )
-            roots, residual = rational_roots(quarter_turn(ode.turns + v1 - k1)[0] * lead)
+            lead = sum((falling_poly(k, k1) * a for k, a in edge.items()), RationalPoly())
+            roots, residual = rational_roots(quarter_turn(ode.turns + weight)[0] * lead)
             if residual.degree() > 0:
                 raise NoBalance(
                     f"slope-1 edge exponents are not rational (residual {residual})"
@@ -433,13 +433,13 @@ def dominant_balance(ode: CfOde) -> list[AsymptoticBranch]:
             ]
             continue
         # exponential balance
-        if len(on_edge) > 2:
+        if len(edge) > 2:
             raise NoBalance("multi-term exponential balance is not binomial")
         d = k2 - k1
         gamma = slope - 1
         # rho = -l1/l2 = rho' i^(-gamma d): the endpoint terms differ in
         # Euler weight by gamma d, an integer, and rho' = -a1/a2 is rational
-        rho = -ode.coeffs[k1].coeff(v1) / ode.coeffs[k2].coeff(v2)
+        rho = -edge[k1] / edge[k2]
         theta_rho = (Fraction(-(v2 - v1 - d) % 4, 2) + (1 if rho < 0 else 0)) % 2
         magnitude = _canonical_magnitude(abs(rho) / gamma**d, d)
         # A = rho^(1/d) e^{2 pi i j/d} and A_S = -A/gamma, so arg A_S = arg A + pi
@@ -495,38 +495,38 @@ def power_correction(ode: CfOde, branch: AsymptoticBranch) -> Fraction:
         raise CorrectionNotLinear(
             f"the ODE has no edge term in D^{k1}: the branch is not one of its balances"
         )
-    e_bal = Fraction(ode.coeffs[k1].valuation()) - k1 * mu
-    top = e_bal + gamma
+    table = _weights(ode, mu)  # the monomials of lead e at weight q e
+    q = mu.denominator
+    bal = ode.coeffs[k1].valuation() * q - mu.numerator * k1
+    top = bal + mu.numerator - q
+
+    def level(ws) -> Fraction:
+        """The lead of the first of the weights ws to hold a monomial, by (k, d)."""
+        return Fraction(min(ws, key=lambda w: (min(table[w]), w)), q)
 
     def reduced(k: int, coeff: Fraction) -> tuple[int, Fraction]:
         """(u, c) with c B^u = coeff B^k modulo B^d = rho."""
-        q, u = divmod(k, k2 - k1)
-        return u, coeff * rho**q
+        n, u = divmod(k, k2 - k1)
+        return u, coeff * rho**n
 
-    terms: dict[Fraction, list] = {}  # level -> [(B-power, coefficient)]
-    alpha_terms = []  # the coefficient of a at level top
-    for k, c in enumerate(ode.coeffs):
-        for d, v in sorted(c.c.items()):  # by degree: one first level for any order
-            lead = d - k * mu
-            if lead < e_bal:
-                raise CorrectionNotLinear(f"terms below the balance level at t^{lead}")
-            if lead <= top:
-                terms.setdefault(lead, []).append(reduced(k, v))
-            if lead == e_bal and k:
-                alpha_terms.append(reduced(k - 1, v * k))
-                terms.setdefault(top, []).append(reduced(k - 1, v * (-mu * k * (k - 1) / 2)))
-    const = {e: accumulate(pairs) for e, pairs in terms.items()}
-    alpha_vec = accumulate(alpha_terms)
+    below = [w for w in table if w < bal]
+    if below:
+        raise CorrectionNotLinear(f"terms below the balance level at t^{level(below)}")
+    const = {w: accumulate(reduced(k, a) for k, a in group.items())
+             for w, group in table.items() if w <= top}
+    balance = table.get(bal, {})
+    alpha_vec = accumulate(reduced(k - 1, a * k) for k, a in balance.items() if k)
+    beta_vec = accumulate((reduced(k - 1, a * (-mu * k * (k - 1) / 2))
+                           for k, a in balance.items() if k), const.get(top, {}))
 
-    if const.get(e_bal):
+    if const.get(bal):
         raise CorrectionNotLinear("dominant balance level failed to cancel")
-    for e in const:
-        if e_bal < e < top and const[e]:
-            raise CorrectionNotLinear(
-                f"nonzero terms at intermediate level t^{e} "
-                f"between balance t^{e_bal} and correction t^{top}"
-            )
-    beta_vec = const.get(top, {})
+    between = [w for w, c in const.items() if bal < w < top and c]
+    if between:
+        raise CorrectionNotLinear(
+            f"nonzero terms at intermediate level t^{level(between)} "
+            f"between balance t^{Fraction(bal, q)} and correction t^{Fraction(top, q)}"
+        )
     pivot = next(iter(alpha_vec), None)
     if pivot is None:
         raise CorrectionNotLinear(
@@ -648,8 +648,9 @@ def _moment_forcing(op: SteinOperator):
 class Verdict(NamedTuple):
     """Outcome of the sufficiency analysis for one operator.
 
-    ode is the operator's transform, the ODE the analysis read, and
-    singularity the kind of its point t = 0.  status is
+    ode is the operator's transform, the ODE the analysis read, from which
+    the report reads the kind of its point t = 0 and the valuations of its
+    coefficients.  status is
     "characterising", "characterising_with_conditions" (conditions then
     list exactly the consumed assumptions, a subset of {"symmetry",
     "zero_mean"}), or "inconclusive".  branch_table pairs every analysed
@@ -661,7 +662,6 @@ class Verdict(NamedTuple):
     ode: CfOde
     conditions: frozenset[str]
     branch_table: tuple[tuple[AsymptoticBranch, str], ...]
-    singularity: str
     indicial: IndicialRoots | None
     diagnostics: tuple[tuple[str, object], ...]
 
@@ -669,7 +669,7 @@ class Verdict(NamedTuple):
         return {
             "status": self.status,
             "conditions": sorted(self.conditions),
-            "singularity": {"kind": self.singularity,
+            "singularity": {"kind": classify_singularity(self.ode),
                             "valuations": [c.valuation() for c in self.ode.coeffs]},
             "indicial_roots": None if self.indicial is None else self.indicial.as_json(),
             "branch_table": [
@@ -731,18 +731,17 @@ def characterisation_verdict(
     if moment_order < 0:
         raise ValueError(f"moment order {moment_order}; need moment_order >= 0")
     ode = psi_transform(op)
-    sing = classify_singularity(ode)
     indicial, table, diagnostics = None, (), {}
 
     def verdict(decided: bool, conditions=(), notes=None) -> Verdict:
-        """The verdict with the ODE, singularity, indicial roots and branch table
-        so far; an undecided one is inconclusive and consumed no condition."""
+        """The verdict with the ODE, indicial roots and branch table so far; an
+        undecided one is inconclusive and consumed no condition."""
         if notes:
             diagnostics["notes"] = notes
         conditions = frozenset(conditions if decided else ())
         status = "inconclusive" if not decided else (
             "characterising_with_conditions" if conditions else "characterising")
-        return Verdict(status, ode, conditions, table, sing, indicial, tuple(sorted(
+        return Verdict(status, ode, conditions, table, indicial, tuple(sorted(
             (k, tuple(v) if type(v) is list else v) for k, v in diagnostics.items())))
 
     if ode.order == 1:
@@ -752,7 +751,7 @@ def characterisation_verdict(
             "characteristic function is the unique solution with phi(0) = 1"
         ])
 
-    if sing == "regular_singular":
+    if classify_singularity(ode) == "regular_singular":
         indicial = indicial_roots(ode)
         if not indicial.fully_factored():
             return verdict(False, notes=[
